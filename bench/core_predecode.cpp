@@ -1,20 +1,14 @@
-// Extension experiment X1c: the four execution tiers of
+// Extension experiment X1c: the two execution tiers of
 // docs/EXECUTION.md, end to end. Same packets, same apps, same monitor;
 // the only difference is the dispatch granularity -- word-at-a-time
-// interpretation, predecoded per-op dispatch (shared CompiledProgram
-// artifact, precomputed monitor hashes), block-fused superop runs
-// (whole pure runs retired per dispatch, the monitor fed one
-// precomputed hash slice per run), or trace dispatch (superblocks
-// crossing statically-predicted branches, whole traces retired per
-// dispatch with side-exit retraction on misprediction). The interpreter
-// survives as the differential oracle, so this bench is also a cheap
-// behavioral-equivalence check: all four configurations must produce
-// identical packet outcomes and instruction counts.
-//
-// The branchy subset (ipv4-forward, udp-echo, loop-forward -- apps whose
-// runtime is dominated by short backward loops) carries the trace tier's
-// acceptance gate: traces only beat fusion when fused runs are cut short
-// by taken branches, which straight-line-heavy apps rarely are.
+// interpretation (fetch, decode, hash every retired word) or the
+// compiled tier (superblocks crossing statically predicted branches,
+// retired whole per dispatch from the shared CompiledProgram artifact,
+// the monitor fed one precomputed hash slice per dispatch, side-exit
+// retraction on misprediction). The interpreter survives as the
+// differential oracle, so this bench is also a cheap
+// behavioral-equivalence check: both tiers must produce identical packet
+// outcomes and instruction counts.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,9 +28,6 @@ using Clock = std::chrono::steady_clock;
 struct AppCase {
   const char* name;
   isa::Program program;
-  // Dominated by short taken-branch loops: the subset where the trace
-  // tier is expected (and gated) to beat block fusion.
-  bool branchy;
 };
 
 // Process every packet and return simulated kpps. The monitored core's
@@ -52,9 +43,7 @@ double time_packets(np::MonitoredCore& core,
 }
 
 // Raw-core throughput in million instructions/s: repeatedly soft-reset,
-// deliver, and run() one packet. With the artifact live this exercises
-// the superblock stepper (no monitor in the loop); interpreted it walks
-// the original step() path.
+// deliver, and run() one packet -- the tier's unmonitored ceiling.
 double time_raw(np::Core& core, const std::vector<util::Bytes>& packets) {
   const std::uint64_t before = core.cycles();
   auto start = Clock::now();
@@ -66,17 +55,6 @@ double time_raw(np::Core& core, const std::vector<util::Bytes>& packets) {
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   return static_cast<double>(core.cycles() - before) / seconds / 1e6;
-}
-
-// The four tiers, selected via the three sticky core toggles. Trace
-// rides on fusion (trace pointers are live only while the fused tier
-// is), so lower tiers must disable it explicitly for isolation.
-enum class Tier { Interp, Predec, Fused, Trace };
-
-void select_tier(np::Core& core, Tier tier) {
-  core.set_predecode_enabled(tier != Tier::Interp);
-  core.set_block_fuse_enabled(tier == Tier::Fused || tier == Tier::Trace);
-  core.set_trace_enabled(tier == Tier::Trace);
 }
 
 bool same_delta(const np::CoreStats& before, const np::CoreStats& after,
@@ -92,16 +70,15 @@ bool same_delta(const np::CoreStats& before, const np::CoreStats& after,
 }  // namespace
 
 int main() {
-  bench::heading(
-      "X1c: trace / block-fused / predecoded / interpreted execution tiers");
+  bench::heading("X1c: compiled (superblock) vs interpreted execution tier");
 
   AppCase apps[] = {
-      {"ipv4-forward", net::build_ipv4_forward(), true},
-      {"ipv4-cm", net::build_ipv4_cm(), false},
-      {"udp-echo", net::build_udp_echo(), true},
+      {"ipv4-forward", net::build_ipv4_forward()},
+      {"ipv4-cm", net::build_ipv4_cm()},
+      {"udp-echo", net::build_udp_echo()},
       {"firewall(8 ports)",
-       net::build_firewall({21, 22, 23, 53, 80, 443, 8080, 8443}), false},
-      {"loop-forward", net::build_loop_forward(), true},
+       net::build_firewall({21, 22, 23, 53, 80, 443, 8080, 8443})},
+      {"loop-forward", net::build_loop_forward()},
   };
 
   const int kPackets = bench::scaled(1500, 20);
@@ -111,18 +88,14 @@ int main() {
   report.set_meta("packets", kPackets);
   report.set_meta("reps", kReps);
 
-  std::printf("%-18s %9s %9s %9s %9s %8s %8s %8s %7s %8s %8s\n", "app",
-              "int kpps", "pre kpps", "fus kpps", "trc kpps", "pre/int",
-              "fus/pre", "trc/fus", "sexit", "raw fus", "raw trc");
-  bench::rule(112);
+  std::printf("%-18s %9s %9s %8s %9s %7s %9s %9s %8s\n", "app", "int kpps",
+              "cmp kpps", "cmp/int", "disp/pkt", "sexit", "raw int",
+              "raw cmp", "raw x");
+  bench::rule(96);
 
   bool wired_ok = true;
   bool behavior_ok = true;
   double log_speedup_sum = 0.0;
-  double log_fused_sum = 0.0;
-  double log_trace_sum = 0.0;
-  double log_trace_branchy_sum = 0.0;
-  int branchy_count = 0;
   for (auto& app : apps) {
     monitor::MerkleTreeHash hash(0xBEEFCAFE);
     auto graph = monitor::extract_graph(app.program, hash);
@@ -130,10 +103,7 @@ int main() {
     np::MonitoredCore core;
     core.install(app.program, graph,
                  std::make_unique<monitor::MerkleTreeHash>(hash));
-    wired_ok = wired_ok && core.core().compiled_program() != nullptr &&
-               core.core().predecode_live() &&
-               core.core().block_fuse_live() &&
-               core.core().compiled_program()->num_fused_runs() > 0 &&
+    wired_ok = wired_ok && core.core().compiled_live() &&
                core.core().compiled_program()->num_traces() > 0;
 
     net::TrafficGenerator gen;
@@ -141,166 +111,103 @@ int main() {
     packets.reserve(static_cast<std::size_t>(kPackets));
     for (int i = 0; i < kPackets; ++i) packets.push_back(gen.next().packet);
 
-    // Warm each configuration once, then interleave best-of-N reps:
-    // the windows are tens of milliseconds, so keeping each side's best
-    // measures engine capability rather than scheduler interference.
-    // Oracle check on the warm passes: all four tiers process identical
-    // packets -- outcome and instruction deltas must be identical. The
-    // trace warm pass also accumulates side-exit telemetry (trace
-    // dispatch counts do not vary across reps of identical packets).
-    select_tier(core.core(), Tier::Interp);
+    // Warm each tier once, then interleave best-of-N reps: the windows
+    // are tens of milliseconds, so keeping each side's best measures
+    // engine capability rather than scheduler interference. Oracle check
+    // on the warm passes: both tiers process identical packets, so
+    // outcome and instruction deltas must be identical. The compiled
+    // warm pass also collects dispatch and side-exit telemetry (it does
+    // not vary across reps of identical packets).
+    core.core().set_tier(np::Tier::Interpret);
     (void)time_packets(core, packets);
     const np::CoreStats interp_stats = core.stats();
-    select_tier(core.core(), Tier::Predec);
-    (void)time_packets(core, packets);
-    const np::CoreStats predec_stats = core.stats();
-    select_tier(core.core(), Tier::Fused);
-    (void)time_packets(core, packets);
-    const np::CoreStats fused_stats = core.stats();
-    select_tier(core.core(), Tier::Trace);
-    std::uint64_t trace_dispatches = 0, trace_side_exits = 0;
+    core.core().set_tier(np::Tier::Compiled);
+    std::uint64_t dispatches = 0, side_exits = 0;
     for (const util::Bytes& packet : packets) {
       const np::PacketResult r = core.process_packet(packet);
-      trace_dispatches += r.trace_dispatches;
-      trace_side_exits += r.trace_side_exits;
+      dispatches += r.trace_dispatches;
+      side_exits += r.trace_side_exits;
     }
-    const np::CoreStats trace_stats = core.stats();
+    const np::CoreStats compiled_stats = core.stats();
     behavior_ok = behavior_ok &&
-                  same_delta(interp_stats, predec_stats, interp_stats) &&
-                  same_delta(predec_stats, fused_stats, interp_stats) &&
-                  same_delta(fused_stats, trace_stats, interp_stats) &&
-                  trace_dispatches > 0;
+                  same_delta(interp_stats, compiled_stats, interp_stats) &&
+                  dispatches > 0;
     const double side_exit_rate =
-        trace_dispatches == 0
-            ? 0.0
-            : static_cast<double>(trace_side_exits) /
-                  static_cast<double>(trace_dispatches);
+        dispatches == 0 ? 0.0
+                        : static_cast<double>(side_exits) /
+                              static_cast<double>(dispatches);
+    const double dispatches_per_packet =
+        static_cast<double>(dispatches) / static_cast<double>(kPackets);
 
-    double interp_kpps = 0.0, predec_kpps = 0.0, fused_kpps = 0.0,
-           trace_kpps = 0.0;
+    double interp_kpps = 0.0, compiled_kpps = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      select_tier(core.core(), Tier::Interp);
+      core.core().set_tier(np::Tier::Interpret);
       interp_kpps = std::max(interp_kpps, time_packets(core, packets));
-      select_tier(core.core(), Tier::Predec);
-      predec_kpps = std::max(predec_kpps, time_packets(core, packets));
-      select_tier(core.core(), Tier::Fused);
-      fused_kpps = std::max(fused_kpps, time_packets(core, packets));
-      select_tier(core.core(), Tier::Trace);
-      trace_kpps = std::max(trace_kpps, time_packets(core, packets));
+      core.core().set_tier(np::Tier::Compiled);
+      compiled_kpps = std::max(compiled_kpps, time_packets(core, packets));
     }
-    const double speedup = predec_kpps / interp_kpps;
-    const double fused_speedup = fused_kpps / predec_kpps;
-    const double trace_speedup = trace_kpps / fused_kpps;
+    const double speedup = compiled_kpps / interp_kpps;
     log_speedup_sum += std::log(speedup);
-    log_fused_sum += std::log(fused_speedup);
-    log_trace_sum += std::log(trace_speedup);
-    if (app.branchy) {
-      log_trace_branchy_sum += std::log(trace_speedup);
-      ++branchy_count;
-    }
 
     // Raw core, no monitor: each tier's unmonitored ceiling.
     np::Core raw;
     raw.load_program(app.program, core.core().compiled_program());
-    double raw_interp = 0.0, raw_predec = 0.0, raw_fused = 0.0,
-           raw_trace = 0.0;
-    for (Tier t : {Tier::Interp, Tier::Predec, Tier::Fused, Tier::Trace}) {
-      select_tier(raw, t);
+    double raw_interp = 0.0, raw_compiled = 0.0;
+    for (np::Tier t : {np::Tier::Interpret, np::Tier::Compiled}) {
+      raw.set_tier(t);
       (void)time_raw(raw, packets);
     }
     for (int rep = 0; rep < kReps; ++rep) {
-      select_tier(raw, Tier::Interp);
+      raw.set_tier(np::Tier::Interpret);
       raw_interp = std::max(raw_interp, time_raw(raw, packets));
-      select_tier(raw, Tier::Predec);
-      raw_predec = std::max(raw_predec, time_raw(raw, packets));
-      select_tier(raw, Tier::Fused);
-      raw_fused = std::max(raw_fused, time_raw(raw, packets));
-      select_tier(raw, Tier::Trace);
-      raw_trace = std::max(raw_trace, time_raw(raw, packets));
+      raw.set_tier(np::Tier::Compiled);
+      raw_compiled = std::max(raw_compiled, time_raw(raw, packets));
     }
 
-    std::printf(
-        "%-18s %9.1f %9.1f %9.1f %9.1f %7.2fx %7.2fx %7.2fx %6.1f%% %8.1f "
-        "%8.1f\n",
-        app.name, interp_kpps, predec_kpps, fused_kpps, trace_kpps, speedup,
-        fused_speedup, trace_speedup, side_exit_rate * 100.0, raw_fused,
-        raw_trace);
+    std::printf("%-18s %9.1f %9.1f %7.2fx %9.2f %6.1f%% %9.1f %9.1f %7.2fx\n",
+                app.name, interp_kpps, compiled_kpps, speedup,
+                dispatches_per_packet, side_exit_rate * 100.0, raw_interp,
+                raw_compiled, raw_compiled / raw_interp);
     report.add_row({{"app", app.name},
                     {"interp_kpps", interp_kpps},
-                    {"predecoded_kpps", predec_kpps},
-                    {"fused_kpps", fused_kpps},
-                    {"trace_kpps", trace_kpps},
+                    {"compiled_kpps", compiled_kpps},
                     {"speedup", speedup},
-                    {"fused_speedup", fused_speedup},
-                    {"trace_speedup", trace_speedup},
+                    {"dispatches_per_pkt", dispatches_per_packet},
                     {"side_exit_rate", side_exit_rate},
                     {"raw_interp_minstr_s", raw_interp},
-                    {"raw_predecoded_minstr_s", raw_predec},
-                    {"raw_fused_minstr_s", raw_fused},
-                    {"raw_trace_minstr_s", raw_trace},
-                    {"raw_speedup", raw_predec / raw_interp},
-                    {"raw_fused_speedup", raw_fused / raw_predec},
-                    {"raw_trace_speedup", raw_trace / raw_fused}});
+                    {"raw_compiled_minstr_s", raw_compiled},
+                    {"raw_speedup", raw_compiled / raw_interp}});
   }
-  bench::rule(112);
+  bench::rule(96);
   const double geo_speedup =
       std::exp(log_speedup_sum / static_cast<double>(std::size(apps)));
-  const double geo_fused =
-      std::exp(log_fused_sum / static_cast<double>(std::size(apps)));
-  const double geo_trace =
-      std::exp(log_trace_sum / static_cast<double>(std::size(apps)));
-  const double geo_trace_branchy =
-      branchy_count == 0
-          ? 1.0
-          : std::exp(log_trace_branchy_sum /
-                     static_cast<double>(branchy_count));
   report.set_meta("speedup", geo_speedup);
-  report.set_meta("fused_speedup", geo_fused);
-  report.set_meta("trace_speedup", geo_trace);
-  report.set_meta("trace_speedup_branchy", geo_trace_branchy);
-  std::printf("  geometric-mean monitored speedup: predecode/interp %.2fx, "
-              "fused/predecode %.2fx,\n"
-              "  trace/fused %.2fx (branchy apps %.2fx)\n",
-              geo_speedup, geo_fused, geo_trace, geo_trace_branchy);
+  std::printf("  geometric-mean monitored speedup compiled/interp: %.2fx\n",
+              geo_speedup);
   bench::note("kpps columns: full monitored process_packet() path per tier");
-  bench::note("(soft reset, MMIO, monitor fed per-op/-run/-trace slices);");
-  bench::note("sexit: trace side exits / trace dispatches (mispredicted");
-  bench::note("branches that cut a trace short); raw M/s: unmonitored");
-  bench::note("Core::run() per tier, million executed instructions/second.");
+  bench::note("(soft reset, MMIO, monitor fed per-op or per-superblock);");
+  bench::note("disp/pkt: superblock dispatches per packet; sexit: side exits");
+  bench::note("per dispatch (branches resolved off the predicted path);");
+  bench::note("raw: unmonitored Core::run(), million instructions/second.");
   report.write();
 
   if (!wired_ok) {
     std::fprintf(stderr,
-                 "FAIL: predecoded/fused/trace artifact not attached/live "
-                 "after install\n");
+                 "FAIL: compiled artifact not attached/live after install\n");
     return 1;
   }
   if (!behavior_ok) {
     std::fprintf(stderr,
                  "FAIL: execution tiers diverged (outcome/instruction "
-                 "deltas differ) or no traces dispatched\n");
+                 "deltas differ) or no superblocks dispatched\n");
     return 1;
   }
-  // Acceptance criteria (full budget only; quick mode is a wiring
-  // check on CI-class machines where timing is meaningless).
-  if (!bench::quick_mode() && geo_speedup < 2.0) {
+  // Acceptance criterion (full budget only; quick mode is a wiring check
+  // on CI-class machines where timing is meaningless).
+  if (!bench::quick_mode() && geo_speedup < 6.0) {
     std::fprintf(stderr,
-                 "FAIL: predecoded speedup %.2fx below the 2x criterion\n",
+                 "FAIL: compiled speedup %.2fx below the 6x criterion\n",
                  geo_speedup);
-    return 1;
-  }
-  if (!bench::quick_mode() && geo_fused < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: fused speedup %.2fx over predecode below the 2x "
-                 "criterion\n",
-                 geo_fused);
-    return 1;
-  }
-  if (!bench::quick_mode() && geo_trace_branchy < 1.15) {
-    std::fprintf(stderr,
-                 "FAIL: trace speedup %.2fx over fused on branchy apps "
-                 "below the 1.15x criterion\n",
-                 geo_trace_branchy);
     return 1;
   }
   return 0;

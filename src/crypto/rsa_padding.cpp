@@ -1,5 +1,6 @@
 #include "crypto/rsa_padding.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sdmmon::crypto {
@@ -45,8 +46,9 @@ util::Bytes rsa_oaep_encrypt(const RsaPublicKey& key,
   auto l_hash = Sha256::hash("");
   std::memcpy(db.data(), l_hash.data(), kHashLen);
   db[db_len - message.size() - 1] = 0x01;
-  std::memcpy(db.data() + db_len - message.size(), message.data(),
-              message.size());
+  // std::copy, not memcpy: an empty message may carry a null data().
+  std::copy(message.begin(), message.end(),
+            db.begin() + static_cast<std::ptrdiff_t>(db_len - message.size()));
 
   util::Bytes seed = drbg.bytes(kHashLen);
   xor_into(db.data(), mgf1_sha256(seed, db_len));        // maskedDB

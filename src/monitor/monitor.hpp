@@ -119,8 +119,8 @@ class HardwareMonitor {
     return step_list(hashed);
   }
 
-  /// Batch-granular feed: consume `n` precomputed hashes (one fused
-  /// run's or one trace's slice of a compiled hash lane) in order, with
+  /// Batch-granular feed: consume `n` precomputed hashes (one
+  /// superblock's slice of a compiled hash lane) in order, with
   /// cumulative stats, peak-width tracking, and verdicts bit-identical
   /// to n successive on_hashed() calls. When `stop_on_mismatch` is set
   /// the walk stops at the first Mismatch and returns its index (the
@@ -178,6 +178,20 @@ class HardwareMonitor {
   /// differential state compares, not the hot path).
   std::vector<std::uint32_t> state_nodes() const;
   const MonitorStats& stats() const { return stats_; }
+
+  /// The counters a packet run leaves behind: cumulative stats and the
+  /// current packet's peak width. Speculative executors snapshot them
+  /// before a packet and restore them when the packet is rolled back, so
+  /// a replayed packet is counted once.
+  struct Tally {
+    MonitorStats stats;
+    std::size_t peak_state_size = 0;
+  };
+  Tally tally() const { return {stats_, peak_state_size_}; }
+  void restore_tally(const Tally& tally) {
+    stats_ = tally.stats;
+    peak_state_size_ = tally.peak_state_size;
+  }
   /// Wire-format view of the installed graph (retained by the artifact).
   const MonitoringGraph& graph() const { return graph_->source(); }
   /// The shared compiled artifact (pointer identity across cores is the

@@ -41,11 +41,10 @@ isa::Program build_firewall(const std::vector<std::uint16_t>& blocked_ports);
 
 /// loop-forward: the branchiest workload in the mix -- a minimal
 /// forwarder whose entire runtime is a 6-instruction byte-copy loop
-/// (load, store, bump, backward bne) plus a short commit tail. Built to
-/// isolate the trace tier's advantage over block fusion: block-fused
-/// dispatch stops at the loop-back branch every 6 ops, while trace
-/// dispatch unrolls the predicted-taken loop to the 255-op cap and
-/// side-exits once per packet at loop exit (bench/core_predecode X1c).
+/// (load, store, bump, backward bne) plus a short commit tail. The
+/// compiled tier's superblocks unroll the predicted-taken loop to the
+/// 255-op cap and side-exit once per packet at loop exit
+/// (bench/core_predecode X1c).
 isa::Program build_loop_forward();
 
 /// flow-stats: forwards like ipv4-forward, additionally counting packets

@@ -3,25 +3,9 @@
 #include <chrono>
 
 #include "monitor/analysis.hpp"
+#include "np/op_table.hpp"
 
 namespace sdmmon::np {
-
-bool CompiledProgram::fusible_op(isa::Op op) {
-  // Block-body ops: ALU (including overflow-trapping Add/Addi/Sub),
-  // loads, and stores. The execute-first fused schedule handles their
-  // trap and MMIO cases by stopping the batch before the offending op,
-  // so unlike the original pure-run fusion nothing here needs to be
-  // trap-free. Excluded: control flow (ends the block) and
-  // Syscall/Break (Trap class -- also ends the block).
-  switch (isa::op_class(op)) {
-    case isa::OpClass::Alu:
-    case isa::OpClass::Load:
-    case isa::OpClass::Store:
-      return true;
-    default:
-      return false;
-  }
-}
 
 std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
     const isa::Program& program, const monitor::InstructionHash& hash) {
@@ -33,175 +17,84 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
   compiled->hash_width_ = hash.width();
   compiled->hash_name_ = hash.name();
 
-  // Block leaders from the same analysis that shapes the monitoring
-  // graph (find_basic_blocks is total: undecodable words end a block).
-  const monitor::BasicBlocks blocks = monitor::find_basic_blocks(program);
-  compiled->num_blocks_ = blocks.leaders.size();
-
   const std::size_t n = program.text.size();
   compiled->ops_.resize(n);
-  std::size_t next_leader = 1;  // leaders[0] == 0 whenever n > 0
   for (std::size_t i = 0; i < n; ++i) {
     PreOp& op = compiled->ops_[i];
     op.word = program.text[i];
     op.mhash = hash.hash(op.word);
-
-    bool block_end = i + 1 == n;
-    if (next_leader < blocks.leaders.size() &&
-        blocks.leaders[next_leader] == i + 1) {
-      block_end = true;
-      ++next_leader;
-    }
-
     if (auto decoded = isa::try_decode(op.word)) {
       op.instr = *decoded;
       op.flags = kDecoded;
-      // Belt and braces: any op that can redirect or end control flow
-      // ends its block even if the leader list ever disagreed -- the
-      // superblock stepper's fall-through invariant must never break.
-      switch (isa::op_class(op.instr.op)) {
-        case isa::OpClass::Branch:
-        case isa::OpClass::Jump:
-        case isa::OpClass::JumpLink:
-        case isa::OpClass::JumpReg:
-        case isa::OpClass::Trap:
-          block_end = true;
-          break;
-        default:
-          break;
-      }
-    } else {
-      op.flags = 0;  // trapping op: executing it raises DecodeFault
-      block_end = true;
-    }
-    if (block_end) op.flags |= kBlockEnd;
+    }  // else: trapping op, executing it raises DecodeFault
   }
 
-  // Fusion pass: fold the per-op hashes into a contiguous lane and
-  // compute, per op, the length of the maximal fusible run (block body)
-  // starting there (suffix scan; a run never crosses a block end, so
-  // the superop executor retires at most one basic block per dispatch).
-  const auto fuse_start = std::chrono::steady_clock::now();
-  compiled->hash_lane_.resize(n);
-  compiled->fused_run_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    compiled->hash_lane_[i] = compiled->ops_[i].mhash;
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    const PreOp& op = compiled->ops_[i];
-    if (!(op.flags & kDecoded) || !fusible_op(op.instr.op)) {
-      compiled->fused_run_[i] = 0;
-      continue;
-    }
-    std::uint32_t run = 1;
-    if (!(op.flags & kBlockEnd) && i + 1 < n) {
-      run += compiled->fused_run_[i + 1];
-      if (run > 255) run = 255;
-    }
-    compiled->fused_run_[i] = static_cast<std::uint8_t>(run);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (compiled->fused_run_[i] == 0) continue;
-    // A maximal run starts at i when no run covers i from the left.
-    const bool covered =
-        i > 0 && compiled->fused_run_[i - 1] != 0 &&
-        !(compiled->ops_[i - 1].flags & kBlockEnd) &&
-        compiled->fused_run_[i - 1] != 255;
-    if (!covered) {
-      ++compiled->num_fused_runs_;
-    }
-    ++compiled->num_fused_ops_;
-  }
-  compiled->fuse_build_ns_ = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - fuse_start)
-          .count());
+  // Block leaders from the same analysis that shapes the monitoring
+  // graph (find_basic_blocks is total: undecodable words end a block).
+  const monitor::BasicBlocks blocks = monitor::find_basic_blocks(program);
+  compiled->num_blocks_ = blocks.leaders.size();
+  std::vector<bool> leader(n, false);
+  for (const std::uint32_t l : blocks.leaders) leader[l] = true;
 
-  // Trace-formation pass: from each block leader, stitch a superblock
-  // by following fall-through, unconditional jumps, and statically
-  // predicted branches (backward = taken, forward = not taken). A
-  // trace is only kept when it beats what block fusion already covers
-  // at that pc: at least two ops AND at least one control-flow op or
-  // block-boundary crossing.
+  // Superblock formation. Leaders, and any pc no earlier superblock
+  // covers, get their own superblock along the statically predicted path
+  // (backward branch = taken, forward = not taken, j/jal followed). The
+  // non-leader pcs that follow it contiguously point at its suffixes.
   const auto trace_start = std::chrono::steady_clock::now();
   compiled->trace_len_.assign(n, 0);
   compiled->trace_off_.assign(n, 0);
-  std::vector<TraceOp> buf;
-  buf.reserve(kTraceCap);
-  for (const std::uint32_t leader : blocks.leaders) {
-    buf.clear();
-    bool crossed = false;  // crosses a block end or contains control flow
-    std::uint32_t pc = compiled->text_base_ + leader * 4;
-    while (buf.size() < kTraceCap) {
-      const std::uint32_t off = pc - compiled->text_base_;
-      if (off >= compiled->text_bytes_) break;  // left the text
-      const PreOp& op = compiled->ops_[off >> 2];
-      if (!(op.flags & kDecoded)) break;  // would trap: interpreter's job
-      TraceOp top;
-      top.instr = op.instr;
-      top.pc = pc;
-      top.word = op.word;
-      top.mhash = op.mhash;
-      bool stop = false;
+  const std::uint32_t base = compiled->text_base_;
+  const std::uint32_t bytes = compiled->text_bytes_;
+  for (std::size_t anchor = 0; anchor < n; ++anchor) {
+    if (!leader[anchor] && compiled->trace_len_[anchor] != 0) continue;
+    const std::size_t begin = compiled->trace_ops_.size();
+    std::uint32_t pc = base + static_cast<std::uint32_t>(anchor) * 4;
+    while (compiled->trace_ops_.size() - begin < kTraceCap) {
+      const PreOp& op = compiled->ops_[(pc - base) >> 2];
+      if (!(op.flags & kDecoded)) break;  // would trap: step()'s job
+      TraceOp top{op.instr, pc, op.word, op.mhash, 0};
+      std::uint32_t next = pc + 4;
+      bool enters = true;
       switch (isa::op_class(op.instr.op)) {
         case isa::OpClass::Alu:
         case isa::OpClass::Load:
         case isa::OpClass::Store:
-          // Body op: falling through a block end here is exactly the
-          // superblock win (a jump target lands mid-stream).
-          if (op.flags & kBlockEnd) crossed = true;
-          buf.push_back(top);
-          pc += 4;
           break;
-        case isa::OpClass::Branch: {
-          crossed = true;
-          const std::uint32_t target =
-              pc + 4 + static_cast<std::uint32_t>(op.instr.imm) * 4;
+        case isa::OpClass::Branch:
           if (op.instr.imm < 0) {
             // Backward branch: predict taken (the loop heuristic).
             top.flags |= kTracePredTaken;
-            buf.push_back(top);
-            if (target - compiled->text_base_ >= compiled->text_bytes_) {
-              stop = true;  // predicted target escapes the text
-            } else {
-              pc = target;
-            }
-          } else {
-            // Forward branch: predict not taken, fall through.
-            buf.push_back(top);
-            pc += 4;
+            next = ops::branch_target(pc, op.instr);
           }
           break;
-        }
         case isa::OpClass::Jump:
-        case isa::OpClass::JumpLink: {
-          crossed = true;
-          const std::uint32_t target = op.instr.target * 4;
-          buf.push_back(top);
-          if (target - compiled->text_base_ >= compiled->text_bytes_) {
-            stop = true;  // jump leaves the text: trace ends with it
-          } else {
-            pc = target;
-          }
+        case isa::OpClass::JumpLink:
+          next = ops::jump_target(op.instr);
           break;
-        }
         default:
-          // JumpReg (indirect) and Trap ops never enter a trace.
-          stop = true;
+          enters = false;  // jr/jalr/syscall/break never enter one
           break;
       }
-      if (stop) break;
-    }
-    if (buf.size() < 2 || !crossed) continue;
-    compiled->trace_off_[leader] =
-        static_cast<std::uint32_t>(compiled->trace_ops_.size());
-    compiled->trace_len_[leader] = static_cast<std::uint8_t>(buf.size());
-    for (const TraceOp& top : buf) {
+      if (!enters) break;
       compiled->trace_ops_.push_back(top);
       compiled->trace_hash_lane_.push_back(top.mhash);
+      // The predicted path leaves the text: the superblock ends here.
+      if (next - base >= bytes || ((next - base) & 3u) != 0) break;
+      pc = next;
     }
+    const std::size_t len = compiled->trace_ops_.size() - begin;
+    if (len == 0) continue;
     ++compiled->num_traces_;
-    compiled->num_trace_ops_ += buf.size();
+    for (std::size_t j = 0; j < len; ++j) {
+      const std::size_t at = anchor + j;
+      if (j > 0 && (at >= n || leader[at] ||
+                    compiled->trace_ops_[begin + j].pc !=
+                        base + static_cast<std::uint32_t>(at) * 4)) {
+        break;
+      }
+      compiled->trace_len_[at] = static_cast<std::uint8_t>(len - j);
+      compiled->trace_off_[at] = static_cast<std::uint32_t>(begin + j);
+    }
   }
   compiled->trace_build_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -1,71 +1,49 @@
-// Install-time predecoding of a program's text segment into the flat,
-// immutable artifact the core's hot loop actually executes. The wire
-// format ships raw 32-bit instruction words (what gets signed and what
-// the monitor hashes); re-decoding the same word and re-evaluating the
+// Install-time compilation of a program's text segment into the flat,
+// immutable artifact the core's compiled tier executes. The wire format
+// ships raw 32-bit instruction words (what gets signed and what the
+// monitor hashes); re-decoding the same word and re-evaluating the
 // Merkle hash tree on every execution of every instruction is pure
 // redundancy -- both are functions of (word, hash parameter) fixed at
-// install time. CompiledProgram lowers the text once into an array of
-// predecoded micro-ops, each carrying the decoded isa::Instr, the raw
-// word, the precomputed w-bit monitor hash under the installed
-// InstructionHash, and basic-block-boundary flags, so Core::step()
-// becomes an indexed fetch plus the execute switch and the monitor check
-// becomes a byte load fed straight into HardwareMonitor::on_hashed().
+// install time. CompiledProgram lowers the text once into
+//   * one predecoded PreOp per text word (decoded isa::Instr, raw word,
+//     precomputed w-bit monitor hash under the installed InstructionHash)
+//     for the per-op path, and
+//   * superblocks ("traces") anchored at text pcs, which the compiled
+//     tier retires whole, feeding the monitor one precomputed hash slice
+//     per dispatch.
 //
-// Like monitor::CompiledGraph (the PR-4 precedent this mirrors), a
-// CompiledProgram is immutable after compile() and is shared as
-// std::shared_ptr<const CompiledProgram> by every core of an MPSoC, by
-// the LastGoodConfig recovery snapshot, and by the device application
-// store: installing, fast-switching, and quarantine re-imaging swap a
-// pointer, never re-decode.
+// Like monitor::CompiledGraph, a CompiledProgram is immutable after
+// compile() and is shared as std::shared_ptr<const CompiledProgram> by
+// every core of an MPSoC, by the LastGoodConfig recovery snapshot, and by
+// the device application store: installing, fast-switching, and
+// quarantine re-imaging swap a pointer, never re-compile.
 //
 // Unified memory has no execute protection, so programs can overwrite
-// their own text (and code-injection attacks do). The artifact is a
-// pure cache of the *installed image*: the core watches stores into the
-// predecoded text range, marks the artifact stale, and falls back to the
-// word-at-a-time interpreter until the next full reset() re-images the
-// text. Undecodable words predecode to a trapping op (kDecoded clear),
-// never undefined behavior -- executing one raises Trap::DecodeFault
-// exactly as the interpreter would.
+// their own text (and code-injection attacks do). The artifact is a pure
+// cache of the *installed image*: the core watches stores into the text
+// range, marks the artifact stale, and falls back to the word-at-a-time
+// interpreter until the next full reset() re-images the text. Undecodable
+// words predecode to a trapping op (kDecoded clear), never undefined
+// behavior -- executing one raises Trap::DecodeFault exactly as the
+// interpreter would.
 //
-// Block fusion (docs/EXECUTION.md): on top of the per-op tables the
-// compile pass folds each basic block's *body* -- the maximal
-// straight-line stretch of decoded non-control-flow ops (ALU, loads,
-// stores; everything that either retires to pc+4 or raises a trap) --
-// into two parallel install-time tables:
-//   * hash_lane_[i]: the precomputed monitor hash of op i, contiguous,
-//     so a whole block's hashes feed HardwareMonitor::advance() as one
-//     slice instead of one on_hashed() call per instruction;
-//   * fused_run_[i]: the length of the maximal fusible run starting at
-//     op i (0 when op i is not fusible), truncated at the block end, so
-//     the core's superop executor (Core::exec_fused_run) retires the
-//     block body in one computed-goto dispatch loop.
-// Fusible ops may trap (overflow, MemFault) and may touch memory, so
-// the fused schedule is execute-first: the executor stops *before* any
-// op that would trap or touch MMIO and stops *after* a store that
-// dirties the predecoded text, then reports exactly how many ops
-// retired; MonitoredCore feeds the monitor precisely that many hashes.
-// That makes the fused schedule bit-identical to the interpreted
-// interleaving (the equivalence argument lives in docs/EXECUTION.md
-// and is enforced by tests/core_fuse_diff_test).
-//
-// Trace (superblock) formation (docs/EXECUTION.md, tier 4): block
-// fusion stops at every basic-block boundary, but branchy data-plane
-// code spends most of its retirement on short blocks glued by highly
-// predictable branches. The compile pass therefore also stitches, per
-// block leader, a *trace*: starting at the leader it follows
-// fall-through body ops, unconditional jumps (j/jal), and statically
-// predicted conditional branches (backward = taken, forward = not
-// taken -- the classic loop heuristic) across block boundaries until
-// it reaches an indirect jump, a trap op, an undecodable word, a
-// predicted target outside the text, or the 255-op cap. Each TraceOp
-// carries its own pc (trace pcs are not contiguous; loops unroll), the
-// decoded instr, raw word, precomputed monitor hash, and a
-// predicted-taken flag that doubles as the side-exit record: when the
-// core's trace executor (Core::exec_trace) resolves a branch against
-// its prediction it retires that branch and *side-exits*, and
-// MonitoredCore retracts only the monitor-unchecked overshoot, so the
-// tier stays bit-identical to the interpreter oracle
-// (tests/core_trace_diff_test).
+// Superblock formation (docs/EXECUTION.md): from each basic-block leader
+// the compile pass walks the statically predicted path -- fall-through
+// body ops (ALU, loads, stores), unconditional jumps (j/jal), and
+// conditional branches predicted backward = taken, forward = not taken
+// -- across block boundaries until it reaches an indirect jump, a trap
+// op, an undecodable word, a predicted target outside the text, or the
+// 255-op cap. Each TraceOp carries its own pc (superblock pcs are not
+// contiguous; loops unroll) and a predicted-taken flag that doubles as
+// the side-exit record. Every other pc inside a block points at the
+// suffix of its leader's superblock -- a suffix of a predicted path is
+// itself a predicted path, so mid-block entry (after an MMIO access, a
+// jr into a block interior) needs no extra storage. The core's executor
+// (Core::exec_trace) stops before would-trap and MMIO ops, after
+// text-dirtying stores, and after a branch whose next pc is not its
+// predicted pc (a side exit); MonitoredCore retracts only the
+// monitor-unchecked overshoot, so the tier stays bit-identical to the
+// interpreter oracle (tests/core_compiled_diff_test).
 #ifndef SDMMON_NP_COMPILED_PROGRAM_HPP
 #define SDMMON_NP_COMPILED_PROGRAM_HPP
 
@@ -81,8 +59,7 @@ namespace sdmmon::np {
 
 class CompiledProgram {
  public:
-  /// One predecoded text word. 16 bytes; the superblock stepper walks
-  /// these sequentially, so one cache line holds four ops.
+  /// One predecoded text word, indexed by (pc - text_base) / 4.
   struct PreOp {
     isa::Instr instr;        // valid iff flags & kDecoded
     std::uint32_t word = 0;  // raw encoding (what the monitor hashes)
@@ -91,12 +68,11 @@ class CompiledProgram {
   };
 
   /// PreOp::flags bits.
-  static constexpr std::uint8_t kDecoded = 0x01;   // instr is valid
-  static constexpr std::uint8_t kBlockEnd = 0x02;  // last op of a basic block
+  static constexpr std::uint8_t kDecoded = 0x01;  // instr is valid
 
-  /// One op of a formed trace (superblock). Unlike PreOp, trace ops are
-  /// not indexed by pc -- a trace's pcs jump across blocks and may
-  /// repeat (loop unrolling) -- so each op carries its own pc.
+  /// One op of a superblock. Unlike PreOp, superblock ops are not indexed
+  /// by pc -- their pcs jump across blocks and may repeat (loop
+  /// unrolling) -- so each op carries its own pc.
   struct TraceOp {
     isa::Instr instr;        // always decoded (formation skips others)
     std::uint32_t pc = 0;    // address this op was fetched from
@@ -108,26 +84,25 @@ class CompiledProgram {
   /// TraceOp::flags bits.
   static constexpr std::uint8_t kTracePredTaken = 0x04;  // branch predicted taken
 
-  /// Formed traces are capped like fused runs; the cap also guarantees
-  /// formation terminates on unrolled loops.
+  /// Superblock length cap; also guarantees formation terminates on
+  /// unrolled loops.
   static constexpr std::uint32_t kTraceCap = 255;
 
-  /// A trace anchored at one pc: `len` ops with a parallel contiguous
-  /// hash lane (hashes[i] == ops[i].mhash). len == 0 when no trace is
-  /// anchored there.
+  /// The superblock anchored at one pc: `len` ops with a parallel
+  /// contiguous hash lane (hashes[i] == ops[i].mhash). len == 0 when none
+  /// is anchored there.
   struct TraceRef {
     const TraceOp* ops = nullptr;
     const std::uint8_t* hashes = nullptr;
     std::uint32_t len = 0;
   };
 
-  /// Decode every text word once and precompute its monitor hash under
-  /// `hash` (the parameterized unit installed with the program). Block
-  /// boundaries come from monitor::analysis::find_basic_blocks, so the
-  /// superblock stepper and the monitoring graph agree on extents.
-  /// Undecodable words become trapping ops (kDecoded clear) that also
-  /// end their block. Never throws on strange text -- the artifact is
-  /// total over the installed image.
+  /// Decode every text word once, precompute its monitor hash under
+  /// `hash` (the parameterized unit installed with the program), and form
+  /// the superblocks. Block leaders come from
+  /// monitor::analysis::find_basic_blocks, so superblock formation and
+  /// the monitoring graph agree on block extents. Never throws on
+  /// strange text -- the artifact is total over the installed image.
   static std::shared_ptr<const CompiledProgram> compile(
       const isa::Program& program, const monitor::InstructionHash& hash);
 
@@ -145,42 +120,12 @@ class CompiledProgram {
   int hash_width() const { return hash_width_; }
   const std::string& hash_name() const { return hash_name_; }
 
-  /// Raw op array for the core's cached-pointer hot path.
+  /// Raw op array for the core's per-op path.
   const PreOp* ops_data() const { return ops_.data(); }
 
-  /// True for ops the fused executor may attempt in a batch: decoded
-  /// block-body ops (ALU, load, store classes). Fusible ops either
-  /// retire to pc+4 or stop the batch (would-trap, MMIO access); only
-  /// control flow and syscall/break are excluded, and those end the
-  /// block anyway. The static contract Core::exec_fused_run relies on.
-  static bool fusible_op(isa::Op op);
-
-  /// Contiguous per-op monitor hashes (hash_lane_[i] == ops_[i].mhash):
-  /// the precomputed hash slice MonitoredCore feeds to
-  /// HardwareMonitor::advance() one fused run at a time.
-  const std::uint8_t* hash_lane_data() const { return hash_lane_.data(); }
-
-  /// fused_run_data()[i] = length of the maximal fusible run starting
-  /// at op i (see fusible_op), truncated at the basic-block end and
-  /// capped at 255; 0 when op i itself is not fusible. Indexed by
-  /// (pc - base)/4 exactly like ops_data(), so mid-block entry
-  /// (jr/jalr into a block interior) fuses the remaining suffix
-  /// naturally.
-  const std::uint8_t* fused_run_data() const { return fused_run_.data(); }
-
-  /// Maximal fused runs in the artifact / ops covered by them (the
-  /// np.engine.fused_runs / np.engine.fused_ops install gauges).
-  std::size_t num_fused_runs() const { return num_fused_runs_; }
-  std::size_t num_fused_ops() const { return num_fused_ops_; }
-
-  /// Wall-clock cost of building the fusion tables inside compile()
-  /// (the np.core.block_fuse_ns install histogram) -- the slice of
-  /// predecode_ns attributable to fusion.
-  std::uint64_t fuse_build_ns() const { return fuse_build_ns_; }
-
-  /// The trace anchored at `pc` (len == 0 when none: pc outside the
-  /// text, misaligned, not a block leader, or the candidate trace never
-  /// beat plain block fusion).
+  /// The superblock anchored at `pc` (len == 0 when none: pc outside the
+  /// text, misaligned, or at an op no superblock can start with -- an
+  /// indirect jump, syscall/break, or undecodable word).
   TraceRef trace_at(std::uint32_t pc) const {
     const std::uint32_t off = pc - text_base_;
     if (off >= text_bytes_ || (off & 3u) != 0) return {};
@@ -190,26 +135,17 @@ class CompiledProgram {
     return {trace_ops_.data() + at, trace_hash_lane_.data() + at, len};
   }
 
-  /// Per-op trace tables for the core's cached-pointer hot path,
-  /// indexed by (pc - base)/4 like ops_data(). trace_len_data()[i] is
-  /// the length of the trace anchored at op i (0: none);
-  /// trace_off_data()[i] is its offset into trace_ops_data() /
-  /// trace_hash_lane_data() (parallel flat arrays holding every formed
-  /// trace concatenated).
-  const std::uint8_t* trace_len_data() const { return trace_len_.data(); }
-  const std::uint32_t* trace_off_data() const { return trace_off_.data(); }
+  /// Flat array holding every formed superblock concatenated (suffix
+  /// anchors point into it, they add no ops).
   const TraceOp* trace_ops_data() const { return trace_ops_.data(); }
-  const std::uint8_t* trace_hash_lane_data() const {
-    return trace_hash_lane_.data();
-  }
 
-  /// Formed traces / total trace ops (the np.engine.trace_count /
-  /// np.engine.trace_ops install gauges).
+  /// Formed superblocks / their total ops (the np.engine.trace_count /
+  /// np.engine.trace_ops install gauges). Suffix anchors are not counted.
   std::size_t num_traces() const { return num_traces_; }
-  std::size_t num_trace_ops() const { return num_trace_ops_; }
+  std::size_t num_trace_ops() const { return trace_ops_.size(); }
 
-  /// Wall-clock cost of the trace-formation pass inside compile() (the
-  /// np.core.trace_exec_ns install histogram).
+  /// Wall-clock cost of superblock formation inside compile() (the
+  /// np.core.trace_build_ns install histogram).
   std::uint64_t trace_build_ns() const { return trace_build_ns_; }
 
   /// Precomputed monitor hash of the instruction at `pc`. Returns false
@@ -222,16 +158,15 @@ class CompiledProgram {
     return true;
   }
 
-  /// Bytes of flat predecoded state (the np.engine.compiled_program_bytes
+  /// Bytes of flat compiled state (the np.engine.compiled_program_bytes
   /// gauge). Excludes the retained source program, which is cold.
   std::size_t footprint_bytes() const {
-    return ops_.size() * sizeof(PreOp) + hash_lane_.size() +
-           fused_run_.size() + trace_ops_.size() * sizeof(TraceOp) +
+    return ops_.size() * sizeof(PreOp) + trace_ops_.size() * sizeof(TraceOp) +
            trace_hash_lane_.size() + trace_len_.size() +
            trace_off_.size() * sizeof(std::uint32_t);
   }
 
-  /// The program this artifact was predecoded from (what gets signed,
+  /// The program this artifact was compiled from (what gets signed,
   /// re-imaged at reset, and re-verified by install staging).
   const isa::Program& source() const { return source_; }
 
@@ -242,21 +177,15 @@ class CompiledProgram {
   std::uint32_t text_base_ = 0;
   std::uint32_t text_bytes_ = 0;
   std::size_t num_blocks_ = 0;
-  std::size_t num_fused_runs_ = 0;
-  std::size_t num_fused_ops_ = 0;
   std::size_t num_traces_ = 0;
-  std::size_t num_trace_ops_ = 0;
-  std::uint64_t fuse_build_ns_ = 0;
   std::uint64_t trace_build_ns_ = 0;
   int hash_width_ = 0;
   std::string hash_name_;
   std::vector<PreOp> ops_;
-  std::vector<std::uint8_t> hash_lane_;  // mhash per op, contiguous
-  std::vector<std::uint8_t> fused_run_;  // fused-run length per op
-  std::vector<std::uint8_t> trace_len_;  // trace length per op (0: none)
+  std::vector<std::uint8_t> trace_len_;   // superblock length per op (0: none)
   std::vector<std::uint32_t> trace_off_;  // offset into trace_ops_
-  std::vector<TraceOp> trace_ops_;        // all traces, concatenated
-  std::vector<std::uint8_t> trace_hash_lane_;  // mhash per trace op
+  std::vector<TraceOp> trace_ops_;        // all superblocks, concatenated
+  std::vector<std::uint8_t> trace_hash_lane_;  // mhash per superblock op
 };
 
 }  // namespace sdmmon::np

@@ -10,6 +10,7 @@
 #ifndef SDMMON_NP_CORE_HPP
 #define SDMMON_NP_CORE_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -46,6 +47,12 @@ enum class StepEvent : std::uint8_t {
   Trapped,     // instruction trapped; core needs reset
 };
 
+/// Execution tier of a Core (see Core::set_tier).
+enum class Tier : std::uint8_t {
+  Interpret,  // word-at-a-time oracle: fetch, decode, execute
+  Compiled,   // predecoded superblocks from the attached artifact
+};
+
 struct StepInfo {
   std::uint32_t pc = 0;     // address of the executed instruction
   std::uint32_t word = 0;   // raw instruction word (what the monitor hashes)
@@ -58,15 +65,15 @@ class Core {
   Core();
 
   /// Load program text+data into memory and prime entry state. Drops any
-  /// previously attached predecoded artifact (word-at-a-time interpreter).
+  /// previously attached compiled artifact (word-at-a-time interpreter).
   void load_program(const isa::Program& program);
 
-  /// Load a program together with its install-time predecoded artifact.
-  /// The core caches raw pointers into the shared immutable artifact and
-  /// step()/run() take the decode-free fast path while the in-memory text
-  /// still matches the installed image. Throws std::invalid_argument if
-  /// the artifact was not compiled from `program` (base/size mismatch) --
-  /// staging validation upstream makes this unreachable on install paths.
+  /// Load a program together with its install-time compiled artifact.
+  /// Under the Compiled tier step()/run() execute out of the shared
+  /// immutable artifact while the in-memory text still matches the
+  /// installed image. Throws std::invalid_argument if the artifact was
+  /// not compiled from `program` (base/size mismatch) -- staging
+  /// validation upstream makes this unreachable on install paths.
   void load_program(const isa::Program& program,
                     std::shared_ptr<const CompiledProgram> compiled);
 
@@ -88,7 +95,10 @@ class Core {
   StepInfo step();
 
   /// Run until a terminal event or `max_steps`; returns the last StepInfo.
-  StepInfo run(std::uint64_t max_steps = 1'000'000);
+  StepInfo run(std::uint64_t max_steps = 1'000'000) {
+    NullObserver none;
+    return run_observed(max_steps, none);
+  }
 
   bool runnable() const { return runnable_; }
   std::uint32_t pc() const { return pc_; }
@@ -113,156 +123,49 @@ class Core {
   Memory& memory() { return mem_; }
   const Memory& memory() const { return mem_; }
 
-  /// The shared predecoded artifact (nullptr when interpreting). Pointer
-  /// identity across cores is the install-sharing invariant tests assert.
+  /// The shared compiled artifact (nullptr when none is attached).
+  /// Pointer identity across cores is the install-sharing invariant
+  /// tests assert.
   const std::shared_ptr<const CompiledProgram>& compiled_program() const {
     return compiled_;
   }
 
-  /// Toggle the predecoded fast path at runtime (differential oracles and
-  /// head-to-head benches run the same core interpreted). Sticky across
+  /// Execution tier (docs/EXECUTION.md). Interpret is the word-at-a-time
+  /// oracle: fetch from memory, decode, execute, one op per step. Compiled
+  /// runs predecoded superblocks out of the attached artifact and falls
+  /// back to per-op stepping wherever no superblock applies. Sticky across
   /// load_program/reset -- it is a property of the core, not the program.
-  /// Disabling predecode also disables block fusion (the fused tables
-  /// live in the artifact the toggle turns off).
-  void set_predecode_enabled(bool on) {
-    predecode_enabled_ = on;
-    update_predecode_live();
+  void set_tier(Tier tier) {
+    tier_ = tier;
+    update_live();
   }
-  bool predecode_enabled() const { return predecode_enabled_; }
+  Tier tier() const { return tier_; }
 
-  /// True while step()/run() actually execute predecoded ops: an artifact
-  /// is attached, the fast path is enabled, and no store has dirtied the
-  /// text image since the last full reset()/load_program().
-  bool predecode_live() const { return pre_ops_ != nullptr; }
+  /// True while step()/run() actually execute out of the artifact: one is
+  /// attached, the tier is Compiled, and no store has dirtied the text
+  /// image since the last full reset()/load_program().
+  bool compiled_live() const { return live_ != nullptr; }
 
-  /// Toggle the block-fused tier independently of predecode (the middle
-  /// tier of the execution pipeline, docs/EXECUTION.md): when off, runs
-  /// are never fused but the predecoded per-op fast path stays live.
-  /// Sticky across load_program/reset, like set_predecode_enabled.
-  void set_block_fuse_enabled(bool on) {
-    fuse_enabled_ = on;
-    update_predecode_live();
-  }
-  bool block_fuse_enabled() const { return fuse_enabled_; }
-
-  /// True while run() may retire fused block bodies: predecode is live
-  /// AND fusion is enabled (dirty text or a detached artifact kills
-  /// both).
-  bool block_fuse_live() const { return pre_run_ != nullptr; }
-
-  /// Length of the fused block body dispatchable at the current pc: the
-  /// artifact's precomputed run length, clamped to the remaining
-  /// watchdog budget. 0 whenever fused execution is not currently
-  /// possible (fusion not live, core not runnable, pc outside or
-  /// misaligned in the artifact, current op not fusible, budget
-  /// exhausted) -- callers fall back to per-op dispatch, which
-  /// re-derives the authoritative event. Ops of a returned run are
-  /// *attemptable*, not guaranteed to retire: exec_fused_run() stops
-  /// early at would-trap ops, MMIO accesses, and text-dirtying stores
-  /// and reports the exact retired count. The clamp keeps the watchdog
-  /// from firing mid-run.
-  std::uint64_t fused_run_len() const {
-    if (pre_run_ == nullptr || !runnable_) return 0;
-    const std::uint32_t off = pc_ - pre_base_;
-    if (off >= pre_text_bytes_ || (off & 3u) != 0) return 0;
-    if (packet_cycles_ >= watchdog_budget_) return 0;
-    const std::uint64_t slack = watchdog_budget_ - packet_cycles_;
-    const std::uint64_t run = pre_run_[off >> 2];
-    return run < slack ? run : slack;
+  /// Precomputed monitor hash of the op at `pc` while the compiled tier is
+  /// live (false otherwise, or when `pc` lies outside the artifact).
+  bool precomputed_hash(std::uint32_t pc, std::uint8_t& out) const {
+    return live_ != nullptr && live_->monitor_hash(pc, out);
   }
 
-  /// Retire up to `n` ops of the fused block body at the current pc in
-  /// one straight-line dispatch (computed-goto superop executor) and
-  /// return how many actually retired. The caller must hold a run
-  /// length from fused_run_len() with 0 < n <= that length. The batch
-  /// stops *before* (the offending op does not retire, pc points at it)
-  ///   - any op that would trap (overflow, MemFault), and
-  ///   - any load/store whose address reaches MMIO (>= kMmioBase):
-  ///     MMIO reads must observe up-to-date cycle counters and MMIO
-  ///     stores raise terminal packet events, so both take the per-op
-  ///     exec() path;
-  /// and stops *after* a store that dirties the predecoded text (the
-  /// store itself retires; every later op would execute a stale
-  /// predecode). Cycles, the retired mix, and pc advance exactly as
-  /// `retired` individual step() calls would. MonitoredCore executes
-  /// first, then feeds the monitor exactly `retired` precomputed
-  /// hashes -- see docs/EXECUTION.md for the equivalence argument.
-  std::uint64_t exec_fused_run(std::uint64_t n);
-
-  /// Un-retire the last `n` ops of a just-executed fused run: subtracts
-  /// their cycles and instruction-mix classes (`ops` points at the
-  /// PreOps of the overshoot, all body-class). Used only by
-  /// MonitoredCore's attack path: when the monitor flags hash m of a
-  /// fused batch, the reference interleaving executes exactly m+1 ops
-  /// before the recovery reset; the reset re-images registers and
-  /// memory anyway, so retracting the surviving cumulative counters
-  /// makes the fused batch bit-identical to it.
-  void retract_fused(const CompiledProgram::PreOp* ops, std::uint64_t n);
-
-  /// Toggle the trace (superblock) tier, the fourth pipeline tier
-  /// (docs/EXECUTION.md). Sticky across load_program/reset like the
-  /// other toggles. Traces ride on the block-fused tier: disabling
-  /// predecode or fusion also disables traces.
-  void set_trace_enabled(bool on) {
-    trace_enabled_ = on;
-    update_predecode_live();
-  }
-  bool trace_enabled() const { return trace_enabled_; }
-
-  /// True while run() may retire whole traces: fusion is live AND the
-  /// trace tier is enabled.
-  bool trace_live() const { return pre_trace_len_ != nullptr; }
-
-  /// Length of the trace dispatchable at the current pc, clamped to the
-  /// remaining watchdog budget; 0 whenever trace execution is not
-  /// currently possible (tier not live, core not runnable, pc outside
-  /// or misaligned in the artifact, no trace anchored at pc, budget
-  /// exhausted). Like fused_run_len(), returned ops are *attemptable*:
-  /// exec_trace() stops early at would-trap ops, MMIO accesses,
-  /// text-dirtying stores, and mispredicted branches (side exits).
-  std::uint64_t trace_run_len() const {
-    if (pre_trace_len_ == nullptr || !runnable_) return 0;
-    const std::uint32_t off = pc_ - pre_base_;
-    if (off >= pre_text_bytes_ || (off & 3u) != 0) return 0;
-    const std::uint64_t len = pre_trace_len_[off >> 2];
-    if (len == 0) return 0;
-    if (packet_cycles_ >= watchdog_budget_) return 0;
-    const std::uint64_t slack = watchdog_budget_ - packet_cycles_;
-    return len < slack ? len : slack;
-  }
-
-  /// What one exec_trace() dispatch did. `side_exit` is set when the
-  /// last retired op was a conditional branch that resolved against its
-  /// static prediction -- the branch itself retires (pc follows the
-  /// *actual* target), only the not-yet-executed trace tail is
-  /// abandoned.
-  struct TraceExec {
-    std::uint64_t retired = 0;
-    bool side_exit = false;
-  };
-
-  /// Retire up to `n` ops of the trace anchored at the current pc in
-  /// one dispatch and report how many retired. The caller must hold a
-  /// length from trace_run_len() with 0 < n <= that length. Body ops
-  /// follow exec_fused_run()'s stop rules exactly (stop before
-  /// would-trap/MMIO ops, stop after a text-dirtying store); branches
-  /// and j/jal resolve architecturally -- jal writes $ra, the mix
-  /// counts taken/not-taken by the *actual* outcome -- and a branch
-  /// that leaves the predicted path stops the dispatch as a side exit
-  /// after retiring. Cycles, mix, and pc advance exactly as `retired`
-  /// individual step() calls would.
-  TraceExec exec_trace(std::uint64_t n);
-
-  /// Un-retire the last `n` ops of a just-executed trace (the
-  /// monitor-unchecked overshoot past a flagged hash), the trace tier's
-  /// analog of retract_fused(). `ops` points at the TraceOps of the
-  /// overshoot. `last_mispredicted` must be the dispatch's side_exit
-  /// flag: a side-exiting branch is always the *last* retired op and is
-  /// the only op that retired against its prediction, so it is the only
-  /// op whose taken/not-taken mix attribution differs from its static
-  /// flag.
-  void retract_trace(const CompiledProgram::TraceOp* ops, std::uint64_t n,
-                     bool last_mispredicted);
+  /// The dispatch loop shared by run() and MonitoredCore: run until a
+  /// terminal event, `max_steps` retired ops, or the observer stops it.
+  /// Retired ops reach `observer` through exactly one call per dispatch:
+  ///   * on_batch(hashes, n, side_exit) after a superblock dispatch
+  ///     retired n ops (hashes[i] is op i's precomputed monitor hash;
+  ///     side_exit: the last op was a branch that left the predicted
+  ///     path). It returns how many leading hashes it accepted; when that
+  ///     is fewer than n, the op at that index is the last one the
+  ///     reference interleaving executes, the loop retracts the ops after
+  ///     it (retract_trace) and stops.
+  ///   * on_step(info) after each step(); false stops the loop.
+  /// Returns the last StepInfo (for a batch: its last retired op).
+  template <typename Observer>
+  StepInfo run_observed(std::uint64_t max_steps, Observer& observer);
 
   /// True once a store landed in the predecoded text range (self-modifying
   /// code or injection). Cleared only by the re-imaging reset paths --
@@ -287,51 +190,79 @@ class Core {
     mix_ = state.mix;
     if (text_dirty_ != state.text_dirty) {
       text_dirty_ = state.text_dirty;
-      update_predecode_live();
+      update_live();
     }
   }
 
  private:
+  /// Observer that ignores retired ops (plain run()).
+  struct NullObserver {
+    std::uint64_t on_batch(const std::uint8_t*, std::uint64_t n, bool) {
+      return n;
+    }
+    bool on_step(const StepInfo&) { return true; }
+  };
+
+  /// What one exec_trace() dispatch did. `side_exit` is set when the
+  /// last retired op was a conditional branch whose next pc differs from
+  /// its predicted pc -- the branch itself retires (pc follows the
+  /// *actual* target), only the not-yet-executed tail is abandoned.
+  struct TraceExec {
+    std::uint64_t retired = 0;
+    bool side_exit = false;
+  };
+
+  /// Retire up to `n` ops of the superblock `trace` (anchored at the
+  /// current pc) in one dispatch. Requires the compiled tier live and
+  /// `n` within both the superblock length and the watchdog slack.
+  /// Stops *before* an op that would trap (overflow, MemFault) or whose
+  /// load/store reaches MMIO -- step() re-derives that op's event --
+  /// and *after* a store that dirties the predecoded text or a branch
+  /// that side-exits. Cycles, mix, and pc advance exactly as `retired`
+  /// step() calls would.
+  TraceExec exec_trace(const CompiledProgram::TraceOp* trace,
+                       std::uint64_t n);
+
+  /// Un-retire the last `n` ops of a just-executed dispatch (`trace`
+  /// points at them): the monitor-unchecked overshoot past a flagged
+  /// hash, undone right before the recovery reset() so the cumulative
+  /// cycle and mix counters match a reference core that stopped at the
+  /// flagged op.
+  /// Registers and memory need no compensation -- reset() re-images
+  /// them. `last_mispredicted` is the dispatch's side_exit flag: a
+  /// side-exiting branch is always the last retired op and the only one
+  /// that resolved against its predicted direction.
+  void retract_trace(const CompiledProgram::TraceOp* trace, std::uint64_t n,
+                     bool last_mispredicted);
+
   void reset_architectural_state();
-  /// Recompute the cached fast-path pointers from (artifact, enabled,
-  /// dirty); called whenever any of the three inputs changes.
-  void update_predecode_live();
+  /// Recompute live_ from (artifact, tier, dirty); called whenever any of
+  /// the three inputs changes.
+  void update_live();
   StepInfo exec(const isa::Instr& in, StepInfo info);
   StepInfo finish(StepInfo info, StepEvent event, Trap trap = Trap::None);
   StepInfo mmio_store(StepInfo info, std::uint32_t addr, std::uint32_t value);
   bool mmio_load(std::uint32_t addr, std::uint32_t& value) const;
   /// Store landed at `addr`: dirty the artifact if it hit predecoded text.
   void note_store(std::uint32_t addr) {
-    if (addr - pre_base_ < pre_text_bytes_) {
+    if (addr - text_base_ < text_bytes_) {
       text_dirty_ = true;
-      update_predecode_live();
+      update_live();
     }
   }
 
   Memory mem_;
   isa::Program program_;
   bool program_loaded_ = false;
-  // Shared immutable predecode artifact plus cached raw views of it (the
-  // per-step path dereferences no smart pointer). pre_ops_ is non-null
-  // only while the fast path is live; pre_base_/pre_text_bytes_ describe
-  // the predecoded range whenever an artifact is attached (store-dirty
-  // tracking stays armed even when the fast path is toggled off).
+  // Shared immutable artifact. live_ is its raw view while the compiled
+  // tier is live (nullptr otherwise); text_base_/text_bytes_ describe the
+  // predecoded range whenever an artifact is attached, so store-dirty
+  // tracking stays armed under the Interpret tier too.
   std::shared_ptr<const CompiledProgram> compiled_;
-  const CompiledProgram::PreOp* pre_ops_ = nullptr;
-  // Fused-run length table, non-null only while pre_ops_ is live AND
-  // fusion is enabled (the block-fused tier rides on the predecoded
-  // artifact and dies with it).
-  const std::uint8_t* pre_run_ = nullptr;
-  // Trace tables, non-null only while pre_run_ is live AND the trace
-  // tier is enabled (tier 4 rides on tier 3).
-  const std::uint8_t* pre_trace_len_ = nullptr;
-  const std::uint32_t* pre_trace_off_ = nullptr;
-  const CompiledProgram::TraceOp* pre_trace_ops_ = nullptr;
-  std::uint32_t pre_base_ = 0;
-  std::uint32_t pre_text_bytes_ = 0;
-  bool predecode_enabled_ = true;
-  bool fuse_enabled_ = true;
-  bool trace_enabled_ = true;
+  const CompiledProgram* live_ = nullptr;
+  std::uint32_t text_base_ = 0;
+  std::uint32_t text_bytes_ = 0;
+  Tier tier_ = Tier::Compiled;
   bool text_dirty_ = false;
   std::array<std::uint32_t, 32> regs_{};
   std::uint32_t pc_ = 0;
@@ -347,6 +278,50 @@ class Core {
   bool has_output_ = false;
   std::uint32_t out_port_ = 0;
 };
+
+template <typename Observer>
+StepInfo Core::run_observed(std::uint64_t max_steps, Observer& observer) {
+  StepInfo last;
+  std::uint64_t steps = 0;
+  while (steps < max_steps) {
+    // Superblock dispatch: when one is anchored at pc, retire it whole.
+    // A side exit is normal form (the branch retired, pc follows the
+    // actual target), so dispatch simply restarts there.
+    if (live_ != nullptr && runnable_ && packet_cycles_ < watchdog_budget_) {
+      const CompiledProgram::TraceRef ref = live_->trace_at(pc_);
+      if (ref.len > 0) {
+        std::uint64_t len = ref.len;
+        len = std::min(len, watchdog_budget_ - packet_cycles_);
+        len = std::min(len, max_steps - steps);
+        const TraceExec tr = exec_trace(ref.ops, len);
+        steps += tr.retired;
+        const std::uint64_t ok =
+            observer.on_batch(ref.hashes, tr.retired, tr.side_exit);
+        if (ok < tr.retired) {
+          retract_trace(ref.ops + ok + 1, tr.retired - (ok + 1),
+                        tr.side_exit);
+          return {ref.ops[ok].pc, ref.ops[ok].word, StepEvent::Executed,
+                  Trap::None};
+        }
+        if (tr.retired > 0) {
+          const CompiledProgram::TraceOp& op = ref.ops[tr.retired - 1];
+          last = {op.pc, op.word, StepEvent::Executed, Trap::None};
+        }
+        if (tr.retired == len || tr.side_exit) continue;
+        // Stopped short: the op at pc traps, touches MMIO, or follows a
+        // text-dirtying store. step() below resolves it -- re-dispatching
+        // would spin on a zero-progress batch.
+      }
+    }
+    // Per-op dispatch resolves every edge case: not runnable, watchdog,
+    // sentinel return, pcs without a superblock, dirty text.
+    last = step();
+    ++steps;
+    if (!observer.on_step(last)) return last;
+    if (last.event != StepEvent::Executed) return last;
+  }
+  return last;
+}
 
 }  // namespace sdmmon::np
 

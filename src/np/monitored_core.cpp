@@ -1,6 +1,7 @@
 #include "np/monitored_core.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -39,7 +40,6 @@ void MonitoredCore::install(const isa::Program& program,
     }
   }
   core_.load_program(program, std::move(code));
-  pre_ = core_.compiled_program().get();
   if (monitor_) {
     monitor_->install(std::move(graph), std::move(hash));
   } else {
@@ -108,6 +108,57 @@ PacketResult MonitoredCore::execute_packet(
   return result;
 }
 
+// How retired ops reach the monitor on the shared dispatch loop
+// (Core::run_observed). Superblock dispatches execute first, then feed
+// the monitor the superblock's precomputed hash slice -- exactly as many
+// hashes as ops retired. That is bit-identical to the per-op
+// interleaving: superblock ops never read monitor state, so checking
+// their hashes after the batch is unobservable to the core; ops that
+// would trap or touch MMIO stop the batch before they retire and feed no
+// hash; and on a mismatch at slice index m the reference executed ops
+// 0..m and then reset, so the loop retracts the overshoot's surviving
+// cumulative counters (Core::retract_trace) before the recovery reset.
+struct MonitoredCore::MonitorFeed {
+  monitor::HardwareMonitor& monitor;
+  const Core& core;
+  PacketResult& result;
+  bool enforce;
+  bool flagged = false;
+
+  std::uint64_t on_batch(const std::uint8_t* hashes, std::uint64_t n,
+                         bool side_exit) {
+    ++result.trace_dispatches;
+    if (side_exit) ++result.trace_side_exits;
+    const std::uint64_t ok =
+        monitor.advance(hashes, static_cast<std::size_t>(n), enforce);
+    flagged = ok < n;
+    result.instructions += flagged ? ok + 1 : n;
+    return ok;
+  }
+
+  bool on_step(const StepInfo& info) {
+    const bool retired = info.event == StepEvent::Executed ||
+                         info.event == StepEvent::PacketOut ||
+                         info.event == StepEvent::Halted ||
+                         (info.event == StepEvent::PacketDone &&
+                          info.pc != kReturnSentinel);
+    if (!retired) return true;
+    ++result.instructions;
+    // While the compiled image is clean, info.word for any pc inside the
+    // artifact IS the installed word, so the precomputed hash feeds the
+    // monitor directly. Ops outside the artifact (runtime-materialized
+    // code, data-region jumps), any execution after a self-modifying
+    // store, and the Interpret tier go through the real hash unit.
+    std::uint8_t hashed = 0;
+    const monitor::Verdict verdict =
+        core.precomputed_hash(info.pc, hashed)
+            ? monitor.on_hashed(hashed)
+            : monitor.on_instruction(info.word);
+    flagged = verdict == monitor::Verdict::Mismatch && enforce;
+    return !flagged;
+  }
+};
+
 PacketResult MonitoredCore::run_packet(
     std::span<const std::uint8_t> packet) {
   PacketResult result;
@@ -118,138 +169,41 @@ PacketResult MonitoredCore::run_packet(
   monitor_->reset();
   core_.deliver_packet(packet);
 
-  for (;;) {
-    // Trace tier (docs/EXECUTION.md, tier 4): when a trace is anchored
-    // at the current pc, retire the whole superblock in one exec_trace
-    // dispatch, then feed the monitor the trace's precomputed hash
-    // lane -- exactly as many hashes as ops retired. Same execute-first
-    // equivalence argument as the fused tier below; the one new case is
-    // the side exit, where the mispredicted branch is the last retired
-    // op (its hash is fed like any other) and dispatch resumes at the
-    // actual target.
-    const std::uint64_t tlen = core_.trace_run_len();
-    if (tlen > 0) {
-      // Resolve the trace ref before exec_trace moves pc.
-      const CompiledProgram::TraceRef ref = pre_->trace_at(core_.pc());
-      const Core::TraceExec tr = core_.exec_trace(tlen);
-      ++result.trace_dispatches;
-      if (tr.side_exit) ++result.trace_side_exits;
-      if (tr.retired > 0) {
-        const std::size_t ok = monitor_->advance(
-            ref.hashes, static_cast<std::size_t>(tr.retired),
-            /*stop_on_mismatch=*/enforce_);
-        if (ok < tr.retired) {
-          core_.retract_trace(ref.ops + ok + 1, tr.retired - (ok + 1),
-                              tr.side_exit);
-          result.instructions += ok + 1;
-          result.outcome = PacketOutcome::AttackDetected;
-          core_.reset();  // paper's recovery: reset stack, next packet
-          return result;
-        }
-        result.instructions += tr.retired;
-      }
-      if (tr.retired == tlen || tr.side_exit) continue;
-      // Short dispatch for a non-side-exit reason: the op now at pc
-      // needs the fused or per-op path below.
-    }
-
-    // Block-fused tier (docs/EXECUTION.md): when a fusible run (basic
-    // block body) starts at the current pc, retire it in one superop
-    // dispatch FIRST, then feed the monitor the precomputed hash slice
-    // of exactly the ops that retired. Execute-first stays bit-identical
-    // to the per-op interleaving:
-    //   * fused body ops never read monitor state, so reordering the
-    //     hash checks after the batch is unobservable to the core;
-    //   * ops that would trap or touch MMIO stop the batch *before*
-    //     executing and feed no hash -- exactly like the reference,
-    //     where a trapped op does not retire;
-    //   * on a mismatch at slice index m, the reference executed ops
-    //     0..m and then reset: the batch overshoot (ops m+1..) touched
-    //     only state the recovery reset() re-images, so retracting its
-    //     surviving cumulative counters (Core::retract_fused) restores
-    //     bit-equality before the reset.
-    const std::uint64_t fused = core_.fused_run_len();
-    if (fused > 0) {
-      const std::size_t idx = (core_.pc() - pre_->text_base()) >> 2;
-      const std::uint64_t retired = core_.exec_fused_run(fused);
-      if (retired > 0) {
-        const std::size_t ok = monitor_->advance(
-            pre_->hash_lane_data() + idx, static_cast<std::size_t>(retired),
-            /*stop_on_mismatch=*/enforce_);
-        if (ok < retired) {
-          core_.retract_fused(pre_->ops_data() + idx + ok + 1,
-                              retired - (ok + 1));
-          result.instructions += ok + 1;
-          result.outcome = PacketOutcome::AttackDetected;
-          core_.reset();  // paper's recovery: reset stack, next packet
-          return result;
-        }
-        result.instructions += retired;
-      }
-      if (retired == fused) continue;
-      // Short batch: the op now at pc traps, touches MMIO, or follows a
-      // text-dirtying store -- it needs the per-op path below, which
-      // re-derives the authoritative event and hash source.
-    }
-
-    StepInfo info = core_.step();
-
-    const bool retired = info.event == StepEvent::Executed ||
-                         info.event == StepEvent::PacketOut ||
-                         info.event == StepEvent::Halted ||
-                         (info.event == StepEvent::PacketDone &&
-                          info.pc != kReturnSentinel);
-    if (retired) {
-      ++result.instructions;
-      // While the predecoded image is clean, info.word for any pc inside
-      // the artifact IS the installed word, so the precomputed hash can
-      // feed the monitor directly -- no Merkle-tree evaluation. Retired
-      // instructions outside the artifact (runtime-materialized code,
-      // data-region jumps) and any execution after a self-modifying
-      // store go through the real hash unit.
-      monitor::Verdict verdict;
-      std::uint8_t hashed;
-      if (pre_ != nullptr && core_.predecode_live() &&
-          pre_->monitor_hash(info.pc, hashed)) {
-        verdict = monitor_->on_hashed(hashed);
-      } else {
-        verdict = monitor_->on_instruction(info.word);
-      }
-      if (verdict == monitor::Verdict::Mismatch && enforce_) {
-        result.outcome = PacketOutcome::AttackDetected;
-        core_.reset();  // paper's recovery: reset stack, next packet
-        return result;
-      }
-    }
-
-    switch (info.event) {
-      case StepEvent::Executed:
-        continue;
-      case StepEvent::PacketOut:
-        result.outcome = PacketOutcome::Forwarded;
-        result.output = core_.output();
-        result.output_port = core_.output_port();
-        return result;
-      case StepEvent::PacketDone:
-        // A sentinel return must be sanctioned by the monitoring graph.
-        if (info.pc == kReturnSentinel && !monitor_->exit_allowed() &&
-            enforce_) {
-          result.outcome = PacketOutcome::AttackDetected;
-          core_.reset();
-          return result;
-        }
-        result.outcome = PacketOutcome::Dropped;
-        return result;
-      case StepEvent::Halted:
-        result.outcome = PacketOutcome::Dropped;
-        return result;
-      case StepEvent::Trapped:
-        result.outcome = PacketOutcome::Trapped;
-        result.trap = info.trap;
-        core_.reset();
-        return result;
-    }
+  MonitorFeed feed{*monitor_, core_, result, enforce_};
+  const StepInfo info =
+      core_.run_observed(std::numeric_limits<std::uint64_t>::max(), feed);
+  if (feed.flagged) {
+    result.outcome = PacketOutcome::AttackDetected;
+    core_.reset();  // paper's recovery: reset stack, next packet
+    return result;
   }
+  switch (info.event) {
+    case StepEvent::PacketOut:
+      result.outcome = PacketOutcome::Forwarded;
+      result.output = core_.output();
+      result.output_port = core_.output_port();
+      break;
+    case StepEvent::PacketDone:
+      // A sentinel return must be sanctioned by the monitoring graph.
+      if (info.pc == kReturnSentinel && !monitor_->exit_allowed() &&
+          enforce_) {
+        result.outcome = PacketOutcome::AttackDetected;
+        core_.reset();
+        break;
+      }
+      result.outcome = PacketOutcome::Dropped;
+      break;
+    case StepEvent::Trapped:
+      result.outcome = PacketOutcome::Trapped;
+      result.trap = info.trap;
+      core_.reset();
+      break;
+    case StepEvent::Halted:
+    case StepEvent::Executed:  // unreachable: the watchdog bounds the run
+      result.outcome = PacketOutcome::Dropped;
+      break;
+  }
+  return result;
 }
 
 void MonitoredCore::commit_result(const PacketResult& result) {
@@ -292,12 +246,14 @@ PacketResult MonitoredCore::process_packet(
 
 void MonitoredCore::begin_speculation() {
   spec_state_ = core_.capture_spec_state();
+  if (monitor_) spec_tally_ = monitor_->tally();
   core_.memory().begin_capture();
 }
 
 MonitoredCore::SpecUndo MonitoredCore::end_speculation() {
   SpecUndo undo;
   undo.core_state = spec_state_;
+  undo.monitor_tally = spec_tally_;
   undo.pages = core_.memory().take_capture();
   return undo;
 }
@@ -308,6 +264,7 @@ void MonitoredCore::rollback_speculation(const SpecUndo& undo) {
   // packets the caller rolls back newest-first.
   core_.memory().restore_pages(undo.pages);
   core_.restore_spec_state(undo.core_state);
+  if (monitor_) monitor_->restore_tally(undo.monitor_tally);
 }
 
 }  // namespace sdmmon::np

@@ -34,8 +34,8 @@ struct PacketResult {
   /// at execute time so the observability layer can histogram it on the
   /// deterministic commit path (exact even across speculative rollback).
   std::uint32_t monitor_width = 0;
-  /// Trace-tier telemetry: exec_trace dispatches this packet took, and
-  /// how many of them ended in a side exit (branch resolved off the
+  /// Compiled-tier telemetry: superblock dispatches this packet took,
+  /// and how many of them ended in a side exit (branch resolved off the
   /// predicted path). Feeds np.engine.trace_side_exit_rate on the
   /// deterministic commit path.
   std::uint32_t trace_dispatches = 0;
@@ -117,9 +117,9 @@ class MonitoredCore {
   /// and monitor effects (soft reset, data-RAM writes, attack reset)
   /// happen exactly as in process_packet; only the counters are deferred.
   /// The parallel engine executes speculatively on worker threads and
-  /// commits results in serial packet order at the batch barrier, which
-  /// keeps CoreStats bit-identical to the serial engine even when a batch
-  /// is partially rolled back. Requires installed().
+  /// folds results in serial packet order, which keeps CoreStats
+  /// bit-identical to the serial engine even when speculated packets are
+  /// rolled back. Requires installed().
   PacketResult execute_packet(std::span<const std::uint8_t> packet);
 
   /// Fold one execute_packet() result into the cumulative CoreStats,
@@ -127,13 +127,12 @@ class MonitoredCore {
   void commit_result(const PacketResult& result);
 
   /// Everything one speculative execute_packet() changed on this core
-  /// that the next packet could observe: the Core's cross-packet
-  /// architectural state and the memory pages the execution dirtied.
-  /// Known caveat (pre-existing, documented in ARCHITECTURE.md): the
-  /// monitor's internal MonitorStats are not captured, so its cumulative
-  /// instruction tallies overcount rolled-back packets.
+  /// that outlives it: the Core's cross-packet architectural state, the
+  /// monitor's cumulative stats and peak width, and the memory pages the
+  /// execution dirtied.
   struct SpecUndo {
     Core::SpecState core_state;
+    monitor::HardwareMonitor::Tally monitor_tally;
     std::vector<Memory::PageCopy> pages;
     /// Pages dirtied by the speculative execution (== pages.size();
     /// feeds np.core.snapshot_dirty_pages).
@@ -151,6 +150,7 @@ class MonitoredCore {
 
   const CoreStats& stats() const { return stats_; }
   Core& core() { return core_; }
+  const Core& core() const { return core_; }
   const monitor::HardwareMonitor& monitor() const { return *monitor_; }
 
   /// When true (default), mismatches stop the core immediately. Disabling
@@ -163,19 +163,19 @@ class MonitoredCore {
   void attach_obs(CoreObs* obs) { obs_ = obs; }
 
  private:
+  struct MonitorFeed;
   PacketResult run_packet(std::span<const std::uint8_t> packet);
 
   Core core_;
-  // Raw view of the core's predecoded artifact, cached at install so the
-  // per-retired-instruction monitor feed dereferences no smart pointer.
-  const CompiledProgram* pre_ = nullptr;
   std::unique_ptr<monitor::HardwareMonitor> monitor_;
   CoreStats stats_;
   bool enforce_ = true;
   CoreObs* obs_ = nullptr;
-  // Cross-packet core state snapshotted by begin_speculation(), handed
-  // out by end_speculation(). One speculation may be active at a time.
+  // Cross-packet core and monitor state snapshotted by
+  // begin_speculation(), handed out by end_speculation(). One speculation
+  // may be active at a time.
   Core::SpecState spec_state_;
+  monitor::HardwareMonitor::Tally spec_tally_;
 };
 
 }  // namespace sdmmon::np

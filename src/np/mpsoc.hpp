@@ -112,18 +112,11 @@ struct EngineObs {
   obs::Gauge* compiled_ops = nullptr;
   obs::Gauge* compiled_blocks = nullptr;
   obs::Gauge* compiled_program_bytes = nullptr;
-  /// Install-time block-fusion cost (the slice of predecode_ns spent
-  /// building the fused-run tables) and fused coverage of the installed
-  /// artifact -- how much of the text the superop executor can retire
-  /// without per-instruction dispatch.
-  obs::Histogram* block_fuse_ns = nullptr;  // wall-clock (install path)
-  obs::Gauge* fused_runs = nullptr;
-  obs::Gauge* fused_ops = nullptr;
-  /// Install-time trace-formation cost (the tier-4 slice of predecode
-  /// work), trace coverage of the installed artifact, and the running
-  /// side-exit rate of trace dispatches (per mille, updated on the
-  /// deterministic commit path).
-  obs::Histogram* trace_exec_ns = nullptr;  // wall-clock (install path)
+  /// Install-time superblock-formation cost (the slice of predecode_ns
+  /// spent forming superblocks), superblock coverage of the installed
+  /// artifact, and the running side-exit rate of superblock dispatches
+  /// (per mille, updated on the deterministic commit path).
+  obs::Histogram* trace_build_ns = nullptr;  // wall-clock (install path)
   obs::Gauge* trace_count = nullptr;
   obs::Gauge* trace_ops = nullptr;
   obs::Gauge* trace_side_exit_rate = nullptr;  // per mille

@@ -2,27 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+
+#include "util/backoff.hpp"
 
 namespace sdmmon::np {
 
-namespace {
-
-/// Yield for a while, then sleep in short slices (same policy as
-/// util::SpscQueue's backoff; see the rationale there).
-struct Backoff {
-  int spins = 0;
-  void pause() {
-    if (++spins < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  void reset() { spins = 0; }
-};
-
-}  // namespace
+using util::Backoff;
 
 ParallelMpsoc::ParallelMpsoc(std::size_t num_cores, DispatchPolicy policy,
                              RecoveryConfig recovery, ParallelConfig parallel)
@@ -115,7 +100,7 @@ bool ParallelMpsoc::pop_work(std::size_t worker, std::uint64_t& seq) {
   return false;
 }
 
-void ParallelMpsoc::run_slot(Slot& slot) {
+RecoveryAction ParallelMpsoc::run_slot(Slot& slot) {
   MonitoredCore& core = cores_[slot.core];
   if (capture_spec_) core.begin_speculation();
   if (core.installed()) {
@@ -133,23 +118,30 @@ void ParallelMpsoc::run_slot(Slot& slot) {
                                                  slot.result.outcome,
                                                  slot.outcome_undo);
   slot.window_violations = recovery_.window_violations(slot.core);
+  const RecoveryAction action = slot.action;
+  // Last write to the slot: from here on a folder may free it and the
+  // planner may reuse it for another packet.
   slot.state.store(SlotState::Executed, std::memory_order_release);
+  return action;
 }
 
 void ParallelMpsoc::execute_slot(std::uint64_t seq) {
   Slot& slot = rob_[seq % rob_size_];
   std::atomic<std::uint64_t>& turn = core_turn_[slot.core];
+  // Copied before run_slot() publishes the slot as Executed: after that
+  // the slot may already belong to another packet.
+  const std::uint64_t ticket = slot.ticket;
   // Wait for this core's turn. The predecessor ticket was pushed to the
   // same shard deque earlier (FIFO), so it has been popped by a worker
   // that runs it to completion -- this wait always terminates, which is
   // also why workers may only park at the loop top, never mid-item.
   Backoff backoff;
-  while (turn.load(std::memory_order_acquire) != slot.ticket) {
+  while (turn.load(std::memory_order_acquire) != ticket) {
     backoff.pause();
   }
-  run_slot(slot);
-  turn.store(slot.ticket + 1, std::memory_order_release);
-  if (slot.action != RecoveryAction::None) {
+  const RecoveryAction action = run_slot(slot);
+  turn.store(ticket + 1, std::memory_order_release);
+  if (action != RecoveryAction::None) {
     epoch_requested_.store(true, std::memory_order_release);
   }
 }

@@ -39,19 +39,17 @@
 // Equivalence contract (enforced by tests/mpsoc_parallel_diff_test.cpp):
 //
 //  * RoundRobin and FlowHash: per-packet outcomes, per-core CoreStats,
+//    Core cycle/mix counters, monitor MonitorStats and peak width,
 //    aggregate_stats(), and every RecoveryController decision are
-//    BIT-IDENTICAL to the serial engine on the same packet sequence.
+//    BIT-IDENTICAL to the serial engine on the same packet sequence
+//    (rollback restores the core and monitor counters a rolled-back
+//    packet advanced, so a replayed packet is counted once).
 //  * LeastLoaded: load feedback is committed instructions plus an
 //    estimate for packets still in flight, so placement may differ from
 //    the serial engine while packets are speculated. batch_size=1 bounds
 //    the flight window to one packet and collapses to the strict
 //    contract. Conservation of every packet and all recovery-safety
 //    invariants hold always.
-//
-// Caveat: the hardware monitor's internal MonitorStats can overcount
-// after a rollback (speculated packets are re-executed); Core cycle/mix
-// counters are restored exactly by the SpecState snapshot, and
-// CoreStats/MpsocStats are exact.
 //
 // Threading contract: submit()/flush()/process_packets()/install*() and
 // every accessor must be called from ONE external thread. Accessors
@@ -228,8 +226,10 @@ class ParallelMpsoc {
   bool pop_work(std::size_t worker, std::uint64_t& seq);
   void execute_slot(std::uint64_t seq);
   /// Speculative execution + outcome evaluation for one planned slot;
-  /// requires the caller to hold the slot's core turn.
-  void run_slot(Slot& slot);
+  /// requires the caller to hold the slot's core turn. Publishes the
+  /// slot as Executed and returns its recovery action -- the caller must
+  /// not touch the slot afterwards.
+  RecoveryAction run_slot(Slot& slot);
   /// Plan dispatch for the slot at `seq` (requires plan_mutex_). Returns
   /// true when the packet was dispatched (and must be enqueued).
   bool plan_dispatch(Slot& slot);

@@ -18,11 +18,11 @@
 #define SDMMON_UTIL_STEALING_DEQUE_HPP
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include "util/backoff.hpp"
 
 namespace sdmmon::util {
 
@@ -99,19 +99,6 @@ class StealingDeque {
   struct Slot {
     std::atomic<std::size_t> seq{0};
     T value{};
-  };
-
-  /// Yield for a while, then sleep in short slices (same policy as
-  /// SpscQueue::Backoff; see the rationale there).
-  struct Backoff {
-    int spins = 0;
-    void pause() {
-      if (++spins < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
   };
 
   std::vector<Slot> slots_;

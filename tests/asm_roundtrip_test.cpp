@@ -200,7 +200,7 @@ TEST(AsmRoundTrip, UndecodableWordsPredecodeToTrappingOps) {
     // Executing the program must trap identically on both paths the
     // moment an undecodable word is reached (if one is reachable).
     np::Core fast, oracle;
-    oracle.set_predecode_enabled(false);
+    oracle.set_tier(np::Tier::Interpret);
     fast.load_program(p, compiled);
     oracle.load_program(p, compiled);
     for (int s = 0; s < 32 && oracle.runnable(); ++s) {

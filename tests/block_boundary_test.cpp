@@ -1,10 +1,11 @@
-// Block-boundary edge cases for the fused execution tier
-// (docs/EXECUTION.md): the fusion tables themselves (fused_run_ /
-// hash_lane_ invariants on handcrafted texts) and end-to-end tier
-// equivalence for the shapes most likely to break a block-granular
-// dispatcher -- single-instruction blocks, blocks ending in an
-// undecodable (trapping) word, back-to-back block-end branches, and a
-// store that dirties the block it is executing from.
+// Block-boundary edge cases for the compiled tier (docs/EXECUTION.md):
+// superblock formation itself (anchors, lengths, suffix sharing, hash
+// lanes on handcrafted texts) and end-to-end equivalence with the
+// interpreter oracle for the shapes most likely to break a superblock
+// dispatcher -- blocks ending in an indirect jump or an undecodable
+// (trapping) word, back-to-back branches, single-instruction blocks
+// between taken branches, mid-block entry, a store that dirties the
+// block it is executing from, and watchdog/max_steps clamps.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -30,39 +31,51 @@ isa::Program raw_program(std::vector<std::uint32_t> words) {
   return p;
 }
 
-// Run one program to completion on all three tiers and require
-// identical final state. Returns the interpreter's final StepInfo.
-StepInfo run_all_tiers(const isa::Program& p, std::uint64_t max_steps = 256,
-                       std::uint64_t watchdog = 512) {
+// Run one program on both tiers and require identical final state.
+// Returns the interpreter's final StepInfo.
+StepInfo run_both_tiers(const isa::Program& p, std::uint64_t max_steps = 256,
+                        std::uint64_t watchdog = 512) {
   auto artifact = compile(p);
-  Core interp, pre, fused;
-  interp.set_predecode_enabled(false);
-  pre.set_block_fuse_enabled(false);
+  Core interp, fast;
+  interp.set_tier(Tier::Interpret);
   interp.load_program(p, artifact);
-  pre.load_program(p, artifact);
-  fused.load_program(p, artifact);
-  for (Core* c : {&interp, &pre, &fused}) c->set_watchdog_budget(watchdog);
-  EXPECT_TRUE(fused.block_fuse_live());
-  EXPECT_FALSE(pre.block_fuse_live());
+  fast.load_program(p, artifact);
+  for (Core* c : {&interp, &fast}) c->set_watchdog_budget(watchdog);
+  EXPECT_TRUE(fast.compiled_live());
 
   const StepInfo a = interp.run(max_steps);
-  const StepInfo b = pre.run(max_steps);
-  const StepInfo c = fused.run(max_steps);
-  for (const StepInfo* s : {&b, &c}) {
-    EXPECT_EQ(a.pc, s->pc);
-    EXPECT_EQ(a.word, s->word);
-    EXPECT_EQ(static_cast<int>(a.event), static_cast<int>(s->event));
-    EXPECT_EQ(static_cast<int>(a.trap), static_cast<int>(s->trap));
-  }
-  for (const Core* c2 : {&pre, &fused}) {
-    EXPECT_EQ(interp.pc(), c2->pc());
-    EXPECT_EQ(interp.cycles(), c2->cycles());
-    EXPECT_EQ(interp.runnable(), c2->runnable());
-    for (int r = 0; r < 32; ++r) {
-      EXPECT_EQ(interp.reg(r), c2->reg(r)) << "register " << r;
-    }
+  const StepInfo b = fast.run(max_steps);
+  EXPECT_EQ(a.pc, b.pc);
+  EXPECT_EQ(a.word, b.word);
+  EXPECT_EQ(static_cast<int>(a.event), static_cast<int>(b.event));
+  EXPECT_EQ(static_cast<int>(a.trap), static_cast<int>(b.trap));
+  EXPECT_EQ(interp.pc(), fast.pc());
+  EXPECT_EQ(interp.cycles(), fast.cycles());
+  EXPECT_EQ(interp.runnable(), fast.runnable());
+  EXPECT_EQ(interp.instr_mix().branch_taken, fast.instr_mix().branch_taken);
+  EXPECT_EQ(interp.instr_mix().branch_not_taken,
+            fast.instr_mix().branch_not_taken);
+  for (int r = 0; r < 32; ++r) {
+    EXPECT_EQ(interp.reg(r), fast.reg(r)) << "register " << r;
   }
   return a;
+}
+
+// Counts what run_observed() dispatches, accepting every retired op.
+struct DispatchCounter {
+  std::uint64_t dispatches = 0;
+  std::uint64_t side_exits = 0;
+  std::uint64_t on_batch(const std::uint8_t*, std::uint64_t n,
+                         bool side_exit) {
+    ++dispatches;
+    if (side_exit) ++side_exits;
+    return n;
+  }
+  bool on_step(const StepInfo&) { return true; }
+};
+
+std::uint32_t len_at(const CompiledProgram& artifact, std::uint32_t index) {
+  return artifact.trace_at(artifact.text_base() + 4 * index).len;
 }
 
 std::uint32_t addiu(int rt, int rs, std::int32_t imm) {
@@ -78,46 +91,40 @@ std::uint32_t jr_ra() {
 }
 
 // ---------------------------------------------------------------------
-// Fusion-table invariants on handcrafted texts
+// Formation on handcrafted texts
 // ---------------------------------------------------------------------
 
-// A pure run is truncated at kBlockEnd: fused dispatch retires at most
-// one basic block, even when the next block's leader is pure too.
+// A body-only superblock ends where no superblock may continue: at an
+// indirect jump, which itself anchors nothing. Its hash lane is exactly
+// the mhash column of the ops it covers.
 TEST(BlockBoundary, PureRunStopsAtBlockEnd) {
-  // addiu; addiu; beq(not taken); addiu; jr -- the branch ends block 1.
   const isa::Program p = raw_program(
-      {addiu(8, 8, 1), addiu(9, 9, 2), beq(8, 9, 1), addiu(10, 10, 3),
-       jr_ra()});
+      {addiu(8, 8, 1), addiu(9, 9, 2), addiu(10, 10, 3), jr_ra(),
+       addiu(11, 11, 4)});
   auto artifact = compile(p);
-  const std::uint8_t* run = artifact->fused_run_data();
-  EXPECT_EQ(run[0], 2u) << "run must not cross the branch";
-  EXPECT_EQ(run[1], 1u);
-  EXPECT_EQ(run[2], 0u) << "branches never fuse";
-  EXPECT_EQ(run[3], 1u);
-  EXPECT_EQ(run[4], 0u) << "jr never fuses";
-  // hash_lane_ is exactly the mhash column of the PreOp array.
-  for (std::size_t i = 0; i < artifact->num_ops(); ++i) {
-    EXPECT_EQ(artifact->hash_lane_data()[i], artifact->ops_data()[i].mhash)
-        << "op " << i;
+  const CompiledProgram::TraceRef ref = artifact->trace_at(0);
+  ASSERT_EQ(ref.len, 3u) << "superblock must stop before the jr";
+  for (std::uint32_t i = 0; i < ref.len; ++i) {
+    EXPECT_EQ(ref.ops[i].pc, 4 * i);
+    EXPECT_EQ(ref.hashes[i], artifact->ops_data()[i].mhash) << "op " << i;
   }
-  // Two maximal runs ({addiu,addiu} and {addiu}), 3 fused ops total.
-  EXPECT_EQ(artifact->num_fused_runs(), 2u);
-  EXPECT_EQ(artifact->num_fused_ops(), 3u);
-  run_all_tiers(p);
+  EXPECT_EQ(len_at(*artifact, 3), 0u) << "jr anchors no superblock";
+  EXPECT_EQ(len_at(*artifact, 4), 1u) << "the leader after jr gets its own";
+  run_both_tiers(p);
 }
 
-// An undecodable word is a trapping PreOp: never pure, and a pure run
-// falling through into it must stop exactly at the boundary so the trap
-// fires at the same pc / cycle count on every tier.
+// An undecodable word is a trapping op: a superblock falling through
+// into it must stop exactly at the boundary so the trap fires at the
+// same pc / cycle count on both tiers.
 TEST(BlockBoundary, BlockEndingInUndecodableWordTrapsIdentically) {
   const isa::Program p = raw_program(
       {addiu(8, 8, 1), addiu(9, 9, 2), addiu(10, 10, 3), 0xFFFFFFFFu});
   auto artifact = compile(p);
-  EXPECT_EQ(artifact->fused_run_data()[0], 3u);
+  EXPECT_EQ(len_at(*artifact, 0), 3u);
   EXPECT_FALSE(artifact->ops_data()[3].flags & CompiledProgram::kDecoded);
-  EXPECT_EQ(artifact->fused_run_data()[3], 0u)
-      << "undecodable words must never fuse";
-  const StepInfo last = run_all_tiers(p);
+  EXPECT_EQ(len_at(*artifact, 3), 0u)
+      << "undecodable words never enter a superblock";
+  const StepInfo last = run_both_tiers(p);
   EXPECT_EQ(static_cast<int>(last.event),
             static_cast<int>(StepEvent::Trapped));
   EXPECT_EQ(static_cast<int>(last.trap),
@@ -125,82 +132,101 @@ TEST(BlockBoundary, BlockEndingInUndecodableWordTrapsIdentically) {
   EXPECT_EQ(last.pc, 12u) << "trap pc is the undecodable word itself";
 }
 
-// Back-to-back branches: every block is a single kBlockEnd instruction,
-// so the fused tier has nothing to fuse and must degrade to per-op
-// dispatch without skewing state.
-TEST(BlockBoundary, BackToBackBranchesNeverFuse) {
-  // beq $0,$0 chains: always taken, hopping forward one word at a time,
-  // then a not-taken pair on distinct registers, then jr.
+// Back-to-back branches: every block is a single branch, and every
+// branch is a leader's whole block. Formation stitches them into one
+// predicted path (forward = not taken); a branch-to-next (imm 0) is
+// taken to its own fall-through, which is its predicted pc, so it never
+// side-exits and the whole path retires in one dispatch.
+TEST(BlockBoundary, BackToBackBranchesFormOneSuperblock) {
   isa::Program p = raw_program(
       {beq(0, 0, 0), beq(0, 0, 0), beq(0, 0, 0), addiu(8, 0, 7),
        beq(8, 0, 0), beq(8, 0, 0), jr_ra()});
   auto artifact = compile(p);
-  for (std::size_t i : {0u, 1u, 2u, 4u, 5u, 6u}) {
-    EXPECT_EQ(artifact->fused_run_data()[i], 0u) << "op " << i;
-    EXPECT_TRUE(artifact->ops_data()[i].flags & CompiledProgram::kBlockEnd)
-        << "op " << i;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(len_at(*artifact, i), 6 - i) << "op " << i;
   }
-  run_all_tiers(p);
+  EXPECT_EQ(len_at(*artifact, 6), 0u);
+  run_both_tiers(p);
+
+  Core fast;
+  fast.load_program(p, artifact);
+  DispatchCounter counter;
+  fast.run_observed(256, counter);
+  EXPECT_EQ(counter.dispatches, 1u);
+  EXPECT_EQ(counter.side_exits, 0u);
+  EXPECT_EQ(fast.instr_mix().branch_taken, 0u)
+      << "a taken branch-to-next never leaves the fall-through path";
+  EXPECT_EQ(fast.instr_mix().branch_not_taken, 5u);
 }
 
-// Single-instruction blocks that ARE pure: a branch target immediately
-// followed by another branch gives a one-op fused run; the dispatcher
-// must handle run length 1 (dispatch overhead but no superop body).
-TEST(BlockBoundary, SingleInstructionPureBlocksFuseAsRunsOfOne) {
+// Single-instruction blocks between always-taken forward branches: each
+// branch resolves against its not-taken prediction and side-exits, so
+// the dispatcher restarts at the taken target's own superblock.
+TEST(BlockBoundary, SingleInstructionBlocksSideExitIdentically) {
   isa::Program p = raw_program(
-      {addiu(8, 0, 5),    // block A: one pure op
-       beq(0, 0, 1),      // jump over the next word
+      {addiu(8, 0, 5),    // block A: one body op
+       beq(0, 0, 1),      // taken: skip the next word
        addiu(8, 8, 100),  // skipped
-       addiu(9, 8, 1),    // block B: one pure op (branch target)
-       beq(0, 0, 1),      // jump again
+       addiu(9, 8, 1),    // block B: one body op (branch target)
+       beq(0, 0, 1),      // taken again
        addiu(9, 9, 100),  // skipped
        addiu(10, 9, 1),   // block C
        jr_ra()});
   auto artifact = compile(p);
-  EXPECT_EQ(artifact->fused_run_data()[0], 1u);
-  EXPECT_EQ(artifact->fused_run_data()[3], 1u);
-  EXPECT_EQ(artifact->fused_run_data()[6], 1u);
-  run_all_tiers(p);
-  // And the executed result is the pure-block chain, not the skipped ops.
-  Core fused;
-  fused.load_program(p, artifact);
-  fused.run(64);
-  EXPECT_EQ(fused.reg(10), 7u);
+  EXPECT_EQ(len_at(*artifact, 0), 7u) << "predicted path runs straight";
+  EXPECT_EQ(len_at(*artifact, 3), 4u);
+  EXPECT_EQ(len_at(*artifact, 6), 1u);
+  run_both_tiers(p);
+
+  MonitoredCore mc;
+  monitor::MerkleTreeHash hash(0xB10C);
+  mc.install(p, monitor::extract_graph(p, hash),
+             std::make_unique<monitor::MerkleTreeHash>(hash));
+  const PacketResult r = mc.process_packet(util::Bytes(4, 0));
+  EXPECT_EQ(r.trace_dispatches, 3u);
+  EXPECT_EQ(r.trace_side_exits, 2u);
+  Core fast;
+  fast.load_program(p, artifact);
+  fast.run(64);
+  EXPECT_EQ(fast.reg(10), 7u) << "only the taken-path ops executed";
 }
 
-// Mid-block entry: jr into the middle of a fused run must execute the
-// suffix only. fused_run_ is indexed per op, so entry at op k of a block
-// uses the k-suffix run length.
+// Mid-block entry: a pc inside a block anchors the suffix of its
+// leader's superblock -- the same ops, no extra storage -- so jr into
+// the middle of a block executes exactly the remaining ops.
 TEST(BlockBoundary, MidBlockEntryUsesSuffixRun) {
-  // jr $t1 enters the 4-op run (ops 2..5) at op 4, so only the last
-  // two addius execute.
   isa::Program p = raw_program(
       {addiu(9, 0, 16),   // $t1 = 16 (byte address of op 4)
        isa::encode(isa::make_rtype(isa::Op::Jr, 0, 9, 0)),  // jr $t1
-       addiu(8, 8, 1),    // op 2: run of 4 starts here (all skipped...
+       addiu(8, 8, 1),    // op 2: leader, superblock of 4 (skipped...
        addiu(8, 8, 2),
        addiu(8, 8, 4),    // op 4: jr target (...except this suffix)
        addiu(8, 8, 8),
        jr_ra()});
   auto artifact = compile(p);
-  EXPECT_EQ(artifact->fused_run_data()[2], 4u);
-  EXPECT_EQ(artifact->fused_run_data()[4], 2u) << "suffix run at entry point";
-  run_all_tiers(p);
-  Core fused;
-  fused.load_program(p, artifact);
-  fused.run(64);
-  EXPECT_EQ(fused.reg(8), 12u) << "only ops 4..5 execute";
+  const CompiledProgram::TraceRef leader = artifact->trace_at(8);
+  const CompiledProgram::TraceRef suffix = artifact->trace_at(16);
+  EXPECT_EQ(leader.len, 4u);
+  EXPECT_EQ(suffix.len, 2u) << "suffix at the entry point";
+  EXPECT_EQ(suffix.ops, leader.ops + 2) << "suffixes share the leader's ops";
+  EXPECT_EQ(suffix.hashes, leader.hashes + 2);
+  EXPECT_EQ(artifact->num_traces(), 2u) << "suffixes are not new superblocks";
+  run_both_tiers(p);
+  Core fast;
+  fast.load_program(p, artifact);
+  fast.run(64);
+  EXPECT_EQ(fast.reg(8), 12u) << "only ops 4..5 execute";
 }
 
 // ---------------------------------------------------------------------
 // Self-modifying stores into the executing block
 // ---------------------------------------------------------------------
 
-// The store patches an op LATER IN ITS OWN BASIC BLOCK. The fused tier
-// must not have pre-committed the stale suffix: stores fuse, but a
-// store that lands in the predecoded text ends the batch immediately
-// after retiring, text goes dirty, and the patched word executes via
-// the interpreter -- exactly like the oracle.
+// The store patches an op LATER IN ITS OWN BASIC BLOCK. The compiled
+// tier must not have pre-committed the stale suffix: a store that lands
+// in the predecoded text ends the dispatch immediately after retiring,
+// text goes dirty, and the patched word executes via the interpreter --
+// exactly like the oracle.
 TEST(BlockBoundary, StoreDirtyingOwnBlockExecutesPatchedSuffix) {
   // Block (no branches until jr): lui/ori build the patch word
   // "addiu $v0,$zero,77"; sw patches the addiu two slots ahead;
@@ -218,34 +244,33 @@ TEST(BlockBoundary, StoreDirtyingOwnBlockExecutesPatchedSuffix) {
        addiu(2, 0, 1),    // victim: patched to addiu $v0,$zero,77
        jr_ra()});
   auto artifact = compile(p);
-  // The whole 6-op body fuses (stores are fusible); a suffix entry at
-  // op 4 still sees its own run of 2.
-  EXPECT_EQ(artifact->fused_run_data()[0], 6u);
-  EXPECT_EQ(artifact->fused_run_data()[4], 2u);
+  // The whole 6-op body is one superblock; a suffix entry at op 4 sees
+  // its remaining 2.
+  EXPECT_EQ(len_at(*artifact, 0), 6u);
+  EXPECT_EQ(len_at(*artifact, 4), 2u);
 
-  const StepInfo last = run_all_tiers(p);
+  const StepInfo last = run_both_tiers(p);
   EXPECT_EQ(static_cast<int>(last.event),
             static_cast<int>(StepEvent::PacketDone));
-  Core fused;
-  fused.load_program(p, artifact);
-  fused.run(64);
-  EXPECT_EQ(fused.reg(2), 77u) << "patched word must execute";
-  EXPECT_TRUE(fused.text_dirty());
-  EXPECT_FALSE(fused.block_fuse_live());
-  EXPECT_FALSE(fused.predecode_live());
+  Core fast;
+  fast.load_program(p, artifact);
+  fast.run(64);
+  EXPECT_EQ(fast.reg(2), 77u) << "patched word must execute";
+  EXPECT_TRUE(fast.text_dirty());
+  EXPECT_FALSE(fast.compiled_live());
 }
 
-// Watchdog budget truncates a fused run mid-block: the budget trap must
-// fire after exactly the same number of retired ops on every tier.
+// Watchdog budget truncates a superblock mid-block: the budget trap must
+// fire after exactly the same number of retired ops on both tiers.
 TEST(BlockBoundary, WatchdogTruncatesFusedRunMidBlock) {
   std::vector<std::uint32_t> words;
   for (int i = 0; i < 16; ++i) words.push_back(addiu(8, 8, 1));
   words.push_back(jr_ra());
   const isa::Program p = raw_program(words);
   auto artifact = compile(p);
-  EXPECT_EQ(artifact->fused_run_data()[0], 16u);
+  EXPECT_EQ(len_at(*artifact, 0), 16u);
   for (std::uint64_t budget : {1u, 5u, 15u, 16u}) {
-    const StepInfo last = run_all_tiers(p, 256, budget);
+    const StepInfo last = run_both_tiers(p, 256, budget);
     EXPECT_EQ(static_cast<int>(last.event),
               static_cast<int>(StepEvent::Trapped))
         << "budget " << budget;
@@ -254,13 +279,13 @@ TEST(BlockBoundary, WatchdogTruncatesFusedRunMidBlock) {
         << "budget " << budget;
   }
   // Budget 17+ completes the block and returns.
-  const StepInfo done = run_all_tiers(p, 256, 18);
+  const StepInfo done = run_both_tiers(p, 256, 18);
   EXPECT_EQ(static_cast<int>(done.event),
             static_cast<int>(StepEvent::PacketDone));
 }
 
-// max_steps from run() can also land inside a run; the fused tier must
-// clamp and stop on the exact instruction, resumable mid-block.
+// max_steps from run() can also land inside a superblock; the compiled
+// tier must clamp and stop on the exact instruction, resumable mid-block.
 TEST(BlockBoundary, MaxStepsStopsInsideRunAndResumes) {
   std::vector<std::uint32_t> words;
   for (int i = 0; i < 12; ++i) words.push_back(addiu(8, 8, 1));
@@ -268,20 +293,20 @@ TEST(BlockBoundary, MaxStepsStopsInsideRunAndResumes) {
   const isa::Program p = raw_program(words);
   auto artifact = compile(p);
 
-  Core interp, fused;
-  interp.set_predecode_enabled(false);
+  Core interp, fast;
+  interp.set_tier(Tier::Interpret);
   interp.load_program(p, artifact);
-  fused.load_program(p, artifact);
+  fast.load_program(p, artifact);
   for (std::uint64_t chunk : {3u, 1u, 5u, 2u, 1u, 1u, 10u}) {
     interp.run(chunk);
-    fused.run(chunk);
-    ASSERT_EQ(interp.pc(), fused.pc()) << "chunk " << chunk;
-    ASSERT_EQ(interp.cycles(), fused.cycles()) << "chunk " << chunk;
-    ASSERT_EQ(interp.reg(8), fused.reg(8)) << "chunk " << chunk;
+    fast.run(chunk);
+    ASSERT_EQ(interp.pc(), fast.pc()) << "chunk " << chunk;
+    ASSERT_EQ(interp.cycles(), fast.cycles()) << "chunk " << chunk;
+    ASSERT_EQ(interp.reg(8), fast.reg(8)) << "chunk " << chunk;
   }
   EXPECT_FALSE(interp.runnable());
-  EXPECT_FALSE(fused.runnable());
-  EXPECT_EQ(fused.reg(8), 12u);
+  EXPECT_FALSE(fast.runnable());
+  EXPECT_EQ(fast.reg(8), 12u);
 }
 
 }  // namespace

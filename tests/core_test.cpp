@@ -114,6 +114,30 @@ main:
   EXPECT_EQ(core.reg(5), 2u);
 }
 
+// INT_MIN / -1 overflows a host int32 division (undefined in C++, a
+// SIGFPE on x86); a guest must not be able to crash the simulator with
+// it. Both tiers wrap: lo = INT_MIN, hi = 0.
+TEST(Core, SignedDivideOverflowWraps) {
+  const isa::Program program = isa::assemble(R"(
+main:
+    lui $t0, 0x8000     # INT_MIN
+    li $t1, -1
+    div $t0, $t1
+    mflo $v0
+    mfhi $v1
+    jr $ra
+  )");
+  for (Tier tier : {Tier::Interpret, Tier::Compiled}) {
+    Core core;
+    core.set_tier(tier);
+    core.load_program(program, CompiledProgram::compile(
+                                   program, monitor::MerkleTreeHash(1)));
+    run_ok(core);
+    EXPECT_EQ(core.reg(2), 0x8000'0000u);
+    EXPECT_EQ(core.reg(3), 0u);
+  }
+}
+
 TEST(Core, FunctionCallAndReturn) {
   Core core = make_core(R"(
 main:

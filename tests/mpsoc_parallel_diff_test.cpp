@@ -212,10 +212,55 @@ TEST(ParallelDiff, AsyncSubmitMatchesSerialStats) {
     testsupport::expect_core_stats_equal(st.core_stats[c], pt.core_stats[c],
                                          c);
     EXPECT_EQ(st.health[c], pt.health[c]) << "core " << c;
+    testsupport::expect_monitor_tally_equal(st.monitor[c], pt.monitor[c], c);
   }
   EXPECT_EQ(st.stats.violations, pt.stats.violations);
   EXPECT_EQ(st.stats.quarantine_events, pt.stats.quarantine_events);
   EXPECT_EQ(st.stats.undispatched, pt.stats.undispatched);
+}
+
+TEST(ParallelDiff, BackToBackSubmitTinyWindowsMatchSerial) {
+  // Regression for a slot-reuse race: a worker read its slot's turn
+  // ticket and recovery action AFTER publishing the slot as Executed, by
+  // which time a folder could have freed it and the planner refilled it
+  // with another packet. One- and two-slot windows with back-to-back
+  // submit() calls make that reuse immediate; under TSan the stale read
+  // is a reported race, and without it a wrong ticket stalls or
+  // reorders a core's stream.
+  for (np::RecoveryPolicy recovery : {np::RecoveryPolicy::QuarantineAfterK,
+                                      np::RecoveryPolicy::ReinstallLastGood}) {
+    for (std::size_t batch : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(std::string(np::recovery_policy_name(recovery)) +
+                   " batch_size=" + std::to_string(batch));
+      np::RecoveryConfig config = make_recovery_config(recovery);
+      np::ParallelConfig parallel;
+      parallel.workers = kCores;
+      parallel.batch_size = batch;
+      np::Mpsoc serial(kCores, np::DispatchPolicy::FlowHash, config);
+      np::ParallelMpsoc par(kCores, np::DispatchPolicy::FlowHash, config,
+                            parallel);
+      install_mixed_fleet(serial, 2);
+      install_mixed_fleet(par, 2);
+
+      std::vector<WorkItem> items = mixed_items(1500, 0.15);
+      EngineTrace st = run_serial(serial, items);
+      for (const WorkItem& item : items) par.submit(item.packet, item.flow_key);
+      par.flush();
+
+      EngineTrace pt;
+      testsupport::record_engine_state(pt, par);
+      for (std::size_t c = 0; c < kCores; ++c) {
+        testsupport::expect_core_stats_equal(st.core_stats[c],
+                                             pt.core_stats[c], c);
+        EXPECT_EQ(st.health[c], pt.health[c]) << "core " << c;
+        testsupport::expect_monitor_tally_equal(st.monitor[c], pt.monitor[c],
+                                                c);
+      }
+      EXPECT_EQ(st.stats.reinstalls, pt.stats.reinstalls);
+      EXPECT_EQ(st.stats.quarantine_events, pt.stats.quarantine_events);
+      EXPECT_EQ(st.stats.undispatched, pt.stats.undispatched);
+    }
+  }
 }
 
 TEST(ParallelDiff, MidRunInstallAllLandsOnPacketBoundary) {

@@ -1,7 +1,8 @@
 // Golden-trace differential harness: replay one seeded workload through
 // the serial Mpsoc and the parallel engine and compare every observable
-// -- per-packet outcomes and outputs, per-core CoreStats, recovery state
-// (health, window fill, counters), and the aggregate MpsocStats. This is
+// -- per-packet outcomes and outputs, per-core CoreStats and monitor
+// counters, recovery state (health, window fill, counters), and the
+// aggregate MpsocStats. This is
 // the DMON-style lockstep oracle the parallel engine is trusted through:
 // any divergence in dispatch, stats accounting, or recovery decisions
 // shows up as a failed field-level expectation naming the packet or core.
@@ -27,6 +28,7 @@ struct EngineTrace {
   std::vector<np::CoreStats> core_stats;        // per core
   std::vector<np::CoreHealth> health;           // per core
   std::vector<std::size_t> window_violations;   // per core
+  std::vector<monitor::HardwareMonitor::Tally> monitor;  // per core
   np::MpsocStats stats;
   std::uint64_t reinstall_requests = 0;
 };
@@ -43,6 +45,9 @@ void record_engine_state(EngineTrace& trace, const Engine& engine) {
     trace.core_stats.push_back(engine.core(c).stats());
     trace.health.push_back(engine.core_health(c));
     trace.window_violations.push_back(engine.recovery().window_violations(c));
+    trace.monitor.push_back(engine.core(c).installed()
+                                ? engine.core(c).monitor().tally()
+                                : monitor::HardwareMonitor::Tally{});
   }
   trace.stats = engine.aggregate_stats();
   trace.reinstall_requests = engine.recovery().reinstall_requests();
@@ -92,6 +97,21 @@ inline void expect_core_stats_equal(const np::CoreStats& a,
   EXPECT_EQ(a.instructions, b.instructions) << "core " << core;
 }
 
+/// Monitor counters are exact too: a speculated packet that is rolled
+/// back and replayed is counted once.
+inline void expect_monitor_tally_equal(
+    const monitor::HardwareMonitor::Tally& a,
+    const monitor::HardwareMonitor::Tally& b, std::size_t core) {
+  EXPECT_EQ(a.stats.instructions_checked, b.stats.instructions_checked)
+      << "core " << core;
+  EXPECT_EQ(a.stats.mismatches, b.stats.mismatches) << "core " << core;
+  EXPECT_EQ(a.stats.packets_monitored, b.stats.packets_monitored)
+      << "core " << core;
+  EXPECT_EQ(a.stats.state_size_accum, b.stats.state_size_accum)
+      << "core " << core;
+  EXPECT_EQ(a.peak_state_size, b.peak_state_size) << "core " << core;
+}
+
 /// The strict (RoundRobin / FlowHash) contract: bit-identical traces.
 inline void expect_traces_identical(const EngineTrace& serial,
                                     const EngineTrace& parallel) {
@@ -114,6 +134,7 @@ inline void expect_traces_identical(const EngineTrace& serial,
         << np::core_health_name(parallel.health[c]);
     EXPECT_EQ(serial.window_violations[c], parallel.window_violations[c])
         << "core " << c;
+    expect_monitor_tally_equal(serial.monitor[c], parallel.monitor[c], c);
   }
   EXPECT_EQ(serial.stats.packets, parallel.stats.packets);
   EXPECT_EQ(serial.stats.forwarded, parallel.stats.forwarded);
