@@ -1,6 +1,7 @@
 #include "np/compiled_program.hpp"
 
 #include <chrono>
+#include <optional>
 
 #include "monitor/analysis.hpp"
 #include "np/op_table.hpp"
@@ -19,14 +20,12 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
 
   const std::size_t n = program.text.size();
   compiled->ops_.resize(n);
+  // Decoded once for formation only; undecodable words (nullopt) end a
+  // superblock and are left to step(), which traps on them.
+  std::vector<std::optional<isa::Instr>> decoded(n);
   for (std::size_t i = 0; i < n; ++i) {
-    PreOp& op = compiled->ops_[i];
-    op.word = program.text[i];
-    op.mhash = hash.hash(op.word);
-    if (auto decoded = isa::try_decode(op.word)) {
-      op.instr = *decoded;
-      op.flags = kDecoded;
-    }  // else: trapping op, executing it raises DecodeFault
+    compiled->ops_[i] = {program.text[i], hash.hash(program.text[i])};
+    decoded[i] = isa::try_decode(program.text[i]);
   }
 
   // Block leaders from the same analysis that shapes the monitoring
@@ -50,26 +49,27 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
     const std::size_t begin = compiled->trace_ops_.size();
     std::uint32_t pc = base + static_cast<std::uint32_t>(anchor) * 4;
     while (compiled->trace_ops_.size() - begin < kTraceCap) {
-      const PreOp& op = compiled->ops_[(pc - base) >> 2];
-      if (!(op.flags & kDecoded)) break;  // would trap: step()'s job
-      TraceOp top{op.instr, pc, op.word, op.mhash, 0};
+      const std::size_t i = (pc - base) >> 2;
+      if (!decoded[i]) break;  // would trap: step()'s job
+      const isa::Instr& in = *decoded[i];
+      TraceOp top{in, pc, compiled->ops_[i].word, compiled->ops_[i].mhash, 0};
       std::uint32_t next = pc + 4;
       bool enters = true;
-      switch (isa::op_class(op.instr.op)) {
+      switch (isa::op_class(in.op)) {
         case isa::OpClass::Alu:
         case isa::OpClass::Load:
         case isa::OpClass::Store:
           break;
         case isa::OpClass::Branch:
-          if (op.instr.imm < 0) {
+          if (in.imm < 0) {
             // Backward branch: predict taken (the loop heuristic).
             top.flags |= kTracePredTaken;
-            next = ops::branch_target(pc, op.instr);
+            next = ops::branch_target(pc, in);
           }
           break;
         case isa::OpClass::Jump:
         case isa::OpClass::JumpLink:
-          next = ops::jump_target(op.instr);
+          next = ops::jump_target(in);
           break;
         default:
           enters = false;  // jr/jalr/syscall/break never enter one

@@ -5,12 +5,12 @@
 // Merkle hash tree on every execution of every instruction is pure
 // redundancy -- both are functions of (word, hash parameter) fixed at
 // install time. CompiledProgram lowers the text once into
-//   * one predecoded PreOp per text word (decoded isa::Instr, raw word,
-//     precomputed w-bit monitor hash under the installed InstructionHash)
-//     for the per-op path, and
-//   * superblocks ("traces") anchored at text pcs, which the compiled
-//     tier retires whole, feeding the monitor one precomputed hash slice
-//     per dispatch.
+//   * one PreOp per text word (raw word plus its precomputed w-bit
+//     monitor hash under the installed InstructionHash), which feeds the
+//     monitor on the per-op path and the install spot-check, and
+//   * superblocks ("traces") of decoded ops anchored at text pcs, which
+//     the compiled tier retires whole, feeding the monitor one
+//     precomputed hash slice per dispatch.
 //
 // Like monitor::CompiledGraph, a CompiledProgram is immutable after
 // compile() and is shared as std::shared_ptr<const CompiledProgram> by
@@ -23,9 +23,8 @@
 // cache of the *installed image*: the core watches stores into the text
 // range, marks the artifact stale, and falls back to the word-at-a-time
 // interpreter until the next full reset() re-images the text. Undecodable
-// words predecode to a trapping op (kDecoded clear), never undefined
-// behavior -- executing one raises Trap::DecodeFault exactly as the
-// interpreter would.
+// words never enter a superblock, so the per-op step() reaches them and
+// raises Trap::DecodeFault exactly as the interpreter would.
 //
 // Superblock formation (docs/EXECUTION.md): from each basic-block leader
 // the compile pass walks the statically predicted path -- fall-through
@@ -59,16 +58,11 @@ namespace sdmmon::np {
 
 class CompiledProgram {
  public:
-  /// One predecoded text word, indexed by (pc - text_base) / 4.
+  /// One text word, indexed by (pc - text_base) / 4.
   struct PreOp {
-    isa::Instr instr;        // valid iff flags & kDecoded
     std::uint32_t word = 0;  // raw encoding (what the monitor hashes)
     std::uint8_t mhash = 0;  // precomputed monitor hash of `word`
-    std::uint8_t flags = 0;
   };
-
-  /// PreOp::flags bits.
-  static constexpr std::uint8_t kDecoded = 0x01;  // instr is valid
 
   /// One op of a superblock. Unlike PreOp, superblock ops are not indexed
   /// by pc -- their pcs jump across blocks and may repeat (loop
@@ -97,9 +91,9 @@ class CompiledProgram {
     std::uint32_t len = 0;
   };
 
-  /// Decode every text word once, precompute its monitor hash under
-  /// `hash` (the parameterized unit installed with the program), and form
-  /// the superblocks. Block leaders come from
+  /// Precompute every text word's monitor hash under `hash` (the
+  /// parameterized unit installed with the program), decode the text
+  /// once, and form the superblocks. Block leaders come from
   /// monitor::analysis::find_basic_blocks, so superblock formation and
   /// the monitoring graph agree on block extents. Never throws on
   /// strange text -- the artifact is total over the installed image.
@@ -120,7 +114,7 @@ class CompiledProgram {
   int hash_width() const { return hash_width_; }
   const std::string& hash_name() const { return hash_name_; }
 
-  /// Raw op array for the core's per-op path.
+  /// Raw word/hash array, indexed like the text.
   const PreOp* ops_data() const { return ops_.data(); }
 
   /// The superblock anchored at `pc` (len == 0 when none: pc outside the

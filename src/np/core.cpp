@@ -165,22 +165,6 @@ StepInfo Core::step() {
     return finish(info, StepEvent::PacketDone);
   }
 
-  if (live_ != nullptr) {
-    // Compiled tier: the installed text image is clean, so the fetch is
-    // an indexed read of a predecoded op -- no memory-region walk, no
-    // decode. pcs outside the artifact (runtime-materialized code,
-    // data-region jumps) fall through to the interpreter below.
-    const std::uint32_t off = pc_ - text_base_;
-    if (off < text_bytes_ && (off & 3u) == 0) {
-      const CompiledProgram::PreOp& op = live_->ops_data()[off >> 2];
-      info.word = op.word;
-      if (!(op.flags & CompiledProgram::kDecoded)) {
-        return finish(info, StepEvent::Trapped, Trap::DecodeFault);
-      }
-      return exec(op.instr, info);
-    }
-  }
-
   auto word = mem_.load32(pc_);
   if (!word) {
     return finish(info, StepEvent::Trapped, Trap::FetchFault);

@@ -69,8 +69,8 @@ class Core {
   void load_program(const isa::Program& program);
 
   /// Load a program together with its install-time compiled artifact.
-  /// Under the Compiled tier step()/run() execute out of the shared
-  /// immutable artifact while the in-memory text still matches the
+  /// Under the Compiled tier run() dispatches superblocks out of the
+  /// shared immutable artifact while the in-memory text still matches the
   /// installed image. Throws std::invalid_argument if the artifact was
   /// not compiled from `program` (base/size mismatch) -- staging
   /// validation upstream makes this unreachable on install paths.
@@ -90,8 +90,9 @@ class Core {
   /// Place a packet in the receive buffer (truncated to the buffer size).
   void deliver_packet(std::span<const std::uint8_t> packet);
 
-  /// Execute one instruction. After a terminal event (PacketDone/PacketOut/
-  /// Halted/Trapped) the core refuses to step until reset().
+  /// Execute one instruction, fetched from memory and decoded on either
+  /// tier. After a terminal event (PacketDone/PacketOut/Halted/Trapped)
+  /// the core refuses to step until reset().
   StepInfo step();
 
   /// Run until a terminal event or `max_steps`; returns the last StepInfo.
@@ -141,9 +142,9 @@ class Core {
   }
   Tier tier() const { return tier_; }
 
-  /// True while step()/run() actually execute out of the artifact: one is
-  /// attached, the tier is Compiled, and no store has dirtied the text
-  /// image since the last full reset()/load_program().
+  /// True while run() actually dispatches superblocks out of the
+  /// artifact: one is attached, the tier is Compiled, and no store has
+  /// dirtied the text image since the last full reset()/load_program().
   bool compiled_live() const { return live_ != nullptr; }
 
   /// Precomputed monitor hash of the op at `pc` while the compiled tier is

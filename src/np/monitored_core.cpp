@@ -23,20 +23,21 @@ void MonitoredCore::install(const isa::Program& program,
                             std::shared_ptr<const monitor::CompiledGraph> graph,
                             std::shared_ptr<const CompiledProgram> code,
                             std::unique_ptr<monitor::InstructionHash> hash) {
-  if (code != nullptr) {
-    // The hash parameter is secret (it never leaves the unit), so artifact
-    // provenance cannot be checked by name: spot-check sampled precomputed
-    // hashes against the unit being installed instead. Bounded at 16
-    // samples to keep the quarantine re-image path a cheap pointer swap.
-    const std::size_t n = code->num_ops();
-    const std::size_t samples = std::min<std::size_t>(n, 16);
-    for (std::size_t s = 0; s < samples; ++s) {
-      const CompiledProgram::PreOp& op = code->ops_data()[s * n / samples];
-      if (op.mhash != hash->hash(op.word)) {
-        throw std::invalid_argument(
-            "CompiledProgram hashes were not computed under the installed "
-            "hash unit");
-      }
+  if (code == nullptr) {
+    throw std::invalid_argument("MonitoredCore: null CompiledProgram");
+  }
+  // The hash parameter is secret (it never leaves the unit), so artifact
+  // provenance cannot be checked by name: spot-check sampled precomputed
+  // hashes against the unit being installed instead. Bounded at 16
+  // samples to keep the quarantine re-image path a cheap pointer swap.
+  const std::size_t n = code->num_ops();
+  const std::size_t samples = std::min<std::size_t>(n, 16);
+  for (std::size_t s = 0; s < samples; ++s) {
+    const CompiledProgram::PreOp& op = code->ops_data()[s * n / samples];
+    if (op.mhash != hash->hash(op.word)) {
+      throw std::invalid_argument(
+          "CompiledProgram hashes were not computed under the installed "
+          "hash unit");
     }
   }
   core_.load_program(program, std::move(code));

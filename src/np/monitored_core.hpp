@@ -91,8 +91,8 @@ class MonitoredCore {
   /// pointers, and a quarantine re-image from LastGoodConfig is a pair of
   /// pointer swaps. The hash unit's parameter is part of `hash`; `code`
   /// carries that hash's precomputed per-instruction values, so the
-  /// monitor check becomes on_hashed(byte load). `code` may be null
-  /// (word-at-a-time interpretation, no precomputed hashes).
+  /// monitor check becomes on_hashed(byte load). Throws
+  /// std::invalid_argument when `code` is null.
   void install(const isa::Program& program,
                std::shared_ptr<const monitor::CompiledGraph> graph,
                std::shared_ptr<const CompiledProgram> code,

@@ -113,13 +113,6 @@ void EngineObs::note_predecoded(const CompiledProgram& code) {
   trace_ops->set(static_cast<std::int64_t>(code.num_trace_ops()));
 }
 
-Mpsoc::Mpsoc(std::size_t num_cores, DispatchPolicy policy,
-             RecoveryConfig recovery)
-    : cores_(num_cores),
-      last_good_(num_cores),
-      policy_(policy),
-      recovery_(num_cores, recovery) {}
-
 InstallArtifacts validate_install_config(const isa::Program& program,
                                          const monitor::MonitoringGraph& graph,
                                          const monitor::InstructionHash& hash) {
@@ -139,22 +132,38 @@ void validate_install_config(const isa::Program& program,
                              const monitor::InstructionHash& hash) {
   // The scratch install exercises exactly what the real one will:
   // load_program's memory-map fit and artifact/program match checks plus
-  // the artifact/hash spot-check in MonitoredCore::install.
+  // MonitoredCore::install's null-artifact and artifact/hash spot-checks.
   MonitoredCore probe;
   probe.install(program, artifacts.graph, artifacts.code, hash.clone());
 }
 
-void Mpsoc::enable_obs(obs::Registry& registry, std::uint32_t device_id,
-                       std::uint32_t sample_period) {
+// ---------------------------------------------------------------------
+// CoreArray: installs, recovery re-image, admin transitions, stats
+// ---------------------------------------------------------------------
+
+CoreArray::CoreArray(std::size_t num_cores, DispatchPolicy policy,
+                     RecoveryConfig recovery, bool parallel)
+    : cores_(num_cores),
+      policy_(policy),
+      recovery_(num_cores, recovery),
+      last_good_(num_cores),
+      parallel_(parallel) {}
+
+CoreArray::~CoreArray() { delete obs_.load(std::memory_order_relaxed); }
+
+void CoreArray::enable_obs(obs::Registry& registry, std::uint32_t device_id,
+                           std::uint32_t sample_period) {
 #if SDMMON_OBS_ENABLED
+  quiesce();  // no worker may be touching core state
   registry.set_sample_period(sample_period);
-  obs_ = EngineObs::create(registry, cores_.size(), device_id,
-                           /*parallel=*/false);
+  std::unique_ptr<EngineObs> obs =
+      EngineObs::create(registry, cores_.size(), device_id, parallel_);
   for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c].attach_obs(&obs_->cores[c]);
+    cores_[c].attach_obs(&obs->cores[c]);
   }
-  obs_->healthy_cores->set(
+  obs->healthy_cores->set(
       static_cast<std::int64_t>(recovery_.healthy_cores()));
+  delete obs_.exchange(obs.release(), std::memory_order_acq_rel);
 #else
   (void)registry;
   (void)device_id;
@@ -162,122 +171,131 @@ void Mpsoc::enable_obs(obs::Registry& registry, std::uint32_t device_id,
 #endif
 }
 
-void Mpsoc::install_all(const isa::Program& program,
-                        const monitor::MonitoringGraph& graph,
-                        const monitor::InstructionHash& hash) {
+InstallArtifacts CoreArray::compile_artifacts(
+    const isa::Program& program, monitor::MonitoringGraph graph,
+    const monitor::InstructionHash& hash) {
+#if SDMMON_OBS_ENABLED
+  EngineObs* obs = engine_obs();
+#endif
   InstallArtifacts artifacts;
   {
 #if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs_ ? obs_->graph_compile_ns : nullptr);
+    obs::ScopedTimerNs timer(obs ? obs->graph_compile_ns : nullptr);
 #endif
-    artifacts.graph = monitor::CompiledGraph::compile(graph);
+    artifacts.graph = monitor::CompiledGraph::compile(std::move(graph));
   }
   {
 #if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs_ ? obs_->predecode_ns : nullptr);
+    obs::ScopedTimerNs timer(obs ? obs->predecode_ns : nullptr);
 #endif
     artifacts.code = CompiledProgram::compile(program, hash);
   }
-  validate_install_config(program, artifacts, hash);
-  install_all(program, std::move(artifacts), hash);
+  return artifacts;
 }
 
-void Mpsoc::install_all(const isa::Program& program,
-                        std::shared_ptr<const monitor::CompiledGraph> graph,
-                        const monitor::InstructionHash& hash) {
-  InstallArtifacts artifacts{std::move(graph), nullptr};
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs_ ? obs_->predecode_ns : nullptr);
-#endif
-    artifacts.code = CompiledProgram::compile(program, hash);
-  }
-  install_all(program, std::move(artifacts), hash);
+void CoreArray::install_all(const isa::Program& program,
+                            const monitor::MonitoringGraph& graph,
+                            const monitor::InstructionHash& hash) {
+  install_all(program, compile_artifacts(program, graph, hash), hash);
 }
 
-void Mpsoc::install_all(const isa::Program& program,
-                        InstallArtifacts artifacts,
-                        const monitor::InstructionHash& hash) {
+void CoreArray::install_all(const isa::Program& program,
+                            InstallArtifacts artifacts,
+                            const monitor::InstructionHash& hash) {
+  quiesce();
   validate_install_config(program, artifacts, hash);
   for (std::size_t c = 0; c < cores_.size(); ++c) {
     cores_[c].install(program, artifacts.graph, artifacts.code,
                       hash.clone());
     last_good_[c] = LastGoodConfig{program, artifacts, hash.clone()};
   }
-#if SDMMON_OBS_ENABLED
-  if (obs_) {
-    obs_->installs->add(1);
-    obs_->note_compiled(*artifacts.graph);
-    if (artifacts.code) obs_->note_predecoded(*artifacts.code);
-    obs_->journal->record({obs::EventKind::Install,
-                           obs_->dispatched->value(), obs::kAllCores,
-                           obs_->device_id, program.text.size()});
-  }
-#endif
+  note_install(obs::kAllCores, program, artifacts);
 }
 
-void Mpsoc::install(std::size_t core_index, const isa::Program& program,
-                    monitor::MonitoringGraph graph,
-                    std::unique_ptr<monitor::InstructionHash> hash) {
-  InstallArtifacts artifacts;
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs_ ? obs_->graph_compile_ns : nullptr);
-#endif
-    artifacts.graph = monitor::CompiledGraph::compile(std::move(graph));
-  }
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs_ ? obs_->predecode_ns : nullptr);
-#endif
-    artifacts.code = CompiledProgram::compile(program, *hash);
-  }
+void CoreArray::install(std::size_t core_index, const isa::Program& program,
+                        monitor::MonitoringGraph graph,
+                        std::unique_ptr<monitor::InstructionHash> hash) {
+  InstallArtifacts artifacts =
+      compile_artifacts(program, std::move(graph), *hash);
   install(core_index, program, std::move(artifacts), std::move(hash));
 }
 
-void Mpsoc::install(std::size_t core_index, const isa::Program& program,
-                    std::shared_ptr<const monitor::CompiledGraph> graph,
-                    std::unique_ptr<monitor::InstructionHash> hash) {
-  InstallArtifacts artifacts{std::move(graph), nullptr};
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs_ ? obs_->predecode_ns : nullptr);
-#endif
-    artifacts.code = CompiledProgram::compile(program, *hash);
-  }
-  install(core_index, program, std::move(artifacts), std::move(hash));
-}
-
-void Mpsoc::install(std::size_t core_index, const isa::Program& program,
-                    InstallArtifacts artifacts,
-                    std::unique_ptr<monitor::InstructionHash> hash) {
+void CoreArray::install(std::size_t core_index, const isa::Program& program,
+                        InstallArtifacts artifacts,
+                        std::unique_ptr<monitor::InstructionHash> hash) {
+  quiesce();
   validate_install_config(program, artifacts, *hash);
   last_good_.at(core_index) =
       LastGoodConfig{program, artifacts, hash->clone()};
-  cores_.at(core_index).install(program, std::move(artifacts.graph),
-                                std::move(artifacts.code), std::move(hash));
+  cores_.at(core_index).install(program, artifacts.graph, artifacts.code,
+                                std::move(hash));
+  note_install(static_cast<std::uint32_t>(core_index), program, artifacts);
+}
+
+void CoreArray::note_install(std::uint32_t core, const isa::Program& program,
+                             const InstallArtifacts& artifacts) {
 #if SDMMON_OBS_ENABLED
-  if (obs_) {
-    obs_->installs->add(1);
-    obs_->note_compiled(*cores_[core_index].monitor().compiled());
-    if (const auto& code = cores_[core_index].core().compiled_program()) {
-      obs_->note_predecoded(*code);
-    }
-    obs_->journal->record({obs::EventKind::Install,
-                           obs_->dispatched->value(),
-                           static_cast<std::uint32_t>(core_index),
-                           obs_->device_id, program.text.size()});
+  if (EngineObs* obs = engine_obs()) {
+    obs->installs->add(1);
+    obs->note_compiled(*artifacts.graph);
+    obs->note_predecoded(*artifacts.code);
+    obs->journal->record({obs::EventKind::Install, obs->dispatched->value(),
+                          core, obs->device_id, program.text.size()});
+  }
+#else
+  (void)core;
+  (void)program;
+  (void)artifacts;
+#endif
+}
+
+void CoreArray::reinstall_core(std::size_t index) {
+  const std::optional<LastGoodConfig>& good = last_good_[index];
+  if (!good) return;  // nothing to re-image from; policy degrades to reset
+#if SDMMON_OBS_ENABLED
+  EngineObs* obs = engine_obs();
+#endif
+  {
+#if SDMMON_OBS_ENABLED
+    obs::ScopedTimerNs timer(obs ? obs->reinstall_ns : nullptr);
+#endif
+    cores_[index].install(good->program, good->artifacts.graph,
+                          good->artifacts.code, good->hash->clone());
+  }
+  recovery_.note_reinstall(index);
+  ++reinstalls_;
+#if SDMMON_OBS_ENABLED
+  if (obs) {
+    obs->reinstalls->add(1);
+    obs->journal->record({obs::EventKind::Reinstall,
+                          obs->dispatched->value(),
+                          static_cast<std::uint32_t>(index), obs->device_id,
+                          0});
   }
 #endif
 }
 
-void Mpsoc::note_admin_transition(std::size_t index, obs::EventKind kind) {
+void CoreArray::set_core_offline(std::size_t index, bool offline) {
+  quiesce();
+  recovery_.set_offline(index, offline);
+  note_admin_transition(index, offline ? obs::EventKind::Offline
+                                       : obs::EventKind::Online);
+}
+
+void CoreArray::release_core(std::size_t index) {
+  quiesce();
+  recovery_.release(index);
+  note_admin_transition(index, obs::EventKind::Release);
+}
+
+void CoreArray::note_admin_transition(std::size_t index,
+                                      obs::EventKind kind) {
 #if SDMMON_OBS_ENABLED
-  if (obs_) {
-    obs_->journal->record({kind, obs_->dispatched->value(),
-                           static_cast<std::uint32_t>(index),
-                           obs_->device_id, 0});
-    obs_->healthy_cores->set(
+  if (EngineObs* obs = engine_obs()) {
+    obs->journal->record({kind, obs->dispatched->value(),
+                          static_cast<std::uint32_t>(index), obs->device_id,
+                          0});
+    obs->healthy_cores->set(
         static_cast<std::int64_t>(recovery_.healthy_cores()));
   }
 #else
@@ -286,7 +304,7 @@ void Mpsoc::note_admin_transition(std::size_t index, obs::EventKind kind) {
 #endif
 }
 
-std::vector<std::size_t> Mpsoc::active_cores() const {
+std::vector<std::size_t> CoreArray::active_cores() const {
   std::vector<std::size_t> active;
   active.reserve(cores_.size());
   for (std::size_t c = 0; c < cores_.size(); ++c) {
@@ -295,75 +313,7 @@ std::vector<std::size_t> Mpsoc::active_cores() const {
   return active;
 }
 
-std::size_t Mpsoc::pick_core(const std::vector<std::size_t>& active,
-                             std::uint32_t flow_key) {
-  return pick_dispatch_core(policy_, active, flow_key, next_,
-                            [this](std::size_t core) {
-                              return cores_[core].stats().instructions;
-                            });
-}
-
-void Mpsoc::reinstall_core(std::size_t index) {
-  const std::optional<LastGoodConfig>& good = last_good_[index];
-  if (!good) return;  // nothing to re-image from; policy degrades to reset
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs_ ? obs_->reinstall_ns : nullptr);
-#endif
-    cores_[index].install(good->program, good->artifacts.graph,
-                          good->artifacts.code, good->hash->clone());
-  }
-  recovery_.note_reinstall(index);
-  ++reinstalls_;
-#if SDMMON_OBS_ENABLED
-  if (obs_) {
-    obs_->reinstalls->add(1);
-    obs_->journal->record({obs::EventKind::Reinstall,
-                           obs_->dispatched->value(),
-                           static_cast<std::uint32_t>(index),
-                           obs_->device_id, 0});
-  }
-#endif
-}
-
-PacketResult Mpsoc::process_packet(std::span<const std::uint8_t> packet,
-                                   std::uint32_t flow_key) {
-  std::vector<std::size_t> active = active_cores();
-  if (active.empty()) {
-    // Fully degraded (or nothing installed yet): drop, never crash.
-    ++undispatched_;
-#if SDMMON_OBS_ENABLED
-    if (obs_) obs_->undispatched->add(1);
-#endif
-    PacketResult result;
-    result.outcome = PacketOutcome::Dropped;
-    return result;
-  }
-  std::size_t index = pick_core(active, flow_key);
-  PacketResult result = cores_[index].process_packet(packet);
-  const RecoveryAction action = recovery_.on_outcome(index, result.outcome);
-#if SDMMON_OBS_ENABLED
-  if (obs_) {
-    obs_->dispatched->add(1);
-    obs_->record_outcome(obs_->dispatched->value(), index, result, action,
-                         recovery_.window_violations(index), recovery_);
-  }
-#endif
-  switch (action) {
-    case RecoveryAction::None:
-      break;
-    case RecoveryAction::Reinstall:
-      reinstall_core(index);
-      break;
-    case RecoveryAction::Quarantine:
-      // Controller already moved the core out of the dispatch set; the
-      // next packet's active_cores() no longer contains it.
-      break;
-  }
-  return result;
-}
-
-MpsocStats Mpsoc::aggregate_stats() const {
+MpsocStats CoreArray::aggregate_stats() const {
   MpsocStats sum;
   for (std::size_t c = 0; c < cores_.size(); ++c) {
     const CoreStats& s = cores_[c].stats();
@@ -395,6 +345,56 @@ MpsocStats Mpsoc::aggregate_stats() const {
   sum.quarantine_events = recovery_.quarantine_events();
   sum.reinstalls = reinstalls_;
   return sum;
+}
+
+// ---------------------------------------------------------------------
+// Mpsoc: the serial packet path
+// ---------------------------------------------------------------------
+
+Mpsoc::Mpsoc(std::size_t num_cores, DispatchPolicy policy,
+             RecoveryConfig recovery)
+    : CoreArray(num_cores, policy, recovery, /*parallel=*/false) {}
+
+std::size_t Mpsoc::pick_core(const std::vector<std::size_t>& active,
+                             std::uint32_t flow_key) {
+  return pick_dispatch_core(policy_, active, flow_key, next_,
+                            [this](std::size_t core) {
+                              return cores_[core].stats().instructions;
+                            });
+}
+
+PacketResult Mpsoc::process_packet(std::span<const std::uint8_t> packet,
+                                   std::uint32_t flow_key) {
+  std::vector<std::size_t> active = active_cores();
+  if (active.empty()) {
+    // Fully degraded (or nothing installed yet): drop, never crash.
+    note_undispatched();
+    PacketResult result;
+    result.outcome = PacketOutcome::Dropped;
+    return result;
+  }
+  std::size_t index = pick_core(active, flow_key);
+  PacketResult result = cores_[index].process_packet(packet);
+  const RecoveryAction action = recovery_.on_outcome(index, result.outcome);
+#if SDMMON_OBS_ENABLED
+  if (EngineObs* obs = engine_obs()) {
+    obs->dispatched->add(1);
+    obs->record_outcome(obs->dispatched->value(), index, result, action,
+                        recovery_.window_violations(index), recovery_);
+  }
+#endif
+  switch (action) {
+    case RecoveryAction::None:
+      break;
+    case RecoveryAction::Reinstall:
+      reinstall_core(index);
+      break;
+    case RecoveryAction::Quarantine:
+      // Controller already moved the core out of the dispatch set; the
+      // next packet's active_cores() no longer contains it.
+      break;
+  }
+  return result;
 }
 
 }  // namespace sdmmon::np

@@ -11,6 +11,7 @@
 #ifndef SDMMON_NP_MPSOC_HPP
 #define SDMMON_NP_MPSOC_HPP
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -26,8 +27,7 @@ namespace sdmmon::np {
 /// (binary, graph, hash-parameter) package: the compiled monitoring
 /// graph and the predecoded program. Compiled exactly once per install
 /// and shared as pointers through every layer (cores, recovery
-/// snapshots, the device application store). `code` may be null for
-/// callers that deliberately interpret word-at-a-time.
+/// snapshots, the device application store). Both must be non-null.
 struct InstallArtifacts {
   std::shared_ptr<const monitor::CompiledGraph> graph;
   std::shared_ptr<const CompiledProgram> code;
@@ -62,6 +62,7 @@ InstallArtifacts validate_install_config(const isa::Program& program,
 /// Same staging checks against already-compiled artifacts (fast switches
 /// and re-installs of authenticated applications). Also spot-checks that
 /// the predecoded hashes match `hash` (see MonitoredCore::install).
+/// Throws std::invalid_argument when either artifact is null.
 void validate_install_config(const isa::Program& program,
                              const InstallArtifacts& artifacts,
                              const monitor::InstructionHash& hash);
@@ -150,22 +151,35 @@ struct EngineObs {
   void note_predecoded(const CompiledProgram& code);
 };
 
-class Mpsoc {
+/// Everything of an MPSoC that is not the packet path, shared by the
+/// serial `Mpsoc` and the `ParallelMpsoc`: the monitored cores, their
+/// last-good configurations, the dispatch policy, the RecoveryController,
+/// the observability handles, and the undispatched/reinstall tallies.
+/// Transactional install, last-good re-image, administrative drain and
+/// release, and the aggregate view are written here once, so the two
+/// engines cannot drift on policy. Each mutating operation first calls
+/// quiesce() -- a no-op on the serial engine, flush() on the parallel one
+/// -- so it always lands on a packet boundary. Of this class, the packet
+/// paths use only active_cores(), engine_obs(), note_undispatched() and
+/// reinstall_core() (on a recovery action); none is virtual.
+class CoreArray {
  public:
-  explicit Mpsoc(std::size_t num_cores,
-                 DispatchPolicy policy = DispatchPolicy::RoundRobin,
-                 RecoveryConfig recovery = {});
+  virtual ~CoreArray();
+  CoreArray(const CoreArray&) = delete;
+  CoreArray& operator=(const CoreArray&) = delete;
 
   std::size_t num_cores() const { return cores_.size(); }
   MonitoredCore& core(std::size_t index) { return cores_[index]; }
   const MonitoredCore& core(std::size_t index) const { return cores_[index]; }
+  DispatchPolicy policy() const { return policy_; }
 
   /// Install the same configuration on every core (cloning the hash unit).
   /// Transactional: the configuration is validated on a scratch core
   /// first, so a bad program/graph throws *before* any real core is
   /// touched and the previous configuration keeps running everywhere.
-  /// The wire-format graph is compiled exactly once; all cores (and the
-  /// LastGoodConfig recovery snapshots) share the one immutable artifact.
+  /// The wire-format graph is compiled and the text predecoded exactly
+  /// once; all cores (and the LastGoodConfig recovery snapshots) share
+  /// the immutable artifacts.
   void install_all(const isa::Program& program,
                    const monitor::MonitoringGraph& graph,
                    const monitor::InstructionHash& hash);
@@ -174,12 +188,6 @@ class Mpsoc {
   /// path for applications authenticated and compiled earlier (device
   /// application store): no graph copy, no recompilation, no re-decode.
   void install_all(const isa::Program& program, InstallArtifacts artifacts,
-                   const monitor::InstructionHash& hash);
-
-  /// Back-compat fast path holding only the compiled graph: the program
-  /// is predecoded here (once, shared across all cores).
-  void install_all(const isa::Program& program,
-                   std::shared_ptr<const monitor::CompiledGraph> graph,
                    const monitor::InstructionHash& hash);
 
   /// Install on one core only (heterogeneous workload mapping). Validated
@@ -194,19 +202,8 @@ class Mpsoc {
                InstallArtifacts artifacts,
                std::unique_ptr<monitor::InstructionHash> hash);
 
-  /// Back-compat per-core fast switch (predecodes here).
-  void install(std::size_t core_index, const isa::Program& program,
-               std::shared_ptr<const monitor::CompiledGraph> graph,
-               std::unique_ptr<monitor::InstructionHash> hash);
-
-  /// Dispatch a packet to a core per the policy; `flow_key` feeds the
-  /// FlowHash policy (ignored for RoundRobin). Quarantined, offline, and
-  /// uninstalled cores are routed around; when no core is dispatchable
-  /// the packet is dropped (and counted in `undispatched`).
-  PacketResult process_packet(std::span<const std::uint8_t> packet,
-                              std::uint32_t flow_key = 0);
-
-  /// Aggregate counters + health over all cores.
+  /// Aggregate counters + health over all cores (on the parallel engine:
+  /// quiescent only).
   MpsocStats aggregate_stats() const;
 
   RecoveryController& recovery() { return recovery_; }
@@ -215,17 +212,9 @@ class Mpsoc {
     return recovery_.health(index);
   }
   /// Administrative drain / restore of one core.
-  void set_core_offline(std::size_t index, bool offline) {
-    recovery_.set_offline(index, offline);
-    note_admin_transition(index,
-                          offline ? obs::EventKind::Offline
-                                  : obs::EventKind::Online);
-  }
+  void set_core_offline(std::size_t index, bool offline);
   /// Operator releases a quarantined core back into the dispatch set.
-  void release_core(std::size_t index) {
-    recovery_.release(index);
-    note_admin_transition(index, obs::EventKind::Release);
-  }
+  void release_core(std::size_t index);
 
   /// True if `index` would currently receive traffic.
   bool core_dispatchable(std::size_t index) const {
@@ -236,27 +225,80 @@ class Mpsoc {
   /// `registry` and start journaling recovery events. `device_id` tags
   /// journal events when several engines share one registry;
   /// `sample_period` thins per-core histograms (counters stay exact).
-  /// No-op (and near-zero packet-path cost) when SDMMON_OBS=OFF.
+  /// The parallel engine also registers its shard, epoch and rollback
+  /// metrics. No-op (and near-zero packet-path cost) when SDMMON_OBS=OFF.
   void enable_obs(obs::Registry& registry, std::uint32_t device_id = 0,
                   std::uint32_t sample_period = 1);
 
- private:
-  void note_admin_transition(std::size_t index, obs::EventKind kind);
+ protected:
+  /// `parallel` selects the parallel engine's extra metrics in
+  /// enable_obs().
+  CoreArray(std::size_t num_cores, DispatchPolicy policy,
+            RecoveryConfig recovery, bool parallel);
+
+  /// Bring the engine to a packet boundary before core state changes.
+  virtual void quiesce() {}
 
   /// Dispatchable core indices in ascending order (empty = degraded out).
   std::vector<std::size_t> active_cores() const;
-  std::size_t pick_core(const std::vector<std::size_t>& active,
-                        std::uint32_t flow_key);
+  /// Re-image core `index` from its last-good configuration
+  /// (RecoveryAction::Reinstall); no-op when it has none.
   void reinstall_core(std::size_t index);
+  /// Count one packet dropped because no core was dispatchable.
+  void note_undispatched() {
+    ++undispatched_;
+#if SDMMON_OBS_ENABLED
+    if (EngineObs* obs = engine_obs()) obs->undispatched->add(1);
+#endif
+  }
+  /// The attached observability handles (null until enable_obs()). Safe
+  /// to read from worker threads: enable_obs() publishes with release.
+  EngineObs* engine_obs() const {
+    return obs_.load(std::memory_order_acquire);
+  }
 
   std::vector<MonitoredCore> cores_;
-  std::vector<std::optional<LastGoodConfig>> last_good_;
   DispatchPolicy policy_;
   RecoveryController recovery_;
-  std::size_t next_ = 0;
+
+ private:
+  /// Compile the wire-format graph and predecode the text, each under its
+  /// install-path obs timer.
+  InstallArtifacts compile_artifacts(const isa::Program& program,
+                                     monitor::MonitoringGraph graph,
+                                     const monitor::InstructionHash& hash);
+  void note_install(std::uint32_t core, const isa::Program& program,
+                    const InstallArtifacts& artifacts);
+  void note_admin_transition(std::size_t index, obs::EventKind kind);
+
+  std::vector<std::optional<LastGoodConfig>> last_good_;
+  bool parallel_;
   std::uint64_t undispatched_ = 0;
   std::uint64_t reinstalls_ = 0;
-  std::unique_ptr<EngineObs> obs_;
+  /// Owned; replaced only by enable_obs(), after quiesce().
+  std::atomic<EngineObs*> obs_{nullptr};
+};
+
+/// The serial engine: one packet at a time on the caller's thread. It is
+/// the oracle the parallel engine is checked against.
+class Mpsoc : public CoreArray {
+ public:
+  explicit Mpsoc(std::size_t num_cores,
+                 DispatchPolicy policy = DispatchPolicy::RoundRobin,
+                 RecoveryConfig recovery = {});
+
+  /// Dispatch a packet to a core per the policy; `flow_key` feeds the
+  /// FlowHash policy (ignored for RoundRobin). Quarantined, offline, and
+  /// uninstalled cores are routed around; when no core is dispatchable
+  /// the packet is dropped (and counted in `undispatched`).
+  PacketResult process_packet(std::span<const std::uint8_t> packet,
+                              std::uint32_t flow_key = 0);
+
+ private:
+  std::size_t pick_core(const std::vector<std::size_t>& active,
+                        std::uint32_t flow_key);
+
+  std::size_t next_ = 0;
 };
 
 }  // namespace sdmmon::np

@@ -11,13 +11,9 @@ using util::Backoff;
 
 ParallelMpsoc::ParallelMpsoc(std::size_t num_cores, DispatchPolicy policy,
                              RecoveryConfig recovery, ParallelConfig parallel)
-    : cores_(num_cores),
-      last_good_(num_cores),
-      policy_(policy),
-      recovery_(num_cores, recovery),
+    : CoreArray(num_cores, policy, recovery, /*parallel=*/true),
       config_(parallel) {
   config_.batch_size = std::max<std::size_t>(config_.batch_size, 1);
-  config_.ingest_depth = std::max<std::size_t>(config_.ingest_depth, 1);
   capture_spec_ =
       recovery_.config().policy != RecoveryPolicy::ResetAndContinue;
   rob_size_ = config_.batch_size;
@@ -40,11 +36,8 @@ ParallelMpsoc::ParallelMpsoc(std::size_t num_cores, DispatchPolicy policy,
   deques_.reserve(workers);
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    // A shard's ring must hold every in-flight packet (epoch re-plans can
-    // land the whole window on one shard); the ingest_depth headroom
-    // keeps the planner's push wait-free in practice.
     deques_.push_back(std::make_unique<util::StealingDeque<std::uint64_t>>(
-        rob_size_ * config_.ingest_depth + 1));
+        rob_size_ * kRingHeadroom + 1));
   }
   for (std::size_t w = 0; w < workers; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -92,7 +85,7 @@ bool ParallelMpsoc::pop_work(std::size_t worker, std::uint64_t& seq) {
   for (std::size_t i = 1; i < shards; ++i) {
     if (deques_[(worker + i) % shards]->try_pop(seq)) {
 #if SDMMON_OBS_ENABLED
-      if (EngineObs* obs = eobs()) obs->shard_steals->add(1);
+      if (EngineObs* obs = engine_obs()) obs->shard_steals->add(1);
 #endif
       return true;
     }
@@ -175,14 +168,8 @@ void ParallelMpsoc::fold_locked() {
 }
 
 void ParallelMpsoc::fold_slot(Slot& slot) {
-#if SDMMON_OBS_ENABLED
-  EngineObs* obs = eobs();
-#endif
   if (slot.core == kUndispatched) {
-    ++undispatched_;
-#if SDMMON_OBS_ENABLED
-    if (obs) obs->undispatched->add(1);
-#endif
+    note_undispatched();
   } else {
     cores_[slot.core].commit_result(slot.result);
     committed_instr_[slot.core].fetch_add(slot.result.instructions,
@@ -194,7 +181,7 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
 #if SDMMON_OBS_ENABLED
     // Same call order as the serial engine's process_packet, so the
     // deterministic journal prefix and counters match bit-for-bit.
-    if (obs) {
+    if (EngineObs* obs = engine_obs()) {
       obs->dispatched->add(1);
       obs->record_outcome(obs->dispatched->value(), slot.core, slot.result,
                           slot.action, slot.window_violations, recovery_);
@@ -217,15 +204,6 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
 // ---------------------------------------------------------------------
 // Planning: inline in the submitting thread, one packet at a time
 // ---------------------------------------------------------------------
-
-std::vector<std::size_t> ParallelMpsoc::active_cores() const {
-  std::vector<std::size_t> active;
-  active.reserve(cores_.size());
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    if (core_dispatchable(c)) active.push_back(c);
-  }
-  return active;
-}
 
 bool ParallelMpsoc::plan_dispatch(Slot& slot) {
   slot.action = RecoveryAction::None;
@@ -298,7 +276,7 @@ void ParallelMpsoc::plan_one(const Packet* borrowed, Packet&& owned,
     util::StealingDeque<std::uint64_t>& deque = *deques_[shard_of(slot.core)];
     deque.push(seq);
 #if SDMMON_OBS_ENABLED
-    if (EngineObs* obs = eobs()) {
+    if (EngineObs* obs = engine_obs()) {
       obs->shard_queue_depth->record(deque.size_approx());
     }
 #endif
@@ -368,7 +346,7 @@ void ParallelMpsoc::run_epoch() {
   std::lock_guard<std::mutex> fold_lock(fold_mutex_);
   epochs_.fetch_add(1, std::memory_order_relaxed);
 #if SDMMON_OBS_ENABLED
-  if (EngineObs* obs = eobs()) obs->shard_epochs->add(1);
+  if (EngineObs* obs = engine_obs()) obs->shard_epochs->add(1);
 #endif
 
   const std::uint64_t fold_at = fold_next_.load(std::memory_order_relaxed);
@@ -461,7 +439,7 @@ void ParallelMpsoc::run_epoch() {
 
 #if SDMMON_OBS_ENABLED
   if (rolled > 0) {
-    if (EngineObs* obs = eobs()) {
+    if (EngineObs* obs = engine_obs()) {
       obs->rollbacks->add(1);
       obs->replayed_packets->add(rolled);
       obs->rollback_bytes->add(rolled_bytes);
@@ -496,242 +474,6 @@ void ParallelMpsoc::run_epoch() {
   }
 
   epoch_requested_.store(false, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------
-// Installs, admin transitions, observability (quiesce-then-operate)
-// ---------------------------------------------------------------------
-
-void ParallelMpsoc::enable_obs(obs::Registry& registry,
-                               std::uint32_t device_id,
-                               std::uint32_t sample_period) {
-#if SDMMON_OBS_ENABLED
-  flush();  // quiesce: no worker may be touching core state
-  registry.set_sample_period(sample_period);
-  obs_ = EngineObs::create(registry, cores_.size(), device_id,
-                           /*parallel=*/true);
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c].attach_obs(&obs_->cores[c]);
-  }
-  obs_->healthy_cores->set(
-      static_cast<std::int64_t>(recovery_.healthy_cores()));
-  obs_live_.store(obs_.get(), std::memory_order_release);
-#else
-  (void)registry;
-  (void)device_id;
-  (void)sample_period;
-#endif
-}
-
-void ParallelMpsoc::reinstall_core(std::size_t index) {
-  const std::optional<LastGoodConfig>& good = last_good_[index];
-  if (!good) return;  // nothing to re-image from; policy degrades to reset
-#if SDMMON_OBS_ENABLED
-  EngineObs* obs = eobs();
-#endif
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs ? obs->reinstall_ns : nullptr);
-#endif
-    cores_[index].install(good->program, good->artifacts.graph,
-                          good->artifacts.code, good->hash->clone());
-  }
-  recovery_.note_reinstall(index);
-  ++reinstalls_;
-#if SDMMON_OBS_ENABLED
-  if (obs) {
-    obs->reinstalls->add(1);
-    obs->journal->record({obs::EventKind::Reinstall,
-                          obs->dispatched->value(),
-                          static_cast<std::uint32_t>(index), obs->device_id,
-                          0});
-  }
-#endif
-}
-
-void ParallelMpsoc::install_all(const isa::Program& program,
-                                const monitor::MonitoringGraph& graph,
-                                const monitor::InstructionHash& hash) {
-  flush();
-#if SDMMON_OBS_ENABLED
-  EngineObs* obs = eobs();
-#endif
-  InstallArtifacts artifacts;
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs ? obs->graph_compile_ns : nullptr);
-#endif
-    artifacts.graph = monitor::CompiledGraph::compile(graph);
-  }
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs ? obs->predecode_ns : nullptr);
-#endif
-    artifacts.code = CompiledProgram::compile(program, hash);
-  }
-  validate_install_config(program, artifacts, hash);
-  install_all(program, std::move(artifacts), hash);
-}
-
-void ParallelMpsoc::install_all(
-    const isa::Program& program,
-    std::shared_ptr<const monitor::CompiledGraph> graph,
-    const monitor::InstructionHash& hash) {
-  InstallArtifacts artifacts{std::move(graph), nullptr};
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(eobs() ? eobs()->predecode_ns : nullptr);
-#endif
-    artifacts.code = CompiledProgram::compile(program, hash);
-  }
-  install_all(program, std::move(artifacts), hash);
-}
-
-void ParallelMpsoc::install_all(const isa::Program& program,
-                                InstallArtifacts artifacts,
-                                const monitor::InstructionHash& hash) {
-  flush();
-  validate_install_config(program, artifacts, hash);
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c].install(program, artifacts.graph, artifacts.code,
-                      hash.clone());
-    last_good_[c] = LastGoodConfig{program, artifacts, hash.clone()};
-  }
-#if SDMMON_OBS_ENABLED
-  if (EngineObs* obs = eobs()) {
-    obs->installs->add(1);
-    obs->note_compiled(*artifacts.graph);
-    if (artifacts.code) obs->note_predecoded(*artifacts.code);
-    obs->journal->record({obs::EventKind::Install, obs->dispatched->value(),
-                          obs::kAllCores, obs->device_id,
-                          program.text.size()});
-  }
-#endif
-}
-
-void ParallelMpsoc::install(std::size_t core_index,
-                            const isa::Program& program,
-                            monitor::MonitoringGraph graph,
-                            std::unique_ptr<monitor::InstructionHash> hash) {
-  flush();
-#if SDMMON_OBS_ENABLED
-  EngineObs* obs = eobs();
-#endif
-  InstallArtifacts artifacts;
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs ? obs->graph_compile_ns : nullptr);
-#endif
-    artifacts.graph = monitor::CompiledGraph::compile(std::move(graph));
-  }
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(obs ? obs->predecode_ns : nullptr);
-#endif
-    artifacts.code = CompiledProgram::compile(program, *hash);
-  }
-  install(core_index, program, std::move(artifacts), std::move(hash));
-}
-
-void ParallelMpsoc::install(std::size_t core_index,
-                            const isa::Program& program,
-                            std::shared_ptr<const monitor::CompiledGraph> graph,
-                            std::unique_ptr<monitor::InstructionHash> hash) {
-  InstallArtifacts artifacts{std::move(graph), nullptr};
-  {
-#if SDMMON_OBS_ENABLED
-    obs::ScopedTimerNs timer(eobs() ? eobs()->predecode_ns : nullptr);
-#endif
-    artifacts.code = CompiledProgram::compile(program, *hash);
-  }
-  install(core_index, program, std::move(artifacts), std::move(hash));
-}
-
-void ParallelMpsoc::install(std::size_t core_index,
-                            const isa::Program& program,
-                            InstallArtifacts artifacts,
-                            std::unique_ptr<monitor::InstructionHash> hash) {
-  flush();
-  validate_install_config(program, artifacts, *hash);
-  last_good_.at(core_index) =
-      LastGoodConfig{program, artifacts, hash->clone()};
-  cores_.at(core_index).install(program, std::move(artifacts.graph),
-                                std::move(artifacts.code), std::move(hash));
-#if SDMMON_OBS_ENABLED
-  if (EngineObs* obs = eobs()) {
-    obs->installs->add(1);
-    obs->note_compiled(*cores_[core_index].monitor().compiled());
-    if (const auto& code = cores_[core_index].core().compiled_program()) {
-      obs->note_predecoded(*code);
-    }
-    obs->journal->record({obs::EventKind::Install, obs->dispatched->value(),
-                          static_cast<std::uint32_t>(core_index),
-                          obs->device_id, program.text.size()});
-  }
-#endif
-}
-
-void ParallelMpsoc::note_admin_transition(std::size_t index,
-                                          obs::EventKind kind) {
-#if SDMMON_OBS_ENABLED
-  if (EngineObs* obs = eobs()) {
-    obs->journal->record({kind, obs->dispatched->value(),
-                          static_cast<std::uint32_t>(index), obs->device_id,
-                          0});
-    obs->healthy_cores->set(
-        static_cast<std::int64_t>(recovery_.healthy_cores()));
-  }
-#else
-  (void)index;
-  (void)kind;
-#endif
-}
-
-void ParallelMpsoc::set_core_offline(std::size_t index, bool offline) {
-  flush();
-  recovery_.set_offline(index, offline);
-  note_admin_transition(index, offline ? obs::EventKind::Offline
-                                       : obs::EventKind::Online);
-}
-
-void ParallelMpsoc::release_core(std::size_t index) {
-  flush();
-  recovery_.release(index);
-  note_admin_transition(index, obs::EventKind::Release);
-}
-
-MpsocStats ParallelMpsoc::aggregate_stats() const {
-  MpsocStats sum;
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    const CoreStats& s = cores_[c].stats();
-    sum.packets += s.packets;
-    sum.forwarded += s.forwarded;
-    sum.dropped += s.dropped;
-    sum.attacks_detected += s.attacks_detected;
-    sum.traps += s.traps;
-    sum.instructions += s.instructions;
-    switch (recovery_.health(c)) {
-      case CoreHealth::Healthy:
-        if (cores_[c].installed()) {
-          ++sum.healthy_cores;
-        } else {
-          ++sum.uninstalled_cores;
-        }
-        break;
-      case CoreHealth::Quarantined:
-        ++sum.quarantined_cores;
-        break;
-      case CoreHealth::Offline:
-        ++sum.offline_cores;
-        break;
-    }
-  }
-  sum.total_cores = cores_.size();
-  sum.undispatched = undispatched_;
-  sum.violations = recovery_.total_violations();
-  sum.quarantine_events = recovery_.quarantine_events();
-  sum.reinstalls = reinstalls_;
-  return sum;
 }
 
 }  // namespace sdmmon::np

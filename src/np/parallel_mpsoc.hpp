@@ -1,6 +1,9 @@
-// Parallel MPSoC execution engine: the same monitored-core array, dispatch
-// policies, and recovery pipeline as the serial `Mpsoc`, but rearchitected
-// around flow-affinity shards instead of a batch barrier:
+// Parallel MPSoC execution engine. Installs, last-good re-image, admin
+// transitions, observability attach and the aggregate view come from
+// np::CoreArray, shared with the serial `Mpsoc` (each drains in-flight
+// packets first through the quiesce() hook). This file adds only the
+// packet path, built around flow-affinity shards instead of a batch
+// barrier:
 //
 //  * The planner runs inline in submit()/process_packets(): each packet
 //    gets a global sequence number, a dispatch core (shared
@@ -62,7 +65,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -80,14 +82,11 @@ struct ParallelConfig {
   /// Speculation window: packets in flight (planned but not yet folded).
   /// Larger windows keep more cores busy; smaller ones bound rollback
   /// replay cost and tighten LeastLoaded feedback (1 = per-packet exact).
+  /// Each shard's ring is sized from it (ParallelMpsoc::kRingHeadroom).
   std::size_t batch_size = 256;
-  /// Headroom multiplier for the per-shard rings (capacity =
-  /// batch_size * ingest_depth, rounded up to a power of two) so epoch
-  /// re-plans and steal contention never block the planner.
-  std::size_t ingest_depth = 4;
 };
 
-class ParallelMpsoc {
+class ParallelMpsoc : public CoreArray {
  public:
   /// A packet handed to the engine. `data` is owned so asynchronously
   /// submitted packets survive until their slot folds.
@@ -96,52 +95,19 @@ class ParallelMpsoc {
     std::uint32_t flow_key = 0;
   };
 
+  /// Per-shard ring capacity, in speculation windows. The reorder buffer
+  /// bounds every shard to at most batch_size queued items (an epoch
+  /// re-plan can land the whole window on one shard); the headroom keeps
+  /// the planner's push wait-free in practice.
+  static constexpr std::size_t kRingHeadroom = 4;
+
   explicit ParallelMpsoc(std::size_t num_cores,
                          DispatchPolicy policy = DispatchPolicy::RoundRobin,
                          RecoveryConfig recovery = {},
                          ParallelConfig parallel = {});
-  ~ParallelMpsoc();
+  ~ParallelMpsoc() override;
 
-  ParallelMpsoc(const ParallelMpsoc&) = delete;
-  ParallelMpsoc& operator=(const ParallelMpsoc&) = delete;
-
-  std::size_t num_cores() const { return cores_.size(); }
   std::size_t num_workers() const { return workers_.size(); }
-  DispatchPolicy policy() const { return policy_; }
-
-  /// Install the same configuration on every core. Drains in-flight
-  /// packets first, so the reprogram lands on a packet boundary -- the
-  /// same transactional validation as the serial engine. The graph is
-  /// compiled once; every core shares the immutable artifact.
-  void install_all(const isa::Program& program,
-                   const monitor::MonitoringGraph& graph,
-                   const monitor::InstructionHash& hash);
-
-  /// Install already-compiled artifacts on every core (fast switch; no
-  /// graph copy, recompilation, or re-decode).
-  void install_all(const isa::Program& program, InstallArtifacts artifacts,
-                   const monitor::InstructionHash& hash);
-
-  /// Back-compat fast path holding only the compiled graph (predecodes
-  /// here, once, shared across all cores).
-  void install_all(const isa::Program& program,
-                   std::shared_ptr<const monitor::CompiledGraph> graph,
-                   const monitor::InstructionHash& hash);
-
-  /// Install on one core only (heterogeneous workload mapping).
-  void install(std::size_t core_index, const isa::Program& program,
-               monitor::MonitoringGraph graph,
-               std::unique_ptr<monitor::InstructionHash> hash);
-
-  /// Per-core install of already-compiled artifacts.
-  void install(std::size_t core_index, const isa::Program& program,
-               InstallArtifacts artifacts,
-               std::unique_ptr<monitor::InstructionHash> hash);
-
-  /// Back-compat per-core fast switch (predecodes here).
-  void install(std::size_t core_index, const isa::Program& program,
-               std::shared_ptr<const monitor::CompiledGraph> graph,
-               std::unique_ptr<monitor::InstructionHash> hash);
 
   /// Asynchronous ingest: plan and enqueue one packet. Blocks only when
   /// the speculation window (batch_size) is full of unfolded packets.
@@ -156,26 +122,6 @@ class ParallelMpsoc {
   std::vector<PacketResult> process_packets(
       const std::vector<Packet>& packets);
 
-  /// Aggregate counters + health over all cores (quiescent only).
-  MpsocStats aggregate_stats() const;
-
-  MonitoredCore& core(std::size_t index) { return cores_[index]; }
-  const MonitoredCore& core(std::size_t index) const { return cores_[index]; }
-
-  RecoveryController& recovery() { return recovery_; }
-  const RecoveryController& recovery() const { return recovery_; }
-  CoreHealth core_health(std::size_t index) const {
-    return recovery_.health(index);
-  }
-  /// Administrative drain / restore of one core (drains in-flight work).
-  void set_core_offline(std::size_t index, bool offline);
-  /// Operator releases a quarantined core back into the dispatch set.
-  void release_core(std::size_t index);
-
-  bool core_dispatchable(std::size_t index) const {
-    return recovery_.dispatchable(index) && cores_[index].installed();
-  }
-
   /// Recovery epochs taken so far (each is one rollback point: workers
   /// parked, speculated tail rewound and re-planned). Deterministic for a
   /// given workload -- one epoch per recovery action -- and always 0
@@ -184,14 +130,11 @@ class ParallelMpsoc {
     return epochs_.load(std::memory_order_relaxed);
   }
 
-  /// Attach the observability layer (same contract as Mpsoc::enable_obs,
-  /// plus the parallel-only metrics: shard steals/epochs/queue depth,
-  /// rollback packet and byte counts, dirty pages per snapshot). Drains
-  /// in-flight packets first so the attach lands on a packet boundary.
-  void enable_obs(obs::Registry& registry, std::uint32_t device_id = 0,
-                  std::uint32_t sample_period = 1);
-
  private:
+  /// Installs, admin transitions and enable_obs() drain in-flight packets
+  /// first, so they land on a packet boundary.
+  void quiesce() override { flush(); }
+
   static constexpr std::size_t kUndispatched =
       static_cast<std::size_t>(-1);
 
@@ -246,21 +189,11 @@ class ParallelMpsoc {
   /// re-plan the tail. Runs with all workers parked.
   void run_epoch();
 
-  void reinstall_core(std::size_t index);
-  void note_admin_transition(std::size_t index, obs::EventKind kind);
-  std::vector<std::size_t> active_cores() const;
   std::size_t shard_of(std::size_t core) const {
     return core % deques_.size();
   }
-  EngineObs* eobs() const {
-    return obs_live_.load(std::memory_order_acquire);
-  }
 
   // ---- immutable after construction ----
-  std::vector<MonitoredCore> cores_;
-  std::vector<std::optional<LastGoodConfig>> last_good_;
-  DispatchPolicy policy_;
-  RecoveryController recovery_;
   ParallelConfig config_;
   bool capture_spec_ = false;  // policy can act -> dirty-page capture on
   std::size_t rob_size_ = 1;   // in-flight bound == batch_size
@@ -275,10 +208,6 @@ class ParallelMpsoc {
   // ---- fold state (fold_mutex_) ----
   std::mutex fold_mutex_;
   std::atomic<std::uint64_t> fold_next_{0};
-  std::uint64_t undispatched_ = 0;
-  std::uint64_t reinstalls_ = 0;
-  std::unique_ptr<EngineObs> obs_;
-  std::atomic<EngineObs*> obs_live_{nullptr};  // workers read via eobs()
   // LeastLoaded load feedback: committed per-core/total tallies (folded
   // under fold_mutex_, read racily by the planner's load closure).
   std::unique_ptr<std::atomic<std::uint64_t>[]> committed_instr_;

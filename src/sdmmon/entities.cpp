@@ -188,9 +188,13 @@ InstallStatus NetworkProcessorDevice::install_impl(const WirePackage& wire,
   // The wire format carries the graph uncompiled and the text raw (they
   // are what the operator signed); compile the graph and predecode the
   // text exactly once, now that every cryptographic check has passed.
-  // The store and all cores share the immutable artifacts.
-  np::InstallArtifacts artifacts =
-      np::validate_install_config(payload.binary, payload.graph, hash);
+  // The store and all cores share the immutable artifacts. A malformed
+  // graph throws here; a binary that does not fit the memory map throws
+  // from install_all's staging check in activate(), before any core is
+  // touched -- install() turns either into StageFailed.
+  np::InstallArtifacts artifacts{
+      monitor::CompiledGraph::compile(std::move(payload.graph)),
+      np::CompiledProgram::compile(payload.binary, hash)};
   StoredApp app{std::move(payload.binary), std::move(artifacts),
                 payload.hash_param};
   activate(app);

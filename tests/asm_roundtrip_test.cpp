@@ -174,10 +174,10 @@ TEST(AsmRoundTrip, RandomDecodableWordsDisassembleAndReassemble) {
 }
 
 TEST(AsmRoundTrip, UndecodableWordsPredecodeToTrappingOps) {
-  // The install-time predecoder must map every undecodable word to a
-  // non-executable (trapping) PreOp -- executing one raises DecodeFault
-  // exactly like the interpreter, never undefined behavior from a
-  // default-constructed instruction.
+  // Install-time compilation is total over arbitrary text: every
+  // undecodable word stays out of the superblocks, so executing one
+  // raises DecodeFault exactly like the interpreter, never undefined
+  // behavior from a default-constructed instruction.
   util::Rng rng(0xBAD09);
   int undecodable = 0;
   for (int trial = 0; trial < 400; ++trial) {
@@ -189,23 +189,36 @@ TEST(AsmRoundTrip, UndecodableWordsPredecodeToTrappingOps) {
     auto compiled =
         np::CompiledProgram::compile(p, monitor::MerkleTreeHash(0xBAD));
     ASSERT_EQ(compiled->num_ops(), p.text.size());
-    for (std::size_t i = 0; i < p.text.size(); ++i) {
-      const auto& op = compiled->ops_data()[i];
-      EXPECT_EQ(op.word, p.text[i]);
-      const bool decodes = try_decode(p.text[i]).has_value();
-      EXPECT_EQ((op.flags & np::CompiledProgram::kDecoded) != 0, decodes)
-          << "word " << i;
-      if (!decodes) ++undecodable;
-    }
-    // Executing the program must trap identically on both paths the
-    // moment an undecodable word is reached (if one is reachable).
     np::Core fast, oracle;
     oracle.set_tier(np::Tier::Interpret);
+    for (std::size_t i = 0; i < p.text.size(); ++i) {
+      EXPECT_EQ(compiled->ops_data()[i].word, p.text[i]);
+      if (try_decode(p.text[i]).has_value()) continue;
+      ++undecodable;
+      // Entered directly, the word traps on both tiers.
+      isa::Program at = p;
+      at.entry = static_cast<std::uint32_t>(4 * i);
+      for (np::Core* core : {&fast, &oracle}) {
+        core->load_program(at, compiled);
+        const np::StepInfo info = core->run(1);
+        EXPECT_EQ(static_cast<int>(info.event),
+                  static_cast<int>(np::StepEvent::Trapped))
+            << "word " << i;
+        EXPECT_EQ(static_cast<int>(info.trap),
+                  static_cast<int>(np::Trap::DecodeFault))
+            << "word " << i;
+        EXPECT_EQ(info.pc, at.entry);
+        EXPECT_EQ(info.word, p.text[i]);
+      }
+    }
+    // Executing the program from its entry must trap identically on both
+    // tiers the moment an undecodable word is reached (if one is
+    // reachable). run(1) lets the compiled tier dispatch superblocks.
     fast.load_program(p, compiled);
     oracle.load_program(p, compiled);
     for (int s = 0; s < 32 && oracle.runnable(); ++s) {
-      const np::StepInfo a = fast.step();
-      const np::StepInfo b = oracle.step();
+      const np::StepInfo a = fast.run(1);
+      const np::StepInfo b = oracle.run(1);
       ASSERT_EQ(static_cast<int>(a.event), static_cast<int>(b.event));
       ASSERT_EQ(static_cast<int>(a.trap), static_cast<int>(b.trap));
       ASSERT_EQ(a.pc, b.pc);

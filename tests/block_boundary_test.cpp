@@ -121,7 +121,6 @@ TEST(BlockBoundary, BlockEndingInUndecodableWordTrapsIdentically) {
       {addiu(8, 8, 1), addiu(9, 9, 2), addiu(10, 10, 3), 0xFFFFFFFFu});
   auto artifact = compile(p);
   EXPECT_EQ(len_at(*artifact, 0), 3u);
-  EXPECT_FALSE(artifact->ops_data()[3].flags & CompiledProgram::kDecoded);
   EXPECT_EQ(len_at(*artifact, 3), 0u)
       << "undecodable words never enter a superblock";
   const StepInfo last = run_both_tiers(p);
@@ -130,6 +129,15 @@ TEST(BlockBoundary, BlockEndingInUndecodableWordTrapsIdentically) {
   EXPECT_EQ(static_cast<int>(last.trap),
             static_cast<int>(Trap::DecodeFault));
   EXPECT_EQ(last.pc, 12u) << "trap pc is the undecodable word itself";
+
+  // Entered directly (no superblock leads into it), the word still traps
+  // identically on both tiers.
+  isa::Program direct = p;
+  direct.entry = 12;
+  const StepInfo entered = run_both_tiers(direct);
+  EXPECT_EQ(static_cast<int>(entered.trap),
+            static_cast<int>(Trap::DecodeFault));
+  EXPECT_EQ(entered.pc, 12u);
 }
 
 // Back-to-back branches: every block is a single branch, and every

@@ -151,7 +151,6 @@ TEST(MpsocStress, SubmitBackpressureBoundsMemory) {
   // neither deadlock nor lose a packet.
   np::ParallelConfig parallel;
   parallel.batch_size = 16;
-  parallel.ingest_depth = 2;
   np::ParallelMpsoc soc(4, np::DispatchPolicy::RoundRobin,
                         make_recovery_config(
                             np::RecoveryPolicy::ResetAndContinue),

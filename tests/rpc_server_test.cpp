@@ -467,7 +467,13 @@ TEST(RpcServer, JournalStreamingSeesEventsInOrder) {
     if (e.kind == obs::EventKind::Install) ++installs;
     if (e.kind == obs::EventKind::RpcSessionOpened) ++opens;
   }
+#if SDMMON_OBS_ENABLED
+  // Engine Install events are instrumentation; SDMMON_OBS=OFF compiles
+  // them out. The RPC session events are journaled either way.
   EXPECT_GE(installs, 3u);
+#else
+  (void)installs;
+#endif
   EXPECT_GE(opens, 1u);
   // And match the registry's own view of history.
   EXPECT_EQ(cursor, world.registry.journal().recorded());
