@@ -1,8 +1,10 @@
 // Extension experiment X2: parallel MPSoC engine scaling. The serial
 // Mpsoc processes one packet at a time regardless of core count; the
-// ParallelMpsoc shards cores over worker threads with flow affinity
-// (per-shard work-stealing deques, a global reorder buffer, in-order
-// fold) and keeps RoundRobin / FlowHash traces bit-identical to the
+// ParallelMpsoc shards cores over worker threads with flow affinity.
+// Each shard has one FIFO ring, and its worker is the only thread that
+// runs its cores' packets, the way each NP core of the MPSoC runs its
+// own packet stream; results fold in global order through a reorder
+// buffer, so RoundRobin / FlowHash traces stay bit-identical to the
 // serial engine (verified by tests/mpsoc_parallel_diff_test.cpp). This
 // bench measures the price and the payoff: packets/sec of the serial
 // baseline vs the parallel engine at 1, 2, 4, and 8 workers on the
@@ -10,7 +12,10 @@
 // an acting recovery policy, where every rollback restores only the
 // dirty pages the speculated packets touched.
 //
-// Acceptance criterion (ISSUE 2): >= 3x serial throughput at 8 workers.
+// Pass criterion: >= 3x serial throughput at 8 workers on a host with at
+// least 8 hardware threads; elsewhere the 8-worker run must keep >= 0.7x
+// serial (overhead parity). Only full-budget runs gate: quick mode
+// exits 0 either way.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -211,18 +216,19 @@ int main() {
   const double speedup = pps8 / serial_pps;
   bool scaling_ok;
   if (hw >= 8) {
-    // The ISSUE 2 acceptance criterion applies on an 8-core host.
+    // The >= 3x acceptance criterion applies on an 8-core host.
     scaling_ok = speedup >= 3.0;
     std::printf("\n8-worker speedup over serial: %.2fx -- %s (criterion: "
                 ">= 3x on an 8-core host)\n",
                 speedup, scaling_ok ? "PASS" : "FAIL");
   } else {
-    // Fewer hardware threads than workers: speedup is capped at ~hw/1,
+    // Fewer hardware threads than workers: speedup is capped near hw,
     // so the >= 3x criterion is not measurable. What IS measurable --
-    // and what this host verifies -- is engine overhead: the full
-    // plan + shard-deque + fold machinery must not cost meaningful
-    // throughput vs the serial loop even when every thread shares one
-    // CPU.
+    // and what this host verifies -- is engine overhead: with more
+    // workers than hardware threads, the plan + shard-ring + fold path
+    // and the oversubscribed workers (each idling on its own ring, none
+    // waiting on another's packets) must not cost meaningful throughput
+    // vs the serial loop.
     std::printf("\n8-worker speedup over serial: %.2fx (host has only %u "
                 "hardware thread%s;\nthe >= 3x criterion applies on an "
                 "8-core host)\n",

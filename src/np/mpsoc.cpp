@@ -42,7 +42,6 @@ std::unique_ptr<EngineObs> EngineObs::create(obs::Registry& registry,
   obs->trace_side_exit_rate =
       &registry.gauge(obs::names::kEngineTraceSideExitRate);
   if (parallel) {
-    obs->shard_steals = &registry.counter(obs::names::kParallelShardSteals);
     obs->shard_epochs = &registry.counter(obs::names::kParallelShardEpochs);
     obs->shard_queue_depth = &registry.histogram(
         obs::names::kParallelShardQueueDepth, obs::depth_buckets());

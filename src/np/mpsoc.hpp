@@ -124,9 +124,8 @@ struct EngineObs {
   std::uint64_t trace_dispatches_total = 0;
   std::uint64_t trace_side_exits_total = 0;
   // Parallel engine only (sharded engine internals):
-  obs::Counter* shard_steals = nullptr;     // items popped off-shard
   obs::Counter* shard_epochs = nullptr;     // recovery epochs coordinated
-  obs::Histogram* shard_queue_depth = nullptr;  // deque depth at enqueue
+  obs::Histogram* shard_queue_depth = nullptr;  // ring depth at enqueue
   obs::Counter* rollbacks = nullptr;
   obs::Counter* replayed_packets = nullptr;
   obs::Counter* rollback_bytes = nullptr;   // dirty-page bytes restored

@@ -19,25 +19,24 @@ ParallelMpsoc::ParallelMpsoc(std::size_t num_cores, DispatchPolicy policy,
   rob_size_ = config_.batch_size;
   rob_ = std::make_unique<Slot[]>(rob_size_);
 
-  next_ticket_.assign(num_cores, 0);
   planned_pkts_.assign(num_cores, 0);
   committed_instr_ = std::make_unique<std::atomic<std::uint64_t>[]>(num_cores);
   committed_pkts_ = std::make_unique<std::atomic<std::uint64_t>[]>(num_cores);
-  core_turn_ = std::make_unique<std::atomic<std::uint64_t>[]>(num_cores);
   for (std::size_t c = 0; c < num_cores; ++c) {
     committed_instr_[c].store(0, std::memory_order_relaxed);
     committed_pkts_[c].store(0, std::memory_order_relaxed);
-    core_turn_[c].store(0, std::memory_order_relaxed);
   }
 
   std::size_t workers = config_.workers == 0 ? num_cores : config_.workers;
   workers = std::min(std::max<std::size_t>(workers, num_cores > 0 ? 1 : 0),
                      num_cores);
-  deques_.reserve(workers);
+  // A queued item is planned but not folded, and the reorder buffer caps
+  // those at rob_size_, so a ring of that capacity can never fill.
+  rings_.reserve(workers);
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    deques_.push_back(std::make_unique<util::StealingDeque<std::uint64_t>>(
-        rob_size_ * kRingHeadroom + 1));
+    rings_.push_back(
+        std::make_unique<util::SpscRing<std::uint64_t>>(rob_size_));
   }
   for (std::size_t w = 0; w < workers; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -52,10 +51,11 @@ ParallelMpsoc::~ParallelMpsoc() {
 }
 
 // ---------------------------------------------------------------------
-// Workers: pop own shard first, steal oldest from others, fold greedily
+// Workers: run own shard's ring in FIFO order, fold greedily
 // ---------------------------------------------------------------------
 
 void ParallelMpsoc::worker_main(std::size_t worker) {
+  util::SpscRing<std::uint64_t>& ring = *rings_[worker];
   Backoff idle;
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) return;
@@ -64,9 +64,13 @@ void ParallelMpsoc::worker_main(std::size_t worker) {
       idle.reset();
       continue;
     }
+    // Workers park only at the loop top, never holding a popped item, so
+    // the epoch coordinator finds every popped packet executed.
     std::uint64_t seq;
-    if (pop_work(worker, seq)) {
-      execute_slot(seq);
+    if (ring.try_pop(seq)) {
+      if (run_slot(rob_[seq % rob_size_]) != RecoveryAction::None) {
+        epoch_requested_.store(true, std::memory_order_release);
+      }
       try_fold();
       idle.reset();
     } else {
@@ -77,20 +81,6 @@ void ParallelMpsoc::worker_main(std::size_t worker) {
       idle.pause();
     }
   }
-}
-
-bool ParallelMpsoc::pop_work(std::size_t worker, std::uint64_t& seq) {
-  if (deques_[worker]->try_pop(seq)) return true;
-  const std::size_t shards = deques_.size();
-  for (std::size_t i = 1; i < shards; ++i) {
-    if (deques_[(worker + i) % shards]->try_pop(seq)) {
-#if SDMMON_OBS_ENABLED
-      if (EngineObs* obs = engine_obs()) obs->shard_steals->add(1);
-#endif
-      return true;
-    }
-  }
-  return false;
 }
 
 RecoveryAction ParallelMpsoc::run_slot(Slot& slot) {
@@ -116,27 +106,6 @@ RecoveryAction ParallelMpsoc::run_slot(Slot& slot) {
   // planner may reuse it for another packet.
   slot.state.store(SlotState::Executed, std::memory_order_release);
   return action;
-}
-
-void ParallelMpsoc::execute_slot(std::uint64_t seq) {
-  Slot& slot = rob_[seq % rob_size_];
-  std::atomic<std::uint64_t>& turn = core_turn_[slot.core];
-  // Copied before run_slot() publishes the slot as Executed: after that
-  // the slot may already belong to another packet.
-  const std::uint64_t ticket = slot.ticket;
-  // Wait for this core's turn. The predecessor ticket was pushed to the
-  // same shard deque earlier (FIFO), so it has been popped by a worker
-  // that runs it to completion -- this wait always terminates, which is
-  // also why workers may only park at the loop top, never mid-item.
-  Backoff backoff;
-  while (turn.load(std::memory_order_acquire) != ticket) {
-    backoff.pause();
-  }
-  const RecoveryAction action = run_slot(slot);
-  turn.store(ticket + 1, std::memory_order_release);
-  if (action != RecoveryAction::None) {
-    epoch_requested_.store(true, std::memory_order_release);
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -241,7 +210,6 @@ bool ParallelMpsoc::plan_dispatch(Slot& slot) {
                est_instr * outstanding;
       });
   slot.rr_after = rr_cursor_;
-  slot.ticket = next_ticket_[slot.core]++;
   ++planned_pkts_[slot.core];
   slot.state.store(SlotState::Planned, std::memory_order_relaxed);
   return true;
@@ -273,11 +241,11 @@ void ParallelMpsoc::plan_one(const Packet* borrowed, Packet&& owned,
   const bool dispatched = plan_dispatch(slot);
   plan_next_.store(seq + 1, std::memory_order_release);
   if (dispatched) {
-    util::StealingDeque<std::uint64_t>& deque = *deques_[shard_of(slot.core)];
-    deque.push(seq);
+    util::SpscRing<std::uint64_t>& ring = *rings_[shard_of(slot.core)];
+    ring.push(seq);
 #if SDMMON_OBS_ENABLED
     if (EngineObs* obs = engine_obs()) {
-      obs->shard_queue_depth->record(deque.size_approx());
+      obs->shard_queue_depth->record(ring.size_approx());
     }
 #endif
   }
@@ -339,9 +307,10 @@ void ParallelMpsoc::park_for_epoch() {
 
 void ParallelMpsoc::run_epoch() {
   // plan_mutex_ stops the planner (and makes this thread the shard
-  // deques' producer); fold_mutex_ stops concurrent folding for the
-  // whole epoch. Lock order plan -> fold is unique to this path, so no
-  // cycle with the planner (plan only) or folders (fold only).
+  // rings' producer; with every worker parked it is also their consumer);
+  // fold_mutex_ stops concurrent folding for the whole epoch. Lock order
+  // plan -> fold is unique to this path, so no cycle with the planner
+  // (plan only) or folders (fold only).
   std::lock_guard<std::mutex> plan_lock(plan_mutex_);
   std::lock_guard<std::mutex> fold_lock(fold_mutex_);
   epochs_.fetch_add(1, std::memory_order_relaxed);
@@ -352,12 +321,12 @@ void ParallelMpsoc::run_epoch() {
   const std::uint64_t fold_at = fold_next_.load(std::memory_order_relaxed);
   const std::uint64_t plan_at = plan_next_.load(std::memory_order_relaxed);
 
-  // 1. Drain every shard deque: with all workers parked, whatever is
+  // 1. Drain every shard ring: with all workers parked, whatever is
   // still queued is exactly the planned-but-unexecuted set.
   std::vector<std::uint64_t> pending;
-  for (auto& deque : deques_) {
+  for (auto& ring : rings_) {
     std::uint64_t s;
-    while (deque->try_pop(s)) pending.push_back(s);
+    while (ring->try_pop(s)) pending.push_back(s);
   }
   std::sort(pending.begin(), pending.end());
 
@@ -373,16 +342,14 @@ void ParallelMpsoc::run_epoch() {
   }
 
   // 3. Stragglers older than the pivot run inline, in sequence order.
-  // Per-core turn tickets make each core's executed set a prefix, so an
-  // unexecuted straggler's core holds no younger packet's side effects
-  // and its turn is already current. A straggler may itself act at an
-  // older sequence -- then IT becomes the pivot (serial order decides).
+  // Each shard's worker runs its ring in FIFO order, so each core's
+  // executed set is a prefix of its stream: an unexecuted straggler's
+  // core holds no younger packet's side effects. A straggler may itself
+  // act at an older sequence -- then IT becomes the pivot (serial order
+  // decides).
   for (std::size_t i = 0; i < pending.size() && pending[i] < act; ++i) {
     Slot& slot = rob_[pending[i] % rob_size_];
-    assert(core_turn_[slot.core].load(std::memory_order_relaxed) ==
-           slot.ticket);
     run_slot(slot);
-    core_turn_[slot.core].store(slot.ticket + 1, std::memory_order_relaxed);
     if (slot.action != RecoveryAction::None) {
       act = pending[i];
       break;
@@ -390,10 +357,10 @@ void ParallelMpsoc::run_epoch() {
   }
 
   // 4. Roll back every executed slot younger than the pivot, newest
-  // first (per-core tickets descend with sequence): restore the dirty
-  // pages and cross-packet core state, withdraw the recovery outcome,
-  // rewind the core's turn. Slots the rollback visits are exactly the
-  // packets whose serial-order side effects never happened.
+  // first (each core ran its packets in sequence order, so this undoes
+  // them in reverse): restore the dirty pages and cross-packet core
+  // state, withdraw the recovery outcome. Slots the rollback visits are
+  // exactly the packets whose serial-order side effects never happened.
   std::uint64_t rolled = 0;
   std::uint64_t rolled_bytes = 0;
   for (std::uint64_t s = plan_at; s-- > act + 1;) {
@@ -409,7 +376,6 @@ void ParallelMpsoc::run_epoch() {
       cores_[slot.core].rollback_speculation(slot.spec_undo);
     }
     recovery_.undo_outcome(slot.core, slot.outcome_undo);
-    core_turn_[slot.core].store(slot.ticket, std::memory_order_relaxed);
     ++rolled;
   }
 
@@ -457,11 +423,9 @@ void ParallelMpsoc::run_epoch() {
   if (act_action == RecoveryAction::Reinstall) reinstall_core(act_core);
 
   // 7. Re-plan the tail against the post-action dispatch state: cursor
-  // rewound to the pivot's, tickets restarted at the surviving turns,
-  // planner load reset to committed counts.
+  // rewound to the pivot's, planner load reset to committed counts.
   if (act < plan_at) rr_cursor_ = act_rr;
   for (std::size_t c = 0; c < cores_.size(); ++c) {
-    next_ticket_[c] = core_turn_[c].load(std::memory_order_relaxed);
     planned_pkts_[c] = committed_pkts_[c].load(std::memory_order_relaxed);
   }
   for (std::uint64_t s = act + 1; s < plan_at; ++s) {
@@ -469,7 +433,7 @@ void ParallelMpsoc::run_epoch() {
     slot.spec_undo = MonitoredCore::SpecUndo{};
     slot.outcome_undo = RecoveryController::OutcomeUndo{};
     if (plan_dispatch(slot)) {
-      deques_[shard_of(slot.core)]->push(s);
+      rings_[shard_of(slot.core)]->push(s);
     }
   }
 

@@ -8,15 +8,14 @@
 //  * The planner runs inline in submit()/process_packets(): each packet
 //    gets a global sequence number, a dispatch core (shared
 //    pick_dispatch_core, so decisions cannot drift from the serial
-//    engine), a per-core turn ticket, and a slot in a global reorder
-//    buffer (ROB). The slot index is pushed to the deque of the shard
-//    that owns the core -- packets of one flow hash to one core and
-//    therefore one shard.
-//  * Workers drain their own shard's deque first and steal the OLDEST
-//    pending item from other shards when idle (util::StealingDeque).
-//    An executor spins until its item's ticket matches the core's turn,
-//    which serializes each core's packet stream without any global
-//    barrier; independent cores never wait on each other.
+//    engine), and a slot in a global reorder buffer (ROB). The slot index
+//    is pushed to the FIFO ring of the shard that owns the core --
+//    packets of one flow hash to one core and therefore one shard.
+//  * A shard's worker is the only thread that executes its cores'
+//    packets (the epoch coordinator aside, which runs only while every
+//    worker is parked), so each core's packet stream executes in FIFO
+//    order without any turn-taking or global barrier; independent cores
+//    never wait on each other.
 //  * Execution is speculative: MonitoredCore::execute_packet defers
 //    CoreStats, and under a policy that can act the executor brackets the
 //    run with dirty-page capture (np::Memory copy-on-first-touch per
@@ -30,14 +29,14 @@
 // Recovery epochs replace the per-batch barrier. When a speculatively
 // evaluated outcome demands an action (quarantine / reinstall-last-good),
 // workers park, and the last one to park coordinates: unexecuted packets
-// older than the acting one run inline (per-core tickets guarantee their
-// cores are clean), every executed packet younger than the acting one is
-// rolled back newest-first (dirty pages restored byte-for-byte, recovery
-// outcomes withdrawn, turn counters rewound), the prefix through the
-// acting packet folds, the action is applied exactly as the serial engine
-// would have, and the tail is re-planned against the post-action dispatch
-// set. ResetAndContinue never acts, so that policy runs capture-free at
-// full speed and never takes an epoch.
+// older than the acting one run inline (each core's executed packets are
+// a prefix of its stream, so their cores are clean), every executed
+// packet younger than the acting one is rolled back newest-first (dirty
+// pages restored byte-for-byte, recovery outcomes withdrawn), the prefix
+// through the acting packet folds, the action is applied exactly as the
+// serial engine would have, and the tail is re-planned against the
+// post-action dispatch set. ResetAndContinue never acts, so that policy
+// runs capture-free at full speed and never takes an epoch.
 //
 // Equivalence contract (enforced by tests/mpsoc_parallel_diff_test.cpp):
 //
@@ -69,20 +68,22 @@
 #include <vector>
 
 #include "np/mpsoc.hpp"
-#include "util/stealing_deque.hpp"
+#include "util/spsc_ring.hpp"
 
 namespace sdmmon::np {
 
 struct ParallelConfig {
   /// Worker threads; 0 = one per core. Clamped to [1, num_cores]. Each
   /// worker owns one shard; core c belongs to shard c % workers, so a
-  /// flow's packets land in one shard's deque and per-core order is
-  /// preserved for any worker count (stealing pops oldest-first).
+  /// flow's packets land in one shard's ring, and only that shard's
+  /// worker executes them -- per-core order is the ring's FIFO order for
+  /// any worker count.
   std::size_t workers = 0;
   /// Speculation window: packets in flight (planned but not yet folded).
   /// Larger windows keep more cores busy; smaller ones bound rollback
   /// replay cost and tighten LeastLoaded feedback (1 = per-packet exact).
-  /// Each shard's ring is sized from it (ParallelMpsoc::kRingHeadroom).
+  /// Each shard's ring holds batch_size items (rounded up to a power of
+  /// two), so enqueueing never waits.
   std::size_t batch_size = 256;
 };
 
@@ -94,12 +95,6 @@ class ParallelMpsoc : public CoreArray {
     util::Bytes data;
     std::uint32_t flow_key = 0;
   };
-
-  /// Per-shard ring capacity, in speculation windows. The reorder buffer
-  /// bounds every shard to at most batch_size queued items (an epoch
-  /// re-plan can land the whole window on one shard); the headroom keeps
-  /// the planner's push wait-free in practice.
-  static constexpr std::size_t kRingHeadroom = 4;
 
   explicit ParallelMpsoc(std::size_t num_cores,
                          DispatchPolicy policy = DispatchPolicy::RoundRobin,
@@ -140,12 +135,12 @@ class ParallelMpsoc : public CoreArray {
 
   enum class SlotState : std::uint8_t {
     Free,      // unplanned (or folded and recycled)
-    Planned,   // dispatch decided, waiting in a shard deque
+    Planned,   // dispatch decided, waiting in a shard ring
     Executed,  // speculatively executed, waiting to fold in order
   };
 
   /// One reorder-buffer entry. The planner writes the plan fields under
-  /// plan_mutex_ and publishes the slot through the shard deque; the
+  /// plan_mutex_ and publishes the slot through the shard ring; the
   /// executor writes the outcome fields and release-stores `state`; the
   /// folder (any thread holding fold_mutex_) consumes it in global
   /// sequence order.
@@ -156,7 +151,6 @@ class ParallelMpsoc : public CoreArray {
     PacketResult result;
     std::size_t core = kUndispatched;
     std::size_t rr_after = 0;  // RoundRobin cursor after planning this slot
-    std::uint64_t ticket = 0;  // per-core turn number
     RecoveryAction action = RecoveryAction::None;
     std::size_t window_violations = 0;  // captured right after on_outcome
     RecoveryController::OutcomeUndo outcome_undo;
@@ -166,12 +160,10 @@ class ParallelMpsoc : public CoreArray {
   };
 
   void worker_main(std::size_t worker);
-  bool pop_work(std::size_t worker, std::uint64_t& seq);
-  void execute_slot(std::uint64_t seq);
   /// Speculative execution + outcome evaluation for one planned slot;
-  /// requires the caller to hold the slot's core turn. Publishes the
-  /// slot as Executed and returns its recovery action -- the caller must
-  /// not touch the slot afterwards.
+  /// runs on the slot's shard worker (or the epoch coordinator). Publishes
+  /// the slot as Executed and returns its recovery action -- the caller
+  /// must not touch the slot afterwards.
   RecoveryAction run_slot(Slot& slot);
   /// Plan dispatch for the slot at `seq` (requires plan_mutex_). Returns
   /// true when the packet was dispatched (and must be enqueued).
@@ -190,7 +182,7 @@ class ParallelMpsoc : public CoreArray {
   void run_epoch();
 
   std::size_t shard_of(std::size_t core) const {
-    return core % deques_.size();
+    return core % rings_.size();
   }
 
   // ---- immutable after construction ----
@@ -201,7 +193,6 @@ class ParallelMpsoc : public CoreArray {
   // ---- planner state (plan_mutex_) ----
   std::mutex plan_mutex_;
   std::size_t rr_cursor_ = 0;
-  std::vector<std::uint64_t> next_ticket_;   // per core
   std::vector<std::uint64_t> planned_pkts_;  // per core, planner's view
   std::atomic<std::uint64_t> plan_next_{0};
 
@@ -215,9 +206,6 @@ class ParallelMpsoc : public CoreArray {
   std::atomic<std::uint64_t> committed_instr_total_{0};
   std::atomic<std::uint64_t> committed_pkts_total_{0};
 
-  // ---- per-core execution order ----
-  std::unique_ptr<std::atomic<std::uint64_t>[]> core_turn_;
-
   // ---- epoch machinery ----
   std::atomic<bool> epoch_requested_{false};
   std::mutex epoch_mutex_;
@@ -227,7 +215,10 @@ class ParallelMpsoc : public CoreArray {
 
   // ---- reorder buffer + shards ----
   std::unique_ptr<Slot[]> rob_;
-  std::vector<std::unique_ptr<util::StealingDeque<std::uint64_t>>> deques_;
+  // Producer: the plan_mutex_ holder. Consumer: the shard's worker, or
+  // the epoch coordinator while that worker is parked (epoch_mutex_
+  // orders the hand-off).
+  std::vector<std::unique_ptr<util::SpscRing<std::uint64_t>>> rings_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};
 };

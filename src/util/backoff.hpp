@@ -1,6 +1,6 @@
-// Spin-wait policy shared by the parallel engine's wait loops (turn
-// tickets, epoch parking, deque pushes) and the stealing deque's
-// producer side.
+// Spin-wait policy shared by the parallel engine's wait loops: idle
+// workers polling their shard ring, the planner waiting for reorder-buffer
+// space, and flush() waiting for the last fold.
 #ifndef SDMMON_UTIL_BACKOFF_HPP
 #define SDMMON_UTIL_BACKOFF_HPP
 
@@ -13,7 +13,7 @@ namespace sdmmon::util {
 /// callers (the MPSoC engine moves hundreds of packets per wakeup) never
 /// notice the worst-case ~50 us wakeup latency, and idle threads cost
 /// ~no CPU -- which matters on hosts with fewer hardware threads than
-/// workers, where a hot spin would steal the cycles of the thread being
+/// workers, where a hot spin would take the cycles of the thread being
 /// waited on.
 struct Backoff {
   int spins = 0;

@@ -143,10 +143,10 @@ TEST(ParallelDiff, BatchSizeByRecoveryPolicyMatrix) {
 
 TEST(ParallelDiff, SkewedHeavyHitterFlowsBitIdentical) {
   // A heavy-hitter flow distribution (~70% of traffic on one flow key)
-  // funnels most packets through one core and therefore one shard; the
-  // other shards go idle and live off the stealing path while the hot
-  // core's turn tickets serialize the elephant flow. The trace must
-  // still be bit-identical under every recovery policy.
+  // funnels most packets through one core and therefore one shard; that
+  // shard's ring runs deep while the other shards' workers go idle, and
+  // its single worker runs the elephant flow in FIFO order. The trace
+  // must still be bit-identical under every recovery policy.
   for (np::RecoveryPolicy recovery :
        {np::RecoveryPolicy::ResetAndContinue,
         np::RecoveryPolicy::QuarantineAfterK,
@@ -220,13 +220,12 @@ TEST(ParallelDiff, AsyncSubmitMatchesSerialStats) {
 }
 
 TEST(ParallelDiff, BackToBackSubmitTinyWindowsMatchSerial) {
-  // Regression for a slot-reuse race: a worker read its slot's turn
-  // ticket and recovery action AFTER publishing the slot as Executed, by
-  // which time a folder could have freed it and the planner refilled it
-  // with another packet. One- and two-slot windows with back-to-back
-  // submit() calls make that reuse immediate; under TSan the stale read
-  // is a reported race, and without it a wrong ticket stalls or
-  // reorders a core's stream.
+  // Regression for a slot-reuse race: a worker read its slot's recovery
+  // action AFTER publishing the slot as Executed, by which time a folder
+  // could have freed it and the planner refilled it with another packet.
+  // One- and two-slot windows with back-to-back submit() calls make that
+  // reuse immediate; under TSan the stale read is a reported race, and
+  // without it an epoch can be missed or requested for the wrong packet.
   for (np::RecoveryPolicy recovery : {np::RecoveryPolicy::QuarantineAfterK,
                                       np::RecoveryPolicy::ReinstallLastGood}) {
     for (std::size_t batch : {std::size_t{1}, std::size_t{2}}) {
