@@ -34,12 +34,8 @@ void HardwareMonitor::rebind() {
 }
 
 void HardwareMonitor::rearm() {
-  slice_node_ = kNoSlice;
-  live_count_ = 0;
-  if (graph_->num_nodes() > 0) {
-    cur_[0] = graph_->entry_index();
-    live_count_ = 1;
-  }
+  state_ = graph_->entry_state();
+  live_count_ = succ_count_[state_];
   exit_allowed_ = true;
   attack_flagged_ = false;
   peak_state_size_ = live_count_;
@@ -81,8 +77,8 @@ void HardwareMonitor::advance_matched(
   // Several tracked nodes matched the report at once (all drawn from one
   // compiled bucket, so each IS a match -- no hash test needed here).
   // Materialize the deduped union of their successor slices into cur_;
-  // cur_ is free for writing because the current set lives in the
-  // artifact's edge array, not in cur_.
+  // cur_ is free for writing because the current set is a row of the
+  // artifact, not cur_.
   ++epoch_;
   std::size_t count = 0;
   bool exit_next = false;
@@ -94,7 +90,7 @@ void HardwareMonitor::advance_matched(
       cur_[count++] = s;
     }
   }
-  slice_node_ = kNoSlice;
+  state_ = kListForm;
   live_count_ = count;
   exit_allowed_ = exit_next;
 }
@@ -144,9 +140,9 @@ Verdict HardwareMonitor::step_list(std::uint8_t hashed) {
   if (matched == 0) return flag_mismatch();
   exit_allowed_ = exit_next;
   if (matched == 1) {
-    // Promote to the slice representation: the tracked set is the
-    // matched node's compiled successor table, adopted by reference.
-    slice_node_ = first_match;
+    // Back to state form: the tracked set is the matched node's
+    // compiled successor slice, adopted by reference.
+    state_ = first_match;
     live_count_ = graph_->successor_count(first_match);
     return Verdict::Ok;
   }
@@ -157,10 +153,9 @@ Verdict HardwareMonitor::step_list(std::uint8_t hashed) {
 
 std::vector<std::uint32_t> HardwareMonitor::state_nodes() const {
   std::vector<std::uint32_t> nodes;
-  if (slice_node_ != kNoSlice) {
-    const std::span<const std::uint32_t> succ =
-        graph_->successors(slice_node_);
-    nodes.assign(succ.begin(), succ.end());
+  if (state_ != kListForm) {
+    const std::span<const std::uint32_t> members = graph_->members(state_);
+    nodes.assign(members.begin(), members.end());
   } else {
     nodes.assign(cur_.begin(), cur_.begin() + live_count_);
   }

@@ -8,19 +8,19 @@
 //
 // This is the compiled hot path: the monitor walks an immutable
 // CompiledGraph artifact (monitor/compiled_graph.hpp) shared across all
-// cores of an MPSoC. The artifact pre-buckets every node's successor
-// slice by the 2^w hash values, so after a step that matched exactly one
-// node u the tracked set IS u's compiled successor table: the next
-// report h matches precisely the slice bucket(u, h), found with one
-// offset lookup -- no filtering, no copying, nothing allocated. Only
-// when a report matches several tracked nodes at once does the monitor
-// materialize the successor union into a flat buffer, deduplicated with
-// an epoch-stamped membership array (O(1) per successor, bumping the
-// epoch invalidates all stamps at once). Mismatch, exit, and
-// trap-terminal detection all fall out of the single match pass (no
-// second rescan). No per-instruction allocation or sort anywhere. The
-// original vector-filter walker survives as ReferenceMonitor
-// (monitor/reference_monitor.hpp), the differential-testing oracle.
+// cores of an MPSoC. The artifact determinises the NFA at install time:
+// every tracked set the monitor can reach is a *state* of one flat
+// transition table -- a node state when the last step matched one node,
+// the entry state at packet start, a subset state when it matched
+// several -- so each report costs one shift-or index and one load, with
+// nothing filtered, copied or allocated. Mismatch and exit detection are
+// in the same load (kFastEmpty, the per-state exit bit). Only a graph
+// whose reachable subsets exceed the compiler's bound leaves kFastMulti
+// entries; there the monitor materializes the successor union into a
+// flat buffer, deduplicated with an epoch-stamped membership array, and
+// walks it on a cold list path. The original vector-filter walker
+// survives as ReferenceMonitor (monitor/reference_monitor.hpp), the
+// differential-testing oracle.
 #ifndef SDMMON_MONITOR_MONITOR_HPP
 #define SDMMON_MONITOR_MONITOR_HPP
 
@@ -96,26 +96,22 @@ class HardwareMonitor {
 
     if (attack_flagged_) [[unlikely]] return Verdict::Mismatch;
 
-    if (slice_node_ != kNoSlice && hashed < bucket_count_) [[likely]] {
-      // Tracked set == successors(slice_node_): the nodes matching
-      // `hashed` are exactly the precomputed bucket (node, hashed), and
-      // the fast table resolves the dominant exactly-one-match step
-      // with a single load.
-      const std::uint32_t v =
-          fast_next_[(slice_node_ << hash_shift_) | hashed];
+    if (state_ != kListForm && hashed < bucket_count_) [[likely]] {
+      // Tracked set == members(state_): the transition table resolves
+      // match and advance with a single load.
+      const std::uint32_t v = fast_next_[(state_ << hash_shift_) | hashed];
       if (v < CompiledGraph::kFastMulti) [[likely]] {
-        // One matched node: its compiled successor table becomes the
-        // tracked set verbatim -- an O(1) pointer step.
-        slice_node_ = v;
+        state_ = v;
         live_count_ = succ_count_[v];
         exit_allowed_ = node_exit_[v] != 0;
         return Verdict::Ok;
       }
       if (v == CompiledGraph::kFastEmpty) return flag_mismatch();
-      advance_matched(graph_->bucket(slice_node_, hashed));
+      // A multi-match the compiler's bound left uncompiled.
+      advance_matched(graph_->bucket(state_, hashed));
       return Verdict::Ok;
     }
-    if (slice_node_ != kNoSlice) return flag_mismatch();  // report >= 2^w
+    if (state_ != kListForm) return flag_mismatch();  // report >= 2^w
     return step_list(hashed);
   }
 
@@ -126,30 +122,29 @@ class HardwareMonitor {
   /// the walk stops at the first Mismatch and returns its index (the
   /// count of Ok hashes before it); otherwise every hash is consumed --
   /// mismatches latch the attack flag exactly like on_hashed -- and n
-  /// is returned. The steady state (slice form, single-successor fast
-  /// table hits) runs as CompiledGraph::batch_step, a graph-resident
-  /// tight loop over the flat fast_next table with deferred stat
-  /// accumulation. Each hash the fast loop cannot take (multi-match,
-  /// mismatch, list form, out-of-range report, latched attack) replays
-  /// through the exact per-hash reference path -- ONE hash at a time,
-  /// after which the loop re-enters batch_step, because a single-match
-  /// list step re-promotes the tracked set to slice form. So one
-  /// mid-batch multi-match costs one slow step, not the whole tail.
+  /// is returned. The steady state (every step a table transition) runs
+  /// as CompiledGraph::batch_step, a graph-resident tight loop over the
+  /// flat fast_next table with deferred stat accumulation. Each hash the
+  /// fast loop cannot take (mismatch, uncompiled multi-match, list form,
+  /// out-of-range report, latched attack) replays through the exact
+  /// per-hash reference path -- ONE hash at a time, after which the loop
+  /// re-enters batch_step, because a single-match list step returns the
+  /// tracked set to a node state.
   std::size_t advance(const std::uint8_t* hashes, std::size_t n,
                       bool stop_on_mismatch) {
     std::size_t i = 0;
     while (i < n) {
-      if (!attack_flagged_ && slice_node_ != kNoSlice) {
+      if (!attack_flagged_ && state_ != kListForm) {
         const CompiledGraph::BatchStep step = CompiledGraph::batch_step(
-            fast_next_, succ_count_, hash_shift_, bucket_count_, slice_node_,
+            fast_next_, succ_count_, hash_shift_, bucket_count_, state_,
             live_count_, peak_state_size_, hashes + i, n - i);
         stats_.instructions_checked += step.consumed;
         stats_.state_size_accum += step.width_accum;
         peak_state_size_ = step.peak;
         if (step.consumed != 0) {
-          slice_node_ = step.node;
+          state_ = step.state;
           live_count_ = step.live;
-          exit_allowed_ = node_exit_[step.node] != 0;
+          exit_allowed_ = node_exit_[step.state] != 0;
         }
         i += step.consumed;
         if (i == n) return n;
@@ -202,19 +197,20 @@ class HardwareMonitor {
   const InstructionHash& hash() const { return *hash_; }
 
  private:
-  /// Sentinel for "the tracked set is materialized in cur_, not
-  /// represented as a compiled successor slice".
-  static constexpr std::uint32_t kNoSlice = 0xFFFFFFFFu;
+  /// Sentinel for "the tracked set is materialized in cur_, not a state
+  /// of the compiled transition table".
+  static constexpr std::uint32_t kListForm = 0xFFFFFFFFu;
 
   /// Size per-graph state (state buffers, epoch stamps) after an
   /// artifact swap, then re-arm.
   void rebind();
-  /// Re-arm to {entry} without touching cumulative stats.
+  /// Re-arm to the entry state without touching cumulative stats.
   void rearm();
   /// Latch the attack flag (cold path, shared by both representations).
   Verdict flag_mismatch();
-  /// Several tracked nodes matched at once (slice representation):
-  /// materialize their deduped successor union into cur_.
+  /// Several tracked nodes matched at once and the compiler left the
+  /// transition uncompiled: materialize their deduped successor union
+  /// into cur_ (list form).
   void advance_matched(std::span<const std::uint32_t> matched);
   /// Match+advance over the materialized list representation.
   Verdict step_list(std::uint8_t hashed);
@@ -223,19 +219,20 @@ class HardwareMonitor {
   std::unique_ptr<InstructionHash> hash_;
 
   // Tracked-state set, in one of two forms:
-  //  * slice form (slice_node_ != kNoSlice): the set is
-  //    graph_->successors(slice_node_), held by reference into the
-  //    immutable artifact -- nothing is copied. Entered whenever a step
-  //    matches exactly one node; this is the steady state on real
-  //    instruction streams.
-  //  * list form (slice_node_ == kNoSlice): cur_[0..live_count_) holds
-  //    the node indices, duplicate-free. Entered at rearm ({entry}) and
-  //    when a step matches several tracked nodes at once.
+  //  * state form (state_ != kListForm): the set is
+  //    graph_->members(state_), a row of the immutable artifact --
+  //    nothing is copied. Armed at rearm() (the entry state) and kept by
+  //    every table transition, so on a fully determinised graph the
+  //    monitor never leaves it.
+  //  * list form (state_ == kListForm): cur_[0..live_count_) holds the
+  //    node indices, duplicate-free. The cold fallback for a multi-match
+  //    the compiler's bound left as kFastMulti; a later single-match
+  //    step returns to state form.
   // Buffers are pre-sized to the graph's node count at install (the set
   // can never exceed it), so steady-state operation never allocates.
-  // The epoch-stamp array dedups successor unions on multi-match steps
-  // in O(1) per node -- bumping epoch_ invalidates every stamp at once.
-  std::uint32_t slice_node_ = kNoSlice;
+  // The epoch-stamp array dedups successor unions on list-form steps in
+  // O(1) per node -- bumping epoch_ invalidates every stamp at once.
+  std::uint32_t state_ = kListForm;
   std::size_t live_count_ = 0;  // tracked-set size in either form
   // Raw views of the shared artifact's flat tables, cached at rebind()
   // so the per-instruction step dereferences no smart pointer.

@@ -346,6 +346,60 @@ TEST_P(MonitorDifferential, CompiledMatchesReferenceOnRandomStreams) {
   }
 }
 
+// The batched feed HardwareMonitor::advance() -- the path superblock
+// dispatches take -- against the per-hash reference, on the same graphs
+// and streams as above. Each stream is cut into random-size chunks fed
+// with either stop_on_mismatch setting; after every chunk the returned
+// index must be the reference's first-mismatch index within the chunk
+// (or the chunk size), and every observable must agree.
+TEST_P(MonitorDifferential, BatchedAdvanceMatchesReferenceOnRandomStreams) {
+  util::Rng rng(0xD1FF + static_cast<std::uint64_t>(GetParam()) * 2654435761u);
+  util::Rng chunking(0xC4C + static_cast<std::uint64_t>(GetParam()));
+  for (int g = 0; g < 50; ++g) {
+    monitor::MonitoringGraph graph = random_graph(rng);
+    monitor::HardwareMonitor compiled(
+        graph, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
+    monitor::ReferenceMonitor reference(
+        graph, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
+    for (int s = 0; s < 25; ++s) {
+      if (rng.chance(0.04)) {
+        graph = random_graph(rng);
+        compiled.install(
+            monitor::CompiledGraph::compile(graph),
+            std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
+        reference.install(graph, std::make_unique<monitor::MerkleTreeHash>(
+                                     rng.next_u32(), 8));
+      }
+      compiled.reset();
+      reference.reset();
+      const std::vector<std::uint8_t> stream = random_stream(rng, graph);
+      const bool stop_on_mismatch = chunking.chance(0.5);
+      std::size_t at = 0;
+      while (at < stream.size()) {
+        const std::size_t chunk = 1 + chunking.below(
+            static_cast<std::uint32_t>(stream.size() - at));
+        std::size_t expected = chunk;
+        for (std::size_t k = 0; k < chunk; ++k) {
+          if (reference.on_hashed(stream[at + k]) ==
+                  monitor::Verdict::Mismatch &&
+              stop_on_mismatch) {
+            expected = k;
+            break;
+          }
+        }
+        const std::size_t got =
+            compiled.advance(stream.data() + at, chunk, stop_on_mismatch);
+        ASSERT_EQ(got, expected) << "graph " << g << " stream " << s
+                                 << " offset " << at;
+        ASSERT_NO_FATAL_FAILURE(
+            expect_monitors_agree(compiled, reference, "after chunk"));
+        // A stopped chunk consumed its mismatching hash too.
+        at += expected == chunk ? chunk : expected + 1;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MonitorDifferential, ::testing::Range(0, 10));
 
 }  // namespace

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "isa/assembler.hpp"
 #include "monitor/analysis.hpp"
 #include "monitor/reference_monitor.hpp"
+#include "net/apps.hpp"
 #include "util/rng.hpp"
 
 namespace sdmmon::monitor {
@@ -333,6 +338,229 @@ TEST(CompiledGraph, RejectsMalformedGraphs) {
   EXPECT_THROW(CompiledGraph::compile(MonitoringGraph(
                    9, 0, 0, {{1, false, {}}})),
                std::invalid_argument);
+}
+
+// ---- install-time determinisation -----------------------------------------
+
+std::size_t uncompiled_transitions(const CompiledGraph& graph) {
+  const std::uint32_t* table = graph.fast_next_data();
+  return static_cast<std::size_t>(
+      std::count(table, table + graph.num_states() * graph.num_hash_buckets(),
+                 CompiledGraph::kFastMulti));
+}
+
+TEST(CompiledGraph, MultiMatchBecomesASubsetState) {
+  // entry(1) -> {1, 2}, both hash 3; 1 -> {3 (hash 5, exit)}; 2 -> {4}.
+  MonitoringGraph graph(4, 0x1000, 0,
+                        {{1, false, {1, 2}},
+                         {3, true, {3}},
+                         {3, false, {4}},
+                         {5, true, {}},
+                         {6, false, {}}});
+  auto compiled = CompiledGraph::compile(graph);
+  ASSERT_EQ(compiled->num_subset_states(), 1u);
+  ASSERT_EQ(compiled->num_states(), compiled->num_nodes() + 2);
+  EXPECT_EQ(uncompiled_transitions(*compiled), 0u);
+
+  const std::uint32_t* next = compiled->fast_next_data();
+  const std::uint32_t entry = compiled->entry_state();
+  const std::uint32_t subset = entry + 1;
+  EXPECT_EQ(next[(entry << 4) | 1], 0u);
+  EXPECT_EQ(next[(entry << 4) | 2], CompiledGraph::kFastEmpty);
+  EXPECT_EQ(next[(0u << 4) | 3], subset);
+  EXPECT_EQ(compiled->succ_count_data()[subset], 2u);
+  EXPECT_EQ(compiled->node_exit_data()[subset], 1u);  // node 1 can exit
+  ASSERT_EQ(compiled->members(subset).size(), 2u);
+  EXPECT_EQ(compiled->members(subset)[0], 3u);
+  EXPECT_EQ(compiled->members(subset)[1], 4u);
+  EXPECT_EQ(next[(subset << 4) | 5], 3u);
+  EXPECT_EQ(next[(subset << 4) | 6], 4u);
+  ASSERT_EQ(compiled->bucket(subset, 6).size(), 1u);
+  EXPECT_EQ(compiled->bucket(subset, 6)[0], 4u);
+
+  HardwareMonitor m(compiled, std::make_unique<MerkleTreeHash>(0xABCD, 4));
+  EXPECT_EQ(m.state_size(), 1u);
+  EXPECT_EQ(m.on_hashed(1), Verdict::Ok);
+  EXPECT_EQ(m.on_hashed(3), Verdict::Ok);
+  EXPECT_EQ(m.state_nodes(), (std::vector<std::uint32_t>{3, 4}));
+  EXPECT_TRUE(m.exit_allowed());
+}
+
+void expect_agree(const HardwareMonitor& compiled,
+                  const ReferenceMonitor& reference) {
+  ASSERT_EQ(compiled.state_nodes(), reference.state_nodes());
+  ASSERT_EQ(compiled.state_size(), reference.state_size());
+  ASSERT_EQ(compiled.exit_allowed(), reference.exit_allowed());
+  ASSERT_EQ(compiled.attack_flagged(), reference.attack_flagged());
+  ASSERT_EQ(compiled.peak_state_size(), reference.peak_state_size());
+  ASSERT_EQ(compiled.stats().instructions_checked,
+            reference.stats().instructions_checked);
+  ASSERT_EQ(compiled.stats().mismatches, reference.stats().mismatches);
+  ASSERT_EQ(compiled.stats().state_size_accum,
+            reference.stats().state_size_accum);
+}
+
+// Walks `streams` through the compiled monitor -- per hash, and batched
+// through advance() -- and through the reference walker, requiring
+// agreement on every observable.
+void run_against_reference(const MonitoringGraph& graph,
+                           const std::vector<std::vector<std::uint8_t>>&
+                               streams) {
+  auto compiled = CompiledGraph::compile(graph);
+  HardwareMonitor stepped(compiled,
+                          std::make_unique<MerkleTreeHash>(0xABCD, 8));
+  HardwareMonitor batched(compiled,
+                          std::make_unique<MerkleTreeHash>(0xABCD, 8));
+  ReferenceMonitor reference(graph,
+                             std::make_unique<MerkleTreeHash>(0xABCD, 8));
+  for (const auto& stream : streams) {
+    stepped.reset();
+    batched.reset();
+    reference.reset();
+    for (std::uint8_t report : stream) {
+      ASSERT_EQ(stepped.on_hashed(report), reference.on_hashed(report));
+      ASSERT_NO_FATAL_FAILURE(expect_agree(stepped, reference));
+    }
+    (void)batched.advance(stream.data(), stream.size(), false);
+    ASSERT_NO_FATAL_FAILURE(expect_agree(batched, reference));
+  }
+}
+
+// Two graphs whose reachable subsets outnumber the bound at w = 1. The
+// construction must stop at the bound, keep kFastMulti for the rest, and
+// the monitor's cold list path must still agree with the reference.
+TEST(CompiledGraph, BoundedSubsetConstructionStopsAtTheBound) {
+  util::Rng rng(0xB0D);
+
+  // Two all-hash-0 cycles of coprime lengths 5 and 7, both entered from
+  // the entry node: the matched pair {x_i mod 5, y_i mod 7} runs through
+  // 35 distinct subsets, but only num_nodes() = 13 may be compiled. Each
+  // costs 2 member entries, so the state bound is the one that binds.
+  {
+    const std::uint32_t p = 5, q = 7;
+    std::vector<GraphNode> nodes(1 + p + q);
+    nodes[0] = {0, false, {1, 1 + p}};
+    for (std::uint32_t i = 0; i < p; ++i) {
+      nodes[1 + i] = {0, i == 0, {1 + (i + 1) % p}};
+    }
+    for (std::uint32_t j = 0; j < q; ++j) {
+      nodes[1 + p + j] = {0, j == 0, {1 + p + (j + 1) % q}};
+    }
+    MonitoringGraph graph(1, 0x1000, 0, std::move(nodes));
+    auto compiled = CompiledGraph::compile(graph);
+    EXPECT_EQ(compiled->num_subset_states(), compiled->num_nodes());
+    EXPECT_GT(uncompiled_transitions(*compiled), 0u);
+
+    std::vector<std::vector<std::uint8_t>> streams;
+    streams.push_back(std::vector<std::uint8_t>(80, 0));  // > 35 steps
+    for (int s = 0; s < 40; ++s) {
+      std::vector<std::uint8_t> stream(1 + rng.below(80), 0);
+      for (auto& report : stream) {
+        if (rng.chance(0.02)) report = static_cast<std::uint8_t>(rng.below(3));
+      }
+      streams.push_back(std::move(stream));
+    }
+    ASSERT_NO_FATAL_FAILURE(run_against_reference(graph, streams));
+  }
+
+  // The classic "k-th symbol from the end is 1" NFA (k = 8): its subset
+  // automaton has 2^k reachable states against 18 nodes.
+  {
+    const std::uint32_t k = 8;
+    // 0 entry, 1/2 the any-symbol loop (hash 0/1), 3 the guessed 1,
+    // then chain positions 2..k as pairs (hash 0, hash 1).
+    std::vector<GraphNode> nodes(4 + 2 * (k - 1));
+    const std::vector<std::uint32_t> loop = {1, 2, 3};
+    const auto chain = [](std::uint32_t i) {  // first node of position i
+      return 4 + 2 * (i - 2);
+    };
+    nodes[0] = {0, false, loop};
+    nodes[1] = {0, false, loop};
+    nodes[2] = {1, false, loop};
+    nodes[3] = {1, false, {chain(2), chain(2) + 1}};
+    for (std::uint32_t i = 2; i <= k; ++i) {
+      for (std::uint8_t bit = 0; bit < 2; ++bit) {
+        GraphNode& node = nodes[chain(i) + bit];
+        node.hash = bit;
+        node.can_exit = i == k;
+        if (i < k) node.successors = {chain(i + 1), chain(i + 1) + 1};
+      }
+    }
+    MonitoringGraph graph(1, 0x1000, 0, std::move(nodes));
+    auto compiled = CompiledGraph::compile(graph);
+    EXPECT_LE(compiled->num_subset_states(), compiled->num_nodes());
+    EXPECT_GT(uncompiled_transitions(*compiled), 0u);
+
+    std::vector<std::vector<std::uint8_t>> streams;
+    for (int s = 0; s < 40; ++s) {
+      std::vector<std::uint8_t> stream(1 + rng.below(64));
+      for (auto& report : stream) {
+        report = static_cast<std::uint8_t>(rng.chance(0.01) ? 2
+                                                            : rng.below(2));
+      }
+      streams.push_back(std::move(stream));
+    }
+    ASSERT_NO_FATAL_FAILURE(run_against_reference(graph, streams));
+  }
+}
+
+// Every shipped application determinises completely at every hash width:
+// no transition is left to the monitor's list path, so the benchmark's
+// per-report monitor cost is one table load by construction.
+TEST(CompiledGraph, ShippedAppsDeterminiseCompletely) {
+  const std::pair<const char*, isa::Program> apps[] = {
+      {"ipv4-forward", net::build_ipv4_forward()},
+      {"ipv4-cm", net::build_ipv4_cm()},
+      {"udp-echo", net::build_udp_echo()},
+      {"firewall", net::build_firewall({21, 22, 23, 53, 80, 443, 8080})},
+      {"loop-forward", net::build_loop_forward()},
+      {"flow-stats", net::build_flow_stats()},
+      {"ipip-encap", net::build_ipip_encap(0x0A000001, 0x0A000002)},
+      {"ipip-decap", net::build_ipip_decap()},
+  };
+  for (const auto& [name, program] : apps) {
+    for (int width : {1, 2, 4, 8}) {
+      MerkleTreeHash hash(0xBEEFCAFE, width);
+      auto compiled = CompiledGraph::compile(extract_graph(program, hash));
+      EXPECT_EQ(uncompiled_transitions(*compiled), 0u)
+          << name << " w=" << width;
+      EXPECT_LE(compiled->num_subset_states(), compiled->num_nodes())
+          << name << " w=" << width;
+    }
+  }
+}
+
+// Under the default ArithmeticSum compression the hash is (parameter
+// chunk sum + word chunk sum) mod 2^w, so which words collide -- and
+// with it the subset states and the artifact size -- does not depend on
+// the secret parameter (docs/THREAT_MODEL.md, telemetry audit).
+TEST(CompiledGraph, FootprintIsParameterIndependentUnderArithmeticSum) {
+  const isa::Program program = net::build_ipv4_cm();
+  util::Rng rng(0x5EC);
+  auto first = CompiledGraph::compile(
+      extract_graph(program, MerkleTreeHash(rng.next_u32())));
+  for (int i = 0; i < 50; ++i) {
+    auto other = CompiledGraph::compile(
+        extract_graph(program, MerkleTreeHash(rng.next_u32())));
+    EXPECT_EQ(other->num_subset_states(), first->num_subset_states());
+    EXPECT_EQ(other->footprint_bytes(), first->footprint_bytes());
+  }
+}
+
+// The S-box compression is nonlinear in the parameter, so collisions --
+// and the artifact size -- vary with it: compiled_graph_bytes then
+// carries information about the parameter.
+TEST(CompiledGraph, FootprintCanDependOnParameterUnderSboxSum) {
+  const isa::Program program = net::build_ipv4_cm();
+  util::Rng rng(0x5EC);
+  std::set<std::size_t> footprints;
+  for (int i = 0; i < 20; ++i) {
+    MerkleTreeHash hash(rng.next_u32(), 4, Compression::SboxSum);
+    footprints.insert(
+        CompiledGraph::compile(extract_graph(program, hash))
+            ->footprint_bytes());
+  }
+  EXPECT_GT(footprints.size(), 1u);
 }
 
 }  // namespace
