@@ -76,8 +76,8 @@ void Core::reset() {
 
 void Core::soft_reset() {
   // Fresh processing stack and packet buffers; application data persists.
-  // zero_region only scrubs pages actually written since their last
-  // zeroing, so this costs O(bytes the last packet touched).
+  // zero_region walks Memory's list of nonzero pages, never the regions
+  // or their page flags, so this costs O(pages the last packet touched).
   mem_.zero_region(kStackBase);
   mem_.zero_region(kPktInBase);
   mem_.zero_region(kPktOutBase);

@@ -1,192 +1,137 @@
 #include "np/memory.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace sdmmon::np {
 
 namespace {
-std::size_t pages_for(std::size_t bytes) {
-  return (bytes + kPageBytes - 1) / kPageBytes;
+
+struct Region {
+  std::uint32_t base;
+  std::uint32_t size;
+};
+
+constexpr Region kRegions[] = {
+    {kTextBase, kTextSize},   {kDataBase, kDataSize},
+    {kStackBase, kStackSize}, {kPktInBase, kPktInSize},
+    {kPktOutBase, kPktOutSize}};
+
+// Page-aligned regions, and pkt-out the only one above the hole.
+constexpr bool regions_fit_arena() {
+  for (const Region& r : kRegions) {
+    if ((r.base | r.size) % kPageBytes != 0) return false;
+    if (r.base != kPktOutBase && r.base + r.size > kPktInBase + kPktInSize) {
+      return false;
+    }
+  }
+  return true;
 }
+static_assert(regions_fit_arena());
+
+// The arena is contiguous across region boundaries, so a bulk copy is
+// checked against the region map: throws unless [addr, addr + len) lies
+// inside one region.
+void check_block(std::uint32_t addr, std::size_t len, const char* what) {
+  for (const Region& r : kRegions) {
+    if (addr - r.base < r.size) {
+      if (len <= r.size - (addr - r.base)) return;
+      break;
+    }
+  }
+  throw std::out_of_range(what);
+}
+
 }  // namespace
 
-Memory::Memory() {
-  auto add = [this](std::uint32_t base, std::size_t size) {
-    Region region;
-    region.base = base;
-    region.bytes.assign(size, 0);
-    region.maybe_nonzero.assign(pages_for(size), 0);
-    region.stamp.assign(pages_for(size), 0);
-    regions_.push_back(std::move(region));
-  };
-  add(kTextBase, kTextSize);
-  add(kDataBase, kDataSize);
-  add(kStackBase, kStackSize);
-  add(kPktInBase, kPktInSize);
-  add(kPktOutBase, kPktOutSize);
-}
-
-void Memory::touch_page(Region& region, std::uint32_t addr) {
-  const std::uint32_t page = (addr - region.base) / kPageBytes;
-  if (capture_on_ && region.stamp[page] != capture_epoch_) {
-    region.stamp[page] = capture_epoch_;
-    const std::size_t off = std::size_t{page} * kPageBytes;
-    const std::size_t len = std::min<std::size_t>(kPageBytes,
-                                                  region.bytes.size() - off);
-    const std::uint8_t* p = region.bytes.data() + off;
-    capture_log_.push_back(
-        {region.base + page * kPageBytes, util::Bytes(p, p + len)});
-  }
-  region.maybe_nonzero[page] = 1;
-}
-
-void Memory::scrub_region(Region& region) {
-  for (std::uint32_t page = 0; page < region.maybe_nonzero.size(); ++page) {
-    if (!region.maybe_nonzero[page]) continue;  // invariant: already zero
-    const std::size_t off = std::size_t{page} * kPageBytes;
-    const std::size_t len = std::min<std::size_t>(kPageBytes,
-                                                  region.bytes.size() - off);
-    if (capture_on_ && region.stamp[page] != capture_epoch_) {
-      region.stamp[page] = capture_epoch_;
-      const std::uint8_t* p = region.bytes.data() + off;
-      capture_log_.push_back(
-          {region.base + page * kPageBytes, util::Bytes(p, p + len)});
+Memory::Memory() : arena_(arena_offset(kPktOutBase + kPktOutSize)) {
+  static_assert(kPages <= 0x10000, "page numbers are listed as uint16");
+  for (const Region& r : kRegions) {
+    for (std::uint32_t a = r.base; a < r.base + r.size; a += kPageBytes) {
+      attr_[a / kPageBytes] = kMapped;
     }
-    std::memset(region.bytes.data() + off, 0, len);
-    region.maybe_nonzero[page] = 0;
   }
 }
 
-void Memory::clear() {
-  for (auto& region : regions_) scrub_region(region);
+void Memory::touch_page(std::uint32_t page) {
+  std::uint8_t& attr = attr_[page];
+  if ((store_mask_ & kCaptured) && !(attr & kCaptured)) {
+    attr |= kCaptured;
+    const std::uint8_t* p = arena_.data() + arena_offset(page * kPageBytes);
+    capture_log_.push_back(
+        {page * kPageBytes, util::Bytes(p, p + kPageBytes)});
+  }
+  if (!(attr & kNonzero)) {
+    attr |= kNonzero;
+    nonzero_pages_.push_back(static_cast<std::uint16_t>(page));
+  }
 }
+
+void Memory::scrub(std::uint32_t begin, std::uint32_t end) {
+  std::size_t kept = 0;
+  for (const std::uint16_t page : nonzero_pages_) {
+    if (page < begin || page >= end) {
+      nonzero_pages_[kept++] = page;
+      continue;
+    }
+    touch_page(page);  // logs the pre-image; the page is already listed
+    std::memset(arena_.data() + arena_offset(page * kPageBytes), 0,
+                kPageBytes);
+    attr_[page] &= static_cast<std::uint8_t>(~kNonzero);
+  }
+  nonzero_pages_.resize(kept);
+}
+
+void Memory::clear() { scrub(0, kPages); }
 
 void Memory::zero_region(std::uint32_t base) {
-  for (auto& region : regions_) {
-    if (region.base == base) {
-      scrub_region(region);
+  for (const Region& r : kRegions) {
+    if (r.base == base) {
+      scrub(base / kPageBytes, (base + r.size) / kPageBytes);
       return;
     }
   }
   throw std::out_of_range("Memory::zero_region: no region at base");
 }
 
+void Memory::end_capture() {
+  for (const PageCopy& copy : capture_log_) {
+    attr_[copy.addr / kPageBytes] &= static_cast<std::uint8_t>(~kCaptured);
+  }
+  store_mask_ = kMapped | kNonzero;
+}
+
 void Memory::begin_capture() {
-  capture_on_ = true;
-  ++capture_epoch_;
+  end_capture();
   capture_log_.clear();
+  store_mask_ |= kCaptured;
 }
 
 std::vector<Memory::PageCopy> Memory::take_capture() {
-  capture_on_ = false;
-  return std::move(capture_log_);
+  end_capture();
+  return std::exchange(capture_log_, {});
 }
 
 void Memory::restore_pages(std::span<const PageCopy> log) {
-  for (const PageCopy& copy : log) {
-    Region* region = find(copy.addr, 1);
-    if (!region ||
-        copy.addr + copy.bytes.size() > region->base + region->bytes.size()) {
-      throw std::out_of_range("Memory::restore_pages outside a region");
-    }
-    std::memcpy(region->bytes.data() + (copy.addr - region->base),
-                copy.bytes.data(), copy.bytes.size());
-    // Conservative: the restored content may be nonzero; a later scrub
-    // will zero it if so.
-    region->maybe_nonzero[(copy.addr - region->base) / kPageBytes] = 1;
-  }
-}
-
-const Memory::Region* Memory::find(std::uint32_t addr, unsigned size) const {
-  for (const auto& region : regions_) {
-    if (region.contains(addr, size)) return &region;
-  }
-  return nullptr;
-}
-
-Memory::Region* Memory::find(std::uint32_t addr, unsigned size) {
-  return const_cast<Region*>(
-      static_cast<const Memory*>(this)->find(addr, size));
-}
-
-std::optional<std::uint32_t> Memory::load32(std::uint32_t addr) const {
-  if (addr % 4 != 0) return std::nullopt;
-  const Region* region = find(addr, 4);
-  if (!region) return std::nullopt;
-  return util::load_le32(region->bytes.data() + (addr - region->base));
-}
-
-std::optional<std::uint16_t> Memory::load16(std::uint32_t addr) const {
-  if (addr % 2 != 0) return std::nullopt;
-  const Region* region = find(addr, 2);
-  if (!region) return std::nullopt;
-  const std::uint8_t* p = region->bytes.data() + (addr - region->base);
-  return static_cast<std::uint16_t>(p[0] | p[1] << 8);
-}
-
-std::optional<std::uint8_t> Memory::load8(std::uint32_t addr) const {
-  const Region* region = find(addr, 1);
-  if (!region) return std::nullopt;
-  return region->bytes[addr - region->base];
-}
-
-MemFault Memory::load_fault(std::uint32_t addr, unsigned size) const {
-  if (size > 1 && addr % size != 0) return MemFault::Unaligned;
-  return find(addr, size) ? MemFault::None : MemFault::OutOfRange;
-}
-
-MemFault Memory::store32(std::uint32_t addr, std::uint32_t value) {
-  if (addr % 4 != 0) return MemFault::Unaligned;
-  Region* region = find(addr, 4);
-  if (!region) return MemFault::OutOfRange;
-  touch_page(*region, addr);  // aligned: one page
-  util::store_le32(value, region->bytes.data() + (addr - region->base));
-  return MemFault::None;
-}
-
-MemFault Memory::store16(std::uint32_t addr, std::uint16_t value) {
-  if (addr % 2 != 0) return MemFault::Unaligned;
-  Region* region = find(addr, 2);
-  if (!region) return MemFault::OutOfRange;
-  touch_page(*region, addr);  // aligned: one page
-  std::uint8_t* p = region->bytes.data() + (addr - region->base);
-  p[0] = static_cast<std::uint8_t>(value);
-  p[1] = static_cast<std::uint8_t>(value >> 8);
-  return MemFault::None;
-}
-
-MemFault Memory::store8(std::uint32_t addr, std::uint8_t value) {
-  Region* region = find(addr, 1);
-  if (!region) return MemFault::OutOfRange;
-  touch_page(*region, addr);
-  region->bytes[addr - region->base] = value;
-  return MemFault::None;
+  for (const PageCopy& copy : log) write_block(copy.addr, copy.bytes);
 }
 
 void Memory::write_block(std::uint32_t addr,
                          std::span<const std::uint8_t> data) {
   if (data.empty()) return;
-  Region* region = find(addr, 1);
-  if (!region || addr + data.size() > region->base + region->bytes.size()) {
-    throw std::out_of_range("Memory::write_block outside a region");
-  }
+  check_block(addr, data.size(), "Memory::write_block outside a region");
   for (std::uint32_t a = addr & ~(kPageBytes - 1); a < addr + data.size();
        a += kPageBytes) {
-    touch_page(*region, std::max(a, addr));
+    touch_page(a / kPageBytes);
   }
-  std::memcpy(region->bytes.data() + (addr - region->base), data.data(),
-              data.size());
+  std::memcpy(arena_.data() + arena_offset(addr), data.data(), data.size());
 }
 
 util::Bytes Memory::read_block(std::uint32_t addr, std::size_t len) const {
   if (len == 0) return {};
-  const Region* region = find(addr, 1);
-  if (!region || addr + len > region->base + region->bytes.size()) {
-    throw std::out_of_range("Memory::read_block outside a region");
-  }
-  const std::uint8_t* p = region->bytes.data() + (addr - region->base);
+  check_block(addr, len, "Memory::read_block outside a region");
+  const std::uint8_t* p = arena_.data() + arena_offset(addr);
   return util::Bytes(p, p + len);
 }
 

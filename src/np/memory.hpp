@@ -1,22 +1,30 @@
-// Flat region-based memory for one NP core. All regions are readable and
-// writable and *all readable memory is executable* -- faithful to the
-// simple embedded cores the paper targets and required for the
-// code-injection attack path the monitor defends against.
+// Memory of one NP core: the five regions of np/memmap.hpp in one flat
+// arena. All regions are readable and writable and *all readable memory
+// is executable* -- faithful to the simple embedded cores the paper
+// targets and required for the code-injection attack path the monitor
+// defends against.
 //
-// The memory additionally tracks writes at page granularity (kPageBytes):
-//  * every page carries a "maybe nonzero" flag, so clear()/zero_region()
-//    only scrub pages that were actually written since they were last
-//    zeroed -- the per-packet soft reset costs O(bytes touched), not
-//    O(region size);
-//  * an optional *capture* records the pre-image of each page the first
-//    time it is dirtied, so a speculative packet execution can be rolled
-//    back by restoring only the touched pages (dirty-page snapshots for
-//    the parallel engine) instead of copying whole-core state.
+// The arena holds only mapped bytes: pkt-out is packed right after pkt-in,
+// the rest sit at their guest addresses. Each guest page (kPageBytes) up
+// to pkt-out's end has one attribute byte:
+//  * kMapped: regions are page-aligned and an aligned access never
+//    crosses a page, so this bit is the whole bounds check;
+//  * kNonzero: clear => the page is all-zero. Set pages are also listed,
+//    so clear()/zero_region() visit only pages written since they were
+//    last zeroed: the per-packet soft reset is O(bytes touched);
+//  * kCaptured: an active *capture* holds the page's pre-image. A capture
+//    logs each page the first time it is dirtied, so a speculative packet
+//    run is rolled back by restoring only the touched pages (the parallel
+//    engine's dirty-page snapshots), not a copy of the whole core.
+// Loads and stores are inline; only a store that must set one of the
+// page's bits goes out of line.
 #ifndef SDMMON_NP_MEMORY_HPP
 #define SDMMON_NP_MEMORY_HPP
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "np/memmap.hpp"
@@ -33,7 +41,7 @@ enum class MemFault {
 
 /// Dirty-page tracking granularity. Small enough that a packet touching a
 /// few stack slots logs a few hundred bytes, large enough that the
-/// per-store bookkeeping is one shift and one flag byte.
+/// per-store bookkeeping is one shift and one attribute byte.
 inline constexpr std::uint32_t kPageBytes = 256;
 
 class Memory {
@@ -47,26 +55,35 @@ class Memory {
 
   Memory();
 
-  /// Zero all regions (used on full core reset). Only pages flagged
-  /// maybe-nonzero are scrubbed.
+  /// Zero all regions (used on full core reset).
   void clear();
 
-  /// Zero the single region starting at `base` (page-skipping, capture
-  /// aware). Used by the per-packet soft reset on stack/pktin/pktout.
+  /// Zero the single region starting at `base` (capture aware). Used by
+  /// the per-packet soft reset on stack/pktin/pktout.
   void zero_region(std::uint32_t base);
 
   // All accessors return/accept little-endian values (MIPS LE).
-  std::optional<std::uint32_t> load32(std::uint32_t addr) const;
-  std::optional<std::uint16_t> load16(std::uint32_t addr) const;
-  std::optional<std::uint8_t> load8(std::uint32_t addr) const;
-  MemFault store32(std::uint32_t addr, std::uint32_t value);
-  MemFault store16(std::uint32_t addr, std::uint16_t value);
-  MemFault store8(std::uint32_t addr, std::uint8_t value);
+  std::optional<std::uint32_t> load32(std::uint32_t addr) const {
+    return load<std::uint32_t>(addr);
+  }
+  std::optional<std::uint16_t> load16(std::uint32_t addr) const {
+    return load<std::uint16_t>(addr);
+  }
+  std::optional<std::uint8_t> load8(std::uint32_t addr) const {
+    return load<std::uint8_t>(addr);
+  }
+  MemFault store32(std::uint32_t addr, std::uint32_t value) {
+    return store(addr, value);
+  }
+  MemFault store16(std::uint32_t addr, std::uint16_t value) {
+    return store(addr, value);
+  }
+  MemFault store8(std::uint32_t addr, std::uint8_t value) {
+    return store(addr, value);
+  }
 
-  /// Classify why a load failed (for trap reporting).
-  MemFault load_fault(std::uint32_t addr, unsigned size) const;
-
-  /// Bulk copy used by the loader and packet I/O (throws on overflow).
+  /// Bulk copy used by the loader and packet I/O. Throws
+  /// std::out_of_range unless the block lies inside one region.
   void write_block(std::uint32_t addr, std::span<const std::uint8_t> data);
   util::Bytes read_block(std::uint32_t addr, std::size_t len) const;
 
@@ -81,40 +98,67 @@ class Memory {
 
   /// Write page pre-images back (rollback). Call with a log from
   /// take_capture, iterating it in reverse order when undoing multiple
-  /// captures newest-first. Restored pages are conservatively flagged
-  /// maybe-nonzero.
+  /// captures newest-first. Each copy is a write_block.
   void restore_pages(std::span<const PageCopy> log);
 
  private:
-  struct Region {
-    std::uint32_t base;
-    std::vector<std::uint8_t> bytes;
-    // One entry per kPageBytes page. maybe_nonzero: clear => the page is
-    // known all-zero (invariant maintained by clear/zero_region). stamp:
-    // capture epoch of the last pre-image log, so a page is copied at
-    // most once per capture.
-    std::vector<std::uint8_t> maybe_nonzero;
-    std::vector<std::uint32_t> stamp;
-    bool contains(std::uint32_t addr, unsigned size) const {
-      return addr >= base && addr + size <= base + bytes.size() &&
-             addr + size > addr;
+  static constexpr std::uint8_t kMapped = 1, kNonzero = 2, kCaptured = 4;
+  /// Pages with an attribute byte, and the hole left out of the arena.
+  static constexpr std::uint32_t kPages =
+      (kPktOutBase + kPktOutSize) / kPageBytes;
+  static constexpr std::uint32_t kHole =
+      kPktOutBase - (kPktInBase + kPktInSize);
+
+  static std::uint32_t arena_offset(std::uint32_t addr) {
+    return addr >= kPktOutBase ? addr - kHole : addr;
+  }
+
+  template <typename T>
+  std::optional<T> load(std::uint32_t addr) const {
+    const std::uint32_t page = addr / kPageBytes;
+    if (addr % sizeof(T) != 0 || page >= kPages || !(attr_[page] & kMapped)) {
+      return std::nullopt;
     }
-  };
+    const std::uint8_t* p = arena_.data() + arena_offset(addr);
+    T value = 0;
+    for (unsigned i = 0; i < sizeof(T); ++i) {
+      value |= static_cast<T>(T{p[i]} << 8 * i);
+    }
+    return value;
+  }
 
-  const Region* find(std::uint32_t addr, unsigned size) const;
-  Region* find(std::uint32_t addr, unsigned size);
+  /// A page missing a bit of `store_mask_` takes the out-of-line
+  /// touch_page before the store.
+  template <typename T>
+  MemFault store(std::uint32_t addr, T value) {
+    if (addr % sizeof(T) != 0) return MemFault::Unaligned;
+    const std::uint32_t page = addr / kPageBytes;
+    if (page >= kPages) return MemFault::OutOfRange;
+    if ((attr_[page] & store_mask_) != store_mask_) {
+      if (!(attr_[page] & kMapped)) return MemFault::OutOfRange;
+      touch_page(page);
+    }
+    std::uint8_t* p = arena_.data() + arena_offset(addr);
+    for (unsigned i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(value >> 8 * i);
+    }
+    return MemFault::None;
+  }
 
-  /// Record the page holding `addr` as written: log its pre-image if a
-  /// capture is active and this is the first touch, and flag it
-  /// maybe-nonzero. `addr` must lie inside `region`.
-  void touch_page(Region& region, std::uint32_t addr);
+  /// Log the page's pre-image if the active capture has not yet, and
+  /// flag (and list) it nonzero.
+  void touch_page(std::uint32_t page);
+  /// Zero every nonzero page in [begin, end) (shared by clear/zero_region).
+  void scrub(std::uint32_t begin, std::uint32_t end);
+  /// Clear kCaptured over the logged pages and stop capturing.
+  void end_capture();
 
-  /// Zero one region's maybe-nonzero pages (shared by clear/zero_region).
-  void scrub_region(Region& region);
-
-  std::vector<Region> regions_;
-  bool capture_on_ = false;
-  std::uint32_t capture_epoch_ = 0;
+  std::vector<std::uint8_t> arena_;
+  std::array<std::uint8_t, kPages> attr_{};
+  /// Exactly the pages whose kNonzero bit is set.
+  std::vector<std::uint16_t> nonzero_pages_;
+  /// kMapped|kNonzero, plus kCaptured while a capture is active.
+  std::uint8_t store_mask_ = kMapped | kNonzero;
   std::vector<PageCopy> capture_log_;
 };
 

@@ -15,12 +15,19 @@
 #     Latency- and size-class fields are deliberately ignored -- the
 #     gate exists to catch throughput regressions, not to freeze every
 #     number in place.
+#   * Exact-class fields must equal the baseline (relative tolerance
+#     1e-9) in quick and full mode alike: dispatches_per_pkt and
+#     side_exit_rate (X1c, computed from a fixed counting pass at any
+#     budget). They are deterministic cost counters, so any change is a
+#     behavioural change, fast or not; re-record the baseline when it is
+#     intended.
 #
 # Quick mode: when SDMMON_BENCH_QUICK is set (the CI bench-smoke job),
 # timing on shared runners is meaningless, so the script only verifies
 # the wiring -- every baseline has a fresh counterpart, the reports
 # parse, and every baseline throughput field still exists in the fresh
-# report. Ratio violations are printed as warnings but do not fail.
+# report. Ratio violations are printed as warnings but do not fail;
+# exact-class mismatches still fail.
 # Run without SDMMON_BENCH_QUICK on a quiet machine to enforce ratios.
 #
 # Usage:  tools/check_bench_regression.sh CURRENT_DIR [BASELINE_DIR] [THRESHOLD]
@@ -40,6 +47,7 @@ fi
 CURRENT_DIR="$current_dir" BASELINE_DIR="$baseline_dir" \
 THRESHOLD="$threshold" python3 - <<'PY'
 import json
+import math
 import os
 import re
 import sys
@@ -52,10 +60,13 @@ quick = bool(os.environ.get("SDMMON_BENCH_QUICK"))
 THROUGHPUT = re.compile(
     r"(kpps|mpps|minstr_s|_per_s|throughput|speedup|pkts_per_rollback_byte)"
 )
+EXACT = re.compile(r"^(dispatches_per_pkt|side_exit_rate)$")
+EXACT_REL_TOL = 1e-9
 
 failures = []
 warnings = []
 compared = 0
+compared_exact = 0
 
 
 def row_keys(rows):
@@ -90,15 +101,23 @@ def numeric_fields(mapping):
         for key, value in mapping.items()
         if isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and THROUGHPUT.search(key)
+        and (THROUGHPUT.search(key) or EXACT.search(key))
     }
 
 
 def compare(name, where, base_fields, cur_fields):
-    global compared
+    global compared, compared_exact
     for key, base in base_fields.items():
         if key not in cur_fields:
             failures.append(f"{name} {where}: field '{key}' missing from fresh report")
+            continue
+        if EXACT.search(key):
+            compared_exact += 1
+            if not math.isclose(cur_fields[key], base, rel_tol=EXACT_REL_TOL):
+                failures.append(
+                    f"{name} {where}: exact field {key} changed "
+                    f"({cur_fields[key]!r} vs baseline {base!r})"
+                )
             continue
         compared += 1
         if base <= 0:
@@ -152,7 +171,8 @@ for msg in failures:
 mode = "quick/wiring" if quick else f"enforcing (floor {threshold}x)"
 print(
     f"check_bench_regression: {len(baselines)} baseline report(s), "
-    f"{compared} throughput field(s) checked, mode: {mode}"
+    f"{compared} throughput field(s) and {compared_exact} exact field(s) "
+    f"checked, mode: {mode}"
 )
 sys.exit(1 if failures else 0)
 PY
