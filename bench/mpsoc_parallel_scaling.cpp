@@ -283,9 +283,9 @@ int main() {
               pkts_per_rollback_byte);
   bench::rule(44);
   if (rc.bytes == 0) {
-    bench::note("no rollback telemetry recorded (SDMMON_OBS=OFF build, or");
-    bench::note("no recovery epoch fired on this budget) -- row kept for");
-    bench::note("schema stability with zeroed values.");
+    bench::note("no rollback telemetry recorded (no recovery epoch fired");
+    bench::note("on this budget) -- row kept for schema stability with");
+    bench::note("zeroed values.");
   } else {
     std::printf("\nrollback restores %.1f bytes per replayed packet "
                 "(%.0fx less than a\nfull %.0f-byte core-state copy)\n",

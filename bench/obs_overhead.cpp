@@ -3,15 +3,13 @@
 // 4-core serial Mpsoc running ipv4-cm in three configurations:
 //
 //   detached       engine built, enable_obs() never called -- the cost
-//                  everyone pays (a null-pointer test per commit when
-//                  SDMMON_OBS=ON; nothing at all when OFF).
+//                  everyone pays (a null-pointer test per site).
 //   attached s=1   full instrumentation, every packet recorded.
 //   attached s=64  counters exact, histograms sampled 1/64.
 //
-// Run this binary from both -DSDMMON_OBS=ON and OFF builds to populate
-// the overhead table in docs/OBSERVABILITY.md; the acceptance bar for
-// the disabled configuration is "within noise" (< 2%) of the seed
-// build's monitor_throughput numbers.
+// Populates the overhead table in docs/OBSERVABILITY.md; the acceptance
+// bar for the detached configuration is "within noise" (< 2%) of the
+// seed build's monitor_throughput numbers.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -75,9 +73,6 @@ double measure(const Workload& load, std::uint32_t sample_period,
 int main() {
   bench::heading("obs overhead: packet-path cost of the metrics layer");
 
-  bench::note(std::string("build: SDMMON_OBS=") +
-              (SDMMON_OBS_ENABLED ? "ON" : "OFF"));
-
   const Workload load = make_workload();
   obs::Registry reg_full;
   obs::Registry reg_sampled;
@@ -87,7 +82,6 @@ int main() {
   const double sampled = measure(load, 64, &reg_sampled);
 
   bench::BenchReport report("obs_overhead");
-  report.set_meta("obs_enabled", static_cast<bool>(SDMMON_OBS_ENABLED));
   report.set_meta("cores", kCores);
   report.set_meta("packets", kPackets);
   report.set_meta("reps", kReps);
@@ -110,8 +104,7 @@ int main() {
                   {"overhead_pct", (sampled / detached - 1.0) * 100.0}});
 
   bench::note("4-core serial Mpsoc, ipv4-cm, generated traffic; best of 3");
-  bench::note("runs. Detached vs a SDMMON_OBS=OFF build isolates the cost");
-  bench::note("of the compiled-in null check (expected: below noise).");
+  bench::note("runs.");
   report.write();
   return 0;
 }

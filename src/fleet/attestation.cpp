@@ -67,7 +67,6 @@ AttestationReport attest_concrete(
   }
 
   bool from_snapshot = false;
-#if SDMMON_OBS_ENABLED
   if (registry != nullptr) {
     // Parse the registry's own JSON snapshot -- the exact document a
     // device-side reporting agent would ship to the fleet backend.
@@ -82,9 +81,6 @@ AttestationReport attest_concrete(
         counter_or_zero(counters, obs::names::kEngineReinstalls);
     from_snapshot = true;
   }
-#else
-  (void)registry;
-#endif
   if (!from_snapshot) {
     const np::MpsocStats stats = device.mpsoc().aggregate_stats();
     report.packets = stats.packets;

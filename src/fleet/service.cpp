@@ -89,10 +89,8 @@ FleetService::FleetService(Simulator& sim, FleetConfig config)
   }
 
   if (config_.registry != nullptr) {
-#if SDMMON_OBS_ENABLED
     obs_ = FleetSimObs::create(*config_.registry);
     obs_->devices->set(static_cast<std::int64_t>(fleet_.size()));
-#endif
   }
 }
 
@@ -208,13 +206,11 @@ void FleetService::open_wave(Simulator& sim, std::uint16_t wave) {
   current_wave_ = wave;
   wave_open_ms_[wave] = sim.now();
   const std::size_t count = waves_[wave].targeted;
-#if SDMMON_OBS_ENABLED
   if (obs_ != nullptr) {
     obs_->wave->set(wave);
     obs_->journal->record({obs::EventKind::RolloutWave, sim.now(),
                            obs::kAllCores, wave, count});
   }
-#endif
   if (count == 0) {
     maybe_advance_wave(sim);
     return;
@@ -328,15 +324,11 @@ void FleetService::finish_install_phase(Simulator& sim, std::size_t id,
   if (terminal_state == DeviceState::Rejected) {
     ++waves_[dev.wave].rejected;
     ++tally_rejected_;
-#if SDMMON_OBS_ENABLED
     if (obs_ != nullptr) obs_->rejections->add(1);
-#endif
   } else {
     ++waves_[dev.wave].unreachable;
     ++tally_unreachable_;
-#if SDMMON_OBS_ENABLED
     if (obs_ != nullptr) obs_->unreachable->add(1);
-#endif
   }
   note_terminal(sim, dev);
   check_halt(sim);
@@ -349,9 +341,7 @@ void FleetService::handle_installed(Simulator& sim, std::size_t id) {
   dev.version = release_.version;
   dev.state = DeviceState::Baking;
   ++waves_[dev.wave].installed;
-#if SDMMON_OBS_ENABLED
   if (obs_ != nullptr) obs_->installs->add(1);
-#endif
   if (is_concrete(id)) {
     ConcreteSlot& slot = concrete_[id];
     if (slot.has_current) {
@@ -414,9 +404,7 @@ void FleetService::mark_quarantined(Simulator& sim, ModeledDevice& dev) {
   dev.state = DeviceState::Quarantined;
   ++waves_[dev.wave].quarantined;
   ++tally_quarantined_;
-#if SDMMON_OBS_ENABLED
   if (obs_ != nullptr) obs_->quarantines->add(1);
-#endif
   note_terminal(sim, dev);
 }
 
@@ -443,14 +431,12 @@ void FleetService::halt_rollout(Simulator& sim, HaltReason reason) {
   halted_wave_ = current_wave_;
   halt_time_ms_ = sim.now();
   ++rollout_epoch_;  // every in-flight rollout event is now stale
-#if SDMMON_OBS_ENABLED
   if (obs_ != nullptr) {
     obs_->halts->add(1);
     obs_->journal->record({obs::EventKind::RolloutHalt, sim.now(),
                            obs::kAllCores, halted_wave_,
                            static_cast<std::uint64_t>(reason)});
   }
-#endif
   // Devices that never activated the release go back to Enrolled; devices
   // that did (Baking / Healthy / Quarantined on this version) are the
   // blast radius and get rolled back to last-good.
@@ -516,9 +502,7 @@ void FleetService::handle_rollback(Simulator& sim, std::size_t id) {
   ++tally_rolled_back_;
   ++rollbacks_done_;
   --pending_rollbacks_;
-#if SDMMON_OBS_ENABLED
   if (obs_ != nullptr) obs_->rollbacks->add(1);
-#endif
   if (is_concrete(id)) {
     // Real recovery: release quarantined cores, re-image last-good.
     ConcreteSlot& slot = concrete_[id];
@@ -538,13 +522,11 @@ void FleetService::handle_rollback(Simulator& sim, std::size_t id) {
   }
   update_health_gauges();
   if (pending_rollbacks_ == 0) {
-#if SDMMON_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->journal->record({obs::EventKind::RolloutRollback, sim.now(),
                              obs::kAllCores, halted_wave_,
                              rollbacks_done_});
     }
-#endif
     running_ = false;
   }
 }
@@ -578,12 +560,10 @@ FleetHealth FleetService::health() const {
 }
 
 void FleetService::update_health_gauges() {
-#if SDMMON_OBS_ENABLED
   if (obs_ == nullptr) return;
   obs_->converged->set(static_cast<std::int64_t>(tally_healthy_));
   obs_->health_score->set(
       static_cast<std::int64_t>(std::lround(fleet_health_score(health()))));
-#endif
 }
 
 RolloutReport FleetService::report() const {

@@ -224,9 +224,7 @@ void MonitoredCore::commit_result(const PacketResult& result) {
       break;
   }
   stats_.instructions += result.instructions;
-#if SDMMON_OBS_ENABLED
   if (obs_ != nullptr) obs_->on_commit(result);
-#endif
 }
 
 PacketResult MonitoredCore::process_packet(

@@ -158,8 +158,8 @@ class MonitoredCore {
   void set_enforcement(bool on) { enforce_ = on; }
 
   /// Attach (or detach with nullptr) cached metric handles; `obs` must
-  /// outlive the core or the next attach. No-op cost when detached; the
-  /// whole site compiles out with SDMMON_OBS=OFF.
+  /// outlive the core or the next attach. Detached, the commit path pays
+  /// one null check.
   void attach_obs(CoreObs* obs) { obs_ = obs; }
 
  private:

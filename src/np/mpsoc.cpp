@@ -152,7 +152,6 @@ CoreArray::~CoreArray() { delete obs_.load(std::memory_order_relaxed); }
 
 void CoreArray::enable_obs(obs::Registry& registry, std::uint32_t device_id,
                            std::uint32_t sample_period) {
-#if SDMMON_OBS_ENABLED
   quiesce();  // no worker may be touching core state
   registry.set_sample_period(sample_period);
   std::unique_ptr<EngineObs> obs =
@@ -163,30 +162,19 @@ void CoreArray::enable_obs(obs::Registry& registry, std::uint32_t device_id,
   obs->healthy_cores->set(
       static_cast<std::int64_t>(recovery_.healthy_cores()));
   delete obs_.exchange(obs.release(), std::memory_order_acq_rel);
-#else
-  (void)registry;
-  (void)device_id;
-  (void)sample_period;
-#endif
 }
 
 InstallArtifacts CoreArray::compile_artifacts(
     const isa::Program& program, monitor::MonitoringGraph graph,
     const monitor::InstructionHash& hash) {
-#if SDMMON_OBS_ENABLED
   EngineObs* obs = engine_obs();
-#endif
   InstallArtifacts artifacts;
   {
-#if SDMMON_OBS_ENABLED
     obs::ScopedTimerNs timer(obs ? obs->graph_compile_ns : nullptr);
-#endif
     artifacts.graph = monitor::CompiledGraph::compile(std::move(graph));
   }
   {
-#if SDMMON_OBS_ENABLED
     obs::ScopedTimerNs timer(obs ? obs->predecode_ns : nullptr);
-#endif
     artifacts.code = CompiledProgram::compile(program, hash);
   }
   return artifacts;
@@ -233,7 +221,6 @@ void CoreArray::install(std::size_t core_index, const isa::Program& program,
 
 void CoreArray::note_install(std::uint32_t core, const isa::Program& program,
                              const InstallArtifacts& artifacts) {
-#if SDMMON_OBS_ENABLED
   if (EngineObs* obs = engine_obs()) {
     obs->installs->add(1);
     obs->note_compiled(*artifacts.graph);
@@ -241,29 +228,19 @@ void CoreArray::note_install(std::uint32_t core, const isa::Program& program,
     obs->journal->record({obs::EventKind::Install, obs->dispatched->value(),
                           core, obs->device_id, program.text.size()});
   }
-#else
-  (void)core;
-  (void)program;
-  (void)artifacts;
-#endif
 }
 
 void CoreArray::reinstall_core(std::size_t index) {
   const std::optional<LastGoodConfig>& good = last_good_[index];
   if (!good) return;  // nothing to re-image from; policy degrades to reset
-#if SDMMON_OBS_ENABLED
   EngineObs* obs = engine_obs();
-#endif
   {
-#if SDMMON_OBS_ENABLED
     obs::ScopedTimerNs timer(obs ? obs->reinstall_ns : nullptr);
-#endif
     cores_[index].install(good->program, good->artifacts.graph,
                           good->artifacts.code, good->hash->clone());
   }
   recovery_.note_reinstall(index);
   ++reinstalls_;
-#if SDMMON_OBS_ENABLED
   if (obs) {
     obs->reinstalls->add(1);
     obs->journal->record({obs::EventKind::Reinstall,
@@ -271,7 +248,6 @@ void CoreArray::reinstall_core(std::size_t index) {
                           static_cast<std::uint32_t>(index), obs->device_id,
                           0});
   }
-#endif
 }
 
 void CoreArray::set_core_offline(std::size_t index, bool offline) {
@@ -289,7 +265,6 @@ void CoreArray::release_core(std::size_t index) {
 
 void CoreArray::note_admin_transition(std::size_t index,
                                       obs::EventKind kind) {
-#if SDMMON_OBS_ENABLED
   if (EngineObs* obs = engine_obs()) {
     obs->journal->record({kind, obs->dispatched->value(),
                           static_cast<std::uint32_t>(index), obs->device_id,
@@ -297,10 +272,6 @@ void CoreArray::note_admin_transition(std::size_t index,
     obs->healthy_cores->set(
         static_cast<std::int64_t>(recovery_.healthy_cores()));
   }
-#else
-  (void)index;
-  (void)kind;
-#endif
 }
 
 std::vector<std::size_t> CoreArray::active_cores() const {
@@ -375,13 +346,11 @@ PacketResult Mpsoc::process_packet(std::span<const std::uint8_t> packet,
   std::size_t index = pick_core(active, flow_key);
   PacketResult result = cores_[index].process_packet(packet);
   const RecoveryAction action = recovery_.on_outcome(index, result.outcome);
-#if SDMMON_OBS_ENABLED
   if (EngineObs* obs = engine_obs()) {
     obs->dispatched->add(1);
     obs->record_outcome(obs->dispatched->value(), index, result, action,
                         recovery_.window_violations(index), recovery_);
   }
-#endif
   switch (action) {
     case RecoveryAction::None:
       break;

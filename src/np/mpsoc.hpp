@@ -225,7 +225,8 @@ class CoreArray {
   /// journal events when several engines share one registry;
   /// `sample_period` thins per-core histograms (counters stay exact).
   /// The parallel engine also registers its shard, epoch and rollback
-  /// metrics. No-op (and near-zero packet-path cost) when SDMMON_OBS=OFF.
+  /// metrics. Until it is called, each instrumentation site costs one
+  /// null check.
   void enable_obs(obs::Registry& registry, std::uint32_t device_id = 0,
                   std::uint32_t sample_period = 1);
 
@@ -246,9 +247,7 @@ class CoreArray {
   /// Count one packet dropped because no core was dispatchable.
   void note_undispatched() {
     ++undispatched_;
-#if SDMMON_OBS_ENABLED
     if (EngineObs* obs = engine_obs()) obs->undispatched->add(1);
-#endif
   }
   /// The attached observability handles (null until enable_obs()). Safe
   /// to read from worker threads: enable_obs() publishes with release.

@@ -147,7 +147,6 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
     committed_instr_total_.fetch_add(slot.result.instructions,
                                      std::memory_order_relaxed);
     committed_pkts_total_.fetch_add(1, std::memory_order_relaxed);
-#if SDMMON_OBS_ENABLED
     // Same call order as the serial engine's process_packet, so the
     // deterministic journal prefix and counters match bit-for-bit.
     if (EngineObs* obs = engine_obs()) {
@@ -158,7 +157,6 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
         obs->snapshot_dirty_pages->record(slot.spec_undo.pages.size());
       }
     }
-#endif
   }
   if (slot.result_out != nullptr) *slot.result_out = slot.result;
   slot.owned = Packet{};
@@ -243,11 +241,9 @@ void ParallelMpsoc::plan_one(const Packet* borrowed, Packet&& owned,
   if (dispatched) {
     util::SpscRing<std::uint64_t>& ring = *rings_[shard_of(slot.core)];
     ring.push(seq);
-#if SDMMON_OBS_ENABLED
     if (EngineObs* obs = engine_obs()) {
       obs->shard_queue_depth->record(ring.size_approx());
     }
-#endif
   }
 }
 
@@ -314,9 +310,7 @@ void ParallelMpsoc::run_epoch() {
   std::lock_guard<std::mutex> plan_lock(plan_mutex_);
   std::lock_guard<std::mutex> fold_lock(fold_mutex_);
   epochs_.fetch_add(1, std::memory_order_relaxed);
-#if SDMMON_OBS_ENABLED
   if (EngineObs* obs = engine_obs()) obs->shard_epochs->add(1);
-#endif
 
   const std::uint64_t fold_at = fold_next_.load(std::memory_order_relaxed);
   const std::uint64_t plan_at = plan_next_.load(std::memory_order_relaxed);
@@ -403,7 +397,6 @@ void ParallelMpsoc::run_epoch() {
     fold_next_.store(f + 1, std::memory_order_release);
   }
 
-#if SDMMON_OBS_ENABLED
   if (rolled > 0) {
     if (EngineObs* obs = engine_obs()) {
       obs->rollbacks->add(1);
@@ -414,7 +407,6 @@ void ParallelMpsoc::run_epoch() {
                             obs->device_id, rolled});
     }
   }
-#endif
 
   // 6. Apply the pivot's action. A quarantine already flipped health at
   // execute time (and survived the rollback, which only undoes younger

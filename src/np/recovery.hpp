@@ -95,10 +95,11 @@ class RecoveryController {
     std::size_t prev_reinstalls = 0;
   };
 
-  /// on_outcome with an undo record. Thread contract: per-core state may
-  /// only be touched by the thread currently holding that core's turn;
-  /// the global tallies are relaxed atomics so concurrent reporters on
-  /// *different* cores are safe.
+  /// on_outcome with an undo record. Thread contract: a core's state is
+  /// touched only by the worker of the shard that owns the core, or by
+  /// the epoch coordinator while every worker is parked; the global
+  /// tallies are relaxed atomics so concurrent reporters on *different*
+  /// cores are safe.
   RecoveryAction on_outcome_speculative(std::size_t core,
                                         PacketOutcome outcome,
                                         OutcomeUndo& undo);
@@ -146,8 +147,9 @@ class RecoveryController {
  private:
   struct CoreState {
     // Atomic because the parallel engine's planner polls dispatchable()
-    // while an executor may quarantine the core; all other fields are
-    // guarded by the per-core turn ordering.
+    // while a worker may quarantine the core. The other fields are
+    // touched only by the owning shard's worker, or by the epoch
+    // coordinator while every worker is parked.
     std::atomic<CoreHealth> health{CoreHealth::Healthy};
     std::vector<bool> window;        // ring buffer of recent outcomes
     std::size_t window_pos = 0;

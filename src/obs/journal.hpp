@@ -5,8 +5,8 @@
 // full the oldest event is evicted, so a long-running engine keeps the
 // most recent history at O(capacity) memory. Thread-safe: campaign code
 // and engine threads may record concurrently.
-#ifndef SDMMON_OBS_JOURNAL_HPP
-#define SDMMON_OBS_JOURNAL_HPP
+#ifndef SDMMON_SRC_OBS_JOURNAL_HPP
+#define SDMMON_SRC_OBS_JOURNAL_HPP
 
 #include <cstdint>
 #include <mutex>
@@ -94,4 +94,4 @@ class EventJournal {
 
 }  // namespace sdmmon::obs
 
-#endif  // SDMMON_OBS_JOURNAL_HPP
+#endif  // SDMMON_SRC_OBS_JOURNAL_HPP

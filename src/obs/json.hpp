@@ -4,8 +4,8 @@
 // round-trip snapshots and by tooling that validates BENCH_*.json).
 // Deliberately tiny -- objects, arrays, strings, integers, doubles,
 // booleans, null -- because every schema we emit is flat and known.
-#ifndef SDMMON_OBS_JSON_HPP
-#define SDMMON_OBS_JSON_HPP
+#ifndef SDMMON_SRC_OBS_JSON_HPP
+#define SDMMON_SRC_OBS_JSON_HPP
 
 #include <cstdint>
 #include <map>
@@ -144,4 +144,4 @@ class JsonValue {
 
 }  // namespace sdmmon::obs
 
-#endif  // SDMMON_OBS_JSON_HPP
+#endif  // SDMMON_SRC_OBS_JSON_HPP

@@ -154,11 +154,6 @@ std::string Registry::snapshot_json() const {
   return w.str();
 }
 
-Registry& Registry::global() {
-  static Registry instance;
-  return instance;
-}
-
 namespace {
 // Canonical edges. Instructions: packet handlers run tens to a few
 // thousand instructions. Widths: the NFA rarely tracks more than a

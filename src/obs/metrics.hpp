@@ -9,16 +9,15 @@
 //     no wall-clock; two engines processing the same packet sequence
 //     produce identical snapshots for the deterministic subset (the
 //     serial-vs-parallel diff tests assert exactly this).
-//  3. Compile-out. The CMake option SDMMON_OBS (-> the public
-//     SDMMON_OBS_ENABLED define) removes every instrumentation site from
-//     the hot paths; the registry itself always builds so tools, benches
-//     and tests work in both configurations.
+//  3. Detach at runtime. Instrumentation sites run only when an engine
+//     has attached a registry; a detached engine pays one null check
+//     per site.
 //
 // A registry owns its metrics for its lifetime: handles returned by
 // counter()/gauge()/histogram() stay valid until the Registry is
 // destroyed, and re-registering a name returns the same object.
-#ifndef SDMMON_OBS_METRICS_HPP
-#define SDMMON_OBS_METRICS_HPP
+#ifndef SDMMON_SRC_OBS_METRICS_HPP
+#define SDMMON_SRC_OBS_METRICS_HPP
 
 #include <atomic>
 #include <cstdint>
@@ -144,9 +143,6 @@ class Registry {
   /// reading guide in docs/OBSERVABILITY.md).
   std::string snapshot_json() const;
 
-  /// Process-wide default registry (tools / ad-hoc instrumentation).
-  static Registry& global();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
@@ -165,4 +161,4 @@ std::span<const std::uint64_t> latency_ns_buckets();   // wall-clock ns
 
 }  // namespace sdmmon::obs
 
-#endif  // SDMMON_OBS_METRICS_HPP
+#endif  // SDMMON_SRC_OBS_METRICS_HPP

@@ -5,8 +5,8 @@
 //
 // Naming scheme: <subsystem>.<object>.<quantity>[.<core-index>]. Per-core
 // metrics append ".<i>" at registration time (e.g. "np.core.packets.3").
-#ifndef SDMMON_OBS_NAMES_HPP
-#define SDMMON_OBS_NAMES_HPP
+#ifndef SDMMON_SRC_OBS_NAMES_HPP
+#define SDMMON_SRC_OBS_NAMES_HPP
 
 namespace sdmmon::obs::names {
 
@@ -118,4 +118,4 @@ inline constexpr const char* kRpcRequestNs = "rpc.request_ns";
 
 }  // namespace sdmmon::obs::names
 
-#endif  // SDMMON_OBS_NAMES_HPP
+#endif  // SDMMON_SRC_OBS_NAMES_HPP

@@ -1,26 +1,15 @@
-// Umbrella header for the observability layer, plus the compile-time
-// switch. Build with -DSDMMON_OBS=OFF (CMake option) to compile every
-// hot-path instrumentation site out of np/sdmmon; the registry, journal
-// and JSON machinery remain available either way so tools and benches
-// link identically in both configurations.
+// Umbrella header for the observability layer. Instrumented code follows
+// one pattern:
 //
-// Instrumented code follows one pattern:
+//   if (obs_ != nullptr) obs_->on_commit(result);   // cached handles
 //
-//   #if SDMMON_OBS_ENABLED
-//     if (obs_ != nullptr) obs_->on_commit(result);   // cached handles
-//   #endif
-//
-// i.e. a compile-time gate around a single null check around atomics on
-// cached pointers -- no strings, no locks, no registry lookups on the
-// packet path. docs/OBSERVABILITY.md measures the cost of each layer.
-#ifndef SDMMON_OBS_OBS_HPP
-#define SDMMON_OBS_OBS_HPP
-
-// CMake normally supplies this (PUBLIC on sdmmon_obs); default ON so
-// out-of-build-system consumers get instrumentation.
-#ifndef SDMMON_OBS_ENABLED
-#define SDMMON_OBS_ENABLED 1
-#endif
+// i.e. a single null check around atomics on cached pointers -- no
+// strings, no locks, no registry lookups on the packet path. The pointer
+// is null until the engine is attached to a registry, so a detached
+// engine pays the check and nothing else. docs/OBSERVABILITY.md measures
+// the cost of each layer.
+#ifndef SDMMON_SRC_OBS_OBS_HPP
+#define SDMMON_SRC_OBS_OBS_HPP
 
 #include <chrono>
 
@@ -55,4 +44,4 @@ class ScopedTimerNs {
 
 }  // namespace sdmmon::obs
 
-#endif  // SDMMON_OBS_OBS_HPP
+#endif  // SDMMON_SRC_OBS_OBS_HPP

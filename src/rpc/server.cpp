@@ -14,7 +14,7 @@ DeviceHost::DeviceHost(protocol::NetworkProcessorDevice& device,
     : device_(device), registry_(registry), name_(device.name()) {
   // One registry carries both the engine's np.* metrics and the server's
   // rpc.* metrics, so a single snapshot_json() answers "what is this
-  // device doing" end to end. No-op when SDMMON_OBS=OFF.
+  // device doing" end to end.
   device_.mpsoc().enable_obs(registry_);
 }
 

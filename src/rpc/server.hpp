@@ -116,9 +116,8 @@ struct ServerOptions {
   util::FaultInjector* reply_faults = nullptr;
 };
 
-/// Cached rpc.* metric handles (always recorded: the control plane is a
-/// cold path, so these are not gated by SDMMON_OBS like the per-packet
-/// instrumentation).
+/// Cached rpc.* metric handles. Always recorded: every server has a
+/// registry, and the control plane is a cold path.
 struct RpcObs {
   obs::Counter* sessions_opened = nullptr;
   obs::Gauge* sessions_active = nullptr;

@@ -174,15 +174,13 @@ InstallStatus NetworkProcessorDevice::install_impl(const WirePackage& wire,
   }
 
   monitor::MerkleTreeHash hash(payload.hash_param);
-  if (verify_graph_) {
-    // The graph must be exactly what offline analysis yields for this
-    // binary under this parameter; otherwise an insider could ship a graph
-    // that whitelists malicious code for a benign-looking binary.
-    monitor::MonitoringGraph expected =
-        monitor::extract_graph(payload.binary, hash);
-    if (!(expected == payload.graph)) {
-      return InstallStatus::GraphMismatch;
-    }
+  // The graph must be exactly what offline analysis yields for this
+  // binary under this parameter; otherwise an insider could ship a graph
+  // that whitelists malicious code for a benign-looking binary.
+  monitor::MonitoringGraph expected =
+      monitor::extract_graph(payload.binary, hash);
+  if (!(expected == payload.graph)) {
+    return InstallStatus::GraphMismatch;
   }
 
   // The wire format carries the graph uncompiled and the text raw (they

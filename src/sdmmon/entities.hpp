@@ -191,10 +191,6 @@ class NetworkProcessorDevice {
   /// Operations log (install attempts incl. rejections, fast switches).
   const std::vector<AuditEvent>& audit_log() const { return audit_; }
 
-  /// Re-check the monitoring graph against the binary before accepting
-  /// (defense-in-depth beyond the paper; toggleable for fidelity).
-  void set_verify_graph(bool on) { verify_graph_ = on; }
-
   bool has_application() const { return installed_; }
   const std::string& application_name() const { return app_name_; }
 
@@ -229,7 +225,6 @@ class NetworkProcessorDevice {
   crypto::RsaPublicKey manufacturer_key_;
   np::Mpsoc soc_;
   bool installed_ = false;
-  bool verify_graph_ = true;
   std::string app_name_;
   InstallStatus last_install_status_ = InstallStatus::Ok;
   bool install_attempted_ = false;

@@ -91,11 +91,7 @@ void FleetObs::record_report(const DeviceReport& report,
 }
 
 void FleetOperator::enable_obs(obs::Registry& registry) {
-#if SDMMON_OBS_ENABLED
   obs_ = FleetObs::create(registry);
-#else
-  (void)registry;
-#endif
 }
 
 std::uint32_t FleetOperator::device_index(const std::string& name) const {
@@ -204,9 +200,7 @@ FleetOperator::CampaignResult FleetOperator::run_campaign(
     }
     DeviceReport report = deploy_one(*device, binary, now, link, retry,
                                      carry);
-#if SDMMON_OBS_ENABLED
     if (obs_) obs_->record_report(report, device_index(report.device));
-#endif
     result.modeled_seconds_sequential +=
         per_install_s * static_cast<double>(report.attempts -
                                             carry.attempts) +
@@ -260,9 +254,7 @@ FleetOperator::CampaignResult FleetOperator::rotate_parameters(
       report.device = device->name();
       report.outcome = DeviceOutcome::SkippedUnhealthy;
       report.last_status = device->last_install_status();
-#if SDMMON_OBS_ENABLED
       if (obs_) obs_->record_report(report, device_index(report.device));
-#endif
       skipped.push_back(std::move(report));
     } else {
       healthy.push_back(device);

@@ -211,7 +211,6 @@ class FleetOperator {
 
   /// Attach the observability layer: campaign counters/histograms go to
   /// `registry`, failed devices are journaled as CampaignFailure events.
-  /// No-op when SDMMON_OBS=OFF.
   void enable_obs(obs::Registry& registry);
 
  private:

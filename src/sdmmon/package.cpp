@@ -86,47 +86,62 @@ WirePackage seal_package(const PackagePayload& payload,
   return wire;
 }
 
-OpenResult open_package(const WirePackage& wire,
-                        const crypto::RsaPrivateKey& device_priv,
-                        const crypto::RsaPublicKey& operator_pub) {
-  OpenResult result;
-
-  auto k_sym = crypto::rsa_decrypt(device_priv, wire.wrapped_key);
-  if (!k_sym || k_sym->size() != kAesKeyBytes) {
-    result.status = OpenStatus::WrongDevice;
-    return result;
+OpenStatus unwrap_package_key(const WirePackage& wire,
+                              const crypto::RsaPrivateKey& device_priv,
+                              util::Bytes& k_sym) {
+  auto unwrapped = crypto::rsa_decrypt(device_priv, wire.wrapped_key);
+  if (!unwrapped || unwrapped->size() != kAesKeyBytes) {
+    return OpenStatus::WrongDevice;
   }
+  k_sym = std::move(*unwrapped);
+  return OpenStatus::Ok;
+}
 
-  util::Bytes inner;
+OpenStatus decrypt_package(const WirePackage& wire,
+                           std::span<const std::uint8_t> k_sym,
+                           util::Bytes& inner) {
   try {
-    inner = crypto::aes_cbc_decrypt(*k_sym, wire.iv, wire.ciphertext);
+    inner = crypto::aes_cbc_decrypt(k_sym, wire.iv, wire.ciphertext);
   } catch (const crypto::AesError&) {
-    result.status = OpenStatus::CorruptCiphertext;
-    return result;
+    return OpenStatus::CorruptCiphertext;
   }
+  return OpenStatus::Ok;
+}
 
+OpenStatus verify_package(std::span<const std::uint8_t> inner,
+                          const crypto::RsaPublicKey& operator_pub,
+                          std::optional<PackagePayload>& payload) {
   util::Bytes plain, signature;
   try {
     util::ByteReader r(inner);
     plain = r.blob();
     signature = r.blob();
   } catch (const util::DecodeError&) {
-    result.status = OpenStatus::CorruptCiphertext;
-    return result;
+    return OpenStatus::CorruptCiphertext;
   }
 
   if (!crypto::rsa_verify(operator_pub, plain, signature)) {
-    result.status = OpenStatus::BadSignature;
-    return result;
+    return OpenStatus::BadSignature;
   }
 
   try {
-    result.payload = PackagePayload::deserialize(plain);
+    payload = PackagePayload::deserialize(plain);
   } catch (const std::exception&) {
-    result.status = OpenStatus::Malformed;
-    return result;
+    return OpenStatus::Malformed;
   }
-  result.status = OpenStatus::Ok;
+  return OpenStatus::Ok;
+}
+
+OpenResult open_package(const WirePackage& wire,
+                        const crypto::RsaPrivateKey& device_priv,
+                        const crypto::RsaPublicKey& operator_pub) {
+  OpenResult result;
+  util::Bytes k_sym, inner;
+  result.status = unwrap_package_key(wire, device_priv, k_sym);
+  if (result.status != OpenStatus::Ok) return result;
+  result.status = decrypt_package(wire, k_sym, inner);
+  if (result.status != OpenStatus::Ok) return result;
+  result.status = verify_package(inner, operator_pub, result.payload);
   return result;
 }
 

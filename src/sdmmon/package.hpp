@@ -77,9 +77,29 @@ struct OpenResult {
 
 /// Decrypt and verify a wire package with the device's private key and the
 /// operator public key (caller has already validated the certificate).
+/// Runs the three steps below in order and stops at the first failure.
 OpenResult open_package(const WirePackage& wire,
                         const crypto::RsaPrivateKey& device_priv,
                         const crypto::RsaPublicKey& operator_pub);
+
+// The steps of open_package, exposed so the instrumented pipeline
+// (sdmmon/timed_install.hpp) can time each one. Each returns
+// OpenStatus::Ok and fills its output, or the status open_package reports.
+
+/// Unwrap K_sym with the device key; anything but an AES-128 key is
+/// WrongDevice.
+OpenStatus unwrap_package_key(const WirePackage& wire,
+                              const crypto::RsaPrivateKey& device_priv,
+                              util::Bytes& k_sym);
+/// AES-CBC decrypt the package body under K_sym.
+OpenStatus decrypt_package(const WirePackage& wire,
+                           std::span<const std::uint8_t> k_sym,
+                           util::Bytes& inner);
+/// Split the body into payload and signature, verify the signature, and
+/// decode the payload.
+OpenStatus verify_package(std::span<const std::uint8_t> inner,
+                          const crypto::RsaPublicKey& operator_pub,
+                          std::optional<PackagePayload>& payload);
 
 }  // namespace sdmmon::protocol
 

@@ -1,8 +1,7 @@
 #include "sdmmon/timed_install.hpp"
 
 #include <chrono>
-
-#include "crypto/aes.hpp"
+#include <optional>
 
 namespace sdmmon::protocol {
 
@@ -10,8 +9,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double elapsed_s(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+/// Run one pipeline step, recording its primitive ops and host seconds.
+template <typename Step>
+auto run_step(crypto::OpCounters& ops, double& host_s, Step step) {
+  crypto::OpScope scope;
+  const auto start = Clock::now();
+  auto status = step();
+  host_s = std::chrono::duration<double>(Clock::now() - start).count();
+  ops = scope.delta();
+  return status;
 }
 
 }  // namespace
@@ -34,74 +40,28 @@ TimedInstallResult timed_install(const WirePackage& wire,
   result.wire_bytes = wire.wire_size();
 
   // Step: check manufacturer certificate of operator's public key.
-  {
-    crypto::OpScope scope;
-    auto start = Clock::now();
-    result.cert_status = crypto::verify_certificate(
-        wire.operator_cert, manufacturer_key, now,
-        crypto::CertRole::NetworkOperator);
-    result.host_cert_s = elapsed_s(start);
-    result.cert_ops = scope.delta();
-  }
+  result.cert_status = run_step(result.cert_ops, result.host_cert_s, [&] {
+    return crypto::verify_certificate(wire.operator_cert, manufacturer_key,
+                                      now, crypto::CertRole::NetworkOperator);
+  });
   if (result.cert_status != crypto::CertStatus::Ok) return result;
 
-  // Step: decrypt AES key K_sym using router's private key.
-  util::Bytes k_sym;
-  {
-    crypto::OpScope scope;
-    auto start = Clock::now();
-    auto unwrapped = crypto::rsa_decrypt(device_priv, wire.wrapped_key);
-    result.host_unwrap_s = elapsed_s(start);
-    result.unwrap_ops = scope.delta();
-    if (!unwrapped) {
-      result.open_status = OpenStatus::WrongDevice;
-      return result;
-    }
-    k_sym = std::move(*unwrapped);
-  }
-
-  // Step: decrypt package with AES key.
-  util::Bytes inner;
-  {
-    crypto::OpScope scope;
-    auto start = Clock::now();
-    try {
-      inner = crypto::aes_cbc_decrypt(k_sym, wire.iv, wire.ciphertext);
-    } catch (const crypto::AesError&) {
-      result.host_aes_s = elapsed_s(start);
-      result.aes_ops = scope.delta();
-      result.open_status = OpenStatus::CorruptCiphertext;
-      return result;
-    }
-    result.host_aes_s = elapsed_s(start);
-    result.aes_ops = scope.delta();
-  }
-
-  // Step: verify package signature with operator's public key.
-  {
-    crypto::OpScope scope;
-    auto start = Clock::now();
-    util::Bytes plain, signature;
-    try {
-      util::ByteReader r(inner);
-      plain = r.blob();
-      signature = r.blob();
-    } catch (const util::DecodeError&) {
-      result.open_status = OpenStatus::CorruptCiphertext;
-      return result;
-    }
-    const bool sig_ok = crypto::rsa_verify(wire.operator_cert.subject_key,
-                                           plain, signature);
-    result.host_verify_s = elapsed_s(start);
-    result.verify_ops = scope.delta();
-    if (!sig_ok) {
-      result.open_status = OpenStatus::BadSignature;
-      return result;
-    }
-  }
-
-  result.open_status = OpenStatus::Ok;
-  result.ok = true;
+  // The open_package steps: unwrap K_sym with the router's private key,
+  // decrypt the package with K_sym, verify the operator's signature.
+  util::Bytes k_sym, inner;
+  std::optional<PackagePayload> payload;
+  result.open_status = run_step(result.unwrap_ops, result.host_unwrap_s, [&] {
+    return unwrap_package_key(wire, device_priv, k_sym);
+  });
+  if (result.open_status != OpenStatus::Ok) return result;
+  result.open_status = run_step(result.aes_ops, result.host_aes_s, [&] {
+    return decrypt_package(wire, k_sym, inner);
+  });
+  if (result.open_status != OpenStatus::Ok) return result;
+  result.open_status = run_step(result.verify_ops, result.host_verify_s, [&] {
+    return verify_package(inner, wire.operator_cert.subject_key, payload);
+  });
+  result.ok = result.open_status == OpenStatus::Ok;
   return result;
 }
 

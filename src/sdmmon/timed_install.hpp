@@ -33,8 +33,9 @@ struct TimedInstallResult {
   double host_verify_s = 0;
 };
 
-/// Execute and instrument the device-side pipeline. Mirrors
-/// NetworkProcessorDevice::install but records per-step costs.
+/// Execute and instrument the device-side pipeline: the certificate check
+/// and the open_package steps NetworkProcessorDevice::install runs, with
+/// per-step costs. `ok` and `open_status` agree with open_package.
 TimedInstallResult timed_install(const WirePackage& wire,
                                  const crypto::RsaPrivateKey& device_priv,
                                  const crypto::RsaPublicKey& manufacturer_key,

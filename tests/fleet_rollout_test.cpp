@@ -430,7 +430,6 @@ TEST(FleetHealthScore, FormulaIsExplainable) {
   EXPECT_DOUBLE_EQ(fleet_health_score(disaster), 0.0);
 }
 
-#if SDMMON_OBS_ENABLED
 TEST(FleetRolloutObs, GaugesCountersAndJournalTrackTheRollout) {
   Simulator sim;
   obs::Registry registry;
@@ -469,7 +468,6 @@ TEST(FleetRolloutObs, GaugesCountersAndJournalTrackTheRollout) {
   EXPECT_TRUE(saw_halt);
   EXPECT_TRUE(saw_rollback);
 }
-#endif  // SDMMON_OBS_ENABLED
 
 }  // namespace
 }  // namespace sdmmon::fleet

@@ -431,7 +431,6 @@ TEST(ParallelDiff, MixedWorkloadShardingIsBitIdentical) {
   }
 }
 
-#if SDMMON_OBS_ENABLED
 // ---------------------------------------------------------------------
 // Observability equivalence: the deterministic subset of the metrics
 // snapshot (commit-path counters, value histograms, and the recovery
@@ -588,7 +587,56 @@ TEST(ParallelDiff, SampledHistogramsStayDeterministic) {
     }
   }
 }
-#endif  // SDMMON_OBS_ENABLED
+
+TEST(ParallelDiff, AttachingObsNeverChangesBehaviour) {
+  // Instrumentation is attached or detached at runtime only, so a
+  // detached engine is the "off" configuration. Attaching may not change
+  // a packet result, a core or monitor statistic, or a recovery decision
+  // on either engine: every trace must match the detached serial one.
+  np::RecoveryConfig config =
+      make_recovery_config(np::RecoveryPolicy::ReinstallLastGood);
+  np::Mpsoc serial_detached(kCores, np::DispatchPolicy::FlowHash, config);
+  np::Mpsoc serial_attached(kCores, np::DispatchPolicy::FlowHash, config);
+  np::ParallelMpsoc par_detached(kCores, np::DispatchPolicy::FlowHash,
+                                 config, {});
+  np::ParallelMpsoc par_attached(kCores, np::DispatchPolicy::FlowHash,
+                                 config, {});
+  obs::Registry serial_reg;
+  obs::Registry par_reg;
+  serial_attached.enable_obs(serial_reg);
+  par_attached.enable_obs(par_reg);
+  install_mixed_fleet(serial_detached, /*vuln_cores=*/2);
+  install_mixed_fleet(serial_attached, /*vuln_cores=*/2);
+  install_mixed_fleet(par_detached, /*vuln_cores=*/2);
+  install_mixed_fleet(par_attached, /*vuln_cores=*/2);
+
+  std::vector<WorkItem> items = mixed_items(1500, 0.12);
+  EngineTrace oracle = run_serial(serial_detached, items);
+  {
+    SCOPED_TRACE("serial, attached");
+    expect_traces_identical(oracle, run_serial(serial_attached, items));
+  }
+  {
+    SCOPED_TRACE("parallel, detached");
+    expect_traces_identical(oracle, run_parallel(par_detached, items, 97));
+  }
+  {
+    SCOPED_TRACE("parallel, attached");
+    expect_traces_identical(oracle, run_parallel(par_attached, items, 97));
+  }
+
+  // The run detected overflows and re-imaged cores, and the attached
+  // engines really recorded it.
+  EXPECT_GT(oracle.stats.attacks_detected, 0u);
+  EXPECT_GT(oracle.stats.reinstalls, 0u);
+  const std::string dispatched(obs::names::kEngineDispatched);
+  const std::string reinstalls(obs::names::kEngineReinstalls);
+  for (const obs::Registry* reg : {&serial_reg, &par_reg}) {
+    obs::Snapshot snap = reg->snapshot();
+    EXPECT_EQ(snap.counters.at(dispatched), items.size());
+    EXPECT_EQ(snap.counters.at(reinstalls), oracle.stats.reinstalls);
+  }
+}
 
 TEST(ParallelDiff, RollbackTelemetryOnlyWhenPolicyCanAct) {
   // ResetAndContinue never triggers a recovery action, so the snapshot-

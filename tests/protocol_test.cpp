@@ -8,6 +8,8 @@
 
 #include <algorithm>
 
+#include "crypto/aes.hpp"
+#include "monitor/analysis.hpp"
 #include "net/apps.hpp"
 #include "net/packet.hpp"
 #include "sdmmon/timed_install.hpp"
@@ -369,6 +371,63 @@ TEST(TimedInstallTest, FailuresSurfaceInStatus) {
       timed_install(wire, device_keys.priv, w.op.public_key(), kNow);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.cert_status, crypto::CertStatus::BadSignature);
+}
+
+/// Seal `plain` the way seal_package does -- signed by the world's
+/// operator, encrypted under a fresh K_sym wrapped to `device_pub` -- but
+/// with a K_sym of `key_bytes` bytes instead of the AES-128 key.
+WirePackage seal_plain(std::span<const std::uint8_t> plain,
+                       std::size_t key_bytes,
+                       const crypto::RsaPublicKey& device_pub) {
+  World& w = world();
+  util::ByteWriter inner;
+  inner.blob(plain);
+  inner.blob(w.op.sign(plain));
+  crypto::Drbg drbg("seal-plain");
+  util::Bytes k_sym = drbg.bytes(key_bytes);
+  WirePackage wire;
+  drbg.fill(wire.iv);
+  wire.ciphertext = crypto::aes_cbc_encrypt(k_sym, wire.iv, inner.bytes());
+  wire.wrapped_key = crypto::rsa_encrypt(device_pub, k_sym, drbg);
+  wire.operator_cert = w.op.certificate();
+  return wire;
+}
+
+TEST(TimedInstallTest, RejectsNonAes128KeyLikeTheDevice) {
+  World& w = world();
+  auto device = w.manufacturer.provision_device("router-aes256", 1);
+  PackagePayload payload;
+  payload.binary = net::build_ipv4_forward();
+  payload.hash_param = 0x1234;
+  payload.graph = monitor::extract_graph(
+      payload.binary, monitor::MerkleTreeHash(payload.hash_param));
+  payload.sequence = 1;
+  // A correctly signed payload under a 32-byte K_sym: AES-256 would
+  // decrypt it, but the device only accepts AES-128 keys.
+  WirePackage wire =
+      seal_plain(payload.serialize(), 32, device->public_key());
+  const crypto::RsaPrivateKey& priv = device->private_key_for_instrumentation();
+  TimedInstallResult r =
+      timed_install(wire, priv, w.manufacturer.public_key(), kNow);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.open_status, OpenStatus::WrongDevice);
+  EXPECT_EQ(r.open_status, open_package(wire, priv, w.op.public_key()).status);
+  EXPECT_EQ(device->install(wire, kNow), InstallStatus::WrongDevice);
+}
+
+TEST(TimedInstallTest, RejectsSignedPlaintextThatIsNotAPayload) {
+  World& w = world();
+  auto device = w.manufacturer.provision_device("router-garbage", 1);
+  // The operator signs it, so only decoding the payload can reject it.
+  WirePackage wire = seal_plain(util::bytes_of("signed, but no payload"), 16,
+                                device->public_key());
+  const crypto::RsaPrivateKey& priv = device->private_key_for_instrumentation();
+  TimedInstallResult r =
+      timed_install(wire, priv, w.manufacturer.public_key(), kNow);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.open_status, OpenStatus::Malformed);
+  EXPECT_EQ(r.open_status, open_package(wire, priv, w.op.public_key()).status);
+  EXPECT_EQ(device->install(wire, kNow), InstallStatus::CorruptPackage);
 }
 
 }  // namespace

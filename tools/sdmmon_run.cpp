@@ -8,8 +8,7 @@
 //
 // --metrics-out dumps the obs-layer snapshot (counters, histograms,
 // event journal) as JSON after the replay; schema in
-// docs/OBSERVABILITY.md. Requires a -DSDMMON_OBS=ON build (the default);
-// on an OFF build the file is still written but only ever shows zeros.
+// docs/OBSERVABILITY.md.
 #include <cstdio>
 #include <memory>
 
