@@ -15,8 +15,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
   compiled->text_base_ = program.text_base;
   compiled->text_bytes_ =
       static_cast<std::uint32_t>(program.text.size() * 4);
-  compiled->hash_width_ = hash.width();
-  compiled->hash_name_ = hash.name();
 
   const std::size_t n = program.text.size();
   compiled->ops_.resize(n);

@@ -48,7 +48,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "isa/isa.hpp"
 #include "isa/program.hpp"
@@ -106,13 +105,6 @@ class CompiledProgram {
   std::size_t num_ops() const { return ops_.size(); }
   /// Basic blocks in the predecoded text (np.engine gauge).
   std::size_t num_blocks() const { return num_blocks_; }
-
-  /// Width/name of the hash the mhash table was computed under. The
-  /// parameter itself is secret (it never leaves the InstructionHash),
-  /// so install paths verify consistency by spot-checking mhash values
-  /// against the installed unit instead of comparing names.
-  int hash_width() const { return hash_width_; }
-  const std::string& hash_name() const { return hash_name_; }
 
   /// Raw word/hash array, indexed like the text.
   const PreOp* ops_data() const { return ops_.data(); }
@@ -173,8 +165,6 @@ class CompiledProgram {
   std::size_t num_blocks_ = 0;
   std::size_t num_traces_ = 0;
   std::uint64_t trace_build_ns_ = 0;
-  int hash_width_ = 0;
-  std::string hash_name_;
   std::vector<PreOp> ops_;
   std::vector<std::uint8_t> trace_len_;   // superblock length per op (0: none)
   std::vector<std::uint32_t> trace_off_;  // offset into trace_ops_

@@ -13,48 +13,37 @@ namespace sdmmon::np {
 enum class DispatchPolicy : std::uint8_t {
   RoundRobin,
   FlowHash,     // same flow key -> same core (stable per-flow ordering)
-  // Core with the lowest instruction load. The serial engine feeds exact
-  // retired counts; the sharded parallel engine feeds RELAXED load --
-  // committed (folded) instructions plus a mean-cost estimate for packets
-  // planned onto the core but still in flight -- so placement may diverge
-  // from the serial engine while packets are speculated. batch_size=1
-  // empties the flight window at every plan and restores exactness (the
-  // diff suite pins both contracts).
-  LeastLoaded,
 };
 
 /// Pick one entry of `active` (must be non-empty, ascending core indices).
 /// `rr_next` is the RoundRobin cursor: it is consumed and advanced only by
-/// RoundRobin dispatch, exactly once per dispatched packet. `load` maps a
-/// core index to its LeastLoaded metric; ties break toward the lowest
-/// active index (strict less-than keeps the first minimum).
-template <typename LoadFn>
+/// RoundRobin dispatch, exactly once per dispatched packet. FlowHash
+/// neither reads nor advances it. Placement depends only on the policy,
+/// the active set, the flow key and the cursor -- never on what a packet
+/// did on its core -- so the parallel engine can rewind the cursor and
+/// re-plan a rolled-back tail exactly as the serial engine would.
+inline std::size_t pick_dispatch_core(DispatchPolicy policy,
+                                      const std::vector<std::size_t>& active,
+                                      std::uint32_t flow_key,
+                                      std::size_t& rr_next) {
+  if (policy == DispatchPolicy::FlowHash) {
+    // Fibonacci hashing spreads sequential flow keys. Hashing over the
+    // *active* list remaps flows off quarantined cores while flows on
+    // surviving cores stay put as long as the active set is stable.
+    return active[(flow_key * 2654435761u) % active.size()];
+  }
+  return active[rr_next++ % active.size()];
+}
+
+/// Accepts and ignores a trailing load callback. Kept only for the
+/// perfbench layer pass (perfbench/perfbench.cpp), which still passes
+/// one; delete together with that argument.
+template <typename Ignored>
 std::size_t pick_dispatch_core(DispatchPolicy policy,
                                const std::vector<std::size_t>& active,
                                std::uint32_t flow_key, std::size_t& rr_next,
-                               LoadFn&& load) {
-  switch (policy) {
-    case DispatchPolicy::FlowHash:
-      // Fibonacci hashing spreads sequential flow keys. Hashing over the
-      // *active* list remaps flows off quarantined cores while flows on
-      // surviving cores stay put as long as the active set is stable.
-      return active[(flow_key * 2654435761u) % active.size()];
-    case DispatchPolicy::LeastLoaded: {
-      std::size_t best = active[0];
-      std::uint64_t best_load = load(active[0]);
-      for (std::size_t i = 1; i < active.size(); ++i) {
-        const std::uint64_t candidate = load(active[i]);
-        if (candidate < best_load) {
-          best = active[i];
-          best_load = candidate;
-        }
-      }
-      return best;
-    }
-    case DispatchPolicy::RoundRobin:
-      break;
-  }
-  return active[rr_next++ % active.size()];
+                               Ignored&&) {
+  return pick_dispatch_core(policy, active, flow_key, rr_next);
 }
 
 }  // namespace sdmmon::np

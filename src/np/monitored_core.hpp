@@ -133,10 +133,7 @@ class MonitoredCore {
   struct SpecUndo {
     Core::SpecState core_state;
     monitor::HardwareMonitor::Tally monitor_tally;
-    std::vector<Memory::PageCopy> pages;
-    /// Pages dirtied by the speculative execution (== pages.size();
-    /// feeds np.core.snapshot_dirty_pages).
-    std::size_t dirty_pages() const { return pages.size(); }
+    std::vector<Memory::PageCopy> pages;  // pages the execution dirtied
   };
 
   /// Bracket one speculative execute_packet(): begin_speculation() arms

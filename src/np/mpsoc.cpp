@@ -325,14 +325,6 @@ Mpsoc::Mpsoc(std::size_t num_cores, DispatchPolicy policy,
              RecoveryConfig recovery)
     : CoreArray(num_cores, policy, recovery, /*parallel=*/false) {}
 
-std::size_t Mpsoc::pick_core(const std::vector<std::size_t>& active,
-                             std::uint32_t flow_key) {
-  return pick_dispatch_core(policy_, active, flow_key, next_,
-                            [this](std::size_t core) {
-                              return cores_[core].stats().instructions;
-                            });
-}
-
 PacketResult Mpsoc::process_packet(std::span<const std::uint8_t> packet,
                                    std::uint32_t flow_key) {
   std::vector<std::size_t> active = active_cores();
@@ -343,7 +335,8 @@ PacketResult Mpsoc::process_packet(std::span<const std::uint8_t> packet,
     result.outcome = PacketOutcome::Dropped;
     return result;
   }
-  std::size_t index = pick_core(active, flow_key);
+  const std::size_t index =
+      pick_dispatch_core(policy_, active, flow_key, next_);
   PacketResult result = cores_[index].process_packet(packet);
   const RecoveryAction action = recovery_.on_outcome(index, result.outcome);
   if (EngineObs* obs = engine_obs()) {

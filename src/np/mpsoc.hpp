@@ -293,10 +293,7 @@ class Mpsoc : public CoreArray {
                               std::uint32_t flow_key = 0);
 
  private:
-  std::size_t pick_core(const std::vector<std::size_t>& active,
-                        std::uint32_t flow_key);
-
-  std::size_t next_ = 0;
+  std::size_t next_ = 0;  // RoundRobin cursor
 };
 
 }  // namespace sdmmon::np

@@ -19,14 +19,6 @@ ParallelMpsoc::ParallelMpsoc(std::size_t num_cores, DispatchPolicy policy,
   rob_size_ = config_.batch_size;
   rob_ = std::make_unique<Slot[]>(rob_size_);
 
-  planned_pkts_.assign(num_cores, 0);
-  committed_instr_ = std::make_unique<std::atomic<std::uint64_t>[]>(num_cores);
-  committed_pkts_ = std::make_unique<std::atomic<std::uint64_t>[]>(num_cores);
-  for (std::size_t c = 0; c < num_cores; ++c) {
-    committed_instr_[c].store(0, std::memory_order_relaxed);
-    committed_pkts_[c].store(0, std::memory_order_relaxed);
-  }
-
   std::size_t workers = config_.workers == 0 ? num_cores : config_.workers;
   workers = std::min(std::max<std::size_t>(workers, num_cores > 0 ? 1 : 0),
                      num_cores);
@@ -141,12 +133,6 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
     note_undispatched();
   } else {
     cores_[slot.core].commit_result(slot.result);
-    committed_instr_[slot.core].fetch_add(slot.result.instructions,
-                                          std::memory_order_relaxed);
-    committed_pkts_[slot.core].fetch_add(1, std::memory_order_relaxed);
-    committed_instr_total_.fetch_add(slot.result.instructions,
-                                     std::memory_order_relaxed);
-    committed_pkts_total_.fetch_add(1, std::memory_order_relaxed);
     // Same call order as the serial engine's process_packet, so the
     // deterministic journal prefix and counters match bit-for-bit.
     if (EngineObs* obs = engine_obs()) {
@@ -185,30 +171,9 @@ bool ParallelMpsoc::plan_dispatch(Slot& slot) {
     slot.state.store(SlotState::Executed, std::memory_order_release);
     return false;
   }
-  const std::uint64_t committed_pkts =
-      committed_pkts_total_.load(std::memory_order_relaxed);
-  const std::uint64_t est_instr =
-      committed_pkts == 0
-          ? 1
-          : std::max<std::uint64_t>(
-                1, committed_instr_total_.load(std::memory_order_relaxed) /
-                       committed_pkts);
-  slot.core = pick_dispatch_core(
-      policy_, active, slot.item->flow_key, rr_cursor_,
-      [&](std::size_t c) {
-        // LeastLoaded sees committed (folded) load plus an estimate for
-        // packets planned onto c but still in flight -- the relaxed
-        // contract. With batch_size=1 nothing is ever in flight at plan
-        // time and this reduces to the serial engine's exact feedback.
-        const std::uint64_t committed =
-            committed_pkts_[c].load(std::memory_order_relaxed);
-        const std::uint64_t outstanding =
-            planned_pkts_[c] > committed ? planned_pkts_[c] - committed : 0;
-        return committed_instr_[c].load(std::memory_order_relaxed) +
-               est_instr * outstanding;
-      });
+  slot.core =
+      pick_dispatch_core(policy_, active, slot.item->flow_key, rr_cursor_);
   slot.rr_after = rr_cursor_;
-  ++planned_pkts_[slot.core];
   slot.state.store(SlotState::Planned, std::memory_order_relaxed);
   return true;
 }
@@ -414,12 +379,9 @@ void ParallelMpsoc::run_epoch() {
   // order matches the serial engine.
   if (act_action == RecoveryAction::Reinstall) reinstall_core(act_core);
 
-  // 7. Re-plan the tail against the post-action dispatch state: cursor
-  // rewound to the pivot's, planner load reset to committed counts.
+  // 7. Re-plan the tail against the post-action dispatch state, with the
+  // RoundRobin cursor rewound to the pivot's.
   if (act < plan_at) rr_cursor_ = act_rr;
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    planned_pkts_[c] = committed_pkts_[c].load(std::memory_order_relaxed);
-  }
   for (std::uint64_t s = act + 1; s < plan_at; ++s) {
     Slot& slot = rob_[s % rob_size_];
     slot.spec_undo = MonitoredCore::SpecUndo{};

@@ -20,7 +20,8 @@
 //    CoreStats, and under a policy that can act the executor brackets the
 //    run with dirty-page capture (np::Memory copy-on-first-touch per
 //    packet), so rollback cost is proportional to the state the packet
-//    actually touched -- not the core's full 80 KiB image.
+//    actually touched -- not the core's full 132 KiB of writable state
+//    (data + stack + packet-in + packet-out).
 //  * Results FOLD in global sequence order: any thread (worker, planner,
 //    flusher) that can take the fold lock commits completed slots in
 //    order -- CoreStats, recovery outcomes, and the observability journal
@@ -38,20 +39,16 @@
 // post-action dispatch set. ResetAndContinue never acts, so that policy
 // runs capture-free at full speed and never takes an epoch.
 //
-// Equivalence contract (enforced by tests/mpsoc_parallel_diff_test.cpp):
-//
-//  * RoundRobin and FlowHash: per-packet outcomes, per-core CoreStats,
-//    Core cycle/mix counters, monitor MonitorStats and peak width,
-//    aggregate_stats(), and every RecoveryController decision are
-//    BIT-IDENTICAL to the serial engine on the same packet sequence
-//    (rollback restores the core and monitor counters a rolled-back
-//    packet advanced, so a replayed packet is counted once).
-//  * LeastLoaded: load feedback is committed instructions plus an
-//    estimate for packets still in flight, so placement may differ from
-//    the serial engine while packets are speculated. batch_size=1 bounds
-//    the flight window to one packet and collapses to the strict
-//    contract. Conservation of every packet and all recovery-safety
-//    invariants hold always.
+// Equivalence contract (enforced by tests/mpsoc_parallel_diff_test.cpp),
+// one for every dispatch policy, worker count and batch_size: per-packet
+// outcomes, per-core CoreStats, Core cycle/mix counters, monitor
+// MonitorStats and peak width, aggregate_stats(), and every
+// RecoveryController decision are BIT-IDENTICAL to the serial engine on
+// the same packet sequence. Placement reads only the policy, the active
+// set, the flow key and the RoundRobin cursor, never execution results,
+// so planning ahead of execution cannot diverge; rollback restores the
+// core and monitor counters a rolled-back packet advanced, so a replayed
+// packet is counted once.
 //
 // Threading contract: submit()/flush()/process_packets()/install*() and
 // every accessor must be called from ONE external thread. Accessors
@@ -81,7 +78,7 @@ struct ParallelConfig {
   std::size_t workers = 0;
   /// Speculation window: packets in flight (planned but not yet folded).
   /// Larger windows keep more cores busy; smaller ones bound rollback
-  /// replay cost and tighten LeastLoaded feedback (1 = per-packet exact).
+  /// replay cost. Results are identical for every window size.
   /// Each shard's ring holds batch_size items (rounded up to a power of
   /// two), so enqueueing never waits.
   std::size_t batch_size = 256;
@@ -193,18 +190,11 @@ class ParallelMpsoc : public CoreArray {
   // ---- planner state (plan_mutex_) ----
   std::mutex plan_mutex_;
   std::size_t rr_cursor_ = 0;
-  std::vector<std::uint64_t> planned_pkts_;  // per core, planner's view
   std::atomic<std::uint64_t> plan_next_{0};
 
   // ---- fold state (fold_mutex_) ----
   std::mutex fold_mutex_;
   std::atomic<std::uint64_t> fold_next_{0};
-  // LeastLoaded load feedback: committed per-core/total tallies (folded
-  // under fold_mutex_, read racily by the planner's load closure).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> committed_instr_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> committed_pkts_;
-  std::atomic<std::uint64_t> committed_instr_total_{0};
-  std::atomic<std::uint64_t> committed_pkts_total_{0};
 
   // ---- epoch machinery ----
   std::atomic<bool> epoch_requested_{false};

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "isa/assembler.hpp"
 #include "monitor/analysis.hpp"
 #include "np/mpsoc.hpp"
@@ -200,26 +203,42 @@ TEST(Mpsoc, FlowHashIsSticky) {
   EXPECT_EQ(cores_used, 1);
 }
 
-TEST(Mpsoc, LeastLoadedBalancesInstructions) {
-  Mpsoc soc(3, DispatchPolicy::LeastLoaded);
-  isa::Program p = isa::assemble(kEchoApp);
-  MerkleTreeHash hash(0x1EA57);
-  soc.install_all(p, extract_graph(p, hash), hash);
-  // Mixed packet sizes: least-loaded keeps per-core instruction counts
-  // within one packet's worth of work of each other.
-  for (int i = 0; i < 60; ++i) {
-    util::Bytes pkt(static_cast<std::size_t>(4 + (i % 5) * 50), 0x42);
-    EXPECT_EQ(soc.process_packet(pkt).outcome, PacketOutcome::Forwarded);
+// The dispatch cursor contract the parallel engine's rollback relies on:
+// it rewinds the RoundRobin cursor to a pivot packet's and re-plans the
+// tail, which reproduces the serial placement only if RoundRobin consumes
+// exactly one cursor step per packet and FlowHash never touches it.
+TEST(Dispatch, RoundRobinConsumesCursorOncePerCall) {
+  const std::vector<std::size_t> active = {1, 3, 6};
+  std::size_t rr = 5;
+  for (std::size_t i = 0; i < 10; ++i) {
+    const std::size_t core = pick_dispatch_core(
+        DispatchPolicy::RoundRobin, active,
+        /*flow_key=*/static_cast<std::uint32_t>(i * 7919), rr);
+    EXPECT_EQ(core, active[(5 + i) % active.size()]) << "call " << i;
+    EXPECT_EQ(rr, 5 + i + 1) << "call " << i;
   }
-  std::uint64_t lo = ~0ull, hi = 0;
-  for (std::size_t c = 0; c < soc.num_cores(); ++c) {
-    lo = std::min(lo, soc.core(c).stats().instructions);
-    hi = std::max(hi, soc.core(c).stats().instructions);
+}
+
+TEST(Dispatch, FlowHashNeverTouchesCursorAndIsStable) {
+  const std::vector<std::vector<std::size_t>> active_sets = {
+      {0, 1, 2, 3}, {0, 2, 3}, {5}, {1, 4, 7, 9, 12}};
+  const std::uint32_t keys[] = {0, 1, 2, 0xABCD, 0xE1EFA27, 0xFFFFFFFFu};
+  for (const std::vector<std::size_t>& active : active_sets) {
+    for (const std::uint32_t key : keys) {
+      std::size_t rr_a = 42;
+      std::size_t rr_b = 7;
+      const std::size_t a =
+          pick_dispatch_core(DispatchPolicy::FlowHash, active, key, rr_a);
+      const std::size_t b =
+          pick_dispatch_core(DispatchPolicy::FlowHash, active, key, rr_b);
+      EXPECT_EQ(rr_a, 42u) << "key " << key;
+      EXPECT_EQ(rr_b, 7u) << "key " << key;
+      // Same key and active set -> same core, whatever the cursor holds.
+      EXPECT_EQ(a, b) << "key " << key;
+      EXPECT_NE(std::find(active.begin(), active.end(), a), active.end())
+          << "key " << key << " picked core " << a << " outside active";
+    }
   }
-  // The largest echo packet costs ~1400 instructions; imbalance must stay
-  // within roughly one such packet.
-  EXPECT_LT(hi - lo, 2500u);
-  EXPECT_EQ(soc.aggregate_stats().forwarded, 60u);
 }
 
 TEST(Mpsoc, PerCoreHeterogeneousInstall) {

@@ -1,19 +1,13 @@
-// Serial-equivalence differential suite for the parallel MPSoC engine
-// (ISSUE 2 tentpole). Every test replays one deterministic seeded
-// workload -- benign UDP traffic plus an attack mix that exploits a
-// vulnerable handler -- through the serial Mpsoc and the ParallelMpsoc
-// and diffs the full golden trace (tests/support/engine_diff.hpp):
-//
-//  * RoundRobin and FlowHash must be BIT-IDENTICAL -- per-packet
-//    outcomes, per-core stats, every recovery decision -- across all
-//    three recovery policies, every worker count, every speculation
-//    window (batch size), and uniform as well as heavily skewed flow
-//    distributions.
-//  * LeastLoaded is documented as relaxed (load feedback counts
-//    committed instructions plus an estimate for in-flight packets):
-//    outcomes stay identical on homogeneous installs, and the
-//    conservation/recovery-safety invariants hold always. batch_size=1
-//    bounds the flight window to one packet and restores exactness.
+// Serial-equivalence differential suite for the parallel MPSoC engine.
+// Every test replays one deterministic seeded workload -- benign UDP
+// traffic plus an attack mix that exploits a vulnerable handler --
+// through the serial Mpsoc and the ParallelMpsoc and diffs the full
+// golden trace (tests/support/engine_diff.hpp). There is one contract for
+// every dispatch policy: the traces are BIT-IDENTICAL -- per-packet
+// outcomes, per-core stats, every recovery decision -- across all three
+// recovery policies, every worker count, every speculation window (batch
+// size), and uniform as well as heavily skewed flow distributions; and
+// each side conserves every packet it was handed.
 #include "np/parallel_mpsoc.hpp"
 
 #include <gtest/gtest.h>
@@ -66,6 +60,23 @@ void install_mixed_fleet(Soc& soc, std::size_t vuln_cores) {
   }
 }
 
+/// The strict contract on one comparison: both traces conserve the
+/// `submitted` packets their engines have been handed so far, and the
+/// parallel trace is bit-identical to the serial one.
+void expect_identical_and_conserved(const EngineTrace& serial,
+                                    const EngineTrace& parallel,
+                                    std::size_t submitted) {
+  {
+    SCOPED_TRACE("serial conservation");
+    expect_trace_conserved(serial, submitted);
+  }
+  {
+    SCOPED_TRACE("parallel conservation");
+    expect_trace_conserved(parallel, submitted);
+  }
+  expect_traces_identical(serial, parallel);
+}
+
 void expect_bit_identical(np::DispatchPolicy dispatch,
                           np::RecoveryPolicy recovery, std::size_t packets,
                           double attack_rate, np::ParallelConfig parallel,
@@ -79,11 +90,11 @@ void expect_bit_identical(np::DispatchPolicy dispatch,
   std::vector<WorkItem> items = mixed_items(packets, attack_rate);
   EngineTrace st = run_serial(serial, items);
   EngineTrace pt = run_parallel(par, items, chunk);
-  expect_traces_identical(st, pt);
+  expect_identical_and_conserved(st, pt, items.size());
 }
 
 // ---------------------------------------------------------------------
-// Strict contract: RoundRobin / FlowHash x all three recovery policies
+// RoundRobin / FlowHash x all three recovery policies
 // ---------------------------------------------------------------------
 
 TEST(ParallelDiff, RoundRobinBitIdenticalAllRecoveryPolicies) {
@@ -165,7 +176,7 @@ TEST(ParallelDiff, SkewedHeavyHitterFlowsBitIdentical) {
     }
     EngineTrace st = run_serial(serial, items);
     EngineTrace pt = run_parallel(par, items, /*chunk=*/137);
-    expect_traces_identical(st, pt);
+    expect_identical_and_conserved(st, pt, items.size());
   }
 }
 
@@ -208,6 +219,7 @@ TEST(ParallelDiff, AsyncSubmitMatchesSerialStats) {
 
   EngineTrace pt;
   testsupport::record_engine_state(pt, par);
+  expect_trace_conserved(pt, items.size());
   for (std::size_t c = 0; c < kCores; ++c) {
     testsupport::expect_core_stats_equal(st.core_stats[c], pt.core_stats[c],
                                          c);
@@ -248,6 +260,7 @@ TEST(ParallelDiff, BackToBackSubmitTinyWindowsMatchSerial) {
 
       EngineTrace pt;
       testsupport::record_engine_state(pt, par);
+      expect_trace_conserved(pt, items.size());
       for (std::size_t c = 0; c < kCores; ++c) {
         testsupport::expect_core_stats_equal(st.core_stats[c],
                                              pt.core_stats[c], c);
@@ -286,8 +299,9 @@ TEST(ParallelDiff, MidRunInstallAllLandsOnPacketBoundary) {
 
   EngineTrace s2 = run_serial(serial, rest);
   EngineTrace p2 = run_parallel(par, rest, /*chunk=*/61);
-  expect_traces_identical(s1, p1);
-  expect_traces_identical(s2, p2);
+  // Stats are cumulative, so the second phase conserves every packet.
+  expect_identical_and_conserved(s1, p1, first.size());
+  expect_identical_and_conserved(s2, p2, items.size());
 }
 
 TEST(ParallelDiff, OfflineAndReleaseTransitionsMatch) {
@@ -307,7 +321,7 @@ TEST(ParallelDiff, OfflineAndReleaseTransitionsMatch) {
 
   EngineTrace s1 = run_serial(serial, first);
   EngineTrace p1 = run_parallel(par, first);
-  expect_traces_identical(s1, p1);
+  expect_identical_and_conserved(s1, p1, first.size());
 
   serial.set_core_offline(3, true);
   par.set_core_offline(3, true);
@@ -318,7 +332,7 @@ TEST(ParallelDiff, OfflineAndReleaseTransitionsMatch) {
 
   EngineTrace s2 = run_serial(serial, rest);
   EngineTrace p2 = run_parallel(par, rest);
-  expect_traces_identical(s2, p2);
+  expect_identical_and_conserved(s2, p2, items.size());
 }
 
 TEST(ParallelDiff, AllCoresQuarantinedCountsUndispatched) {
@@ -334,77 +348,9 @@ TEST(ParallelDiff, AllCoresQuarantinedCountsUndispatched) {
   std::vector<WorkItem> items = mixed_items(100, 1.0);
   EngineTrace st = run_serial(serial, items);
   EngineTrace pt = run_parallel(par, items);
-  expect_traces_identical(st, pt);
+  expect_identical_and_conserved(st, pt, items.size());
   EXPECT_GT(st.stats.undispatched, 0u);
   EXPECT_EQ(st.stats.quarantined_cores, 2u);
-}
-
-// ---------------------------------------------------------------------
-// Relaxed contract: LeastLoaded
-// ---------------------------------------------------------------------
-
-TEST(ParallelDiff, LeastLoadedHomogeneousOutcomesIdentical) {
-  // With the same app on every core a packet's outcome is independent of
-  // placement, so even the relaxed policy must produce identical
-  // per-packet outcomes and aggregate forwarding counts.
-  np::RecoveryConfig config =
-      make_recovery_config(np::RecoveryPolicy::ResetAndContinue);
-  np::Mpsoc serial(kCores, np::DispatchPolicy::LeastLoaded, config);
-  np::ParallelMpsoc par(kCores, np::DispatchPolicy::LeastLoaded, config);
-  install_all(serial, kEchoApp, 0xB1B1);
-  install_all(par, kEchoApp, 0xB1B1);
-
-  std::vector<WorkItem> items = mixed_items(800, 0.10);
-  EngineTrace st = run_serial(serial, items);
-  EngineTrace pt = run_parallel(par, items);
-
-  ASSERT_EQ(st.outcomes.size(), pt.outcomes.size());
-  for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-    EXPECT_EQ(st.outcomes[i], pt.outcomes[i]) << "packet " << i;
-    EXPECT_EQ(st.outputs[i], pt.outputs[i]) << "packet " << i;
-  }
-  EXPECT_EQ(st.stats.forwarded, pt.stats.forwarded);
-  EXPECT_EQ(st.stats.attacks_detected, pt.stats.attacks_detected);
-  expect_trace_conserved(pt, items.size());
-}
-
-TEST(ParallelDiff, LeastLoadedHeterogeneousConservesEveryPacket) {
-  // Placement may legitimately diverge on a heterogeneous fleet; the
-  // relaxed contract still requires exact packet conservation and
-  // internally-consistent recovery bookkeeping at every batch size.
-  for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
-    SCOPED_TRACE("batch_size=" + std::to_string(batch));
-    np::ParallelConfig parallel;
-    parallel.batch_size = batch;
-    np::RecoveryConfig config =
-        make_recovery_config(np::RecoveryPolicy::QuarantineAfterK);
-    np::ParallelMpsoc par(kCores, np::DispatchPolicy::LeastLoaded, config,
-                          parallel);
-    install_mixed_fleet(par, 2);
-
-    std::vector<WorkItem> items = mixed_items(700, 0.15);
-    EngineTrace pt = run_parallel(par, items);
-    expect_trace_conserved(pt, items.size());
-  }
-}
-
-TEST(ParallelDiff, LeastLoadedBatchOfOneMatchesSerialExactly) {
-  // batch_size=1 gives the parallel engine per-packet load feedback --
-  // the relaxed policy collapses to the strict contract.
-  np::ParallelConfig parallel;
-  parallel.batch_size = 1;
-  np::RecoveryConfig config =
-      make_recovery_config(np::RecoveryPolicy::QuarantineAfterK);
-  np::Mpsoc serial(kCores, np::DispatchPolicy::LeastLoaded, config);
-  np::ParallelMpsoc par(kCores, np::DispatchPolicy::LeastLoaded, config,
-                        parallel);
-  install_mixed_fleet(serial, 2);
-  install_mixed_fleet(par, 2);
-
-  std::vector<WorkItem> items = mixed_items(500, 0.12);
-  EngineTrace st = run_serial(serial, items);
-  EngineTrace pt = run_parallel(par, items);
-  expect_traces_identical(st, pt);
 }
 
 // ---------------------------------------------------------------------
@@ -434,8 +380,7 @@ TEST(ParallelDiff, MixedWorkloadShardingIsBitIdentical) {
 // ---------------------------------------------------------------------
 // Observability equivalence: the deterministic subset of the metrics
 // snapshot (commit-path counters, value histograms, and the recovery
-// journal) must be identical serial-vs-parallel under the strict
-// dispatch contract. Excluded as documented in docs/OBSERVABILITY.md:
+// journal) must be identical serial-vs-parallel. Excluded as documented in docs/OBSERVABILITY.md:
 // wall-clock *_ns histograms, the parallel-only np.parallel.* metrics
 // and np.core.snapshot_dirty_pages, and Rollback journal events
 // (speculation is invisible to the serial engine).
@@ -507,7 +452,7 @@ TEST(ParallelDiff, MetricsIdenticalForDeterministicSubset) {
     std::vector<WorkItem> items = mixed_items(1200, 0.15);
     EngineTrace st = run_serial(serial, items);
     EngineTrace pt = run_parallel(par, items, /*chunk=*/111);
-    expect_traces_identical(st, pt);
+    expect_identical_and_conserved(st, pt, items.size());
 
     obs::Snapshot ss = serial_reg.snapshot();
     obs::Snapshot ps = par_reg.snapshot();
@@ -614,15 +559,18 @@ TEST(ParallelDiff, AttachingObsNeverChangesBehaviour) {
   EngineTrace oracle = run_serial(serial_detached, items);
   {
     SCOPED_TRACE("serial, attached");
-    expect_traces_identical(oracle, run_serial(serial_attached, items));
+    expect_identical_and_conserved(
+        oracle, run_serial(serial_attached, items), items.size());
   }
   {
     SCOPED_TRACE("parallel, detached");
-    expect_traces_identical(oracle, run_parallel(par_detached, items, 97));
+    expect_identical_and_conserved(
+        oracle, run_parallel(par_detached, items, 97), items.size());
   }
   {
     SCOPED_TRACE("parallel, attached");
-    expect_traces_identical(oracle, run_parallel(par_attached, items, 97));
+    expect_identical_and_conserved(
+        oracle, run_parallel(par_attached, items, 97), items.size());
   }
 
   // The run detected overflows and re-imaged cores, and the attached

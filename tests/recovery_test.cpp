@@ -258,8 +258,7 @@ TEST(MpsocRecovery, InstallAllSharesOneCompiledGraphAcrossReinstall) {
 
 TEST(MpsocRecovery, TwoOfEightQuarantinedKeepsForwardingAllPolicies) {
   for (np::DispatchPolicy policy :
-       {np::DispatchPolicy::RoundRobin, np::DispatchPolicy::FlowHash,
-        np::DispatchPolicy::LeastLoaded}) {
+       {np::DispatchPolicy::RoundRobin, np::DispatchPolicy::FlowHash}) {
     np::RecoveryConfig config;
     config.policy = np::RecoveryPolicy::QuarantineAfterK;
     np::Mpsoc soc(8, policy, config);

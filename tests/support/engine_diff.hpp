@@ -112,7 +112,8 @@ inline void expect_monitor_tally_equal(
   EXPECT_EQ(a.peak_state_size, b.peak_state_size) << "core " << core;
 }
 
-/// The strict (RoundRobin / FlowHash) contract: bit-identical traces.
+/// The strict contract, one for every dispatch policy: bit-identical
+/// traces.
 inline void expect_traces_identical(const EngineTrace& serial,
                                     const EngineTrace& parallel) {
   ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
@@ -156,12 +157,15 @@ inline void expect_traces_identical(const EngineTrace& serial,
   EXPECT_EQ(serial.reinstall_requests, parallel.reinstall_requests);
 }
 
-/// The relaxed (LeastLoaded) contract: every packet is accounted for
-/// exactly once and the recovery bookkeeping is internally consistent,
-/// even though packet->core placement may differ from the serial engine.
+/// Conservation, checked on both sides of every strict comparison: each
+/// of the `submitted` packets the engine has been handed over its
+/// lifetime (stats are cumulative across runs) is counted exactly once,
+/// on one core or as undispatched; each core's packets split exactly
+/// into its four outcomes; and the recovery bookkeeping counts exactly
+/// the detected attacks and traps as violations.
 inline void expect_trace_conserved(const EngineTrace& trace,
                                    std::size_t submitted) {
-  EXPECT_EQ(trace.outcomes.size(), submitted);
+  EXPECT_LE(trace.outcomes.size(), submitted);
   std::uint64_t per_core_packets = 0;
   for (const np::CoreStats& s : trace.core_stats) {
     EXPECT_EQ(s.packets,
