@@ -82,9 +82,9 @@ int main() {
       {"loop-forward", net::build_loop_forward()},
   };
 
-  // Dispatch and side-exit counts come from a fixed counting pass, so
-  // they are exact (and gated as such) at any budget; only the timed
-  // passes scale.
+  // Dispatch, side-exit and summary-join counts come from a fixed
+  // counting pass, so they are exact (and gated as such) at any budget;
+  // only the timed passes scale.
   const int kCountPackets = 1500;
   const int kPackets = bench::scaled(1500, 20);
   const int kReps = bench::scaled(5, 2);
@@ -94,10 +94,10 @@ int main() {
   report.set_meta("packets", kPackets);
   report.set_meta("reps", kReps);
 
-  std::printf("%-18s %9s %9s %8s %9s %7s %9s %9s %8s\n", "app", "int kpps",
-              "cmp kpps", "cmp/int", "disp/pkt", "sexit", "raw int",
-              "raw cmp", "raw x");
-  bench::rule(96);
+  std::printf("%-18s %9s %9s %8s %9s %7s %7s %9s %9s %8s\n", "app",
+              "int kpps", "cmp kpps", "cmp/int", "disp/pkt", "sexit", "join",
+              "raw int", "raw cmp", "raw x");
+  bench::rule(104);
 
   bool wired_ok = true;
   bool behavior_ok = true;
@@ -126,27 +126,31 @@ int main() {
     // each side's best measures engine capability rather than scheduler
     // interference. Oracle check on the warm passes: both tiers process
     // identical packets, so outcome and instruction deltas must be
-    // identical. The compiled warm pass also collects dispatch and
-    // side-exit telemetry (it does not vary across reps of identical
-    // packets).
+    // identical. The compiled warm pass also collects dispatch,
+    // side-exit and summary-join telemetry (it does not vary across reps
+    // of identical packets).
     core.core().set_tier(np::Tier::Interpret);
     (void)time_packets(core, counted);
     const np::CoreStats interp_stats = core.stats();
     core.core().set_tier(np::Tier::Compiled);
-    std::uint64_t dispatches = 0, side_exits = 0;
+    std::uint64_t dispatches = 0, side_exits = 0, joins = 0;
     for (const util::Bytes& packet : counted) {
       const np::PacketResult r = core.process_packet(packet);
       dispatches += r.trace_dispatches;
       side_exits += r.trace_side_exits;
+      joins += r.summary_joins;
     }
     const np::CoreStats compiled_stats = core.stats();
     behavior_ok = behavior_ok &&
                   same_delta(interp_stats, compiled_stats, interp_stats) &&
                   dispatches > 0;
-    const double side_exit_rate =
-        dispatches == 0 ? 0.0
-                        : static_cast<double>(side_exits) /
-                              static_cast<double>(dispatches);
+    const auto per_dispatch = [&](std::uint64_t count) {
+      return dispatches == 0 ? 0.0
+                             : static_cast<double>(count) /
+                                   static_cast<double>(dispatches);
+    };
+    const double side_exit_rate = per_dispatch(side_exits);
+    const double join_rate = per_dispatch(joins);
     const double dispatches_per_packet =
         static_cast<double>(dispatches) / static_cast<double>(kCountPackets);
 
@@ -175,21 +179,23 @@ int main() {
       raw_compiled = std::max(raw_compiled, time_raw(raw, packets));
     }
 
-    std::printf("%-18s %9.1f %9.1f %7.2fx %9.2f %6.1f%% %9.1f %9.1f %7.2fx\n",
-                app.name, interp_kpps, compiled_kpps, speedup,
-                dispatches_per_packet, side_exit_rate * 100.0, raw_interp,
-                raw_compiled, raw_compiled / raw_interp);
+    std::printf(
+        "%-18s %9.1f %9.1f %7.2fx %9.2f %6.1f%% %6.1f%% %9.1f %9.1f %7.2fx\n",
+        app.name, interp_kpps, compiled_kpps, speedup, dispatches_per_packet,
+        side_exit_rate * 100.0, join_rate * 100.0, raw_interp, raw_compiled,
+        raw_compiled / raw_interp);
     report.add_row({{"app", app.name},
                     {"interp_kpps", interp_kpps},
                     {"compiled_kpps", compiled_kpps},
                     {"speedup", speedup},
                     {"dispatches_per_pkt", dispatches_per_packet},
                     {"side_exit_rate", side_exit_rate},
+                    {"summary_join_rate", join_rate},
                     {"raw_interp_minstr_s", raw_interp},
                     {"raw_compiled_minstr_s", raw_compiled},
                     {"raw_speedup", raw_compiled / raw_interp}});
   }
-  bench::rule(96);
+  bench::rule(104);
   const double geo_speedup =
       std::exp(log_speedup_sum / static_cast<double>(std::size(apps)));
   report.set_meta("speedup", geo_speedup);
@@ -199,6 +205,8 @@ int main() {
   bench::note("(soft reset, MMIO, monitor fed per-op or per-superblock);");
   bench::note("disp/pkt: superblock dispatches per packet; sexit: side exits");
   bench::note("per dispatch (branches resolved off the predicted path);");
+  bench::note("join: dispatches whose monitor walk joined the install-time");
+  bench::note("summary and settled its run in O(1);");
   bench::note("raw: unmonitored Core::run(), million instructions/second.");
   report.write();
 

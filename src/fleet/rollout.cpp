@@ -5,15 +5,6 @@
 
 namespace sdmmon::fleet {
 
-const char* halt_reason_name(HaltReason reason) {
-  switch (reason) {
-    case HaltReason::None: return "none";
-    case HaltReason::QuarantineRate: return "quarantine-rate";
-    case HaltReason::RejectionRate: return "rejection-rate";
-  }
-  return "?";
-}
-
 std::string release_app_hash_hex(const Release& release) {
   crypto::Sha256 hasher;
   if (!release.binary.text.empty()) {

@@ -63,8 +63,6 @@ enum class HaltReason : std::uint8_t {
   RejectionRate,   // devices are refusing the packages
 };
 
-const char* halt_reason_name(HaltReason reason);
-
 /// Blast-radius thresholds. Rates are evaluated only once `min_sample`
 /// devices contribute to the corresponding denominator -- early noise
 /// (one canary quarantine out of three installs) must not halt a fleet.

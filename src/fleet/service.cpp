@@ -105,10 +105,6 @@ protocol::NetworkProcessorDevice& FleetService::concrete_device(
   return *concrete_.at(slot).device;
 }
 
-const obs::Registry& FleetService::concrete_registry(std::size_t slot) const {
-  return *concrete_.at(slot).registry;
-}
-
 void FleetService::start_rollout(Release release) {
   release_ = std::move(release);
   running_ = true;

@@ -169,7 +169,6 @@ class FleetService : public SimActor {
 
   std::size_t concrete_count() const { return concrete_.size(); }
   protocol::NetworkProcessorDevice& concrete_device(std::size_t slot);
-  const obs::Registry& concrete_registry(std::size_t slot) const;
 
  private:
   struct ConcreteSlot {

@@ -41,6 +41,17 @@ void HardwareMonitor::rearm() {
   peak_state_size_ = live_count_;
 }
 
+void HardwareMonitor::seek(std::uint32_t state) {
+  if (state >= graph_->num_states()) {
+    throw std::out_of_range("HardwareMonitor: state out of range");
+  }
+  rearm();
+  state_ = state;
+  live_count_ = succ_count_[state];
+  exit_allowed_ = node_exit_[state] != 0;
+  peak_state_size_ = live_count_;
+}
+
 void HardwareMonitor::reset() {
   rearm();
   ++stats_.packets_monitored;

@@ -24,6 +24,7 @@
 #ifndef SDMMON_MONITOR_MONITOR_HPP
 #define SDMMON_MONITOR_MONITOR_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -34,6 +35,27 @@
 #include "monitor/hash.hpp"
 
 namespace sdmmon::monitor {
+
+/// One lane position's view of an install-time summary of the monitor's
+/// canonical walk along a superblock's hash lane (np::MonitorSummary).
+/// Entry [i] describes the lane position i steps past the dispatch's
+/// first op:
+///   state[i]     the canonical state after the step at i (kFastEmpty
+///                where the walk has none),
+///   width_sum[i] a running sum, mod 2^32, of the canonical pre-step
+///                tracked-set sizes; its difference between two positions
+///                of one run is that run's state_size_accum delta,
+///   run[i]       positions from i to the end of the mismatch-free run
+///                holding i (>= 1),
+///   peak[i]      the largest canonical tracked-set size entered at any
+///                step after i within the run, saturated at kPeakSaturated.
+struct CanonicalLane {
+  static constexpr std::uint8_t kPeakSaturated = 0xFF;
+  const std::uint32_t* state = nullptr;
+  const std::uint32_t* width_sum = nullptr;
+  const std::uint8_t* run = nullptr;
+  const std::uint8_t* peak = nullptr;
+};
 
 enum class Verdict : std::uint8_t {
   Ok,        // hash matched a tracked graph node
@@ -156,6 +178,82 @@ class HardwareMonitor {
     }
     return n;
   }
+
+  /// What advance() over a summarised lane did: the count advance()
+  /// would return, and whether the walk joined the canonical one.
+  struct LaneAdvance {
+    std::size_t ok = 0;
+    bool joined = false;
+  };
+
+  /// advance() for a superblock whose install-time canonical walk is
+  /// summarised in `lane` (positioned at the dispatch's first op):
+  /// identical verdicts, stats, peak width and exit bit. Steps one table
+  /// load per hash until the state equals the canonical state at that
+  /// position; from there the canonical walk is the real one, so the
+  /// rest of the mismatch-free run is settled in O(1) -- the width-sum
+  /// difference, the run's final state, and a peak rescan only when the
+  /// run's stored peak exceeds the current one. From the first hash the
+  /// table cannot step (a mismatch, kFastMulti, a report out of range)
+  /// the rest of the slice goes through advance(), as does every slice
+  /// after a latched attack or in the list form.
+  LaneAdvance advance(const CanonicalLane& lane, const std::uint8_t* hashes,
+                      std::size_t n, bool stop_on_mismatch) {
+    LaneAdvance out;
+    if (attack_flagged_ || state_ == kListForm) {
+      out.ok = advance(hashes, n, stop_on_mismatch);
+      return out;
+    }
+    std::uint32_t state = state_;
+    std::size_t live = live_count_;
+    std::size_t peak = peak_state_size_;
+    std::uint64_t width_accum = 0;
+    std::size_t i = 0;
+    while (i < n) {
+      const std::uint8_t hashed = hashes[i];
+      if (hashed >= bucket_count_) break;
+      const std::uint32_t v = fast_next_[(state << hash_shift_) | hashed];
+      if (v >= CompiledGraph::kFastMulti) break;
+      width_accum += live;
+      if (live > peak) peak = live;
+      state = v;
+      live = succ_count_[v];
+      const std::size_t at = i++;
+      if (v != lane.state[at]) continue;
+      // Joined at `at`: steps at + 1 .. end - 1 are the canonical ones.
+      out.joined = true;
+      const std::size_t end = std::min<std::size_t>(at + lane.run[at], n);
+      if (end - 1 == at) continue;
+      width_accum += static_cast<std::uint32_t>(lane.width_sum[end - 1] -
+                                                lane.width_sum[at]);
+      const std::size_t run_peak =
+          lane.peak[at] == CanonicalLane::kPeakSaturated ? SIZE_MAX
+                                                         : lane.peak[at];
+      // Nothing in the run exceeds an unsaturated run peak, so the rescan
+      // runs only below it and stops once it is reached.
+      for (std::size_t j = at; j + 1 < end && peak < run_peak; ++j) {
+        peak = std::max<std::size_t>(peak, succ_count_[lane.state[j]]);
+      }
+      state = lane.state[end - 1];
+      live = succ_count_[state];
+      i = end;
+    }
+    stats_.instructions_checked += i;
+    stats_.state_size_accum += width_accum;
+    peak_state_size_ = peak;
+    if (i != 0) {
+      state_ = state;
+      live_count_ = live;
+      exit_allowed_ = node_exit_[state] != 0;
+    }
+    out.ok = i == n ? n : i + advance(hashes + i, n - i, stop_on_mismatch);
+    return out;
+  }
+
+  /// Re-arm in an arbitrary `state` of the compiled table (tracked set
+  /// members(state)) without touching cumulative stats, so differential
+  /// tests can start a walk anywhere a packet could be.
+  void seek(std::uint32_t state);
 
   /// True if the handler may legitimately finish now (the last matched
   /// instruction was exit-capable, or nothing executed yet).

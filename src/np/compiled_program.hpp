@@ -124,6 +124,11 @@ class CompiledProgram {
   /// Flat array holding every formed superblock concatenated (suffix
   /// anchors point into it, they add no ops).
   const TraceOp* trace_ops_data() const { return trace_ops_.data(); }
+  /// The hash lane parallel to trace_ops_data() (TraceRef::hashes points
+  /// into it).
+  const std::uint8_t* trace_hash_lane_data() const {
+    return trace_hash_lane_.data();
+  }
 
   /// Formed superblocks / their total ops (the np.engine.trace_count /
   /// np.engine.trace_ops install gauges). Suffix anchors are not counted.

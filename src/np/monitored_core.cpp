@@ -20,11 +20,18 @@ const char* packet_outcome_name(PacketOutcome outcome) {
 MonitoredCore::MonitoredCore() = default;
 
 void MonitoredCore::install(const isa::Program& program,
-                            std::shared_ptr<const monitor::CompiledGraph> graph,
-                            std::shared_ptr<const CompiledProgram> code,
+                            const InstallArtifacts& artifacts,
                             std::unique_ptr<monitor::InstructionHash> hash) {
-  if (code == nullptr) {
-    throw std::invalid_argument("MonitoredCore: null CompiledProgram");
+  const CompiledProgram* code = artifacts.code.get();
+  if (artifacts.graph == nullptr || code == nullptr ||
+      artifacts.summary == nullptr) {
+    throw std::invalid_argument("MonitoredCore: null install artifact");
+  }
+  // A summary of another pair would index the wrong lane or table.
+  if (!artifacts.summary->built_from(artifacts.graph.get(), code)) {
+    throw std::invalid_argument(
+        "MonitorSummary was not built from the installed graph and "
+        "program");
   }
   // The hash parameter is secret (it never leaves the unit), so artifact
   // provenance cannot be checked by name: spot-check sampled precomputed
@@ -40,13 +47,26 @@ void MonitoredCore::install(const isa::Program& program,
           "hash unit");
     }
   }
-  core_.load_program(program, std::move(code));
+  core_.load_program(program, artifacts.code);
   if (monitor_) {
-    monitor_->install(std::move(graph), std::move(hash));
+    monitor_->install(artifacts.graph, std::move(hash));
   } else {
-    monitor_ = std::make_unique<monitor::HardwareMonitor>(std::move(graph),
+    monitor_ = std::make_unique<monitor::HardwareMonitor>(artifacts.graph,
                                                           std::move(hash));
   }
+  summary_ = artifacts.summary;
+}
+
+void MonitoredCore::install(const isa::Program& program,
+                            std::shared_ptr<const monitor::CompiledGraph> graph,
+                            std::shared_ptr<const CompiledProgram> code,
+                            std::unique_ptr<monitor::InstructionHash> hash) {
+  std::shared_ptr<const MonitorSummary> summary =
+      MonitorSummary::build(graph, code);
+  install(program,
+          InstallArtifacts{std::move(graph), std::move(code),
+                           std::move(summary)},
+          std::move(hash));
 }
 
 void MonitoredCore::install(const isa::Program& program,
@@ -112,7 +132,8 @@ PacketResult MonitoredCore::execute_packet(
 // How retired ops reach the monitor on the shared dispatch loop
 // (Core::run_observed). Superblock dispatches execute first, then feed
 // the monitor the superblock's precomputed hash slice -- exactly as many
-// hashes as ops retired. That is bit-identical to the per-op
+// hashes as ops retired -- settled against the install-time summary of
+// the canonical walk along that slice. That is bit-identical to the per-op
 // interleaving: superblock ops never read monitor state, so checking
 // their hashes after the batch is unobservable to the core; ops that
 // would trap or touch MMIO stop the batch before they retire and feed no
@@ -121,6 +142,7 @@ PacketResult MonitoredCore::execute_packet(
 // cumulative counters (Core::retract_trace) before the recovery reset.
 struct MonitoredCore::MonitorFeed {
   monitor::HardwareMonitor& monitor;
+  const MonitorSummary* summary;  // null: lane not summarised
   const Core& core;
   PacketResult& result;
   bool enforce;
@@ -130,8 +152,16 @@ struct MonitoredCore::MonitorFeed {
                          bool side_exit) {
     ++result.trace_dispatches;
     if (side_exit) ++result.trace_side_exits;
-    const std::uint64_t ok =
-        monitor.advance(hashes, static_cast<std::size_t>(n), enforce);
+    std::uint64_t ok = 0;
+    if (summary != nullptr) [[likely]] {
+      const monitor::HardwareMonitor::LaneAdvance step = monitor.advance(
+          summary->lane(hashes), hashes, static_cast<std::size_t>(n),
+          enforce);
+      if (step.joined) ++result.summary_joins;
+      ok = step.ok;
+    } else {
+      ok = monitor.advance(hashes, static_cast<std::size_t>(n), enforce);
+    }
     flagged = ok < n;
     result.instructions += flagged ? ok + 1 : n;
     return ok;
@@ -170,7 +200,14 @@ PacketResult MonitoredCore::run_packet(
   monitor_->reset();
   core_.deliver_packet(packet);
 
-  MonitorFeed feed{*monitor_, core_, result, enforce_};
+  // The summary indexes the installed program's lane; a program loaded
+  // onto the core behind install()'s back is fed hash by hash.
+  const MonitorSummary* summary =
+      summary_->built_from(monitor_->compiled().get(),
+                           core_.compiled_program().get())
+          ? summary_.get()
+          : nullptr;
+  MonitorFeed feed{*monitor_, summary, core_, result, enforce_};
   const StepInfo info =
       core_.run_observed(std::numeric_limits<std::uint64_t>::max(), feed);
   if (feed.flagged) {

@@ -11,6 +11,7 @@
 
 #include "monitor/monitor.hpp"
 #include "np/core.hpp"
+#include "np/monitor_summary.hpp"
 #include "obs/obs.hpp"
 
 namespace sdmmon::np {
@@ -40,6 +41,23 @@ struct PacketResult {
   /// deterministic commit path.
   std::uint32_t trace_dispatches = 0;
   std::uint32_t trace_side_exits = 0;
+  /// Superblock dispatches whose monitor walk joined the install-time
+  /// canonical walk (MonitorSummary), so their run was settled in O(1).
+  std::uint32_t summary_joins = 0;
+};
+
+/// The immutable install-time artifacts derived from one signed
+/// (binary, graph, hash-parameter) package: the compiled monitoring
+/// graph, the predecoded program, and the summary of the monitor's walk
+/// through the program's superblocks, built from exactly that pair.
+/// Built exactly once per install and shared as pointers through every
+/// layer (cores, recovery snapshots, the device application store).
+/// MonitoredCore::install needs all three; CoreArray's install paths
+/// also accept a null summary and build it once for every core.
+struct InstallArtifacts {
+  std::shared_ptr<const monitor::CompiledGraph> graph;
+  std::shared_ptr<const CompiledProgram> code;
+  std::shared_ptr<const MonitorSummary> summary = nullptr;
 };
 
 /// Cumulative per-core counters.
@@ -85,14 +103,21 @@ class MonitoredCore {
   /// Construct with monitoring disabled (no program installed yet).
   MonitoredCore();
 
-  /// Preferred: install a (binary, compiled graph, predecoded program,
-  /// hash) configuration -- the step SDMMon authenticates. Both artifacts
-  /// are shared, not copied: every core of an MPSoC holds the same
-  /// pointers, and a quarantine re-image from LastGoodConfig is a pair of
-  /// pointer swaps. The hash unit's parameter is part of `hash`; `code`
+  /// Preferred: install a (binary, install artifacts, hash)
+  /// configuration -- the step SDMMon authenticates. The artifacts are
+  /// shared, not copied: every core of an MPSoC holds the same pointers,
+  /// and a quarantine re-image from LastGoodConfig is pointer swaps. The
+  /// hash unit's parameter is part of `hash`; the program artifact
   /// carries that hash's precomputed per-instruction values, so the
-  /// monitor check becomes on_hashed(byte load). Throws
-  /// std::invalid_argument when `code` is null.
+  /// monitor check becomes on_hashed(byte load), and the summary settles
+  /// each superblock dispatch in O(1). Throws std::invalid_argument --
+  /// before touching the core -- when an artifact is null, when the
+  /// summary was not built from exactly this (graph, code) pair, or when
+  /// the precomputed hashes were not computed under `hash`.
+  void install(const isa::Program& program, const InstallArtifacts& artifacts,
+               std::unique_ptr<monitor::InstructionHash> hash);
+
+  /// Convenience: build the summary privately, then install.
   void install(const isa::Program& program,
                std::shared_ptr<const monitor::CompiledGraph> graph,
                std::shared_ptr<const CompiledProgram> code,
@@ -149,6 +174,10 @@ class MonitoredCore {
   Core& core() { return core_; }
   const Core& core() const { return core_; }
   const monitor::HardwareMonitor& monitor() const { return *monitor_; }
+  /// The shared summary artifact (nullptr until installed).
+  const std::shared_ptr<const MonitorSummary>& summary() const {
+    return summary_;
+  }
 
   /// When true (default), mismatches stop the core immediately. Disabling
   /// lets benchmarks measure the unmonitored baseline on identical inputs.
@@ -165,6 +194,7 @@ class MonitoredCore {
 
   Core core_;
   std::unique_ptr<monitor::HardwareMonitor> monitor_;
+  std::shared_ptr<const MonitorSummary> summary_;
   CoreStats stats_;
   bool enforce_ = true;
   CoreObs* obs_ = nullptr;

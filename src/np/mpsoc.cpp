@@ -41,6 +41,8 @@ std::unique_ptr<EngineObs> EngineObs::create(obs::Registry& registry,
   obs->trace_ops = &registry.gauge(obs::names::kEngineTraceOps);
   obs->trace_side_exit_rate =
       &registry.gauge(obs::names::kEngineTraceSideExitRate);
+  obs->monitor_summary_bytes =
+      &registry.gauge(obs::names::kEngineMonitorSummaryBytes);
   if (parallel) {
     obs->shard_epochs = &registry.counter(obs::names::kParallelShardEpochs);
     obs->shard_queue_depth = &registry.histogram(
@@ -122,6 +124,7 @@ InstallArtifacts validate_install_config(const isa::Program& program,
   InstallArtifacts artifacts;
   artifacts.graph = monitor::CompiledGraph::compile(graph);
   artifacts.code = CompiledProgram::compile(program, hash);
+  artifacts.summary = MonitorSummary::build(artifacts.graph, artifacts.code);
   validate_install_config(program, artifacts, hash);
   return artifacts;
 }
@@ -131,10 +134,25 @@ void validate_install_config(const isa::Program& program,
                              const monitor::InstructionHash& hash) {
   // The scratch install exercises exactly what the real one will:
   // load_program's memory-map fit and artifact/program match checks plus
-  // MonitoredCore::install's null-artifact and artifact/hash spot-checks.
+  // MonitoredCore::install's null-artifact, summary-provenance and
+  // artifact/hash spot-checks.
   MonitoredCore probe;
-  probe.install(program, artifacts.graph, artifacts.code, hash.clone());
+  probe.install(program, artifacts, hash.clone());
 }
+
+namespace {
+
+/// Callers holding only the (graph, code) pair leave the summary null;
+/// build it once, before staging, so every core shares it. A null
+/// graph or program throws std::invalid_argument here.
+void complete_summary(InstallArtifacts& artifacts) {
+  if (artifacts.summary == nullptr) {
+    artifacts.summary =
+        MonitorSummary::build(artifacts.graph, artifacts.code);
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // CoreArray: installs, recovery re-image, admin transitions, stats
@@ -177,6 +195,7 @@ InstallArtifacts CoreArray::compile_artifacts(
     obs::ScopedTimerNs timer(obs ? obs->predecode_ns : nullptr);
     artifacts.code = CompiledProgram::compile(program, hash);
   }
+  artifacts.summary = MonitorSummary::build(artifacts.graph, artifacts.code);
   return artifacts;
 }
 
@@ -190,10 +209,10 @@ void CoreArray::install_all(const isa::Program& program,
                             InstallArtifacts artifacts,
                             const monitor::InstructionHash& hash) {
   quiesce();
+  complete_summary(artifacts);
   validate_install_config(program, artifacts, hash);
   for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c].install(program, artifacts.graph, artifacts.code,
-                      hash.clone());
+    cores_[c].install(program, artifacts, hash.clone());
     last_good_[c] = LastGoodConfig{program, artifacts, hash.clone()};
   }
   note_install(obs::kAllCores, program, artifacts);
@@ -211,11 +230,11 @@ void CoreArray::install(std::size_t core_index, const isa::Program& program,
                         InstallArtifacts artifacts,
                         std::unique_ptr<monitor::InstructionHash> hash) {
   quiesce();
+  complete_summary(artifacts);
   validate_install_config(program, artifacts, *hash);
   last_good_.at(core_index) =
       LastGoodConfig{program, artifacts, hash->clone()};
-  cores_.at(core_index).install(program, artifacts.graph, artifacts.code,
-                                std::move(hash));
+  cores_.at(core_index).install(program, artifacts, std::move(hash));
   note_install(static_cast<std::uint32_t>(core_index), program, artifacts);
 }
 
@@ -225,6 +244,8 @@ void CoreArray::note_install(std::uint32_t core, const isa::Program& program,
     obs->installs->add(1);
     obs->note_compiled(*artifacts.graph);
     obs->note_predecoded(*artifacts.code);
+    obs->monitor_summary_bytes->set(
+        static_cast<std::int64_t>(artifacts.summary->footprint_bytes()));
     obs->journal->record({obs::EventKind::Install, obs->dispatched->value(),
                           core, obs->device_id, program.text.size()});
   }
@@ -236,8 +257,8 @@ void CoreArray::reinstall_core(std::size_t index) {
   EngineObs* obs = engine_obs();
   {
     obs::ScopedTimerNs timer(obs ? obs->reinstall_ns : nullptr);
-    cores_[index].install(good->program, good->artifacts.graph,
-                          good->artifacts.code, good->hash->clone());
+    cores_[index].install(good->program, good->artifacts,
+                          good->hash->clone());
   }
   recovery_.note_reinstall(index);
   ++reinstalls_;

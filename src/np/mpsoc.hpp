@@ -23,16 +23,6 @@
 
 namespace sdmmon::np {
 
-/// The pair of immutable install-time artifacts derived from one signed
-/// (binary, graph, hash-parameter) package: the compiled monitoring
-/// graph and the predecoded program. Compiled exactly once per install
-/// and shared as pointers through every layer (cores, recovery
-/// snapshots, the device application store). Both must be non-null.
-struct InstallArtifacts {
-  std::shared_ptr<const monitor::CompiledGraph> graph;
-  std::shared_ptr<const CompiledProgram> code;
-};
-
 /// The core configuration captured at the last successful install, used
 /// by RecoveryPolicy::ReinstallLastGood to re-image a misbehaving core.
 /// Holds the shared compiled artifacts, not copies: a quarantine
@@ -49,20 +39,22 @@ struct LastGoodConfig {
 /// Throws if (program, graph, hash) cannot be installed; leaves all real
 /// cores untouched. Compiles the wire-format graph (the compiler rejects
 /// malformed graphs: out-of-range entry/successors, hashes wider than
-/// the declared width), predecodes the text under `hash`, and stages the
-/// binary on a scratch core (load_program throws when it does not fit
-/// the memory map). Cores are identical, so success here guarantees
-/// success on every real core (commit cannot fail). Returns both
-/// compiled artifacts so install paths compile exactly once and share
-/// the results everywhere.
+/// the declared width), predecodes the text under `hash`, summarises the
+/// monitor's walk through its superblocks, and stages the binary on a
+/// scratch core (load_program throws when it does not fit the memory
+/// map). Cores are identical, so success here guarantees success on
+/// every real core (commit cannot fail). Returns all three artifacts so
+/// install paths build them exactly once and share them everywhere.
 InstallArtifacts validate_install_config(const isa::Program& program,
                                          const monitor::MonitoringGraph& graph,
                                          const monitor::InstructionHash& hash);
 
 /// Same staging checks against already-compiled artifacts (fast switches
 /// and re-installs of authenticated applications). Also spot-checks that
-/// the predecoded hashes match `hash` (see MonitoredCore::install).
-/// Throws std::invalid_argument when either artifact is null.
+/// the predecoded hashes match `hash` and that the summary was built from
+/// exactly this (graph, code) pair (see MonitoredCore::install). Throws
+/// std::invalid_argument when an artifact is null or the summary is
+/// another pair's.
 void validate_install_config(const isa::Program& program,
                              const InstallArtifacts& artifacts,
                              const monitor::InstructionHash& hash);
@@ -121,6 +113,9 @@ struct EngineObs {
   obs::Gauge* trace_count = nullptr;
   obs::Gauge* trace_ops = nullptr;
   obs::Gauge* trace_side_exit_rate = nullptr;  // per mille
+  /// Size of the installed MonitorSummary (bytes; a constant per
+  /// superblock op, so it carries nothing about the hash parameter).
+  obs::Gauge* monitor_summary_bytes = nullptr;
   std::uint64_t trace_dispatches_total = 0;
   std::uint64_t trace_side_exits_total = 0;
   // Parallel engine only (sharded engine internals):
@@ -176,9 +171,9 @@ class CoreArray {
   /// Transactional: the configuration is validated on a scratch core
   /// first, so a bad program/graph throws *before* any real core is
   /// touched and the previous configuration keeps running everywhere.
-  /// The wire-format graph is compiled and the text predecoded exactly
-  /// once; all cores (and the LastGoodConfig recovery snapshots) share
-  /// the immutable artifacts.
+  /// The wire-format graph is compiled, the text predecoded and the
+  /// monitor summary built exactly once; all cores (and the
+  /// LastGoodConfig recovery snapshots) share the immutable artifacts.
   void install_all(const isa::Program& program,
                    const monitor::MonitoringGraph& graph,
                    const monitor::InstructionHash& hash);
@@ -186,6 +181,7 @@ class CoreArray {
   /// Install already-compiled artifacts on every core -- the fast switch
   /// path for applications authenticated and compiled earlier (device
   /// application store): no graph copy, no recompilation, no re-decode.
+  /// A null summary is built once here, from the pair, for every core.
   void install_all(const isa::Program& program, InstallArtifacts artifacts,
                    const monitor::InstructionHash& hash);
 

@@ -44,11 +44,6 @@ void EventJournal::record(const Event& event) {
   ++recorded_;
 }
 
-std::size_t EventJournal::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return size_;
-}
-
 std::uint64_t EventJournal::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recorded_;

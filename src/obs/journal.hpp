@@ -64,7 +64,6 @@ class EventJournal {
   void record(const Event& event);
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const;
   /// Total events ever recorded (including evicted ones).
   std::uint64_t recorded() const;
   /// Events that were pushed out of the bounded ring.

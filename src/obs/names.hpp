@@ -49,6 +49,8 @@ inline constexpr const char* kEngineTraceCount = "np.engine.trace_count";
 inline constexpr const char* kEngineTraceOps = "np.engine.trace_ops";
 inline constexpr const char* kEngineTraceSideExitRate =
     "np.engine.trace_side_exit_rate";
+inline constexpr const char* kEngineMonitorSummaryBytes =
+    "np.engine.monitor_summary_bytes";
 
 // ---- recovery controller decisions ----
 inline constexpr const char* kRecoveryWindowOccupancy =

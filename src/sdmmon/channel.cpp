@@ -2,15 +2,6 @@
 
 namespace sdmmon::protocol {
 
-const char* channel_status_name(ChannelStatus status) {
-  switch (status) {
-    case ChannelStatus::Delivered: return "delivered";
-    case ChannelStatus::RequestLost: return "request-lost";
-    case ChannelStatus::ReplyLost: return "reply-lost";
-  }
-  return "?";
-}
-
 ChannelResult DirectChannel::send_install(NetworkProcessorDevice& device,
                                           const WirePackage& wire,
                                           std::uint64_t now) {

@@ -24,8 +24,6 @@ enum class ChannelStatus : std::uint8_t {
                 // and must retry (re-sealing keeps the retry fresh)
 };
 
-const char* channel_status_name(ChannelStatus status);
-
 struct ChannelResult {
   ChannelStatus status = ChannelStatus::RequestLost;
   /// Device-side verdict; only meaningful when status == Delivered.

@@ -184,15 +184,18 @@ InstallStatus NetworkProcessorDevice::install_impl(const WirePackage& wire,
   }
 
   // The wire format carries the graph uncompiled and the text raw (they
-  // are what the operator signed); compile the graph and predecode the
-  // text exactly once, now that every cryptographic check has passed.
-  // The store and all cores share the immutable artifacts. A malformed
-  // graph throws here; a binary that does not fit the memory map throws
-  // from install_all's staging check in activate(), before any core is
+  // are what the operator signed); compile the graph, predecode the text
+  // and summarise the monitor's walk through its superblocks exactly
+  // once, now that every cryptographic check has passed. The store and
+  // all cores share the immutable artifacts. A malformed graph throws
+  // here; a binary that does not fit the memory map throws from
+  // install_all's staging check in activate(), before any core is
   // touched -- install() turns either into StageFailed.
   np::InstallArtifacts artifacts{
       monitor::CompiledGraph::compile(std::move(payload.graph)),
-      np::CompiledProgram::compile(payload.binary, hash)};
+      np::CompiledProgram::compile(payload.binary, hash), nullptr};
+  artifacts.summary =
+      np::MonitorSummary::build(artifacts.graph, artifacts.code);
   StoredApp app{std::move(payload.binary), std::move(artifacts),
                 payload.hash_param};
   activate(app);
@@ -240,12 +243,19 @@ std::vector<std::string> NetworkProcessorDevice::stored_apps() const {
   return names;
 }
 
+const np::InstallArtifacts* NetworkProcessorDevice::stored_artifacts(
+    const std::string& app_name) const {
+  const auto it = store_.find(app_name);
+  return it == store_.end() ? nullptr : &it->second.artifacts;
+}
+
 std::size_t NetworkProcessorDevice::store_bytes() const {
   std::size_t total = 0;
   for (const auto& [name, app] : store_) {
     total += app.binary.text_bytes() + app.binary.data.size() +
              (app.artifacts.graph->source().size_bits() + 7) / 8 +
-             app.artifacts.code->footprint_bytes();
+             app.artifacts.code->footprint_bytes() +
+             app.artifacts.summary->footprint_bytes();
   }
   return total;
 }

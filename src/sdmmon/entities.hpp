@@ -184,8 +184,13 @@ class NetworkProcessorDevice {
   /// Names of authenticated applications held in device memory.
   std::vector<std::string> stored_apps() const;
 
-  /// Total device memory consumed by the store (binaries + graphs), for
-  /// capacity planning.
+  /// The shared install artifacts of a stored application (nullptr when
+  /// the name is not in the store).
+  const np::InstallArtifacts* stored_artifacts(
+      const std::string& app_name) const;
+
+  /// Total device memory consumed by the store (binaries, graphs and the
+  /// compiled artifacts), for capacity planning.
   std::size_t store_bytes() const;
 
   /// Operations log (install attempts incl. rejections, fast switches).
@@ -204,12 +209,12 @@ class NetworkProcessorDevice {
 
  private:
   /// An authenticated application retained for fast switching. The
-  /// monitoring graph is kept in compiled form and the binary's text in
-  /// predecoded form: both were verified against the package at install
-  /// time, compiled exactly once, and the immutable artifacts are shared
-  /// by the store and every core the app is activated on -- a fast
-  /// switch is a pair of pointer swaps, never a recompilation or a
-  /// re-decode.
+  /// monitoring graph is kept in compiled form, the binary's text in
+  /// predecoded form, and the monitor's walk through its superblocks
+  /// summarised: all were derived from the verified package at install
+  /// time exactly once, and the immutable artifacts are shared by the
+  /// store and every core the app is activated on -- a fast switch is
+  /// pointer swaps, never a recompilation, re-decode or re-summary.
   struct StoredApp {
     isa::Program binary;
     np::InstallArtifacts artifacts;

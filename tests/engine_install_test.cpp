@@ -111,6 +111,8 @@ class EngineInstall : public ::testing::Test {
           << "core " << c;
       EXPECT_EQ(engine_.core(c).monitor().compiled(), artifacts_.graph)
           << "core " << c;
+      EXPECT_EQ(engine_.core(c).summary(), artifacts_.summary)
+          << "core " << c;
     }
   }
 
@@ -203,6 +205,117 @@ TYPED_TEST(EngineInstall, NullArtifactIsTypedRejection) {
   }
   this->expect_previous_app();
   this->expect_forwarding();
+}
+
+// What a rejected install must leave untouched on one core: its text and
+// data bytes, cycle counter, packet tallies and monitor statistics.
+struct CoreImage {
+  util::Bytes text;
+  util::Bytes data;
+  std::uint64_t cycles = 0;
+  np::CoreStats stats;
+  monitor::MonitorStats monitor;
+
+  static CoreImage of(const np::MonitoredCore& core,
+                      const isa::Program& program) {
+    return {core.core().memory().read_block(program.text_base,
+                                            program.text.size() * 4),
+            core.core().memory().read_block(program.data_base,
+                                            program.data.size()),
+            core.core().cycles(), core.stats(), core.monitor().stats()};
+  }
+  bool operator==(const CoreImage& rhs) const {
+    return text == rhs.text && data == rhs.data && cycles == rhs.cycles &&
+           stats.packets == rhs.stats.packets &&
+           stats.forwarded == rhs.stats.forwarded &&
+           stats.instructions == rhs.stats.instructions &&
+           monitor.instructions_checked == rhs.monitor.instructions_checked &&
+           monitor.packets_monitored == rhs.monitor.packets_monitored &&
+           monitor.state_size_accum == rhs.monitor.state_size_accum;
+  }
+};
+
+// A summary indexes one graph's states along one program's lane. One
+// built from another (graph, code) pair -- here an equal-content pair
+// compiled separately, so only provenance is wrong -- is rejected as a
+// typed error by every artifact install path, before any core, last-good
+// snapshot or metric moves.
+TYPED_TEST(EngineInstall, ForeignSummaryIsTypedRejectionThatChangesNothing) {
+  auto& engine = this->engine_;
+  const np::InstallArtifacts twin =
+      np::validate_install_config(this->good_, this->good_graph_, this->hash_);
+  const np::InstallArtifacts foreign{this->artifacts_.graph,
+                                     this->artifacts_.code, twin.summary};
+  this->expect_forwarding();
+  std::vector<CoreImage> before;
+  for (std::size_t c = 0; c < kCores; ++c) {
+    before.push_back(CoreImage::of(engine.core(c), this->good_));
+  }
+  const std::uint64_t installs_before = this->installs();
+  const std::size_t events_before = install_events(this->registry_);
+  const np::MpsocStats stats_before = engine.aggregate_stats();
+
+  EXPECT_THROW(np::validate_install_config(this->good_, foreign, this->hash_),
+               std::invalid_argument);
+  EXPECT_THROW(engine.install_all(this->good_, foreign, this->hash_),
+               std::invalid_argument);
+  for (std::size_t c = 0; c < kCores; ++c) {
+    EXPECT_THROW(
+        engine.install(c, this->good_, foreign, this->hash_.clone()),
+        std::invalid_argument);
+  }
+  for (std::size_t c = 0; c < kCores; ++c) {
+    EXPECT_TRUE(CoreImage::of(engine.core(c), this->good_) == before[c])
+        << "core " << c;
+  }
+  EXPECT_EQ(this->installs(), installs_before);
+  EXPECT_EQ(install_events(this->registry_), events_before);
+  EXPECT_EQ(this->registry_.gauge(obs::names::kEngineMonitorSummaryBytes)
+                .value(),
+            static_cast<std::int64_t>(
+                this->artifacts_.summary->footprint_bytes()));
+  const np::MpsocStats stats_after = engine.aggregate_stats();
+  EXPECT_EQ(stats_after.packets, stats_before.packets);
+  EXPECT_EQ(stats_after.reinstalls, stats_before.reinstalls);
+  this->expect_previous_app();
+
+  // The last-good snapshots still hold the original triple: a re-image
+  // swaps the very same summary pointer back in.
+  (void)run(engine,
+            std::vector<util::Bytes>(kCores, util::Bytes{kTrapMarker, 0x01}));
+  EXPECT_EQ(engine.aggregate_stats().reinstalls,
+            stats_before.reinstalls + kCores);
+  this->expect_previous_app();
+  this->expect_forwarding();
+}
+
+// One summary per install, shared by pointer: install_all hands every
+// core the summary it was given, builds one (once) when handed only the
+// pair, and a last-good re-image never rebuilds it.
+TYPED_TEST(EngineInstall, EveryCoreAndReimageShareOneSummary) {
+  auto& engine = this->engine_;
+  this->expect_previous_app();
+  const np::InstallArtifacts pair{this->artifacts_.graph,
+                                  this->artifacts_.code};
+  engine.install_all(this->good_, pair, this->hash_);
+  const std::shared_ptr<const np::MonitorSummary> built =
+      engine.core(0).summary();
+  ASSERT_NE(built, nullptr);
+  EXPECT_NE(built, this->artifacts_.summary);
+  EXPECT_TRUE(built->built_from(this->artifacts_.graph.get(),
+                                this->artifacts_.code.get()));
+  for (std::size_t c = 0; c < kCores; ++c) {
+    EXPECT_EQ(engine.core(c).summary(), built) << "core " << c;
+  }
+  EXPECT_EQ(this->registry_.gauge(obs::names::kEngineMonitorSummaryBytes)
+                .value(),
+            static_cast<std::int64_t>(built->footprint_bytes()));
+  (void)run(engine,
+            std::vector<util::Bytes>(kCores, util::Bytes{kTrapMarker, 0x01}));
+  EXPECT_EQ(engine.aggregate_stats().reinstalls, kCores);
+  for (std::size_t c = 0; c < kCores; ++c) {
+    EXPECT_EQ(engine.core(c).summary(), built) << "re-imaged core " << c;
+  }
 }
 
 }  // namespace

@@ -268,6 +268,38 @@ TEST(Protocol, FastSwitchRestoresBehaviour) {
   EXPECT_EQ(out->ttl, 63);
 }
 
+// The device store, every core and the fast-switch path share one
+// summary per stored application: switching swaps the stored pointers
+// back in, and never rebuilds the summary.
+TEST(Protocol, FastSwitchSharesTheStoredSummary) {
+  World& w = world();
+  auto device = w.manufacturer.provision_device("summary-router", 2);
+  ASSERT_EQ(device->install(w.op.program_device(net::build_ipv4_forward(),
+                                                device->public_key()),
+                            kNow),
+            InstallStatus::Ok);
+  const np::InstallArtifacts* forward =
+      device->stored_artifacts("ipv4-forward");
+  ASSERT_NE(forward, nullptr);
+  ASSERT_NE(forward->summary, nullptr);
+  EXPECT_TRUE(forward->summary->built_from(forward->graph.get(),
+                                           forward->code.get()));
+  const np::MonitorSummary* stored = forward->summary.get();
+  ASSERT_EQ(device->install(w.op.program_device(net::build_udp_echo(),
+                                                device->public_key()),
+                            kNow),
+            InstallStatus::Ok);
+  ASSERT_TRUE(device->switch_to("ipv4-forward"));
+  EXPECT_EQ(device->stored_artifacts("ipv4-forward")->summary.get(), stored);
+  for (std::size_t c = 0; c < device->mpsoc().num_cores(); ++c) {
+    EXPECT_EQ(device->mpsoc().core(c).summary().get(), stored) << "core " << c;
+  }
+  ASSERT_TRUE(device->switch_core_to(1, "udp-echo"));
+  EXPECT_EQ(device->mpsoc().core(1).summary(),
+            device->stored_artifacts("udp-echo")->summary);
+  EXPECT_EQ(device->stored_artifacts("nonexistent"), nullptr);
+}
+
 TEST(Protocol, SwitchToUnknownAppFails) {
   World& w = world();
   auto device = w.manufacturer.provision_device("empty-router", 1);

@@ -60,7 +60,7 @@ quick = bool(os.environ.get("SDMMON_BENCH_QUICK"))
 THROUGHPUT = re.compile(
     r"(kpps|mpps|minstr_s|_per_s|throughput|speedup|pkts_per_rollback_byte)"
 )
-EXACT = re.compile(r"^(dispatches_per_pkt|side_exit_rate)$")
+EXACT = re.compile(r"^(dispatches_per_pkt|side_exit_rate|summary_join_rate)$")
 EXACT_REL_TOL = 1e-9
 
 failures = []
