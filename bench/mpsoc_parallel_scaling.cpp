@@ -9,7 +9,7 @@
 // bench measures the price and the payoff: packets/sec of the serial
 // baseline vs the parallel engine at 1, 2, 4, and 8 workers on the
 // same 8-core fleet and workload — plus the cost of speculation under
-// an acting recovery policy, where every rollback restores only the
+// a quarantining recovery policy, where every rollback restores only the
 // dirty pages the speculated packets touched.
 //
 // Pass criterion: >= 3x serial throughput at 8 workers on a host with at
@@ -116,37 +116,37 @@ double run_parallel(const std::vector<protocol::WorkItem>& items,
   return static_cast<double>(items.size()) / seconds;
 }
 
-// ---- rollback cost under an acting recovery policy -------------------
+// ---- rollback cost under a quarantining recovery policy --------------
 //
-// Speculation is free until a recovery action fires; then the engine
-// takes a recovery epoch and rolls the speculated tail back by
-// restoring the dirty pages each packet touched (np::Memory captures,
-// page granularity). This section drives attack traffic through
-// ReinstallLastGood so epochs fire continuously, then reads the
-// np.parallel.* rollback telemetry: the packets-per-rollback-byte row
-// regression-gates snapshot cost, and bytes-per-replayed-packet is
-// compared against the full writable core state to show rollback cost
-// is proportional to state touched, not core image size.
+// Speculation is free until a quarantine changes the active set; then
+// the engine takes a recovery epoch and rolls the speculated tail back
+// by restoring the dirty pages each packet touched (np::Memory captures,
+// page granularity). A reinstall re-images its core inline and takes no
+// epoch, so this section drives attack traffic through QuarantineAfterK
+// and releases the quarantined cores every kReleaseEvery packets, which
+// keeps epochs firing. It then reads the np.parallel.* rollback
+// telemetry: the packets-per-rollback-byte row regression-gates snapshot
+// cost, and bytes-per-replayed-packet is compared against the full
+// writable core state to show rollback cost is proportional to state
+// touched, not core image size.
 
 const std::uint64_t kRollbackPackets =
     static_cast<std::uint64_t>(bench::scaled(60'000, 1'500));
 constexpr double kAttackRate = 0.03;
+constexpr std::uint64_t kReleaseEvery = 256;
 
 struct RollbackCost {
   std::uint64_t epochs = 0;
   std::uint64_t replayed = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t reinstalls = 0;
+  std::uint64_t quarantines = 0;
 };
 
 RollbackCost run_rollback_cost() {
   np::RecoveryConfig recovery;
-  recovery.policy = np::RecoveryPolicy::ReinstallLastGood;
+  recovery.policy = np::RecoveryPolicy::QuarantineAfterK;
   recovery.violation_threshold = 3;
   recovery.window_packets = 64;
-  // Never escalate to quarantine: the point is sustained reinstall
-  // actions (and thus sustained rollback epochs), not containment.
-  recovery.max_reinstalls = static_cast<std::size_t>(-1);
 
   np::ParallelMpsoc soc(kCores, np::DispatchPolicy::RoundRobin, recovery);
   isa::Program app = net::build_ipv4_cm();
@@ -164,6 +164,16 @@ RollbackCost run_rollback_cost() {
             ? attack.packet
             : attack::benign_cm_packet(static_cast<std::uint8_t>(rng.below(100)));
     soc.submit(std::move(packet), static_cast<std::uint32_t>(i));
+    if ((i + 1) % kReleaseEvery == 0) {
+      // The operator puts quarantined cores back into service, so the
+      // fleet never degrades out and quarantines keep coming.
+      soc.flush();
+      for (std::size_t c = 0; c < kCores; ++c) {
+        if (soc.core_health(c) == np::CoreHealth::Quarantined) {
+          soc.release_core(c);
+        }
+      }
+    }
   }
   soc.flush();
 
@@ -171,7 +181,7 @@ RollbackCost run_rollback_cost() {
   out.epochs = soc.speculation_rollbacks();
   out.replayed = registry.counter(obs::names::kParallelReplayedPackets).value();
   out.bytes = registry.counter(obs::names::kParallelRollbackBytes).value();
-  out.reinstalls = soc.aggregate_stats().reinstalls;
+  out.quarantines = soc.aggregate_stats().quarantine_events;
   return out;
 }
 
@@ -248,9 +258,10 @@ int main() {
   bench::note("ipv4-cm under " + std::to_string(kRollbackPackets) +
               " packets at " +
               std::to_string(static_cast<int>(kAttackRate * 100)) +
-              "% attack rate, ReinstallLastGood (every reinstall");
-  bench::note("takes a recovery epoch that rolls the speculated tail "
-              "back page-by-page)");
+              "% attack rate, QuarantineAfterK, quarantined cores");
+  bench::note("released every " + std::to_string(kReleaseEvery) +
+              " packets (every quarantine takes a recovery epoch that");
+  bench::note("rolls the speculated tail back page-by-page)");
 
   const RollbackCost rc = run_rollback_cost();
   // Full writable per-core state, for scale: what a full-image snapshot
@@ -270,8 +281,8 @@ int main() {
   bench::rule(44);
   std::printf("%-28s %14llu\n", "recovery epochs",
               static_cast<unsigned long long>(rc.epochs));
-  std::printf("%-28s %14llu\n", "reinstalls",
-              static_cast<unsigned long long>(rc.reinstalls));
+  std::printf("%-28s %14llu\n", "quarantines",
+              static_cast<unsigned long long>(rc.quarantines));
   std::printf("%-28s %14llu\n", "replayed packets",
               static_cast<unsigned long long>(rc.replayed));
   std::printf("%-28s %14llu\n", "rollback bytes",
@@ -293,7 +304,7 @@ int main() {
                 full_state_bytes);
   }
   report.add_row({{"engine", "rollback_cost"},
-                  {"policy", "reinstall_last_good"},
+                  {"policy", "quarantine_after_k"},
                   {"epochs", rc.epochs},
                   {"replayed_packets", rc.replayed},
                   {"rollback_bytes", rc.bytes},

@@ -77,6 +77,15 @@ class Core {
   void load_program(const isa::Program& program,
                     std::shared_ptr<const CompiledProgram> compiled);
 
+  /// Re-attach a program and artifact loaded earlier WITHOUT re-imaging
+  /// memory: speculation rollback, where the dirty-page log restores
+  /// memory and restore_spec_state() the text-dirty flag.
+  void restore_image(const isa::Program& program,
+                     std::shared_ptr<const CompiledProgram> compiled);
+
+  /// The loaded program (text, data, entry).
+  const isa::Program& program() const { return program_; }
+
   /// Full reset: architectural state AND memory re-imaged from the loaded
   /// program (text, data, zeroed stack/buffers). Used at install time and
   /// as the paper's attack recovery -- nothing an attacker wrote survives.

@@ -47,6 +47,14 @@ void MonitoredCore::install(const isa::Program& program,
           "hash unit");
     }
   }
+  // Inside a speculation bracket, keep the configuration being replaced
+  // so a rollback can swap it back (the capture restores memory).
+  if (speculating_ && installed() && spec_replaced_ == nullptr) {
+    spec_replaced_ = std::make_unique<CoreConfig>(CoreConfig{
+        core_.program(),
+        {monitor_->compiled(), core_.compiled_program(), summary_},
+        monitor_->hash().clone()});
+  }
   core_.load_program(program, artifacts.code);
   if (monitor_) {
     monitor_->install(artifacts.graph, std::move(hash));
@@ -283,22 +291,33 @@ PacketResult MonitoredCore::process_packet(
 void MonitoredCore::begin_speculation() {
   spec_state_ = core_.capture_spec_state();
   if (monitor_) spec_tally_ = monitor_->tally();
+  spec_replaced_.reset();
+  speculating_ = true;
   core_.memory().begin_capture();
 }
 
 MonitoredCore::SpecUndo MonitoredCore::end_speculation() {
+  speculating_ = false;
   SpecUndo undo;
   undo.core_state = spec_state_;
   undo.monitor_tally = spec_tally_;
   undo.pages = core_.memory().take_capture();
+  undo.replaced = std::move(spec_replaced_);
   return undo;
 }
 
 void MonitoredCore::rollback_speculation(const SpecUndo& undo) {
   // Within one capture every page is logged once, at its pre-speculation
   // content, so restore order inside the log does not matter. Across
-  // packets the caller rolls back newest-first.
+  // packets the caller rolls back newest-first. A re-image's page writes
+  // are in the log too, so swapping the old configuration back needs no
+  // second re-image.
   core_.memory().restore_pages(undo.pages);
+  if (const CoreConfig* old = undo.replaced.get()) {
+    core_.restore_image(old->program, old->artifacts.code);
+    monitor_->install(old->artifacts.graph, old->hash->clone());
+    summary_ = old->artifacts.summary;
+  }
   core_.restore_spec_state(undo.core_state);
   if (monitor_) monitor_->restore_tally(undo.monitor_tally);
 }

@@ -60,6 +60,15 @@ struct InstallArtifacts {
   std::shared_ptr<const MonitorSummary> summary = nullptr;
 };
 
+/// One installed configuration of a core: the binary, its install
+/// artifacts and the hash unit -- everything MonitoredCore::install
+/// swaps in.
+struct CoreConfig {
+  isa::Program program;
+  InstallArtifacts artifacts;
+  std::unique_ptr<monitor::InstructionHash> hash;
+};
+
 /// Cumulative per-core counters.
 struct CoreStats {
   std::uint64_t packets = 0;
@@ -151,21 +160,27 @@ class MonitoredCore {
   /// updating exactly the counters process_packet would have.
   void commit_result(const PacketResult& result);
 
-  /// Everything one speculative execute_packet() changed on this core
-  /// that outlives it: the Core's cross-packet architectural state, the
-  /// monitor's cumulative stats and peak width, and the memory pages the
-  /// execution dirtied.
+  /// Everything one speculative execute_packet() -- and an install()
+  /// that followed it inside the same bracket (a last-good re-image) --
+  /// changed on this core that outlives it: the Core's cross-packet
+  /// architectural state, the monitor's cumulative stats and peak width,
+  /// the memory pages the bracket dirtied, and the configuration the
+  /// install replaced.
   struct SpecUndo {
     Core::SpecState core_state;
     monitor::HardwareMonitor::Tally monitor_tally;
-    std::vector<Memory::PageCopy> pages;  // pages the execution dirtied
+    std::vector<Memory::PageCopy> pages;  // pages the bracket dirtied
+    /// Program, artifacts and hash unit before the bracket's first
+    /// install(); null when it installed nothing.
+    std::unique_ptr<CoreConfig> replaced;
   };
 
-  /// Bracket one speculative execute_packet(): begin_speculation() arms
-  /// dirty-page capture and snapshots the cross-packet core state;
-  /// end_speculation() disarms capture and returns the undo record;
-  /// rollback_speculation() restores both (pages in reverse touch order).
-  /// When undoing several packets on one core, roll back newest-first.
+  /// Bracket one speculative execute_packet() (and an optional install()
+  /// after it): begin_speculation() arms dirty-page capture and
+  /// snapshots the cross-packet core state; end_speculation() disarms
+  /// capture and returns the undo record; rollback_speculation() restores
+  /// all of it (pages in reverse touch order). When undoing several
+  /// packets on one core, roll back newest-first.
   void begin_speculation();
   SpecUndo end_speculation();
   void rollback_speculation(const SpecUndo& undo);
@@ -199,10 +214,13 @@ class MonitoredCore {
   bool enforce_ = true;
   CoreObs* obs_ = nullptr;
   // Cross-packet core and monitor state snapshotted by
-  // begin_speculation(), handed out by end_speculation(). One speculation
+  // begin_speculation(), and the configuration an install() inside the
+  // bracket replaced, handed out by end_speculation(). One speculation
   // may be active at a time.
   Core::SpecState spec_state_;
   monitor::HardwareMonitor::Tally spec_tally_;
+  std::unique_ptr<CoreConfig> spec_replaced_;
+  bool speculating_ = false;
 };
 
 }  // namespace sdmmon::np

@@ -1,5 +1,7 @@
 #include "np/mpsoc.hpp"
 
+#include <chrono>
+
 namespace sdmmon::np {
 
 std::unique_ptr<EngineObs> EngineObs::create(obs::Registry& registry,
@@ -94,8 +96,8 @@ void EngineObs::record_outcome(std::uint64_t cycle, std::size_t core,
     healthy_cores->set(
         static_cast<std::int64_t>(recovery.healthy_cores()));
   }
-  // Reinstall bookkeeping happens in reinstall_core (shared with the
-  // re-image path), where the wall-clock cost is also measured.
+  // Reinstall bookkeeping happens in CoreArray::note_reinstall, right
+  // after this call, with the cost reimage_core measured.
 }
 
 void EngineObs::note_compiled(const monitor::CompiledGraph& graph) {
@@ -251,18 +253,22 @@ void CoreArray::note_install(std::uint32_t core, const isa::Program& program,
   }
 }
 
-void CoreArray::reinstall_core(std::size_t index) {
+std::optional<std::uint64_t> CoreArray::reimage_core(
+    std::size_t index, RecoveryController::OutcomeUndo* undo) {
   const std::optional<LastGoodConfig>& good = last_good_[index];
-  if (!good) return;  // nothing to re-image from; policy degrades to reset
-  EngineObs* obs = engine_obs();
-  {
-    obs::ScopedTimerNs timer(obs ? obs->reinstall_ns : nullptr);
-    cores_[index].install(good->program, good->artifacts,
-                          good->hash->clone());
-  }
-  recovery_.note_reinstall(index);
+  if (!good) return std::nullopt;  // policy degrades to reset
+  const auto start = std::chrono::steady_clock::now();
+  cores_[index].install(good->program, good->artifacts, good->hash->clone());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  recovery_.note_reinstall(index, undo);
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+}
+
+void CoreArray::note_reinstall(std::size_t index, std::uint64_t reimage_ns) {
   ++reinstalls_;
-  if (obs) {
+  if (EngineObs* obs = engine_obs()) {
+    obs->reinstall_ns->record(reimage_ns);
     obs->reinstalls->add(1);
     obs->journal->record({obs::EventKind::Reinstall,
                           obs->dispatched->value(),
@@ -369,7 +375,9 @@ PacketResult Mpsoc::process_packet(std::span<const std::uint8_t> packet,
     case RecoveryAction::None:
       break;
     case RecoveryAction::Reinstall:
-      reinstall_core(index);
+      if (const std::optional<std::uint64_t> ns = reimage_core(index)) {
+        note_reinstall(index, *ns);
+      }
       break;
     case RecoveryAction::Quarantine:
       // Controller already moved the core out of the dispatch set; the

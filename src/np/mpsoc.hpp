@@ -30,11 +30,7 @@ namespace sdmmon::np {
 /// recompiling the graph, or re-decoding the text, which is what makes
 /// recovery latency independent of program and graph size. Shared by the
 /// serial and parallel engines.
-struct LastGoodConfig {
-  isa::Program program;
-  InstallArtifacts artifacts;
-  std::unique_ptr<monitor::InstructionHash> hash;
-};
+using LastGoodConfig = CoreConfig;
 
 /// Throws if (program, graph, hash) cannot be installed; leaves all real
 /// cores untouched. Compiles the wire-format graph (the compiler rejects
@@ -154,8 +150,9 @@ struct EngineObs {
 /// engines cannot drift on policy. Each mutating operation first calls
 /// quiesce() -- a no-op on the serial engine, flush() on the parallel one
 /// -- so it always lands on a packet boundary. Of this class, the packet
-/// paths use only active_cores(), engine_obs(), note_undispatched() and
-/// reinstall_core() (on a recovery action); none is virtual.
+/// paths use only active_cores(), engine_obs(), note_undispatched(), and
+/// reimage_core() with note_reinstall() (the two halves of a
+/// RecoveryAction::Reinstall); none is virtual.
 class CoreArray {
  public:
   virtual ~CoreArray();
@@ -237,9 +234,19 @@ class CoreArray {
 
   /// Dispatchable core indices in ascending order (empty = degraded out).
   std::vector<std::size_t> active_cores() const;
-  /// Re-image core `index` from its last-good configuration
-  /// (RecoveryAction::Reinstall); no-op when it has none.
-  void reinstall_core(std::size_t index);
+  /// Core-local half of RecoveryAction::Reinstall: re-image core `index`
+  /// from its last-good configuration and restart its recovery window
+  /// (RecoveryController::note_reinstall, saving what it clears into
+  /// `undo` when given). Touches core `index` only, so the parallel
+  /// engine runs it on the worker that owns the core. Returns the
+  /// re-image's wall-clock ns, or nullopt -- having changed nothing --
+  /// when the core has no last-good configuration.
+  std::optional<std::uint64_t> reimage_core(
+      std::size_t index, RecoveryController::OutcomeUndo* undo = nullptr);
+  /// Engine-wide half, in serial packet order right after the acting
+  /// packet's outcome is recorded: count the re-image, sample its
+  /// `reimage_ns` and journal it.
+  void note_reinstall(std::size_t index, std::uint64_t reimage_ns);
   /// Count one packet dropped because no core was dispatchable.
   void note_undispatched() {
     ++undispatched_;

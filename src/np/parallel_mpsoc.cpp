@@ -14,8 +14,7 @@ ParallelMpsoc::ParallelMpsoc(std::size_t num_cores, DispatchPolicy policy,
     : CoreArray(num_cores, policy, recovery, /*parallel=*/true),
       config_(parallel) {
   config_.batch_size = std::max<std::size_t>(config_.batch_size, 1);
-  capture_spec_ =
-      recovery_.config().policy != RecoveryPolicy::ResetAndContinue;
+  capture_spec_ = recovery_.config().can_quarantine();
   rob_size_ = config_.batch_size;
   rob_ = std::make_unique<Slot[]>(rob_size_);
 
@@ -60,7 +59,7 @@ void ParallelMpsoc::worker_main(std::size_t worker) {
     // the epoch coordinator finds every popped packet executed.
     std::uint64_t seq;
     if (ring.try_pop(seq)) {
-      if (run_slot(rob_[seq % rob_size_]) != RecoveryAction::None) {
+      if (run_slot(rob_[seq % rob_size_]) == RecoveryAction::Quarantine) {
         epoch_requested_.store(true, std::memory_order_release);
       }
       try_fold();
@@ -85,14 +84,20 @@ RecoveryAction ParallelMpsoc::run_slot(Slot& slot) {
     // active set) but kept defensive: drop, like the serial engine.
     slot.result = PacketResult{};
   }
-  if (capture_spec_) {
-    slot.spec_undo = core.end_speculation();
-    slot.spec_captured = true;
-  }
   slot.action = recovery_.on_outcome_speculative(slot.core,
                                                  slot.result.outcome,
                                                  slot.outcome_undo);
   slot.window_violations = recovery_.window_violations(slot.core);
+  // A re-image changes this core only, and this worker runs all of the
+  // core's later packets after this one: apply it here, inside the
+  // bracket, so an older quarantine's rollback undoes it with the packet.
+  if (slot.action == RecoveryAction::Reinstall) {
+    slot.reimage_ns = reimage_core(slot.core, &slot.outcome_undo);
+  }
+  if (capture_spec_) {
+    slot.spec_undo = core.end_speculation();
+    slot.spec_captured = true;
+  }
   const RecoveryAction action = slot.action;
   // Last write to the slot: from here on a folder may free it and the
   // planner may reuse it for another packet.
@@ -118,10 +123,10 @@ void ParallelMpsoc::fold_locked() {
     if (slot.state.load(std::memory_order_acquire) != SlotState::Executed) {
       return;
     }
-    // An acting slot folds only inside its recovery epoch, after the
-    // speculated tail has been rolled back (so the healthy-core gauge
+    // A quarantining slot folds only inside its recovery epoch, after
+    // the speculated tail has been rolled back (so the healthy-core gauge
     // and journal it feeds observe exactly the serial engine's state).
-    if (slot.action != RecoveryAction::None) return;
+    if (slot.action == RecoveryAction::Quarantine) return;
     fold_slot(slot);
     slot.state.store(SlotState::Free, std::memory_order_relaxed);
     fold_next_.store(f + 1, std::memory_order_release);
@@ -143,6 +148,7 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
         obs->snapshot_dirty_pages->record(slot.spec_undo.pages.size());
       }
     }
+    if (slot.reimage_ns) note_reinstall(slot.core, *slot.reimage_ns);
   }
   if (slot.result_out != nullptr) *slot.result_out = slot.result;
   slot.owned = Packet{};
@@ -151,6 +157,7 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
   slot.result = PacketResult{};
   slot.spec_undo = MonitoredCore::SpecUndo{};
   slot.spec_captured = false;
+  slot.reimage_ns.reset();
   slot.outcome_undo = RecoveryController::OutcomeUndo{};
 }
 
@@ -161,6 +168,7 @@ void ParallelMpsoc::fold_slot(Slot& slot) {
 bool ParallelMpsoc::plan_dispatch(Slot& slot) {
   slot.action = RecoveryAction::None;
   slot.spec_captured = false;
+  slot.reimage_ns.reset();
   slot.result = PacketResult{};
   const std::vector<std::size_t> active = active_cores();
   if (active.empty()) {
@@ -289,12 +297,12 @@ void ParallelMpsoc::run_epoch() {
   }
   std::sort(pending.begin(), pending.end());
 
-  // 2. The epoch pivots on the OLDEST executed slot demanding an action.
+  // 2. The epoch pivots on the OLDEST executed slot that quarantined.
   std::uint64_t act = plan_at;
   for (std::uint64_t s = fold_at; s < plan_at; ++s) {
     Slot& slot = rob_[s % rob_size_];
     if (slot.state.load(std::memory_order_acquire) == SlotState::Executed &&
-        slot.action != RecoveryAction::None) {
+        slot.action == RecoveryAction::Quarantine) {
       act = s;
       break;
     }
@@ -304,12 +312,11 @@ void ParallelMpsoc::run_epoch() {
   // Each shard's worker runs its ring in FIFO order, so each core's
   // executed set is a prefix of its stream: an unexecuted straggler's
   // core holds no younger packet's side effects. A straggler may itself
-  // act at an older sequence -- then IT becomes the pivot (serial order
-  // decides).
+  // quarantine at an older sequence -- then IT becomes the pivot (serial
+  // order decides).
   for (std::size_t i = 0; i < pending.size() && pending[i] < act; ++i) {
     Slot& slot = rob_[pending[i] % rob_size_];
-    run_slot(slot);
-    if (slot.action != RecoveryAction::None) {
+    if (run_slot(slot) == RecoveryAction::Quarantine) {
       act = pending[i];
       break;
     }
@@ -317,9 +324,11 @@ void ParallelMpsoc::run_epoch() {
 
   // 4. Roll back every executed slot younger than the pivot, newest
   // first (each core ran its packets in sequence order, so this undoes
-  // them in reverse): restore the dirty pages and cross-packet core
-  // state, withdraw the recovery outcome. Slots the rollback visits are
-  // exactly the packets whose serial-order side effects never happened.
+  // them in reverse): restore the dirty pages, cross-packet core state
+  // and any configuration an inline re-image replaced, and withdraw the
+  // recovery outcome with the window its re-image cleared. Slots the
+  // rollback visits are exactly the packets whose serial-order side
+  // effects never happened.
   std::uint64_t rolled = 0;
   std::uint64_t rolled_bytes = 0;
   for (std::uint64_t s = plan_at; s-- > act + 1;) {
@@ -340,17 +349,12 @@ void ParallelMpsoc::run_epoch() {
 
   // 5. Fold the prefix through the pivot. Everything up to `act` is now
   // Executed (stragglers included); the pivot's own fold journals its
-  // outcome and -- for a quarantine -- the healthy-core gauge, with all
-  // younger speculation already undone, exactly like the serial engine.
-  std::size_t act_core = kUndispatched;
-  RecoveryAction act_action = RecoveryAction::None;
-  std::size_t act_rr = rr_cursor_;
-  if (act < plan_at) {
-    Slot& pivot = rob_[act % rob_size_];
-    act_core = pivot.core;
-    act_action = pivot.action;
-    act_rr = pivot.rr_after;
-  }
+  // outcome and the healthy-core gauge, with all younger speculation
+  // already undone, exactly like the serial engine. Its quarantine
+  // flipped health at execute time and survived the rollback, which
+  // only undoes younger slots.
+  const std::size_t act_rr =
+      act < plan_at ? rob_[act % rob_size_].rr_after : rr_cursor_;
   while (fold_next_.load(std::memory_order_relaxed) <
              std::min<std::uint64_t>(act + 1, plan_at)) {
     const std::uint64_t f = fold_next_.load(std::memory_order_relaxed);
@@ -373,13 +377,7 @@ void ParallelMpsoc::run_epoch() {
     }
   }
 
-  // 6. Apply the pivot's action. A quarantine already flipped health at
-  // execute time (and survived the rollback, which only undoes younger
-  // slots); a reinstall re-images here, after the fold, so the journal
-  // order matches the serial engine.
-  if (act_action == RecoveryAction::Reinstall) reinstall_core(act_core);
-
-  // 7. Re-plan the tail against the post-action dispatch state, with the
+  // 6. Re-plan the tail against the post-quarantine dispatch set, with the
   // RoundRobin cursor rewound to the pivot's.
   if (act < plan_at) rr_cursor_ = act_rr;
   for (std::uint64_t s = act + 1; s < plan_at; ++s) {

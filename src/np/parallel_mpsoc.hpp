@@ -17,27 +17,35 @@
 //    order without any turn-taking or global barrier; independent cores
 //    never wait on each other.
 //  * Execution is speculative: MonitoredCore::execute_packet defers
-//    CoreStats, and under a policy that can act the executor brackets the
-//    run with dirty-page capture (np::Memory copy-on-first-touch per
-//    packet), so rollback cost is proportional to the state the packet
-//    actually touched -- not the core's full 132 KiB of writable state
-//    (data + stack + packet-in + packet-out).
+//    CoreStats, and under a policy that can quarantine
+//    (RecoveryConfig::can_quarantine) the executor brackets the run with
+//    dirty-page capture (np::Memory copy-on-first-touch per packet), so
+//    rollback cost is proportional to the state the packet actually
+//    touched -- not the core's full 132 KiB of writable state (data +
+//    stack + packet-in + packet-out).
+//  * Recovery is core-local, as in the paper: a reinstall-last-good
+//    re-image changes only its core, so the executing worker applies it
+//    inline, right after the acting packet and inside its capture
+//    bracket, before the core's next packet. Its engine-wide half (the
+//    reinstall count, its latency sample and journal event) happens when
+//    the packet folds.
 //  * Results FOLD in global sequence order: any thread (worker, planner,
 //    flusher) that can take the fold lock commits completed slots in
 //    order -- CoreStats, recovery outcomes, and the observability journal
 //    all advance in exactly the serial engine's order.
 //
-// Recovery epochs replace the per-batch barrier. When a speculatively
-// evaluated outcome demands an action (quarantine / reinstall-last-good),
-// workers park, and the last one to park coordinates: unexecuted packets
-// older than the acting one run inline (each core's executed packets are
-// a prefix of its stream, so their cores are clean), every executed
-// packet younger than the acting one is rolled back newest-first (dirty
-// pages restored byte-for-byte, recovery outcomes withdrawn), the prefix
-// through the acting packet folds, the action is applied exactly as the
-// serial engine would have, and the tail is re-planned against the
-// post-action dispatch set. ResetAndContinue never acts, so that policy
-// runs capture-free at full speed and never takes an epoch.
+// Recovery epochs replace the per-batch barrier, and only a quarantine
+// takes one: it is the one action that changes the active set, and with
+// it where younger packets go. Workers park, and the last one to park
+// coordinates: unexecuted packets older than the quarantining one run
+// inline (each core's executed packets are a prefix of its stream, so
+// their cores are clean), every executed packet younger than it is
+// rolled back newest-first (dirty pages restored byte-for-byte, an inline
+// re-image's configuration swapped back, recovery outcomes withdrawn),
+// the prefix through the quarantining packet folds, and the tail is
+// re-planned against the post-quarantine dispatch set. ResetAndContinue
+// and ReinstallLastGood with kUnboundedReinstalls never quarantine, so
+// they run capture-free and never take an epoch.
 //
 // Equivalence contract (enforced by tests/mpsoc_parallel_diff_test.cpp),
 // one for every dispatch policy, worker count and batch_size: per-packet
@@ -61,6 +69,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -116,8 +125,8 @@ class ParallelMpsoc : public CoreArray {
 
   /// Recovery epochs taken so far (each is one rollback point: workers
   /// parked, speculated tail rewound and re-planned). Deterministic for a
-  /// given workload -- one epoch per recovery action -- and always 0
-  /// under RecoveryPolicy::ResetAndContinue, which never acts.
+  /// given workload -- one epoch per quarantine -- and always 0 under a
+  /// policy that cannot quarantine (RecoveryConfig::can_quarantine).
   std::uint64_t speculation_rollbacks() const {
     return epochs_.load(std::memory_order_relaxed);
   }
@@ -150,6 +159,9 @@ class ParallelMpsoc : public CoreArray {
     std::size_t rr_after = 0;  // RoundRobin cursor after planning this slot
     RecoveryAction action = RecoveryAction::None;
     std::size_t window_violations = 0;  // captured right after on_outcome
+    /// Set when run_slot re-imaged the core: the re-image's wall-clock
+    /// ns, recorded (with the reinstall count and journal event) at fold.
+    std::optional<std::uint64_t> reimage_ns;
     RecoveryController::OutcomeUndo outcome_undo;
     MonitoredCore::SpecUndo spec_undo;
     bool spec_captured = false;
@@ -157,10 +169,11 @@ class ParallelMpsoc : public CoreArray {
   };
 
   void worker_main(std::size_t worker);
-  /// Speculative execution + outcome evaluation for one planned slot;
-  /// runs on the slot's shard worker (or the epoch coordinator). Publishes
-  /// the slot as Executed and returns its recovery action -- the caller
-  /// must not touch the slot afterwards.
+  /// Speculative execution + outcome evaluation (and an inline re-image
+  /// on RecoveryAction::Reinstall) for one planned slot; runs on the
+  /// slot's shard worker (or the epoch coordinator). Publishes the slot
+  /// as Executed and returns its recovery action -- the caller must not
+  /// touch the slot afterwards.
   RecoveryAction run_slot(Slot& slot);
   /// Plan dispatch for the slot at `seq` (requires plan_mutex_). Returns
   /// true when the packet was dispatched (and must be enqueued).
@@ -174,8 +187,8 @@ class ParallelMpsoc : public CoreArray {
   /// Park at the epoch barrier; the last worker to park coordinates.
   void park_for_epoch();
   /// The epoch coordinator: drain, execute stragglers, roll back the
-  /// speculated tail, fold through the acting packet, apply its action,
-  /// re-plan the tail. Runs with all workers parked.
+  /// speculated tail, fold through the quarantining packet, re-plan the
+  /// tail. Runs with all workers parked.
   void run_epoch();
 
   std::size_t shard_of(std::size_t core) const {
@@ -184,7 +197,7 @@ class ParallelMpsoc : public CoreArray {
 
   // ---- immutable after construction ----
   ParallelConfig config_;
-  bool capture_spec_ = false;  // policy can act -> dirty-page capture on
+  bool capture_spec_ = false;  // policy can quarantine -> capture on
   std::size_t rob_size_ = 1;   // in-flight bound == batch_size
 
   // ---- planner state (plan_mutex_) ----

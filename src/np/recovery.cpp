@@ -105,6 +105,7 @@ void RecoveryController::undo_outcome(std::size_t core,
                                       const OutcomeUndo& undo) {
   if (!undo.applied) return;
   CoreState& state = cores_[core];
+  if (!undo.prev_window.empty()) state.window = undo.prev_window;
   if (undo.quarantined) {
     state.health.store(CoreHealth::Healthy, std::memory_order_relaxed);
     quarantine_events_.fetch_sub(1, std::memory_order_relaxed);
@@ -151,8 +152,10 @@ void RecoveryController::release(std::size_t core) {
   state.reinstalls = 0;
 }
 
-void RecoveryController::note_reinstall(std::size_t core) {
+void RecoveryController::note_reinstall(std::size_t core,
+                                        OutcomeUndo* undo) {
   CoreState& state = cores_[core];
+  if (undo != nullptr) undo->prev_window = state.window;
   ++state.reinstalls;
   clear_window(state);
 }

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "np/monitored_core.hpp"
@@ -46,18 +47,36 @@ enum class RecoveryPolicy : std::uint8_t {
 
 const char* recovery_policy_name(RecoveryPolicy policy);
 
+/// RecoveryConfig::max_reinstalls value that never escalates:
+/// ReinstallLastGood then re-images a core on every trip and never
+/// quarantines it, so the dispatch set only changes by operator action.
+inline constexpr std::size_t kUnboundedReinstalls =
+    std::numeric_limits<std::size_t>::max();
+
 struct RecoveryConfig {
   RecoveryPolicy policy = RecoveryPolicy::ResetAndContinue;
   /// K: violations within the sliding window that trip the policy.
   std::size_t violation_threshold = 3;
   /// Sliding window length, in packets processed by the core.
   std::size_t window_packets = 64;
-  /// ReinstallLastGood: re-images allowed before escalating to quarantine.
+  /// ReinstallLastGood: re-images allowed before escalating to quarantine
+  /// (kUnboundedReinstalls: never escalate).
   std::size_t max_reinstalls = 2;
   /// Whether traps (faults/watchdog) count as violations alongside
   /// monitor mismatches. Traps on a healthy binary usually indicate a
   /// corrupted program store -- exactly what reinstall fixes.
   bool count_traps = true;
+
+  /// True when the policy can take a core out of the dispatch set by
+  /// itself: QuarantineAfterK, and ReinstallLastGood unless
+  /// max_reinstalls is kUnboundedReinstalls. Only a quarantine changes
+  /// where later packets go, so the parallel engine speculates with
+  /// rollback capture exactly when this holds.
+  bool can_quarantine() const {
+    return policy == RecoveryPolicy::QuarantineAfterK ||
+           (policy == RecoveryPolicy::ReinstallLastGood &&
+            max_reinstalls != kUnboundedReinstalls);
+  }
 };
 
 /// What the caller (the MPSoC) must do after reporting an outcome.
@@ -93,6 +112,10 @@ class RecoveryController {
     std::size_t prev_fill = 0;
     std::size_t prev_violations = 0;
     std::size_t prev_reinstalls = 0;
+    /// The window (after this call's slide) that a following
+    /// note_reinstall(core, &undo) cleared; empty when none ran. The
+    /// prev_* values above restore its position and counts.
+    std::vector<bool> prev_window;
   };
 
   /// on_outcome with an undo record. Thread contract: a core's state is
@@ -104,8 +127,9 @@ class RecoveryController {
                                         PacketOutcome outcome,
                                         OutcomeUndo& undo);
 
-  /// Exactly invert a prior on_outcome_speculative (same core, undo
-  /// records applied in reverse report order).
+  /// Exactly invert a prior on_outcome_speculative, and the
+  /// note_reinstall it was followed by (same core, undo records applied
+  /// in reverse report order).
   void undo_outcome(std::size_t core, const OutcomeUndo& undo);
 
   CoreHealth health(std::size_t core) const {
@@ -123,8 +147,11 @@ class RecoveryController {
   void release(std::size_t core);
 
   /// The MPSoC calls this after acting on RecoveryAction::Reinstall so
-  /// the escalation counter and window restart cleanly.
-  void note_reinstall(std::size_t core);
+  /// the escalation counter and window restart cleanly. With `undo` (the
+  /// record of the on_outcome_speculative call that asked for the
+  /// re-image), the cleared window is saved so undo_outcome withdraws
+  /// both calls.
+  void note_reinstall(std::size_t core, OutcomeUndo* undo = nullptr);
 
   /// Violations currently inside `core`'s sliding window.
   std::size_t window_violations(std::size_t core) const {

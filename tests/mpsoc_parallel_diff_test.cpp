@@ -586,28 +586,223 @@ TEST(ParallelDiff, AttachingObsNeverChangesBehaviour) {
   }
 }
 
-TEST(ParallelDiff, RollbackTelemetryOnlyWhenPolicyCanAct) {
-  // ResetAndContinue never triggers a recovery action, so the snapshot-
-  // free fast path must report zero rollbacks even under pure attack;
-  // an acting policy under attack must actually exercise the machinery.
-  {
-    np::ParallelMpsoc par(2, np::DispatchPolicy::RoundRobin,
-                          make_recovery_config(
-                              np::RecoveryPolicy::ResetAndContinue));
+TEST(ParallelDiff, RollbackTelemetryOnlyWhenPolicyCanQuarantine) {
+  // Only a quarantine takes a recovery epoch. ResetAndContinue never
+  // acts, and ReinstallLastGood that never escalates re-images inline, so
+  // both must run the capture-free path with zero rollbacks even under
+  // pure attack; a policy that can quarantine must actually exercise the
+  // machinery.
+  const std::string dirty_pages(obs::names::kCoreSnapshotDirtyPages);
+  for (const np::RecoveryConfig& config :
+       {make_recovery_config(np::RecoveryPolicy::ResetAndContinue),
+        make_recovery_config(np::RecoveryPolicy::ReinstallLastGood,
+                             testsupport::kViolationThreshold,
+                             testsupport::kWindowPackets,
+                             np::kUnboundedReinstalls)}) {
+    SCOPED_TRACE(np::recovery_policy_name(config.policy));
+    np::ParallelMpsoc par(2, np::DispatchPolicy::RoundRobin, config);
+    obs::Registry reg;
+    par.enable_obs(reg);
     install_all(par, kVulnApp, 0x70AD);
     std::vector<WorkItem> items = mixed_items(200, 1.0);
     (void)run_parallel(par, items);
     EXPECT_EQ(par.speculation_rollbacks(), 0u);
+    EXPECT_EQ(reg.snapshot().histograms.at(dirty_pages).count, 0u);
   }
   {
     np::ParallelMpsoc par(2, np::DispatchPolicy::RoundRobin,
                           make_recovery_config(
                               np::RecoveryPolicy::ReinstallLastGood));
+    obs::Registry reg;
+    par.enable_obs(reg);
     install_all(par, kVulnApp, 0x70AD);
     std::vector<WorkItem> items = mixed_items(200, 1.0);
     (void)run_parallel(par, items);
     EXPECT_GT(par.speculation_rollbacks(), 0u);
+    EXPECT_EQ(par.speculation_rollbacks(),
+              par.aggregate_stats().quarantine_events);
+    EXPECT_GT(reg.snapshot().histograms.at(dirty_pages).count, 0u);
   }
+}
+
+// ---------------------------------------------------------------------
+// Inline re-image: a reinstall runs on the core's own shard worker
+// ---------------------------------------------------------------------
+
+std::vector<obs::Event> events_of(const obs::Snapshot& snap,
+                                  obs::EventKind kind) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : snap.events) {
+    if (e.kind == kind) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(ParallelDiff, UnboundedReinstallRunsInlineWithoutEpochs) {
+  // ReinstallLastGood that never escalates cannot change the active set,
+  // so every re-image runs inline on the core's shard worker: no capture,
+  // no recovery epoch, and the Reinstall events still journal in serial
+  // order, for every dispatch policy, worker count and window.
+  const np::RecoveryConfig config = make_recovery_config(
+      np::RecoveryPolicy::ReinstallLastGood, testsupport::kViolationThreshold,
+      testsupport::kWindowPackets, np::kUnboundedReinstalls);
+  const std::vector<WorkItem> items = mixed_items(600, 0.15);
+  for (np::DispatchPolicy dispatch :
+       {np::DispatchPolicy::RoundRobin, np::DispatchPolicy::FlowHash}) {
+    for (std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}}) {
+      for (std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                std::size_t{256}}) {
+        SCOPED_TRACE(std::string(dispatch == np::DispatchPolicy::RoundRobin
+                                     ? "round-robin"
+                                     : "flow-hash") +
+                     " workers=" + std::to_string(workers) +
+                     " batch_size=" + std::to_string(batch));
+        np::ParallelConfig parallel;
+        parallel.workers = workers;
+        parallel.batch_size = batch;
+        np::Mpsoc serial(kCores, dispatch, config);
+        np::ParallelMpsoc par(kCores, dispatch, config, parallel);
+        obs::Registry serial_reg;
+        obs::Registry par_reg;
+        serial.enable_obs(serial_reg);
+        par.enable_obs(par_reg);
+        install_mixed_fleet(serial, /*vuln_cores=*/2);
+        install_mixed_fleet(par, /*vuln_cores=*/2);
+
+        EngineTrace st = run_serial(serial, items);
+        EngineTrace pt = run_parallel(par, items, /*chunk=*/97);
+        expect_identical_and_conserved(st, pt, items.size());
+        EXPECT_GT(st.stats.reinstalls, 0u);
+        EXPECT_EQ(st.stats.quarantine_events, 0u);
+        EXPECT_EQ(par.speculation_rollbacks(), 0u);
+
+        obs::Snapshot ss = serial_reg.snapshot();
+        obs::Snapshot ps = par_reg.snapshot();
+        EXPECT_EQ(ps.counters.at(obs::names::kParallelRollbackBytes), 0u);
+        EXPECT_EQ(ps.counters.at(obs::names::kParallelShardEpochs), 0u);
+        const std::vector<obs::Event> reinstalls =
+            events_of(ss, obs::EventKind::Reinstall);
+        EXPECT_EQ(reinstalls.size(), st.stats.reinstalls);
+        EXPECT_EQ(reinstalls, events_of(ps, obs::EventKind::Reinstall));
+        EXPECT_EQ(deterministic_events(ss.events),
+                  deterministic_events(ps.events));
+      }
+    }
+  }
+}
+
+// A handler whose packet picks its fate: a nonzero first word spins until
+// the watchdog traps (a slow violation), a nonzero second word executes
+// `break` (a fast violation), otherwise it returns (a clean drop).
+constexpr const char* kFateApp = R"(
+main:
+    li $t0, 0x30000
+    lw $t1, 0($t0)
+    bnez $t1, spin
+    lw $t2, 4($t0)
+    bnez $t2, trap
+    jr $ra
+spin:
+    j spin
+trap:
+    break
+)";
+
+TEST(ParallelDiff, QuarantinePivotRollsBackInlineReimage) {
+  // Core 0's first packet spins to the watchdog, so its worker lags while
+  // core 1's worker runs ahead. Core 0 then quarantines (the epoch pivot)
+  // while core 1 has already re-imaged inline for a YOUNGER packet: the
+  // epoch rolls that re-image back, configuration and recovery window
+  // included, and re-plans the packet onto another core. Core 1's later
+  // packets then slide a violation out of its restored window, so a
+  // window not restored exactly makes it re-image where the serial
+  // engine does not. Whether core 1 ran ahead is up to the scheduler:
+  // retry until the rollback is observed; every attempt must be
+  // bit-identical.
+  const np::RecoveryConfig config = make_recovery_config(
+      np::RecoveryPolicy::ReinstallLastGood, /*threshold=*/2, /*window=*/4,
+      /*max_reinstalls=*/1);
+  ASSERT_TRUE(config.can_quarantine());
+
+  // Flow keys: k0 lands on core 0; k1_stay on core 1 before and after
+  // core 0 leaves the active set; k1_move on core 1 before, elsewhere
+  // after.
+  const std::vector<std::size_t> all = {0, 1, 2, 3};
+  const std::vector<std::size_t> rest = {1, 2, 3};
+  auto place = [](const std::vector<std::size_t>& active, std::uint32_t key) {
+    std::size_t unused = 0;
+    return np::pick_dispatch_core(np::DispatchPolicy::FlowHash, active, key,
+                                  unused);
+  };
+  std::uint32_t k0 = 0, k1_stay = 0, k1_move = 0;
+  for (std::uint32_t key = 1; k0 == 0 || k1_stay == 0 || k1_move == 0;
+       ++key) {
+    if (place(all, key) == 0 && k0 == 0) k0 = key;
+    if (place(all, key) == 1 && place(rest, key) == 1 && k1_stay == 0) {
+      k1_stay = key;
+    }
+    if (place(all, key) == 1 && place(rest, key) != 1 && k1_move == 0) {
+      k1_move = key;
+    }
+  }
+  auto packet = [](std::uint32_t spin, std::uint32_t trap) {
+    util::Bytes p(8);
+    util::store_le32(spin, p.data());
+    util::store_le32(trap, p.data() + 4);
+    return p;
+  };
+  const util::Bytes slow = packet(1, 0), fault = packet(0, 1),
+                    clean = packet(0, 0);
+  const std::vector<WorkItem> items = {
+      {slow, k0},        // core 0: violation 1 (slow)
+      {fault, k1_stay},  // core 1: violation 1
+      {fault, k0},       // core 0: violation 2 -> re-image 1
+      {clean, k1_stay},  // core 1
+      {fault, k0},       // core 0
+      {fault, k0},       // core 0: re-image budget spent -> quarantine
+      {fault, k1_move},  // core 1 (speculatively): violation 2 -> re-image
+      {clean, k1_stay},  //   ... serially this packet went elsewhere
+      {clean, k1_stay},
+      {fault, k1_stay},  // slides core 1's first violation out
+      {clean, k1_stay},
+      {fault, k1_stay},
+      {fault, k1_stay},
+      {clean, k1_move},
+  };
+
+  np::Mpsoc serial(kCores, np::DispatchPolicy::FlowHash, config);
+  install_all(serial, kFateApp, 0xFA7E);
+  const EngineTrace st = run_serial(serial, items);
+  ASSERT_EQ(st.stats.quarantine_events, 1u);
+  ASSERT_GE(st.stats.reinstalls, 2u);
+
+  np::ParallelConfig parallel;
+  parallel.workers = kCores;
+  bool observed = false;
+  for (int attempt = 0; attempt < 50 && !observed; ++attempt) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    np::ParallelMpsoc par(kCores, np::DispatchPolicy::FlowHash, config,
+                          parallel);
+    obs::Registry reg;
+    par.enable_obs(reg);
+    install_all(par, kFateApp, 0xFA7E);
+    expect_identical_and_conserved(st, run_parallel(par, items),
+                                   items.size());
+    // Every core is back on the shared install artifacts.
+    for (std::size_t c = 1; c < kCores; ++c) {
+      EXPECT_EQ(par.core(c).summary(), par.core(0).summary());
+      EXPECT_EQ(par.core(c).core().compiled_program(),
+                par.core(0).core().compiled_program());
+      EXPECT_EQ(par.core(c).monitor().compiled(),
+                par.core(0).monitor().compiled());
+    }
+    // Every packet younger than the pivot was planned onto core 1, which
+    // runs them in order: any rollback undid the inline re-image first.
+    observed =
+        reg.counter(obs::names::kParallelReplayedPackets).value() > 0;
+  }
+  EXPECT_TRUE(observed) << "core 1 never ran ahead of the quarantine";
 }
 
 }  // namespace

@@ -113,6 +113,87 @@ TEST(RecoveryController, ReinstallEscalatesToQuarantine) {
   EXPECT_EQ(rc.reinstall_requests(), 1u);
 }
 
+TEST(RecoveryController, UnboundedReinstallsNeverQuarantine) {
+  // kUnboundedReinstalls is the "never escalate" value: every trip
+  // re-images, however many re-images came before.
+  np::RecoveryConfig config = testsupport::make_recovery_config(
+      np::RecoveryPolicy::ReinstallLastGood, /*threshold=*/1,
+      testsupport::kWindowPackets, np::kUnboundedReinstalls);
+  EXPECT_FALSE(config.can_quarantine());
+  np::RecoveryController rc(2, config);
+  constexpr std::size_t kTrips = 20'000;
+  for (std::size_t i = 0; i < kTrips; ++i) {
+    ASSERT_EQ(rc.on_outcome(i % 2, np::PacketOutcome::AttackDetected),
+              np::RecoveryAction::Reinstall)
+        << "trip " << i;
+    rc.note_reinstall(i % 2);
+  }
+  EXPECT_EQ(rc.health(0), np::CoreHealth::Healthy);
+  EXPECT_EQ(rc.health(1), np::CoreHealth::Healthy);
+  EXPECT_EQ(rc.quarantine_events(), 0u);
+  EXPECT_EQ(rc.reinstall_requests(), kTrips);
+}
+
+TEST(RecoveryController, CanQuarantineForEveryOtherActingConfig) {
+  using np::RecoveryPolicy;
+  for (std::size_t max : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                          std::size_t{1000}, np::kUnboundedReinstalls - 1}) {
+    SCOPED_TRACE("max_reinstalls=" + std::to_string(max));
+    EXPECT_TRUE(testsupport::make_recovery_config(
+                    RecoveryPolicy::ReinstallLastGood, 3, 64, max)
+                    .can_quarantine());
+  }
+  for (std::size_t max : {std::size_t{0}, std::size_t{2},
+                          np::kUnboundedReinstalls}) {
+    SCOPED_TRACE("max_reinstalls=" + std::to_string(max));
+    EXPECT_TRUE(testsupport::make_recovery_config(
+                    RecoveryPolicy::QuarantineAfterK, 3, 64, max)
+                    .can_quarantine());
+    EXPECT_FALSE(testsupport::make_recovery_config(
+                     RecoveryPolicy::ResetAndContinue, 3, 64, max)
+                     .can_quarantine());
+  }
+}
+
+TEST(RecoveryController, UndoWithdrawsOutcomeAndItsReinstall) {
+  // The parallel engine re-images inline and may later roll the packet
+  // back: undo_outcome must restore the window note_reinstall cleared,
+  // so the next packets see exactly the pre-packet state.
+  np::RecoveryConfig config = testsupport::make_recovery_config(
+      np::RecoveryPolicy::ReinstallLastGood, /*threshold=*/2,
+      /*window=*/4, /*max_reinstalls=*/3);
+  np::RecoveryController rolled(1, config);
+  np::RecoveryController oracle(1, config);
+  for (np::RecoveryController* rc : {&rolled, &oracle}) {
+    rc->on_outcome(0, np::PacketOutcome::AttackDetected);
+    rc->on_outcome(0, np::PacketOutcome::Forwarded);
+  }
+  np::RecoveryController::OutcomeUndo undo;
+  ASSERT_EQ(rolled.on_outcome_speculative(
+                0, np::PacketOutcome::AttackDetected, undo),
+            np::RecoveryAction::Reinstall);
+  rolled.note_reinstall(0, &undo);
+  EXPECT_EQ(rolled.window_violations(0), 0u);
+  rolled.undo_outcome(0, undo);
+  EXPECT_EQ(rolled.window_violations(0), oracle.window_violations(0));
+  EXPECT_EQ(rolled.reinstall_requests(), oracle.reinstall_requests());
+  EXPECT_EQ(rolled.total_violations(), oracle.total_violations());
+  // Same decisions from here on: the restored window slides the first
+  // violation out after exactly the oracle's number of packets.
+  for (np::PacketOutcome outcome :
+       {np::PacketOutcome::Forwarded, np::PacketOutcome::Forwarded,
+        np::PacketOutcome::AttackDetected, np::PacketOutcome::Forwarded,
+        np::PacketOutcome::AttackDetected, np::PacketOutcome::AttackDetected}) {
+    const np::RecoveryAction expected = oracle.on_outcome(0, outcome);
+    EXPECT_EQ(rolled.on_outcome(0, outcome), expected);
+    if (expected == np::RecoveryAction::Reinstall) {
+      oracle.note_reinstall(0);
+      rolled.note_reinstall(0);
+    }
+    EXPECT_EQ(rolled.window_violations(0), oracle.window_violations(0));
+  }
+}
+
 TEST(RecoveryController, TrapsCountTowardThresholdWhenConfigured) {
   np::RecoveryConfig config;
   config.policy = np::RecoveryPolicy::QuarantineAfterK;
