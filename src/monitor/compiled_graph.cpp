@@ -42,7 +42,6 @@ CompiledGraph::CompiledGraph(MonitoringGraph graph)
   // in pass 2 needs every node's hash up front).
   node_hash_.resize(n);
   node_exit_.resize(n);
-  bucket_population_.assign(kNumBuckets, 0);
   std::size_t total_edges = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const GraphNode& node = nodes[i];
@@ -59,7 +58,6 @@ CompiledGraph::CompiledGraph(MonitoringGraph graph)
     }
     node_hash_[i] = node.hash;
     node_exit_[i] = node.can_exit ? 1 : 0;
-    ++bucket_population_[node.hash];
     total_edges += node.successors.size();
   }
 
@@ -94,8 +92,8 @@ CompiledGraph::CompiledGraph(MonitoringGraph graph)
   // Pass 3: the node states' rows of the transition table. For every
   // (node, hash) pair the step "exactly one tracked successor matches
   // the report" is answered by a single load; empty buckets carry the
-  // mismatch sentinel, and multi-match buckets a kFastMulti placeholder
-  // that pass 4 replaces with a subset state.
+  // mismatch sentinel, and pass 4 points every multi-match bucket at its
+  // subset state.
   succ_count_.resize(n);
   fast_next_.resize(n * hash_buckets_);
   for (std::size_t i = 0; i < n; ++i) {
@@ -104,9 +102,7 @@ CompiledGraph::CompiledGraph(MonitoringGraph graph)
     for (std::uint32_t h = 0; h < hash_buckets_; ++h) {
       const std::uint32_t lo = bucket_off_[base + h];
       const std::uint32_t hi = bucket_off_[base + h + 1];
-      fast_next_[base + h] = (hi == lo)       ? kFastEmpty
-                             : (hi - lo == 1) ? edges_[lo]
-                                              : kFastMulti;
+      fast_next_[base + h] = hi - lo == 1 ? edges_[lo] : kFastEmpty;
     }
   }
 
@@ -128,8 +124,10 @@ void CompiledGraph::determinise() {
   // member entries. Members are charged before deduplication, so the
   // bound caps the union work too, and a rejected candidate is priced
   // from succ_count_ alone. Compile time and table size thus stay
-  // O(nodes * 2^w + edges) even for a hostile signed graph. A transition
-  // that would exceed the bound keeps kFastMulti.
+  // O(nodes * 2^w + edges) even for a hostile signed graph. The first
+  // subset state past either bound rejects the graph. Both bounds are
+  // sums over the set of reachable matched sets, so whether a graph is
+  // accepted does not depend on the order they are discovered in.
   const std::size_t n = num_nodes();
   std::size_t member_budget = num_edges() + n;
   std::map<std::vector<std::uint32_t>, std::uint32_t> interned;
@@ -143,11 +141,15 @@ void CompiledGraph::determinise() {
         members_.size() - member_off_[member_off_.size() - 2]));
   };
   const auto subset_state = [&](std::vector<std::uint32_t> matched) {
-    auto [it, fresh] = interned.try_emplace(std::move(matched), kFastMulti);
+    auto [it, fresh] = interned.try_emplace(std::move(matched), kFastEmpty);
     if (!fresh) return it->second;
     std::size_t cost = 0;
     for (std::uint32_t u : it->first) cost += succ_count_[u];
-    if (num_subset_states() == n || cost > member_budget) return kFastMulti;
+    if (num_subset_states() == n || cost > member_budget) {
+      bad_graph("reachable subsets exceed the bound of " + std::to_string(n) +
+                " states and " + std::to_string(num_edges() + n) +
+                " member entries");
+    }
     member_budget -= cost;
 
     const auto state = static_cast<std::uint32_t>(num_states());
@@ -178,10 +180,10 @@ void CompiledGraph::determinise() {
 
   // Seed from every multi-match bucket of the node states...
   for (std::size_t i = 0; i < n * hash_buckets_; ++i) {
-    if (fast_next_[i] != kFastMulti) continue;
     const std::span<const std::uint32_t> matched =
         bucket(static_cast<std::uint32_t>(i / hash_buckets_),
                static_cast<std::uint8_t>(i % hash_buckets_));
+    if (matched.size() < 2) continue;
     fast_next_[i] = subset_state({matched.begin(), matched.end()});
   }
   // ...then fill the non-node rows in creation order, which appends the
@@ -219,8 +221,7 @@ std::size_t CompiledGraph::footprint_bytes() const {
          succ_count_.size() * sizeof(std::uint32_t) +
          fast_next_.size() * sizeof(std::uint32_t) +
          member_off_.size() * sizeof(std::uint32_t) +
-         members_.size() * sizeof(std::uint32_t) +
-         bucket_population_.size() * sizeof(std::uint32_t);
+         members_.size() * sizeof(std::uint32_t);
 }
 
 }  // namespace sdmmon::monitor

@@ -22,9 +22,11 @@
 //    the reachable multi-match steps.
 //
 // So one monitor step -- match the report against the tracked set and
-// advance -- is one load from fast_next_data(). Only a graph whose
-// reachable subsets exceed the construction's bound keeps kFastMulti
-// entries, which the monitor resolves on its cold list path.
+// advance -- is one load from fast_next_data(), for every graph that
+// compiles: compile() rejects a graph whose reachable subsets exceed the
+// construction's bound, the same way it rejects a malformed one. The
+// monitor's hardware memory is fixed (resource_model prices it), so a
+// graph that does not fit it is not installable.
 //
 // A CompiledGraph is immutable after compile() and is shared as
 // std::shared_ptr<const CompiledGraph> by every core of an MPSoC, by the
@@ -36,7 +38,6 @@
 #ifndef SDMMON_MONITOR_COMPILED_GRAPH_HPP
 #define SDMMON_MONITOR_COMPILED_GRAPH_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -48,23 +49,23 @@ namespace sdmmon::monitor {
 
 class CompiledGraph {
  public:
-  /// Hash values are at most 8 bits wide, so the per-hash population
-  /// table is sized for 256 values regardless of the graph's width;
-  /// entries above 2^w simply stay zero.
+  /// Hash values are at most 8 bits wide: a graph with this many buckets
+  /// (w == 8) can never see an out-of-range report.
   static constexpr std::size_t kNumBuckets = 256;
 
-  /// Sentinels in the fast transition table (fast_next_data()). Real
-  /// state indices are always below both: compile() rejects graphs whose
-  /// state-indexed table would not fit a 32-bit index.
-  static constexpr std::uint32_t kFastEmpty = 0xFFFFFFFFu;  // mismatch
-  static constexpr std::uint32_t kFastMulti = 0xFFFFFFFEu;  // uncompiled
+  /// Mismatch sentinel in the fast transition table (fast_next_data()).
+  /// Real state indices are always below it: compile() rejects graphs
+  /// whose state-indexed table would not fit a 32-bit index.
+  static constexpr std::uint32_t kFastEmpty = 0xFFFFFFFFu;
 
   /// Lower `graph` into the flat form. Validates structure -- entry index
   /// and every successor in range, node hashes within 2^hash_width, and
-  /// a state-indexed table that fits a 32-bit index -- and throws
-  /// std::invalid_argument on a malformed graph (this is the rejection
-  /// point validate_install_config relies on). The source graph is
-  /// retained for wire-format accessors and re-verification.
+  /// a state-indexed table that fits a 32-bit index -- and closes the
+  /// subset construction within its bound (see determinise()). Throws
+  /// std::invalid_argument on a malformed graph or one the construction
+  /// cannot close; this is the rejection point validate_install_config
+  /// relies on. The source graph is retained for wire-format accessors
+  /// and re-verification.
   static std::shared_ptr<const CompiledGraph> compile(MonitoringGraph graph);
 
   std::size_t num_nodes() const { return node_hash_.size(); }
@@ -118,9 +119,8 @@ class CompiledGraph {
   /// state the monitor is in after report `hash` matched in `state`, or
   /// kFastEmpty when nothing in members(state) matches (an attack).
   /// The target is the matched node itself when exactly one member
-  /// matched, else the subset state of the matched set; kFastMulti marks
-  /// a multi-match the bounded subset construction left uncompiled
-  /// (take the bucket() slice). This is the whole per-instruction hot
+  /// matched, else the subset state of the matched set, so every other
+  /// entry is below num_states(). This is the whole per-instruction hot
   /// path of the monitor: one shift-or index, one load.
   const std::uint32_t* fast_next_data() const { return fast_next_.data(); }
   /// Per-state tracked-set size, indexed by state.
@@ -142,14 +142,13 @@ class CompiledGraph {
   /// set == members(state), size `live`), consume as many of the `n`
   /// hashes as resolve through the flat fast_next table -- one dependent
   /// load per hash -- and report where the walk stopped. The walk ends at
-  /// the first hash whose transition is a sentinel (kFastEmpty /
-  /// kFastMulti) or whose report is out of range; the caller replays
-  /// that hash through its per-hash reference path, so batched and
-  /// per-hash feeds can never diverge. Width accounting mirrors
-  /// HardwareMonitor::on_hashed: each consumed hash is counted *before*
-  /// its transition, at the pre-step set size. Static and inline: callers
-  /// pass the raw table views they already cache, keeping the loop free
-  /// of any smart-pointer or member loads.
+  /// the first hash that mismatches (kFastEmpty) or whose report is out
+  /// of range; the caller replays that hash through its per-hash
+  /// reference path, so batched and per-hash feeds can never diverge.
+  /// Width accounting mirrors HardwareMonitor::on_hashed: each consumed
+  /// hash is counted *before* its transition, at the pre-step set size.
+  /// Static and inline: callers pass the raw table views they already
+  /// cache, keeping the loop free of any smart-pointer or member loads.
   static BatchStep batch_step(const std::uint32_t* fast_next,
                               const std::uint32_t* succ_count,
                               std::uint32_t hash_shift,
@@ -164,7 +163,7 @@ class CompiledGraph {
       // iteration is exactly one shift-or index + one dependent load.
       while (i < n) {
         const std::uint32_t v = fast_next[(state << hash_shift) | hashes[i]];
-        if (v >= kFastMulti) break;
+        if (v == kFastEmpty) break;
         out.width_accum += live;
         if (live > peak) peak = live;
         state = v;
@@ -176,7 +175,7 @@ class CompiledGraph {
         const std::uint8_t hashed = hashes[i];
         if (hashed >= bucket_count) break;
         const std::uint32_t v = fast_next[(state << hash_shift) | hashed];
-        if (v >= kFastMulti) break;
+        if (v == kFastEmpty) break;
         out.width_accum += live;
         if (live > peak) peak = live;
         state = v;
@@ -191,33 +190,17 @@ class CompiledGraph {
     return out;
   }
 
-  /// The members of `state` whose stored hash equals `hash` -- i.e.
-  /// exactly the tracked positions that match report `hash` in `state`.
-  /// Contiguous, duplicate-free, precomputed. Reports outside [0, 2^w)
-  /// can never match and yield an empty slice.
-  std::span<const std::uint32_t> bucket(std::uint32_t state,
+  /// The successors of node `node` whose stored hash equals `hash` --
+  /// i.e. exactly the tracked positions that match report `hash` in node
+  /// state `node`. Contiguous, duplicate-free, precomputed. Reports
+  /// outside [0, 2^w) can never match and yield an empty slice.
+  std::span<const std::uint32_t> bucket(std::uint32_t node,
                                         std::uint8_t hash) const {
     if (hash >= hash_buckets_) return {};
-    if (state >= num_nodes()) {
-      // Cold path: members are grouped by hash, so the bucket is one run.
-      const std::span<const std::uint32_t> all = members(state);
-      const auto has_hash = [&](std::uint32_t node) {
-        return node_hash_[node] == hash;
-      };
-      const auto lo = std::find_if(all.begin(), all.end(), has_hash);
-      return {lo, std::find_if_not(lo, all.end(), has_hash)};
-    }
     const std::size_t at =
-        static_cast<std::size_t>(state) * hash_buckets_ + hash;
+        static_cast<std::size_t>(node) * hash_buckets_ + hash;
     return {edges_.data() + bucket_off_[at],
             edges_.data() + bucket_off_[at + 1]};
-  }
-
-  /// Number of graph nodes whose hash equals `hash` -- the hard upper
-  /// bound on how many tracked positions can simultaneously match one
-  /// report (comparator pressure for a hardware sizing estimate).
-  std::uint32_t bucket_population(std::size_t hash) const {
-    return bucket_population_[hash];
   }
 
   /// Bytes of flat compiled state (CSR arrays, per-state tables and the
@@ -232,7 +215,8 @@ class CompiledGraph {
  private:
   explicit CompiledGraph(MonitoringGraph graph);
 
-  /// Pass 4 of the constructor: the bounded subset construction.
+  /// Pass 4 of the constructor: the bounded subset construction. Throws
+  /// std::invalid_argument when the reachable subsets exceed the bound.
   void determinise();
 
   MonitoringGraph source_;
@@ -253,7 +237,6 @@ class CompiledGraph {
   // opens state s's slice of members_.
   std::vector<std::uint32_t> member_off_;  // [num_states - num_nodes + 1]
   std::vector<std::uint32_t> members_;
-  std::vector<std::uint32_t> bucket_population_;  // [kNumBuckets]
 };
 
 }  // namespace sdmmon::monitor

@@ -14,20 +14,18 @@
 // the entry state at packet start, a subset state when it matched
 // several -- so each report costs one shift-or index and one load, with
 // nothing filtered, copied or allocated. Mismatch and exit detection are
-// in the same load (kFastEmpty, the per-state exit bit). Only a graph
-// whose reachable subsets exceed the compiler's bound leaves kFastMulti
-// entries; there the monitor materializes the successor union into a
-// flat buffer, deduplicated with an epoch-stamped membership array, and
-// walks it on a cold list path. The original vector-filter walker
-// survives as ReferenceMonitor (monitor/reference_monitor.hpp), the
-// differential-testing oracle.
+// in the same load (kFastEmpty, the per-state exit bit). A graph the
+// compiler cannot close within its bound is rejected at install, so the
+// state is the monitor's only representation of its tracked set. The
+// original vector-filter walker survives as ReferenceMonitor
+// (monitor/reference_monitor.hpp), the unbounded differential-testing
+// oracle.
 #ifndef SDMMON_MONITOR_MONITOR_HPP
 #define SDMMON_MONITOR_MONITOR_HPP
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "monitor/compiled_graph.hpp"
@@ -118,23 +116,15 @@ class HardwareMonitor {
 
     if (attack_flagged_) [[unlikely]] return Verdict::Mismatch;
 
-    if (state_ != kListForm && hashed < bucket_count_) [[likely]] {
-      // Tracked set == members(state_): the transition table resolves
-      // match and advance with a single load.
-      const std::uint32_t v = fast_next_[(state_ << hash_shift_) | hashed];
-      if (v < CompiledGraph::kFastMulti) [[likely]] {
-        state_ = v;
-        live_count_ = succ_count_[v];
-        exit_allowed_ = node_exit_[v] != 0;
-        return Verdict::Ok;
-      }
-      if (v == CompiledGraph::kFastEmpty) return flag_mismatch();
-      // A multi-match the compiler's bound left uncompiled.
-      advance_matched(graph_->bucket(state_, hashed));
-      return Verdict::Ok;
-    }
-    if (state_ != kListForm) return flag_mismatch();  // report >= 2^w
-    return step_list(hashed);
+    if (hashed >= bucket_count_) [[unlikely]] return flag_mismatch();
+    // Tracked set == members(state_): the transition table resolves
+    // match and advance with a single load.
+    const std::uint32_t v = fast_next_[(state_ << hash_shift_) | hashed];
+    if (v == CompiledGraph::kFastEmpty) [[unlikely]] return flag_mismatch();
+    state_ = v;
+    live_count_ = succ_count_[v];
+    exit_allowed_ = node_exit_[v] != 0;
+    return Verdict::Ok;
   }
 
   /// Batch-granular feed: consume `n` precomputed hashes (one
@@ -147,16 +137,14 @@ class HardwareMonitor {
   /// is returned. The steady state (every step a table transition) runs
   /// as CompiledGraph::batch_step, a graph-resident tight loop over the
   /// flat fast_next table with deferred stat accumulation. Each hash the
-  /// fast loop cannot take (mismatch, uncompiled multi-match, list form,
-  /// out-of-range report, latched attack) replays through the exact
-  /// per-hash reference path -- ONE hash at a time, after which the loop
-  /// re-enters batch_step, because a single-match list step returns the
-  /// tracked set to a node state.
+  /// fast loop cannot take (mismatch, out-of-range report, latched
+  /// attack) replays through the exact per-hash reference path -- ONE
+  /// hash at a time, after which the loop re-enters batch_step.
   std::size_t advance(const std::uint8_t* hashes, std::size_t n,
                       bool stop_on_mismatch) {
     std::size_t i = 0;
     while (i < n) {
-      if (!attack_flagged_ && state_ != kListForm) {
+      if (!attack_flagged_) {
         const CompiledGraph::BatchStep step = CompiledGraph::batch_step(
             fast_next_, succ_count_, hash_shift_, bucket_count_, state_,
             live_count_, peak_state_size_, hashes + i, n - i);
@@ -194,13 +182,13 @@ class HardwareMonitor {
   /// rest of the mismatch-free run is settled in O(1) -- the width-sum
   /// difference, the run's final state, and a peak rescan only when the
   /// run's stored peak exceeds the current one. From the first hash the
-  /// table cannot step (a mismatch, kFastMulti, a report out of range)
-  /// the rest of the slice goes through advance(), as does every slice
-  /// after a latched attack or in the list form.
+  /// table cannot step (a mismatch or a report out of range) the rest of
+  /// the slice goes through advance(), as does every slice after a
+  /// latched attack.
   LaneAdvance advance(const CanonicalLane& lane, const std::uint8_t* hashes,
                       std::size_t n, bool stop_on_mismatch) {
     LaneAdvance out;
-    if (attack_flagged_ || state_ == kListForm) {
+    if (attack_flagged_) {
       out.ok = advance(hashes, n, stop_on_mismatch);
       return out;
     }
@@ -213,7 +201,7 @@ class HardwareMonitor {
       const std::uint8_t hashed = hashes[i];
       if (hashed >= bucket_count_) break;
       const std::uint32_t v = fast_next_[(state << hash_shift_) | hashed];
-      if (v >= CompiledGraph::kFastMulti) break;
+      if (v == CompiledGraph::kFastEmpty) break;
       width_accum += live;
       if (live > peak) peak = live;
       state = v;
@@ -295,43 +283,21 @@ class HardwareMonitor {
   const InstructionHash& hash() const { return *hash_; }
 
  private:
-  /// Sentinel for "the tracked set is materialized in cur_, not a state
-  /// of the compiled transition table".
-  static constexpr std::uint32_t kListForm = 0xFFFFFFFFu;
-
-  /// Size per-graph state (state buffers, epoch stamps) after an
-  /// artifact swap, then re-arm.
+  /// Cache the artifact's table views after a swap, then re-arm.
   void rebind();
   /// Re-arm to the entry state without touching cumulative stats.
   void rearm();
-  /// Latch the attack flag (cold path, shared by both representations).
+  /// Latch the attack flag (cold path).
   Verdict flag_mismatch();
-  /// Several tracked nodes matched at once and the compiler left the
-  /// transition uncompiled: materialize their deduped successor union
-  /// into cur_ (list form).
-  void advance_matched(std::span<const std::uint32_t> matched);
-  /// Match+advance over the materialized list representation.
-  Verdict step_list(std::uint8_t hashed);
 
   std::shared_ptr<const CompiledGraph> graph_;
   std::unique_ptr<InstructionHash> hash_;
 
-  // Tracked-state set, in one of two forms:
-  //  * state form (state_ != kListForm): the set is
-  //    graph_->members(state_), a row of the immutable artifact --
-  //    nothing is copied. Armed at rearm() (the entry state) and kept by
-  //    every table transition, so on a fully determinised graph the
-  //    monitor never leaves it.
-  //  * list form (state_ == kListForm): cur_[0..live_count_) holds the
-  //    node indices, duplicate-free. The cold fallback for a multi-match
-  //    the compiler's bound left as kFastMulti; a later single-match
-  //    step returns to state form.
-  // Buffers are pre-sized to the graph's node count at install (the set
-  // can never exceed it), so steady-state operation never allocates.
-  // The epoch-stamp array dedups successor unions on list-form steps in
-  // O(1) per node -- bumping epoch_ invalidates every stamp at once.
-  std::uint32_t state_ = kListForm;
-  std::size_t live_count_ = 0;  // tracked-set size in either form
+  // The tracked set is graph_->members(state_), a row of the immutable
+  // artifact -- nothing is copied. Armed at rearm() (the entry state)
+  // and kept by every table transition.
+  std::uint32_t state_ = 0;
+  std::size_t live_count_ = 0;  // tracked-set size, succ_count(state_)
   // Raw views of the shared artifact's flat tables, cached at rebind()
   // so the per-instruction step dereferences no smart pointer.
   const std::uint32_t* fast_next_ = nullptr;
@@ -339,9 +305,6 @@ class HardwareMonitor {
   const std::uint8_t* node_exit_ = nullptr;
   std::uint32_t bucket_count_ = 0;  // 2^w
   std::uint32_t hash_shift_ = 0;    // w
-  std::vector<std::uint32_t> cur_, nxt_;
-  std::vector<std::uint64_t> stamps_;  // per-node dedup epoch stamps
-  std::uint64_t epoch_ = 0;
 
   bool exit_allowed_ = true;
   bool attack_flagged_ = false;

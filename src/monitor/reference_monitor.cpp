@@ -30,10 +30,6 @@ void ReferenceMonitor::install(MonitoringGraph graph,
   rearm();
 }
 
-Verdict ReferenceMonitor::on_instruction(std::uint32_t word) {
-  return on_hashed(hash_->hash(word));
-}
-
 Verdict ReferenceMonitor::on_hashed(std::uint8_t hashed) {
   ++stats_.instructions_checked;
   stats_.state_size_accum += state_.size();

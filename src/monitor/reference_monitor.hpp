@@ -32,7 +32,6 @@ class ReferenceMonitor {
   /// counting a packet; cumulative stats persist across installs.
   void install(MonitoringGraph graph, std::unique_ptr<InstructionHash> hash);
 
-  Verdict on_instruction(std::uint32_t word);
   Verdict on_hashed(std::uint8_t hashed);
 
   bool exit_allowed() const { return exit_allowed_; }

@@ -303,6 +303,11 @@ StepInfo Core::exec(const Instr& in, StepInfo info) {
   return info;
 }
 
+// Pinned to a 64-byte boundary: with no change to its code, moving this
+// function from a 64-byte to a 32-byte boundary (a code-size change
+// elsewhere in the binary) cost perfbench 8-13% of its packet rate
+// (docs/BENCHMARKS.md, "Code placement").
+__attribute__((aligned(64)))
 Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
                                  std::uint64_t n) {
   // Execute-first batch over the predicted path. All accounting is

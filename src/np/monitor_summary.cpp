@@ -53,7 +53,7 @@ std::shared_ptr<const MonitorSummary> MonitorSummary::build(
       const std::uint32_t prev = summary->state_[p - 1];
       const std::uint32_t width = succ_count[prev];
       const std::uint32_t v = fast_next[(prev << shift) | lane[p]];
-      if (v < monitor::CompiledGraph::kFastMulti &&
+      if (v != kNone &&
           chain + width <= std::numeric_limits<std::uint32_t>::max()) {
         next = v;
         chain += width;

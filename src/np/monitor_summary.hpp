@@ -12,9 +12,10 @@
 // index is the op's text index, when that node carries the op's hash --
 // extract_graph's numbering, under which the step over an op that matched
 // one node leaves the monitor in exactly that node's state. A run ends at
-// a mismatch or an uncompiled multi-match (kFastEmpty / kFastMulti), at
-// the superblock's end, or where its width sum would leave 32 bits; the
-// next position re-seeds.
+// a mismatch (kFastEmpty) or a report out of range, at the superblock's
+// end, or where its width sum would leave 32 bits; the next position
+// re-seeds. Every graph that compiles is a closed transition table, so
+// no other step can end a run.
 //
 // A dispatch steps hashes from the real state until it equals the
 // canonical state at that position (HardwareMonitor::advance over a

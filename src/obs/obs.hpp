@@ -12,6 +12,7 @@
 #define SDMMON_SRC_OBS_OBS_HPP
 
 #include <chrono>
+#include <exception>
 
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
@@ -22,13 +23,17 @@ namespace sdmmon::obs {
 
 /// Records elapsed wall-clock nanoseconds into a histogram on
 /// destruction. Pass nullptr to make it a no-op (the start timestamp is
-/// still taken; only use on cold paths like reinstalls).
+/// still taken; only use on cold paths like reinstalls). A scope left by
+/// an exception records nothing: a stage that threw produced nothing for
+/// the histogram to time.
 class ScopedTimerNs {
  public:
   explicit ScopedTimerNs(Histogram* sink)
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
+      : sink_(sink),
+        exceptions_(std::uncaught_exceptions()),
+        start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimerNs() {
-    if (sink_ == nullptr) return;
+    if (sink_ == nullptr || std::uncaught_exceptions() > exceptions_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     sink_->record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
@@ -39,6 +44,7 @@ class ScopedTimerNs {
 
  private:
   Histogram* sink_;
+  int exceptions_;
   std::chrono::steady_clock::time_point start_;
 };
 

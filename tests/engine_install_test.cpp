@@ -289,6 +289,93 @@ TYPED_TEST(EngineInstall, ForeignSummaryIsTypedRejectionThatChangesNothing) {
   this->expect_forwarding();
 }
 
+// The application's graph plus an unreachable gadget: a fork into two
+// all-hash-0 cycles of coprime lengths 7 and 11. Its 77 reachable matched
+// pairs need more subset states than the graph has nodes, so the graph
+// does not fit the monitor's table.
+monitor::MonitoringGraph over_bound(const monitor::MonitoringGraph& base) {
+  std::vector<monitor::GraphNode> nodes = base.nodes();
+  const auto fork = static_cast<std::uint32_t>(nodes.size());
+  const std::uint32_t p = 7, q = 11;
+  nodes.push_back({0, false, {fork + 1, fork + 1 + p}});
+  for (std::uint32_t i = 0; i < p; ++i) {
+    nodes.push_back({0, false, {fork + 1 + (i + 1) % p}});
+  }
+  for (std::uint32_t j = 0; j < q; ++j) {
+    nodes.push_back({0, false, {fork + 1 + p + (j + 1) % q}});
+  }
+  return monitor::MonitoringGraph(base.hash_width(), base.text_base(),
+                                  base.entry_index(), std::move(nodes));
+}
+
+// A graph the subset construction cannot close is rejected by compile()
+// inside every wire-graph install path, as a typed error, before any
+// core, last-good snapshot, metric or journal event moves.
+TYPED_TEST(EngineInstall, OverBoundGraphIsTypedRejectionThatChangesNothing) {
+  auto& engine = this->engine_;
+  const monitor::MonitoringGraph graph = over_bound(this->good_graph_);
+  this->expect_forwarding();
+  std::vector<CoreImage> before;
+  for (std::size_t c = 0; c < kCores; ++c) {
+    before.push_back(CoreImage::of(engine.core(c), this->good_));
+  }
+  const np::MpsocStats stats_before = engine.aggregate_stats();
+  obs::Registry& registry = this->registry_;
+  const auto gauges = [&registry] {
+    std::vector<std::int64_t> values;
+    for (const char* name : {obs::names::kEngineCompiledGraphNodes,
+                             obs::names::kEngineCompiledGraphEdges,
+                             obs::names::kEngineCompiledGraphBytes,
+                             obs::names::kEngineCompiledProgramOps,
+                             obs::names::kEngineMonitorSummaryBytes}) {
+      values.push_back(registry.gauge(name).value());
+    }
+    return values;
+  };
+  const auto samples = [&registry] {
+    return std::vector<std::uint64_t>{
+        registry.histogram(obs::names::kEngineGraphCompileNs, {}).count(),
+        registry.histogram(obs::names::kCorePredecodeNs, {}).count()};
+  };
+  const std::vector<std::int64_t> gauges_before = gauges();
+  const std::vector<std::uint64_t> samples_before = samples();
+  const std::uint64_t installs_before = this->installs();
+  const std::size_t events_before = install_events(registry);
+  const std::size_t journal_before = registry.journal().events().size();
+
+  EXPECT_THROW((void)np::validate_install_config(this->good_, graph,
+                                                 this->hash_),
+               std::invalid_argument);
+  EXPECT_THROW(engine.install_all(this->good_, graph, this->hash_),
+               std::invalid_argument);
+  for (std::size_t c = 0; c < kCores; ++c) {
+    EXPECT_THROW(engine.install(c, this->good_, graph, this->hash_.clone()),
+                 std::invalid_argument);
+  }
+  for (std::size_t c = 0; c < kCores; ++c) {
+    EXPECT_TRUE(CoreImage::of(engine.core(c), this->good_) == before[c])
+        << "core " << c;
+  }
+  this->expect_previous_app();
+  EXPECT_EQ(this->installs(), installs_before);
+  EXPECT_EQ(install_events(registry), events_before);
+  EXPECT_EQ(registry.journal().events().size(), journal_before);
+  EXPECT_EQ(gauges(), gauges_before);
+  EXPECT_EQ(samples(), samples_before);
+  const np::MpsocStats stats_after = engine.aggregate_stats();
+  EXPECT_EQ(stats_after.packets, stats_before.packets);
+  EXPECT_EQ(stats_after.reinstalls, stats_before.reinstalls);
+
+  // The last-good snapshots still hold the original triple: a re-image
+  // swaps the very same artifacts back in.
+  (void)run(engine,
+            std::vector<util::Bytes>(kCores, util::Bytes{kTrapMarker, 0x01}));
+  EXPECT_EQ(engine.aggregate_stats().reinstalls,
+            stats_before.reinstalls + kCores);
+  this->expect_previous_app();
+  this->expect_forwarding();
+}
+
 // One summary per install, shared by pointer: install_all hands every
 // core the summary it was given, builds one (once) when handed only the
 // pair, and a last-good re-image never rebuilds it.

@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/assembler.hpp"
 #include "monitor/analysis.hpp"
 #include "monitor/reference_monitor.hpp"
 #include "np/monitored_core.hpp"
+#include "support/subset_closure.hpp"
 #include "util/rng.hpp"
 
 namespace sdmmon {
@@ -232,29 +234,11 @@ TEST_P(MonitorSoundness, BatchPartitioningAndRollbackIndependence) {
 // EVERY observable at EVERY step -- verdict, exit_allowed, state_size,
 // attack_flagged -- and on the per-packet peak width, the exact tracked
 // node set, and the cumulative MonitorStats, across packet resets and
-// mid-stream re-installs.
-
-// A random graph exercising every structural feature the compiler packs:
-// shared hash values (bucket collisions), indirect-jump fan-out, nodes
-// with can_exit, and trap terminals (no successors).
-monitor::MonitoringGraph random_graph(util::Rng& rng) {
-  const int width = 1 + static_cast<int>(rng.below(8));  // 1..8 bits
-  const std::uint32_t n = 1 + rng.below(40);
-  std::vector<monitor::GraphNode> nodes(n);
-  for (auto& node : nodes) {
-    node.hash = static_cast<std::uint8_t>(rng.below(1u << width));
-    node.can_exit = rng.chance(0.3);
-    if (rng.chance(0.12)) continue;  // trap terminal: no successors
-    // 1..2 successors normally; occasional indirect-jump fan-out.
-    std::size_t degree = 1 + rng.below(2);
-    if (rng.chance(0.15)) degree = 2 + rng.below(6);
-    for (std::size_t s = 0; s < degree; ++s) {
-      node.successors.push_back(rng.below(n));
-    }
-  }
-  return monitor::MonitoringGraph(width, 0x1000, rng.below(n),
-                                  std::move(nodes));
-}
+// mid-stream re-installs. Every graph drawn also checks compile()
+// against the closure oracle (support/subset_closure.hpp): a graph past
+// the subset construction's bound is rejected, and is redrawn at the
+// start of a sequence or left uninstalled mid-stream, where both walkers
+// must stay exactly where they were.
 
 // One random hashed-report stream over `graph`. Three flavors: a valid
 // random walk from the entry node, a valid walk with corrupted reports
@@ -304,32 +288,63 @@ void expect_monitors_agree(const monitor::HardwareMonitor& compiled,
             reference.stats().state_size_accum) << where;
 }
 
+// Hot-swaps a freshly drawn graph into both walkers. A graph past the
+// bound is a typed rejection (counted in `rejected`): the compiled
+// walker's install throws and it must still agree with the reference,
+// which never saw the swap.
+void swap_graph(util::Rng& rng, monitor::MonitoringGraph& graph,
+                monitor::HardwareMonitor& compiled,
+                monitor::ReferenceMonitor& reference, int& rejected) {
+  monitor::MonitoringGraph next = testsupport::random_graph(rng);
+  auto artifact = testsupport::compile_checked(next);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  if (artifact == nullptr) {
+    ++rejected;
+    EXPECT_THROW(
+        compiled.install(next, std::make_unique<monitor::MerkleTreeHash>(
+                                   rng.next_u32(), 8)),
+        std::invalid_argument);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_monitors_agree(compiled, reference, "rejected install"));
+    return;
+  }
+  graph = std::move(next);
+  compiled.install(
+      artifact, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
+  reference.install(
+      graph, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
+  ASSERT_NO_FATAL_FAILURE(
+      expect_monitors_agree(compiled, reference, "post-install"));
+}
+
 class MonitorDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(MonitorDifferential, CompiledMatchesReferenceOnRandomStreams) {
   util::Rng rng(0xD1FF + static_cast<std::uint64_t>(GetParam()) * 2654435761u);
-  // 50 graphs x 25 streams x 10 seeds = 12,500 fuzzed streams.
-  for (int g = 0; g < 50; ++g) {
-    monitor::MonitoringGraph graph = random_graph(rng);
+  // 50 accepted graphs x 25 streams x 10 seeds = 12,500 fuzzed streams.
+  int rejected = 0;
+  for (int g = 0; g < 50;) {
+    monitor::MonitoringGraph graph = testsupport::random_graph(rng);
+    auto artifact = testsupport::compile_checked(graph);
+    ASSERT_FALSE(HasFailure());
+    if (artifact == nullptr) {  // past the bound: redraw
+      ++rejected;
+      continue;
+    }
+    ++g;
     // The streams below feed on_hashed() directly, so the hash unit is
     // never consulted; a fixed 8-bit unit keeps construction valid for
     // every graph hash width (MerkleTreeHash supports 1/2/4/8 only).
     monitor::HardwareMonitor compiled(
-        graph, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
+        artifact, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
     monitor::ReferenceMonitor reference(
         graph, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
     for (int s = 0; s < 25; ++s) {
       // Occasionally hot-swap a fresh graph mid-sequence: both walkers
       // must re-arm identically and keep accumulating the same stats.
       if (rng.chance(0.04)) {
-        graph = random_graph(rng);
-        compiled.install(
-            monitor::CompiledGraph::compile(graph),
-            std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
-        reference.install(graph, std::make_unique<monitor::MerkleTreeHash>(
-                                     rng.next_u32(), 8));
         ASSERT_NO_FATAL_FAILURE(
-            expect_monitors_agree(compiled, reference, "post-install"));
+            swap_graph(rng, graph, compiled, reference, rejected));
       }
       compiled.reset();
       reference.reset();
@@ -344,6 +359,7 @@ TEST_P(MonitorDifferential, CompiledMatchesReferenceOnRandomStreams) {
       }
     }
   }
+  EXPECT_GT(rejected, 0) << "no graph past the bound was drawn";
 }
 
 // The batched feed HardwareMonitor::advance() -- the path superblock
@@ -355,20 +371,24 @@ TEST_P(MonitorDifferential, CompiledMatchesReferenceOnRandomStreams) {
 TEST_P(MonitorDifferential, BatchedAdvanceMatchesReferenceOnRandomStreams) {
   util::Rng rng(0xD1FF + static_cast<std::uint64_t>(GetParam()) * 2654435761u);
   util::Rng chunking(0xC4C + static_cast<std::uint64_t>(GetParam()));
-  for (int g = 0; g < 50; ++g) {
-    monitor::MonitoringGraph graph = random_graph(rng);
+  int rejected = 0;
+  for (int g = 0; g < 50;) {
+    monitor::MonitoringGraph graph = testsupport::random_graph(rng);
+    auto artifact = testsupport::compile_checked(graph);
+    ASSERT_FALSE(HasFailure());
+    if (artifact == nullptr) {  // past the bound: redraw
+      ++rejected;
+      continue;
+    }
+    ++g;
     monitor::HardwareMonitor compiled(
-        graph, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
+        artifact, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
     monitor::ReferenceMonitor reference(
         graph, std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
     for (int s = 0; s < 25; ++s) {
       if (rng.chance(0.04)) {
-        graph = random_graph(rng);
-        compiled.install(
-            monitor::CompiledGraph::compile(graph),
-            std::make_unique<monitor::MerkleTreeHash>(rng.next_u32(), 8));
-        reference.install(graph, std::make_unique<monitor::MerkleTreeHash>(
-                                     rng.next_u32(), 8));
+        ASSERT_NO_FATAL_FAILURE(
+            swap_graph(rng, graph, compiled, reference, rejected));
       }
       compiled.reset();
       reference.reset();
@@ -398,6 +418,7 @@ TEST_P(MonitorDifferential, BatchedAdvanceMatchesReferenceOnRandomStreams) {
       }
     }
   }
+  EXPECT_GT(rejected, 0) << "no graph past the bound was drawn";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonitorDifferential, ::testing::Range(0, 10));

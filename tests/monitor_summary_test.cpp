@@ -214,7 +214,10 @@ TEST(SummaryDifferentialRenumbered, SeedMissesStayExact) {
 
 // Runs whose widths pass the peak byte's range: the stored peak
 // saturates, and the rescan must still find the exact maximum -- also
-// when the current peak is already past the byte's range.
+// when the current peak is already past the byte's range. Nodes 5 and 40
+// are widened with appended trap terminals (no successors, hashes
+// spread over all 16 values), so their multi-matches collapse into a few
+// subset states and the graph stays within the compiler's bound.
 TEST(SummaryDifferentialWide, SaturatedPeakStaysExact) {
   std::string source = "main:\n";
   for (int i = 0; i < 450; ++i) {
@@ -225,17 +228,21 @@ TEST(SummaryDifferentialWide, SaturatedPeakStaysExact) {
   const MerkleTreeHash hash(0xF00D, 4);
   const monitor::MonitoringGraph chain = monitor::extract_graph(program, hash);
   std::vector<monitor::GraphNode> nodes = chain.nodes();
-  for (std::uint32_t succ = 7; succ < 317; ++succ) {
-    nodes[5].successors.push_back(succ);  // node state 5: 311 wide
-  }
-  for (std::uint32_t succ = 42; succ < 442; ++succ) {
-    nodes[40].successors.push_back(succ);  // node state 40: 401 wide
-  }
+  const auto widen = [&nodes](std::uint32_t node, std::uint32_t extra) {
+    for (std::uint32_t k = 0; k < extra; ++k) {
+      nodes[node].successors.push_back(
+          static_cast<std::uint32_t>(nodes.size()));
+      nodes.push_back({static_cast<std::uint8_t>(k % 16), false, {}});
+    }
+  };
+  widen(5, 310);   // node state 5: 311 wide
+  widen(40, 400);  // node state 40: 401 wide
   auto graph = CompiledGraph::compile(
       monitor::MonitoringGraph(chain.hash_width(), chain.text_base(),
                                chain.entry_index(), std::move(nodes)));
-  ASSERT_GT(graph->successor_count(5),
-            monitor::CanonicalLane::kPeakSaturated);
+  ASSERT_EQ(graph->successor_count(5), 311u);
+  ASSERT_EQ(graph->successor_count(40), 401u);
+  ASSERT_GT(graph->num_subset_states(), 0u);
   DiffCount count;
   run_differential(graph, CompiledProgram::compile(program, hash), hash, 8,
                    "wide", count);

@@ -12,6 +12,7 @@
 #include "monitor/analysis.hpp"
 #include "monitor/reference_monitor.hpp"
 #include "net/apps.hpp"
+#include "support/subset_closure.hpp"
 #include "util/rng.hpp"
 
 namespace sdmmon::monitor {
@@ -311,9 +312,9 @@ TEST(CompiledGraph, FlattensSourceIntoCsrForm) {
   ASSERT_EQ(compiled->successors(0).size(), 2u);
   EXPECT_EQ(compiled->successors(0)[1], 2u);
   EXPECT_TRUE(compiled->successors(2).empty());
-  // Two nodes share hash 9: the per-bucket population reflects it.
-  EXPECT_EQ(compiled->bucket_population(9), 2u);
-  EXPECT_EQ(compiled->bucket_population(3), 1u);
+  // Both successors of node 0 carry hash 9: one bucket holds them.
+  EXPECT_EQ(compiled->bucket(0, 9).size(), 2u);
+  EXPECT_TRUE(compiled->bucket(0, 3).empty());
   EXPECT_GT(compiled->footprint_bytes(), 0u);
   EXPECT_EQ(compiled->source(), graph);
 }
@@ -342,13 +343,6 @@ TEST(CompiledGraph, RejectsMalformedGraphs) {
 
 // ---- install-time determinisation -----------------------------------------
 
-std::size_t uncompiled_transitions(const CompiledGraph& graph) {
-  const std::uint32_t* table = graph.fast_next_data();
-  return static_cast<std::size_t>(
-      std::count(table, table + graph.num_states() * graph.num_hash_buckets(),
-                 CompiledGraph::kFastMulti));
-}
-
 TEST(CompiledGraph, MultiMatchBecomesASubsetState) {
   // entry(1) -> {1, 2}, both hash 3; 1 -> {3 (hash 5, exit)}; 2 -> {4}.
   MonitoringGraph graph(4, 0x1000, 0,
@@ -360,7 +354,7 @@ TEST(CompiledGraph, MultiMatchBecomesASubsetState) {
   auto compiled = CompiledGraph::compile(graph);
   ASSERT_EQ(compiled->num_subset_states(), 1u);
   ASSERT_EQ(compiled->num_states(), compiled->num_nodes() + 2);
-  EXPECT_EQ(uncompiled_transitions(*compiled), 0u);
+  testsupport::expect_closed(*compiled);
 
   const std::uint32_t* next = compiled->fast_next_data();
   const std::uint32_t entry = compiled->entry_state();
@@ -375,8 +369,6 @@ TEST(CompiledGraph, MultiMatchBecomesASubsetState) {
   EXPECT_EQ(compiled->members(subset)[1], 4u);
   EXPECT_EQ(next[(subset << 4) | 5], 3u);
   EXPECT_EQ(next[(subset << 4) | 6], 4u);
-  ASSERT_EQ(compiled->bucket(subset, 6).size(), 1u);
-  EXPECT_EQ(compiled->bucket(subset, 6)[0], 4u);
 
   HardwareMonitor m(compiled, std::make_unique<MerkleTreeHash>(0xABCD, 4));
   EXPECT_EQ(m.state_size(), 1u);
@@ -426,87 +418,103 @@ void run_against_reference(const MonitoringGraph& graph,
   }
 }
 
-// Two graphs whose reachable subsets outnumber the bound at w = 1. The
-// construction must stop at the bound, keep kFastMulti for the rest, and
-// the monitor's cold list path must still agree with the reference.
-TEST(CompiledGraph, BoundedSubsetConstructionStopsAtTheBound) {
-  util::Rng rng(0xB0D);
-
-  // Two all-hash-0 cycles of coprime lengths 5 and 7, both entered from
-  // the entry node: the matched pair {x_i mod 5, y_i mod 7} runs through
-  // 35 distinct subsets, but only num_nodes() = 13 may be compiled. Each
-  // costs 2 member entries, so the state bound is the one that binds.
-  {
-    const std::uint32_t p = 5, q = 7;
-    std::vector<GraphNode> nodes(1 + p + q);
-    nodes[0] = {0, false, {1, 1 + p}};
-    for (std::uint32_t i = 0; i < p; ++i) {
-      nodes[1 + i] = {0, i == 0, {1 + (i + 1) % p}};
-    }
-    for (std::uint32_t j = 0; j < q; ++j) {
-      nodes[1 + p + j] = {0, j == 0, {1 + p + (j + 1) % q}};
-    }
-    MonitoringGraph graph(1, 0x1000, 0, std::move(nodes));
-    auto compiled = CompiledGraph::compile(graph);
-    EXPECT_EQ(compiled->num_subset_states(), compiled->num_nodes());
-    EXPECT_GT(uncompiled_transitions(*compiled), 0u);
-
-    std::vector<std::vector<std::uint8_t>> streams;
-    streams.push_back(std::vector<std::uint8_t>(80, 0));  // > 35 steps
-    for (int s = 0; s < 40; ++s) {
-      std::vector<std::uint8_t> stream(1 + rng.below(80), 0);
-      for (auto& report : stream) {
-        if (rng.chance(0.02)) report = static_cast<std::uint8_t>(rng.below(3));
-      }
-      streams.push_back(std::move(stream));
-    }
-    ASSERT_NO_FATAL_FAILURE(run_against_reference(graph, streams));
+// Two all-hash-0 cycles of coprime lengths p and q, both entered from
+// the entry node: the matched pair {x_i mod p, y_i mod q} runs through
+// p * q distinct subsets against 1 + p + q nodes. Each costs 2 member
+// entries, so the state bound is the one that binds.
+MonitoringGraph coprime_cycles(std::uint32_t p, std::uint32_t q) {
+  std::vector<GraphNode> nodes(1 + p + q);
+  nodes[0] = {0, false, {1, 1 + p}};
+  for (std::uint32_t i = 0; i < p; ++i) {
+    nodes[1 + i] = {0, i == 0, {1 + (i + 1) % p}};
   }
-
-  // The classic "k-th symbol from the end is 1" NFA (k = 8): its subset
-  // automaton has 2^k reachable states against 18 nodes.
-  {
-    const std::uint32_t k = 8;
-    // 0 entry, 1/2 the any-symbol loop (hash 0/1), 3 the guessed 1,
-    // then chain positions 2..k as pairs (hash 0, hash 1).
-    std::vector<GraphNode> nodes(4 + 2 * (k - 1));
-    const std::vector<std::uint32_t> loop = {1, 2, 3};
-    const auto chain = [](std::uint32_t i) {  // first node of position i
-      return 4 + 2 * (i - 2);
-    };
-    nodes[0] = {0, false, loop};
-    nodes[1] = {0, false, loop};
-    nodes[2] = {1, false, loop};
-    nodes[3] = {1, false, {chain(2), chain(2) + 1}};
-    for (std::uint32_t i = 2; i <= k; ++i) {
-      for (std::uint8_t bit = 0; bit < 2; ++bit) {
-        GraphNode& node = nodes[chain(i) + bit];
-        node.hash = bit;
-        node.can_exit = i == k;
-        if (i < k) node.successors = {chain(i + 1), chain(i + 1) + 1};
-      }
-    }
-    MonitoringGraph graph(1, 0x1000, 0, std::move(nodes));
-    auto compiled = CompiledGraph::compile(graph);
-    EXPECT_LE(compiled->num_subset_states(), compiled->num_nodes());
-    EXPECT_GT(uncompiled_transitions(*compiled), 0u);
-
-    std::vector<std::vector<std::uint8_t>> streams;
-    for (int s = 0; s < 40; ++s) {
-      std::vector<std::uint8_t> stream(1 + rng.below(64));
-      for (auto& report : stream) {
-        report = static_cast<std::uint8_t>(rng.chance(0.01) ? 2
-                                                            : rng.below(2));
-      }
-      streams.push_back(std::move(stream));
-    }
-    ASSERT_NO_FATAL_FAILURE(run_against_reference(graph, streams));
+  for (std::uint32_t j = 0; j < q; ++j) {
+    nodes[1 + p + j] = {0, j == 0, {1 + p + (j + 1) % q}};
   }
+  return MonitoringGraph(1, 0x1000, 0, std::move(nodes));
 }
 
-// Every shipped application determinises completely at every hash width:
-// no transition is left to the monitor's list path, so the benchmark's
-// per-report monitor cost is one table load by construction.
+// The classic "k-th symbol from the end is 1" NFA: its subset automaton
+// has 2^k reachable states against 2k + 2 nodes.
+MonitoringGraph kth_from_end(std::uint32_t k) {
+  // 0 entry, 1/2 the any-symbol loop (hash 0/1), 3 the guessed 1,
+  // then chain positions 2..k as pairs (hash 0, hash 1).
+  std::vector<GraphNode> nodes(4 + 2 * (k - 1));
+  const std::vector<std::uint32_t> loop = {1, 2, 3};
+  const auto chain = [](std::uint32_t i) {  // first node of position i
+    return 4 + 2 * (i - 2);
+  };
+  nodes[0] = {0, false, loop};
+  nodes[1] = {0, false, loop};
+  nodes[2] = {1, false, loop};
+  nodes[3] = {1, false, {chain(2), chain(2) + 1}};
+  for (std::uint32_t i = 2; i <= k; ++i) {
+    for (std::uint8_t bit = 0; bit < 2; ++bit) {
+      GraphNode& node = nodes[chain(i) + bit];
+      node.hash = bit;
+      node.can_exit = i == k;
+      if (i < k) node.successors = {chain(i + 1), chain(i + 1) + 1};
+    }
+  }
+  return MonitoringGraph(1, 0x1000, 0, std::move(nodes));
+}
+
+// `graph` with every node hash shifted by `c` mod 2^w: what a different
+// hash parameter does to an extracted graph under ArithmeticSum.
+MonitoringGraph rotated(const MonitoringGraph& graph, std::uint32_t c) {
+  std::vector<GraphNode> nodes = graph.nodes();
+  const std::uint32_t mask = (1u << graph.hash_width()) - 1;
+  for (GraphNode& node : nodes) {
+    node.hash = static_cast<std::uint8_t>((node.hash + c) & mask);
+  }
+  return MonitoringGraph(graph.hash_width(), graph.text_base(),
+                         graph.entry_index(), std::move(nodes));
+}
+
+// A graph whose reachable subsets outnumber the bound does not fit the
+// monitor's table: compile() rejects it as a typed error, as does every
+// HardwareMonitor path that compiles, while the unbounded reference
+// walker still takes it. One exactly at the bound compiles and walks
+// like the reference.
+TEST(CompiledGraph, BoundedSubsetConstructionRejectsGraphsPastTheBound) {
+  for (const MonitoringGraph& graph : {coprime_cycles(5, 7), kth_from_end(8)}) {
+    EXPECT_FALSE(testsupport::subset_closure(graph).fits);
+    EXPECT_THROW(CompiledGraph::compile(graph), std::invalid_argument);
+    EXPECT_THROW((void)HardwareMonitor(
+                     graph, std::make_unique<MerkleTreeHash>(0xABCD, 8)),
+                 std::invalid_argument);
+    HardwareMonitor m = make_synthetic(MonitoringGraph(
+        1, 0x1000, 0, {{0, true, {0}}}));
+    EXPECT_THROW(m.install(graph, std::make_unique<MerkleTreeHash>(0xABCD, 8)),
+                 std::invalid_argument);
+    EXPECT_EQ(m.graph().size(), 1u);
+    EXPECT_NO_THROW((void)ReferenceMonitor(
+        graph, std::make_unique<MerkleTreeHash>(0xABCD, 8)));
+  }
+
+  // Cycles of 2 and 3: six pairs against six nodes, at the bound.
+  const MonitoringGraph fits = coprime_cycles(2, 3);
+  auto compiled = testsupport::compile_checked(fits);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->num_subset_states(), compiled->num_nodes());
+  util::Rng rng(0xB0D);
+  std::vector<std::vector<std::uint8_t>> streams;
+  streams.push_back(std::vector<std::uint8_t>(20, 0));  // > 6 steps
+  for (int s = 0; s < 40; ++s) {
+    std::vector<std::uint8_t> stream(1 + rng.below(40), 0);
+    for (auto& report : stream) {
+      if (rng.chance(0.05)) report = static_cast<std::uint8_t>(rng.below(3));
+    }
+    streams.push_back(std::move(stream));
+  }
+  ASSERT_NO_FATAL_FAILURE(run_against_reference(fits, streams));
+}
+
+// Every shipped application determinises completely: under the default
+// ArithmeticSum at every hash width, and under SboxSum at the widths it
+// applies to across eight parameters. So the benchmark's per-report
+// monitor cost is one table load by construction, and no shipped app is
+// rejected for its parameter.
 TEST(CompiledGraph, ShippedAppsDeterminiseCompletely) {
   const std::pair<const char*, isa::Program> apps[] = {
       {"ipv4-forward", net::build_ipv4_forward()},
@@ -518,14 +526,47 @@ TEST(CompiledGraph, ShippedAppsDeterminiseCompletely) {
       {"ipip-encap", net::build_ipip_encap(0x0A000001, 0x0A000002)},
       {"ipip-decap", net::build_ipip_decap()},
   };
+  std::vector<MerkleTreeHash> hashes;
+  for (int width : {1, 2, 4, 8}) hashes.emplace_back(0xBEEFCAFE, width);
+  util::Rng rng(0x5B0C);
+  for (int i = 0; i < 8; ++i) {
+    const std::uint32_t param = rng.next_u32();
+    for (int width : {4, 8}) {
+      hashes.emplace_back(param, width, Compression::SboxSum);
+    }
+  }
   for (const auto& [name, program] : apps) {
-    for (int width : {1, 2, 4, 8}) {
-      MerkleTreeHash hash(0xBEEFCAFE, width);
-      auto compiled = CompiledGraph::compile(extract_graph(program, hash));
-      EXPECT_EQ(uncompiled_transitions(*compiled), 0u)
-          << name << " w=" << width;
-      EXPECT_LE(compiled->num_subset_states(), compiled->num_nodes())
-          << name << " w=" << width;
+    for (const MerkleTreeHash& hash : hashes) {
+      auto compiled =
+          testsupport::compile_checked(extract_graph(program, hash));
+      EXPECT_NE(compiled, nullptr) << name << " " << hash.name();
+    }
+  }
+}
+
+// Sealed packages carry only a parameter: the device always hashes with
+// MerkleTreeHash(param), i.e. ArithmeticSum, under which a parameter
+// shifts every node hash by one constant mod 2^w. Which nodes share a
+// hash -- all the subset construction reads -- is then the same for
+// every parameter, so whether a graph is rejected is a function of the
+// public binary alone and an install outcome cannot leak the parameter.
+TEST(CompiledGraph, RejectionIsParameterIndependentUnderArithmeticSum) {
+  const isa::Program program = net::build_ipv4_cm();
+  util::Rng rng(0x207);
+  for (int width : {1, 2, 4, 8}) {
+    const MonitoringGraph base =
+        extract_graph(program, MerkleTreeHash(0, width));
+    for (int i = 0; i < 4; ++i) {
+      const MerkleTreeHash hash(rng.next_u32(), width);
+      EXPECT_EQ(extract_graph(program, hash), rotated(base, hash.hash(0)))
+          << "w=" << width;
+    }
+  }
+  for (const MonitoringGraph& graph : {coprime_cycles(5, 7), kth_from_end(8)}) {
+    for (std::uint32_t c = 0; c < (1u << graph.hash_width()); ++c) {
+      EXPECT_THROW(CompiledGraph::compile(rotated(graph, c)),
+                   std::invalid_argument)
+          << "rotation " << c;
     }
   }
 }

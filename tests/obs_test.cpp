@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -258,6 +259,14 @@ TEST(ObsJson, ScopedTimerRecordsIntoSink) {
   {
     ScopedTimerNs none(nullptr);  // must be a safe no-op
   }
+  EXPECT_EQ(h.count(), 1u);
+  // A scope an exception leaves records nothing.
+  EXPECT_THROW(
+      {
+        ScopedTimerNs timer(&h);
+        throw std::runtime_error("stage failed");
+      },
+      std::runtime_error);
   EXPECT_EQ(h.count(), 1u);
 }
 
