@@ -3,6 +3,11 @@
 // RSA-2048 + AES-128 (the prototype's configuration) and converted to
 // modeled Nios II seconds through the calibrated embedded-core cost model.
 // Host wall-clock per step is printed alongside for transparency.
+//
+// JSON: one row per step and package size with the step's primitive-op
+// counts (limb_muls, aes_blocks, sha256_blocks, modexps -- exact-class
+// fields in tools/check_bench_regression.sh, since they are the model's
+// only input) and its modeled seconds.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -13,16 +18,17 @@
 namespace {
 
 struct PaperRow {
+  const char* key;
   const char* step;
   double seconds;
 };
 
 constexpr PaperRow kPaperRows[] = {
-    {"Download data from FTP server", 1.90},
-    {"Check manufacturer certificate of operator key", 3.33},
-    {"Decrypt AES key K_sym using router private key", 8.74},
-    {"Decrypt package with AES key K_sym", 7.73},
-    {"Verify package signature with operator key", 3.92},
+    {"download", "Download data from FTP server", 1.90},
+    {"cert_check", "Check manufacturer certificate of operator key", 3.33},
+    {"rsa_unwrap", "Decrypt AES key K_sym using router private key", 8.74},
+    {"aes_decrypt", "Decrypt package with AES key K_sym", 7.73},
+    {"verify_sig", "Verify package signature with operator key", 3.92},
 };
 constexpr double kPaperTotal = 25.62;
 constexpr double kPaperTotalNoNetCert = 20.39;
@@ -54,6 +60,8 @@ int main() {
   // land at paper scale. An unpadded run is reported afterwards.
   constexpr std::uint32_t kPaperScalePad = 1'048'576;
   NiosTimingModel model;
+  bench::BenchReport report("table2_security_ops");
+  report.set_meta("key_bits", static_cast<int>(kKeyBits));
 
   for (std::uint32_t pad : {kPaperScalePad, std::uint32_t{0}}) {
     WirePackage wire =
@@ -77,10 +85,24 @@ int main() {
         t.verify_sig_s};
     const double rows_host[] = {0.0, r.host_cert_s, r.host_unwrap_s,
                                 r.host_aes_s, r.host_verify_s};
+    const crypto::OpCounters rows_ops[] = {{}, r.cert_ops, r.unwrap_ops,
+                                           r.aes_ops, r.verify_ops};
     for (int i = 0; i < 5; ++i) {
       std::printf("  %-48s %7.2fs %7.2fs %9.4fs\n", kPaperRows[i].step,
                   pad ? kPaperRows[i].seconds : -1.0, rows_model[i],
                   rows_host[i]);
+      const crypto::OpCounters& ops = rows_ops[i];
+      report.add_row({{"step", kPaperRows[i].key},
+                      {"package", pad ? "paper-scale" : "unpadded"},
+                      {"wire_bytes", static_cast<std::uint64_t>(r.wire_bytes)},
+                      {"limb_muls", ops.limb_muls},
+                      {"aes_blocks", ops.aes_blocks},
+                      {"sha256_blocks", ops.sha256_blocks},
+                      {"modexps", ops.modexps},
+                      {"model_s", rows_model[i]},
+                      {"paper_s", pad ? obs::JsonScalar(kPaperRows[i].seconds)
+                                      : obs::JsonScalar()},
+                      {"host_s", rows_host[i]}});
     }
     bench::rule();
     std::printf("  %-48s %7.2fs %7.2fs\n", "Total",
@@ -94,6 +116,8 @@ int main() {
       bench::note(" production-scale package)");
     }
   }
+
+  report.write();
 
   std::printf("\nShape checks:\n");
   std::printf("  * RSA private-key unwrap is the most expensive step.\n");

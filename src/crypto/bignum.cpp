@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <utility>
 
 #include "crypto/opcount.hpp"
 
@@ -214,13 +214,17 @@ std::pair<std::vector<u64>, std::vector<u64>> divmod_limbs(
   for (std::size_t j = m + 1; j-- > 0;) {
     // D3: estimate qhat from the top two limbs of the current remainder.
     u128 numerator = (static_cast<u128>(u[j + n]) << 64) | u[j + n - 1];
+    // qhat can exceed a limb. Every decrement, that one included, must
+    // move rhat too (rhat == numerator - qhat * v_top), or the test below
+    // decrements too far and the digit comes out short. Once rhat no
+    // longer fits a limb the second test cannot hold.
     u128 qhat = numerator / v_top;
     u128 rhat = numerator % v_top;
-    if (qhat > ~u64{0}) qhat = ~u64{0};
-    while (rhat <= ~u64{0} &&
+    while (qhat > ~u64{0} ||
            qhat * v_next > ((rhat << 64) | u[j + n - 2])) {
       --qhat;
       rhat += v_top;
+      if (rhat > ~u64{0}) break;
     }
 
     // D4: multiply-subtract u[j..j+n] -= qhat * v.
@@ -275,26 +279,18 @@ BigUint BigUint::from_limbs(std::vector<u64> limbs) {
 void BigUint::normalize() { trim(limbs_); }
 
 BigUint BigUint::from_bytes_be(std::span<const std::uint8_t> bytes) {
-  BigUint out;
-  for (std::uint8_t b : bytes) {
-    out = (out << 8) + BigUint(b);
+  std::vector<u64> limbs((bytes.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const std::size_t pos = bytes.size() - 1 - i;  // byte significance
+    limbs[pos / 8] |= static_cast<u64>(bytes[i]) << (8 * (pos % 8));
   }
-  return out;
+  return from_limbs(std::move(limbs));
 }
 
 BigUint BigUint::from_hex(std::string_view hex) {
   std::string padded(hex);
   if (padded.size() % 2) padded.insert(padded.begin(), '0');
   return from_bytes_be(util::from_hex(padded));
-}
-
-BigUint BigUint::from_decimal(std::string_view dec) {
-  BigUint out;
-  for (char c : dec) {
-    if (c < '0' || c > '9') throw BignumError("bad decimal digit");
-    out = out * BigUint(10) + BigUint(static_cast<u64>(c - '0'));
-  }
-  return out;
 }
 
 util::Bytes BigUint::to_bytes_be(std::size_t min_len) const {
@@ -317,20 +313,6 @@ std::string BigUint::to_hex() const {
   std::string s = util::to_hex(to_bytes_be());
   const std::size_t first = s.find_first_not_of('0');
   return s.substr(first == std::string::npos ? s.size() - 1 : first);
-}
-
-std::string BigUint::to_decimal() const {
-  if (is_zero()) return "0";
-  std::string out;
-  BigUint cur = *this;
-  const BigUint ten(10);
-  while (!cur.is_zero()) {
-    auto [q, r] = divmod(cur, ten);
-    out.push_back(static_cast<char>('0' + r.low_u64()));
-    cur = std::move(q);
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
 }
 
 std::size_t BigUint::bit_length() const {
@@ -468,6 +450,79 @@ std::optional<BigUint> BigUint::modinv(const BigUint& a, const BigUint& m) {
 // ---------------------------------------------------------------------------
 // Montgomery context
 
+namespace {
+
+// x * y + add1 + add2 as a low limb and a carry limb (the sum cannot
+// overflow 128 bits).
+inline u64 mul_add2(u64 x, u64 y, u64 add1, u64 add2, u64& carry) {
+  const u128 product = static_cast<u128>(x) * y;
+  u64 lo = static_cast<u64>(product);
+  u64 hi = static_cast<u64>(product >> 64);
+  hi += __builtin_add_overflow(lo, add1, &lo);
+  hi += __builtin_add_overflow(lo, add2, &lo);
+  carry = hi;
+  return lo;
+}
+
+// out = a * b * R^{-1} mod n over k-limb operands with a * b < n * R (true
+// when both are below n). The multiply and reduce rows of CIOS share one j
+// loop (FIOS), each with its own carry, so the two add-with-carry chains
+// run side by side. `t` is k + 1 limbs of caller-owned scratch; `out`
+// aliases none of the other buffers.
+void mont_mul(const u64* __restrict a, const u64* __restrict b,
+              const u64* __restrict n, u64 n_prime, std::size_t k,
+              u64* __restrict t, u64* __restrict out) {
+  std::fill(t, t + k + 1, u64{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const u64 ai = a[i];
+    u64 c_mul = 0;
+    u64 c_red = 0;
+    const u64 t0 = mul_add2(ai, b[0], t[0], 0, c_mul);
+    const u64 m = t0 * n_prime;
+    mul_add2(m, n[0], t0, 0, c_red);  // low limb is 0 by choice of m
+    // t[j-1] = t[j] + ai * b[j] + m * n[j] + both carries, one limb down.
+    auto step = [&](std::size_t j) {
+      const u64 tj = mul_add2(ai, b[j], t[j], c_mul, c_mul);
+      t[j - 1] = mul_add2(m, n[j], tj, c_red, c_red);
+    };
+    std::size_t j = 1;
+    for (; j + 4 <= k; j += 4) {
+      step(j);
+      step(j + 1);
+      step(j + 2);
+      step(j + 3);
+    }
+    for (; j < k; ++j) step(j);
+    const u128 top = static_cast<u128>(t[k]) + c_mul + c_red;
+    t[k - 1] = static_cast<u64>(top);
+    t[k] = static_cast<u64>(top >> 64);
+  }
+
+  // t < 2n, so one conditional subtraction of n reduces it.
+  bool reduce = t[k] != 0;
+  if (!reduce) {
+    reduce = true;  // t == n reduces to 0
+    for (std::size_t i = k; i-- > 0;) {
+      if (t[i] != n[i]) {
+        reduce = t[i] > n[i];
+        break;
+      }
+    }
+  }
+  if (!reduce) {
+    std::copy(t, t + k, out);
+    return;
+  }
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const u128 diff = static_cast<u128>(t[i]) - n[i] - borrow;
+    out[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+}
+
+}  // namespace
+
 MontgomeryCtx::MontgomeryCtx(const BigUint& modulus) : n_(modulus) {
   if (!modulus.is_odd()) throw BignumError("Montgomery modulus must be odd");
   k_ = modulus.limbs().size();
@@ -479,73 +534,46 @@ MontgomeryCtx::MontgomeryCtx(const BigUint& modulus) : n_(modulus) {
   n_prime_ = ~inv + 1;  // -inv mod 2^64
 
   // R^2 mod n where R = 2^(64k).
-  BigUint r2 = BigUint(1) << (k_ * 64 * 2);
-  r2_ = r2 % n_;
-}
-
-std::vector<u64> MontgomeryCtx::mont_mul(const std::vector<u64>& a,
-                                         const std::vector<u64>& b) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  const auto& n = n_.limbs();
-  std::vector<u64> t(k_ + 2, 0);
-  auto& ops = op_counters();
-
-  for (std::size_t i = 0; i < k_; ++i) {
-    u64 ai = i < a.size() ? a[i] : 0;
-    // t += ai * b
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      u64 bj = j < b.size() ? b[j] : 0;
-      u128 cur = static_cast<u128>(ai) * bj + t[j] + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    u128 cur = static_cast<u128>(t[k_]) + carry;
-    t[k_] = static_cast<u64>(cur);
-    t[k_ + 1] = static_cast<u64>(cur >> 64);
-
-    // m = t[0] * n' mod 2^64; t = (t + m*n) / 2^64
-    u64 m = t[0] * n_prime_;
-    u128 prod = static_cast<u128>(m) * n[0] + t[0];
-    carry = static_cast<u64>(prod >> 64);
-    for (std::size_t j = 1; j < k_; ++j) {
-      prod = static_cast<u128>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<u64>(prod);
-      carry = static_cast<u64>(prod >> 64);
-    }
-    cur = static_cast<u128>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<u64>(cur);
-    t[k_] = t[k_ + 1] + static_cast<u64>(cur >> 64);
-    t[k_ + 1] = 0;
-    ops.limb_muls += 2 * k_;
-  }
-
-  t.resize(k_ + 1);
-  trim(t);
-  if (compare_limbs(t, n) >= 0) t = sub_limbs(t, n);
-  return t;
+  r2_ = ((BigUint(1) << (k_ * 64 * 2)) % n_).limbs();
+  r2_.resize(k_, 0);
 }
 
 BigUint MontgomeryCtx::modexp(const BigUint& base, const BigUint& exp) const {
-  BigUint b = base % n_;
-  // Convert to Montgomery form: bR = mont_mul(b, R^2).
-  std::vector<u64> b_mont = mont_mul(b.limbs(), r2_.limbs());
-  // 1 in Montgomery form: R mod n = mont_mul(1, R^2).
-  std::vector<u64> result = mont_mul({1}, r2_.limbs());
+  const std::size_t k = k_;
+  // One scratch buffer: base mod n, 1, base in Montgomery form, the
+  // accumulator and its ping-pong partner (k limbs each), then the
+  // kernel's k + 1 limbs.
+  std::vector<u64> scratch(6 * k + 1, 0);
+  u64* b = scratch.data();
+  u64* one = b + k;
+  u64* b_mont = one + k;
+  u64* acc = b_mont + k;
+  u64* next = acc + k;
+  u64* t = next + k;
+  const BigUint reduced = base % n_;
+  std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), b);
+  one[0] = 1;
 
-  const std::size_t nbits = exp.bit_length();
-  for (std::size_t i = nbits; i-- > 0;) {
-    result = mont_mul(result, result);
-    if (exp.bit(i)) result = mont_mul(result, b_mont);
+  const u64* n = n_.limbs_.data();
+  u64& limb_muls = op_counters().limb_muls;
+  auto mul = [&](const u64* x, const u64* y, u64* out) {
+    mont_mul(x, y, n, n_prime_, k, t, out);
+    limb_muls += 2 * k * k;
+  };
+  // Into Montgomery form: bR = mont(b, R^2); 1 -> R mod n = mont(1, R^2).
+  mul(b, r2_.data(), b_mont);
+  mul(one, r2_.data(), acc);
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    mul(acc, acc, next);
+    std::swap(acc, next);
+    if (exp.bit(i)) {
+      mul(acc, b_mont, next);
+      std::swap(acc, next);
+    }
   }
-  // Convert out of Montgomery form.
-  result = mont_mul(result, {1});
-  trim(result);
-  BigUint value;
-  for (std::size_t i = result.size(); i-- > 0;) {
-    value = (value << 64) + BigUint(result[i]);
-  }
-  return value;
+  // Out of Montgomery form.
+  mul(acc, one, next);
+  return BigUint::from_limbs(std::vector<u64>(next, next + k));
 }
 
 }  // namespace sdmmon::crypto

@@ -32,12 +32,10 @@ class BigUint {
 
   static BigUint from_bytes_be(std::span<const std::uint8_t> bytes);
   static BigUint from_hex(std::string_view hex);
-  static BigUint from_decimal(std::string_view dec);
 
   /// Big-endian bytes, left-padded with zeros to at least `min_len`.
   util::Bytes to_bytes_be(std::size_t min_len = 0) const;
   std::string to_hex() const;
-  std::string to_decimal() const;
 
   bool is_zero() const { return limbs_.empty(); }
   bool is_odd() const { return !limbs_.empty() && (limbs_[0] & 1); }
@@ -84,6 +82,8 @@ class BigUint {
   const std::vector<std::uint64_t>& limbs() const { return limbs_; }
 
  private:
+  friend class MontgomeryCtx;
+
   void normalize();
   static BigUint from_limbs(std::vector<std::uint64_t> limbs);
 
@@ -96,20 +96,19 @@ class MontgomeryCtx {
  public:
   explicit MontgomeryCtx(const BigUint& modulus);
 
-  /// base^exp mod modulus using left-to-right square-and-multiply.
+  /// base^exp mod modulus using left-to-right square-and-multiply. Every
+  /// Montgomery product (two conversions in, one per exponent bit, one per
+  /// set bit, one conversion out) adds 2k^2 to `limb_muls`: k rows of k
+  /// multiply and k reduce steps.
   BigUint modexp(const BigUint& base, const BigUint& exp) const;
 
   const BigUint& modulus() const { return n_; }
 
  private:
-  std::vector<std::uint64_t> redc(std::vector<std::uint64_t> t) const;
-  std::vector<std::uint64_t> mont_mul(const std::vector<std::uint64_t>& a,
-                                      const std::vector<std::uint64_t>& b) const;
-
   BigUint n_;
-  std::size_t k_;            // limb count of modulus
-  std::uint64_t n_prime_;    // -n^{-1} mod 2^64
-  BigUint r2_;               // R^2 mod n, for conversion into Montgomery form
+  std::size_t k_;                   // limb count of modulus
+  std::uint64_t n_prime_;           // -n^{-1} mod 2^64
+  std::vector<std::uint64_t> r2_;   // R^2 mod n, padded to k limbs
 };
 
 }  // namespace sdmmon::crypto

@@ -2,15 +2,6 @@
 
 namespace sdmmon::crypto {
 
-const char* cert_role_name(CertRole role) {
-  switch (role) {
-    case CertRole::Manufacturer: return "manufacturer";
-    case CertRole::NetworkOperator: return "network-operator";
-    case CertRole::Device: return "device";
-  }
-  return "?";
-}
-
 const char* cert_status_name(CertStatus status) {
   switch (status) {
     case CertStatus::Ok: return "ok";

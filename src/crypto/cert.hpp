@@ -19,8 +19,6 @@ enum class CertRole : std::uint8_t {
   Device = 2,
 };
 
-const char* cert_role_name(CertRole role);
-
 /// A signed binding of (subject name, role, public key, validity window).
 struct Certificate {
   std::string subject;

@@ -11,7 +11,8 @@ namespace sdmmon::crypto {
 
 /// Cumulative primitive-op counts for the current thread.
 struct OpCounters {
-  /// 64x64->128 multiply-accumulate steps inside bignum mul/sqr/reduce.
+  /// 64x64->128 multiply-accumulate steps inside bignum mul/reduce and
+  /// division; a Montgomery product over k limbs counts 2k^2.
   std::uint64_t limb_muls = 0;
   /// AES block-cipher invocations (one 16-byte block each).
   std::uint64_t aes_blocks = 0;

@@ -12,7 +12,13 @@
 //  * cycles_per_limb_mul: one 64x64->128 multiply-accumulate of our
 //    bignum maps to ~4 32x32 multiplies plus carries in OpenSSL's 32-bit
 //    BN path, plus loop overhead -- calibrated so the 2048-bit CRT
-//    private decrypt of K_sym lands at the paper's 8.74 s.
+//    private decrypt of K_sym lands at the paper's 8.74 s. Inside a
+//    modexp, limb_muls counts the Montgomery rows of the binary
+//    square-and-multiply ladder: 2k per row, k rows per product, and
+//    3 + bit_length(e) + popcount(e) products. It counts the algorithm,
+//    not the host code, so a faster kernel must keep it exactly (the
+//    table2_security_ops exact fields and
+//    MontgomeryCtxTest.LimbMulCountIsTheBinaryLadder gate this).
 //  * cycles_per_aes_block / cycles_per_sha_block: software AES/SHA over
 //    buffered uClinux file reads; calibrated so a paper-scale (~1 MiB)
 //    package decrypt lands at 7.73 s.

@@ -60,11 +60,4 @@ void FaultInjector::truncate(Bytes& buffer) {
   ++stats_.truncations;
 }
 
-void FaultInjector::corrupt_word(std::vector<std::uint32_t>& words) {
-  if (words.empty()) return;
-  std::uint64_t index = rng_.below(words.size());
-  words[index] ^= 1u << rng_.below(32);
-  ++stats_.words_corrupted;
-}
-
 }  // namespace sdmmon::util

@@ -51,11 +51,9 @@ struct FaultStats {
   std::uint64_t drops = 0;
   std::uint64_t delays = 0;
   std::uint64_t clock_skews = 0;
-  std::uint64_t words_corrupted = 0;
 
   std::uint64_t faults_injected() const {
-    return buffers_corrupted + truncations + drops + delays + clock_skews +
-           words_corrupted;
+    return buffers_corrupted + truncations + drops + delays + clock_skews;
   }
 };
 
@@ -102,9 +100,6 @@ class FaultInjector {
   /// empty). No-op on an empty buffer.
   void truncate(Bytes& buffer);
 
-  /// Corrupt one random word of a program store (single bit flip in one
-  /// 32-bit instruction word). No-op on an empty store.
-  void corrupt_word(std::vector<std::uint32_t>& words);
 
  private:
   FaultProfile profile_;

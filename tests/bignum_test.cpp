@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "crypto/drbg.hpp"
+#include "crypto/opcount.hpp"
 #include "util/bytes.hpp"
 
 namespace sdmmon::crypto {
@@ -13,12 +16,32 @@ BigUint rand_big(Drbg& d, std::size_t max_bytes) {
   return BigUint::from_bytes_be(d.bytes(n));
 }
 
+// The oracle for every Montgomery test: right-to-left square-and-multiply
+// over modmul (schoolbook or Karatsuba product, then Knuth division).
+BigUint oracle_modexp(const BigUint& base, const BigUint& exp,
+                      const BigUint& m) {
+  BigUint result = BigUint(1) % m;
+  BigUint b = base % m;
+  for (std::size_t bit = 0; bit < exp.bit_length(); ++bit) {
+    if (exp.bit(bit)) result = BigUint::modmul(result, b, m);
+    b = BigUint::modmul(b, b, m);
+  }
+  return result;
+}
+
+std::size_t popcount(const BigUint& v) {
+  std::size_t count = 0;
+  for (std::uint64_t limb : v.limbs()) {
+    count += static_cast<std::size_t>(std::popcount(limb));
+  }
+  return count;
+}
+
 TEST(BigUint, ZeroBasics) {
   BigUint z;
   EXPECT_TRUE(z.is_zero());
   EXPECT_EQ(z.bit_length(), 0u);
   EXPECT_EQ(z.to_hex(), "0");
-  EXPECT_EQ(z.to_decimal(), "0");
   EXPECT_EQ(z + z, z);
   EXPECT_EQ(z * BigUint(12345), z);
 }
@@ -54,17 +77,44 @@ TEST(BigUint, HexRoundTrip) {
   EXPECT_EQ(v.to_hex(), hex);
 }
 
-TEST(BigUint, DecimalRoundTrip) {
-  const std::string dec = "123456789012345678901234567890123456789";
-  BigUint v = BigUint::from_decimal(dec);
-  EXPECT_EQ(v.to_decimal(), dec);
-}
-
 TEST(BigUint, BytesRoundTripWithPadding) {
   util::Bytes b = util::from_hex("00ab12");
   BigUint v = BigUint::from_bytes_be(b);
   EXPECT_EQ(util::to_hex(v.to_bytes_be()), "ab12");
   EXPECT_EQ(util::to_hex(v.to_bytes_be(5)), "000000ab12");
+}
+
+TEST(BigUint, FromBytesEmptySpanIsZero) {
+  BigUint v = BigUint::from_bytes_be({});
+  EXPECT_TRUE(v.is_zero());
+  EXPECT_TRUE(v.limbs().empty());
+  EXPECT_TRUE(v.to_bytes_be().empty());
+}
+
+TEST(BigUint, FromBytesIgnoresLeadingZeros) {
+  // Zero bytes past the top limb must not leave zero limbs behind.
+  util::Bytes zeros(20, 0);
+  EXPECT_TRUE(BigUint::from_bytes_be(zeros).limbs().empty());
+  util::Bytes padded = util::from_hex("000000000000000000000000000000abcdef");
+  BigUint v = BigUint::from_bytes_be(padded);
+  EXPECT_EQ(v, BigUint(0xabcdef));
+  EXPECT_EQ(v.limbs().size(), 1u);
+  EXPECT_EQ(v.to_bytes_be(padded.size()), padded);
+}
+
+TEST(BigUint, FromBytesRoundTripsEveryLength) {
+  Drbg d("from-bytes");
+  for (std::size_t len = 1; len <= 300; ++len) {
+    util::Bytes bytes = d.bytes(len);
+    if (len % 3 == 0) bytes[0] = 0;  // a leading zero byte every third length
+    BigUint v = BigUint::from_bytes_be(bytes);
+    // Byte-at-a-time shift-and-add as the reference value.
+    BigUint expected;
+    for (std::uint8_t b : bytes) expected = (expected << 8) + BigUint(b);
+    ASSERT_EQ(v, expected) << len << " bytes";
+    ASSERT_EQ(v.to_bytes_be(len), bytes) << len << " bytes";
+    ASSERT_EQ(BigUint::from_bytes_be(v.to_bytes_be()), v) << len << " bytes";
+  }
 }
 
 TEST(BigUint, ShiftRoundTrip) {
@@ -126,6 +176,19 @@ TEST(BigUint, DivmodHardCases) {
   EXPECT_EQ(prod / a, a * a);
 }
 
+// A remainder whose top limb equals the divisor's top limb makes the
+// quotient-digit estimate overflow a limb; clamping it must also move the
+// estimate's remainder, or the correction step undershoots the digit.
+TEST(BigUint, DivmodQuotientDigitOverflow) {
+  for (std::size_t k = 2; k <= 5; ++k) {
+    const BigUint n = (BigUint(1) << (64 * k)) - BigUint(1);
+    const BigUint a = n - BigUint(1);
+    auto [q, r] = BigUint::divmod(a * a, n);
+    EXPECT_EQ(r, BigUint(1)) << "k=" << k;  // (n - 1)^2 = 1 mod n
+    EXPECT_EQ(q, n - BigUint(2)) << "k=" << k;
+  }
+}
+
 TEST(BigUint, MulCommutativeAssociativeRandom) {
   Drbg d("mul");
   for (int i = 0; i < 100; ++i) {
@@ -168,14 +231,8 @@ TEST(BigUint, ModexpMatchesNaive) {
     BigUint m = rand_big(d, 16);
     if (m.is_zero()) m = BigUint(3);
     if (!m.is_odd()) m += BigUint(1);  // Montgomery path requires odd
-    // Naive.
-    BigUint naive(1);
-    BigUint b = base % m;
-    for (std::size_t bit = 0; bit < exp.bit_length(); ++bit) {
-      if (exp.bit(bit)) naive = BigUint::modmul(naive, b, m);
-      b = BigUint::modmul(b, b, m);
-    }
-    EXPECT_EQ(BigUint::modexp(base, exp, m), naive) << "iter " << i;
+    EXPECT_EQ(BigUint::modexp(base, exp, m), oracle_modexp(base, exp, m))
+        << "iter " << i;
   }
 }
 
@@ -269,7 +326,83 @@ TEST(MontgomeryCtxTest, MatchesModexpOnLargeOperands) {
   for (int i = 0; i < 10; ++i) {
     BigUint base = rand_big(d, 128);
     BigUint exp = rand_big(d, 8);
-    EXPECT_EQ(ctx.modexp(base, exp), BigUint::modexp(base, exp, m));
+    EXPECT_EQ(ctx.modexp(base, exp), oracle_modexp(base, exp, m));
+  }
+}
+
+// Every limb count from 1 to 40 (so each remainder of the unrolled inner
+// loop, and the empty inner loop at k = 1), against the oracle. Moduli:
+// all ones (2^(64k) - 1), a top limb of 1 (n = 1 at k = 1), and a random
+// odd k-limb value. Operands: 0, 1, n - 1, a random value below n and a
+// random value of 2k limbs; exponents: 0, 1, powers of two around the
+// first limb boundary and random values of up to 1024 bits.
+TEST(MontgomeryCtxTest, MatchesOracleAtEveryLimbCount) {
+  Drbg d("mont-limbs");
+  for (std::size_t k = 1; k <= 40; ++k) {
+    const BigUint r = BigUint(1) << (64 * k);
+    BigUint top_one = (BigUint(1) << (64 * (k - 1))) +
+                      (k > 1 ? BigUint::from_bytes_be(d.bytes(8 * (k - 1))) %
+                                   (BigUint(1) << (64 * (k - 1)))
+                             : BigUint());
+    if (!top_one.is_odd()) top_one += BigUint(1);
+    BigUint random = BigUint::from_bytes_be(d.bytes(8 * k));
+    random.set_bit(64 * k - 1);
+    if (!random.is_odd()) random += BigUint(1);
+
+    for (const BigUint& n : {r - BigUint(1), top_one, random}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + n.to_hex());
+      ASSERT_EQ(n.limbs().size(), k);
+      MontgomeryCtx ctx(n);
+      const BigUint operands[] = {
+          BigUint(0), BigUint(1), n.is_one() ? BigUint(0) : n - BigUint(1),
+          BigUint::from_bytes_be(d.bytes(8 * k)) % n,
+          BigUint::from_bytes_be(d.bytes(16 * k))};
+      const BigUint exps[] = {BigUint(0),       BigUint(1),
+                              BigUint(2),       BigUint(1) << 63,
+                              BigUint(1) << 64, BigUint(1) << 65,
+                              rand_big(d, 4)};
+      for (const BigUint& base : operands) {
+        for (const BigUint& e : exps) {
+          ASSERT_EQ(ctx.modexp(base, e), oracle_modexp(base, e, n))
+              << "base=" << base.to_hex() << " e=" << e.to_hex();
+        }
+      }
+      // One long exponent per modulus, up to 1024 bits.
+      const BigUint base = BigUint::from_bytes_be(d.bytes(8 * k));
+      const BigUint e = rand_big(d, 128);
+      ASSERT_EQ(ctx.modexp(base, e), oracle_modexp(base, e, n))
+          << "base=" << base.to_hex() << " e=" << e.to_hex();
+    }
+  }
+}
+
+// Pins limb_muls to the binary ladder: for base < n and a context built
+// beforehand (its R^2 division is not counted here), every Montgomery
+// product is k rows of k multiply and k reduce steps, and a modexp runs
+// two conversions in, one square per exponent bit, one multiply per set
+// bit and one conversion out. Any change to the algorithm (a dedicated
+// square, a window, a skipped leading square) breaks the equality, and
+// with it the Table 2 model, whose only input these counts are.
+TEST(MontgomeryCtxTest, LimbMulCountIsTheBinaryLadder) {
+  Drbg d("mont-count");
+  for (std::size_t k : {1u, 2u, 5u, 16u, 17u, 32u}) {
+    BigUint n = BigUint::from_bytes_be(d.bytes(8 * k));
+    n.set_bit(64 * k - 1);
+    if (!n.is_odd()) n += BigUint(1);
+    MontgomeryCtx ctx(n);
+    const BigUint base = BigUint::from_bytes_be(d.bytes(8 * k)) % n;
+    for (const BigUint& e : {BigUint(0), BigUint(1), BigUint(65537),
+                             BigUint(1) << 100, rand_big(d, 128)}) {
+      OpScope scope;
+      (void)ctx.modexp(base, e);
+      const OpCounters delta = scope.delta();
+      EXPECT_EQ(delta.limb_muls,
+                2 * k * k * (3 + e.bit_length() + popcount(e)))
+          << "k=" << k << " e=" << e.to_hex();
+      EXPECT_EQ(delta.modexps, 0u);
+      EXPECT_EQ(delta.aes_blocks, 0u);
+      EXPECT_EQ(delta.sha256_blocks, 0u);
+    }
   }
 }
 

@@ -110,8 +110,6 @@ TEST_F(CertFixture, DeserializeRejectsTruncation) {
 }
 
 TEST(CertNames, RoleAndStatusNames) {
-  EXPECT_STREQ(cert_role_name(CertRole::Manufacturer), "manufacturer");
-  EXPECT_STREQ(cert_role_name(CertRole::Device), "device");
   EXPECT_STREQ(cert_status_name(CertStatus::Ok), "ok");
   EXPECT_STREQ(cert_status_name(CertStatus::Expired), "expired");
 }

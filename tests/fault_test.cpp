@@ -73,22 +73,6 @@ TEST(Fault, TruncateStrictlyShortens) {
   EXPECT_TRUE(empty.empty());
 }
 
-TEST(Fault, CorruptWordFlipsOneProgramWord) {
-  FaultInjector inject(FaultProfile{.seed = 3});
-  std::vector<std::uint32_t> words(16, 0x2402002A);
-  std::vector<std::uint32_t> original = words;
-  inject.corrupt_word(words);
-  int changed = 0;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    if (words[i] != original[i]) {
-      ++changed;
-      EXPECT_EQ(__builtin_popcount(words[i] ^ original[i]), 1);
-    }
-  }
-  EXPECT_EQ(changed, 1);
-  EXPECT_EQ(inject.stats().words_corrupted, 1u);
-}
-
 TEST(Fault, ClockSkewSaturatesAtZero) {
   FaultProfile profile;
   profile.clock_skew_rate = 1.0;

@@ -16,11 +16,13 @@
 #     gate exists to catch throughput regressions, not to freeze every
 #     number in place.
 #   * Exact-class fields must equal the baseline (relative tolerance
-#     1e-9) in quick and full mode alike: dispatches_per_pkt and
-#     side_exit_rate (X1c, computed from a fixed counting pass at any
-#     budget). They are deterministic cost counters, so any change is a
-#     behavioural change, fast or not; re-record the baseline when it is
-#     intended.
+#     1e-9) in quick and full mode alike: dispatches_per_pkt,
+#     side_exit_rate and summary_join_rate (X1c, computed from a fixed
+#     counting pass at any budget), and Table 2's per-step primitive-op
+#     counts limb_muls, aes_blocks, sha256_blocks and modexps (the only
+#     input of the Nios II cost model). They are deterministic cost
+#     counters, so any change is a behavioural change, fast or not;
+#     re-record the baseline when it is intended.
 #
 # Quick mode: when SDMMON_BENCH_QUICK is set (the CI bench-smoke job),
 # timing on shared runners is meaningless, so the script only verifies
@@ -60,7 +62,10 @@ quick = bool(os.environ.get("SDMMON_BENCH_QUICK"))
 THROUGHPUT = re.compile(
     r"(kpps|mpps|minstr_s|_per_s|throughput|speedup|pkts_per_rollback_byte)"
 )
-EXACT = re.compile(r"^(dispatches_per_pkt|side_exit_rate|summary_join_rate)$")
+EXACT = re.compile(
+    r"^(dispatches_per_pkt|side_exit_rate|summary_join_rate"
+    r"|limb_muls|aes_blocks|sha256_blocks|modexps)$"
+)
 EXACT_REL_TOL = 1e-9
 
 failures = []
