@@ -66,21 +66,6 @@ double time_walker(Monitor& monitor,
   return static_cast<double>(total_reports) / seconds / 1e6;
 }
 
-// The batched feed superblock dispatches take: one advance() call per
-// stream, after the same per-packet reset.
-double time_batched(monitor::HardwareMonitor& monitor,
-                    const std::vector<std::vector<std::uint8_t>>& streams,
-                    std::size_t total_reports) {
-  auto start = Clock::now();
-  for (const auto& stream : streams) {
-    monitor.reset();
-    (void)monitor.advance(stream.data(), stream.size(), true);
-  }
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  return static_cast<double>(total_reports) / seconds / 1e6;
-}
-
 }  // namespace
 
 int main() {
@@ -155,16 +140,16 @@ int main() {
   // ---- compiled hot loop vs the original reference walker --------------
   // Identical pre-generated hashed streams (valid random walks over each
   // app's graph, per-packet resets) through both implementations; the
-  // only work timed is on_hashed(), plus advance() for the batched row.
+  // only work timed is on_hashed().
   bench::heading("X1b: compiled monitor vs reference walker (on_hashed)");
   const std::size_t kReports =
       static_cast<std::size_t>(bench::scaled(2'000'000, 5'000));
   report.set_meta("hashed_reports", static_cast<std::uint64_t>(kReports));
   constexpr double kMinSpeedup = 2.0;
 
-  std::printf("%-20s %14s %14s %14s %9s\n", "app", "ref Minstr/s",
-              "compiled M/s", "batched M/s", "speedup");
-  bench::rule(76);
+  std::printf("%-20s %14s %14s %9s\n", "app", "ref Minstr/s",
+              "compiled M/s", "speedup");
+  bench::rule(61);
   double worst_speedup = 0.0;
   for (auto& app : apps) {
     monitor::MerkleTreeHash hash(0xBEEFCAFE);
@@ -184,33 +169,28 @@ int main() {
     // walker capability rather than scheduler interference.
     (void)time_walker(reference, streams, total);
     (void)time_walker(compiled, streams, total);
-    (void)time_batched(compiled, streams, total);
-    double ref_mps = 0.0, compiled_mps = 0.0, batched_mps = 0.0;
+    double ref_mps = 0.0, compiled_mps = 0.0;
     for (int rep = 0; rep < bench::scaled(5, 2); ++rep) {
       ref_mps = std::max(ref_mps, time_walker(reference, streams, total));
       compiled_mps =
           std::max(compiled_mps, time_walker(compiled, streams, total));
-      batched_mps =
-          std::max(batched_mps, time_batched(compiled, streams, total));
     }
     const double speedup = compiled_mps / ref_mps;
     worst_speedup = worst_speedup == 0.0 ? speedup
                                          : std::min(worst_speedup, speedup);
 
-    std::printf("%-20s %14.1f %14.1f %14.1f %8.2fx\n", app.name, ref_mps,
-                compiled_mps, batched_mps, speedup);
+    std::printf("%-20s %14.1f %14.1f %8.2fx\n", app.name, ref_mps,
+                compiled_mps, speedup);
     report.add_row({{"app", app.name},
                     {"ref_minstr_s", ref_mps},
                     {"compiled_minstr_s", compiled_mps},
-                    {"compiled_batch_minstr_s", batched_mps},
                     {"speedup", speedup}});
   }
-  bench::rule(76);
+  bench::rule(61);
   bench::note("same streams, same per-packet resets; speedup is the gain");
   bench::note("of the compiled on_hashed() path (install-time determinised");
   bench::note("transition table: one load per report) over the filter/sort");
-  bench::note("walker. batched: the same streams through advance(), one");
-  bench::note("call per stream -- the path superblock dispatches take.");
+  bench::note("walker.");
   const bool speedup_ok = worst_speedup >= kMinSpeedup;
   std::printf("\nworst compiled/reference speedup: %.2fx -- %s (criterion: "
               ">= %.0fx)\n",

@@ -30,17 +30,18 @@ int main() {
   MerkleTreeHash hash(0x5EC12E7 ^ 0xA5A5A5A5);
   auto graph = monitor::extract_graph(app, hash);
 
-  std::printf("--- Unprotected core (monitor enforcement off) ---\n");
+  std::printf("--- Unprotected core (no hardware monitor) ---\n");
   {
-    np::MonitoredCore core;
-    core.install(app, graph, std::make_unique<MerkleTreeHash>(hash));
-    core.set_enforcement(false);
-    np::PacketResult r = core.process_packet(attack.packet);
-    std::printf("outcome: %s\n", np::packet_outcome_name(r.outcome));
-    if (r.outcome == np::PacketOutcome::Forwarded) {
+    np::Core core;
+    core.load_program(app);
+    core.deliver_packet(attack.packet);
+    const bool sent = core.run().event == np::StepEvent::PacketOut;
+    std::printf("outcome: %s\n", sent ? "forwarded" : "no output");
+    if (sent) {
+      const util::Bytes& out = core.output();
       std::printf("HIJACKED: the shellcode injected its own %zu-byte packet"
                   " onto the wire (first byte 0x%02x)\n",
-                  r.output.size(), r.output.empty() ? 0 : r.output[0]);
+                  out.size(), out.empty() ? 0 : out[0]);
     }
   }
 

@@ -128,68 +128,6 @@ class CompiledGraph {
   /// Per-state exit bit, indexed by state: may the handler finish in it?
   const std::uint8_t* node_exit_data() const { return node_exit_.data(); }
 
-  /// Result of one batch_step() walk: where the walk stopped and the
-  /// stat deltas the caller folds into its cumulative counters.
-  struct BatchStep {
-    std::uint32_t state = 0;      // state after `consumed` steps
-    std::size_t consumed = 0;     // hashes that took a table transition
-    std::size_t live = 0;         // tracked-set size after the walk
-    std::size_t peak = 0;         // running peak, seeded by the caller
-    std::uint64_t width_accum = 0;  // sum of pre-step tracked-set sizes
-  };
-
-  /// Graph-resident multi-hash stepping: starting in `state` (tracked
-  /// set == members(state), size `live`), consume as many of the `n`
-  /// hashes as resolve through the flat fast_next table -- one dependent
-  /// load per hash -- and report where the walk stopped. The walk ends at
-  /// the first hash that mismatches (kFastEmpty) or whose report is out
-  /// of range; the caller replays that hash through its per-hash
-  /// reference path, so batched and per-hash feeds can never diverge.
-  /// Width accounting mirrors HardwareMonitor::on_hashed: each consumed
-  /// hash is counted *before* its transition, at the pre-step set size.
-  /// Static and inline: callers pass the raw table views they already
-  /// cache, keeping the loop free of any smart-pointer or member loads.
-  static BatchStep batch_step(const std::uint32_t* fast_next,
-                              const std::uint32_t* succ_count,
-                              std::uint32_t hash_shift,
-                              std::uint32_t bucket_count, std::uint32_t state,
-                              std::size_t live, std::size_t peak,
-                              const std::uint8_t* hashes, std::size_t n) {
-    BatchStep out;
-    std::size_t i = 0;
-    if (bucket_count >= kNumBuckets) {
-      // Full-width graphs (w == 8): a uint8 report can never be out of
-      // range, so the range test vanishes from the inner loop and each
-      // iteration is exactly one shift-or index + one dependent load.
-      while (i < n) {
-        const std::uint32_t v = fast_next[(state << hash_shift) | hashes[i]];
-        if (v == kFastEmpty) break;
-        out.width_accum += live;
-        if (live > peak) peak = live;
-        state = v;
-        live = succ_count[v];
-        ++i;
-      }
-    } else {
-      while (i < n) {
-        const std::uint8_t hashed = hashes[i];
-        if (hashed >= bucket_count) break;
-        const std::uint32_t v = fast_next[(state << hash_shift) | hashed];
-        if (v == kFastEmpty) break;
-        out.width_accum += live;
-        if (live > peak) peak = live;
-        state = v;
-        live = succ_count[v];
-        ++i;
-      }
-    }
-    out.state = state;
-    out.consumed = i;
-    out.live = live;
-    out.peak = peak;
-    return out;
-  }
-
   /// The successors of node `node` whose stored hash equals `hash` --
   /// i.e. exactly the tracked positions that match report `hash` in node
   /// state `node`. Contiguous, duplicate-free, precomputed. Reports

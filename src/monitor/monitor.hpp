@@ -127,77 +127,36 @@ class HardwareMonitor {
     return Verdict::Ok;
   }
 
-  /// Batch-granular feed: consume `n` precomputed hashes (one
-  /// superblock's slice of a compiled hash lane) in order, with
-  /// cumulative stats, peak-width tracking, and verdicts bit-identical
-  /// to n successive on_hashed() calls. When `stop_on_mismatch` is set
-  /// the walk stops at the first Mismatch and returns its index (the
-  /// count of Ok hashes before it); otherwise every hash is consumed --
-  /// mismatches latch the attack flag exactly like on_hashed -- and n
-  /// is returned. The steady state (every step a table transition) runs
-  /// as CompiledGraph::batch_step, a graph-resident tight loop over the
-  /// flat fast_next table with deferred stat accumulation. Each hash the
-  /// fast loop cannot take (mismatch, out-of-range report, latched
-  /// attack) replays through the exact per-hash reference path -- ONE
-  /// hash at a time, after which the loop re-enters batch_step.
-  std::size_t advance(const std::uint8_t* hashes, std::size_t n,
-                      bool stop_on_mismatch) {
-    std::size_t i = 0;
-    while (i < n) {
-      if (!attack_flagged_) {
-        const CompiledGraph::BatchStep step = CompiledGraph::batch_step(
-            fast_next_, succ_count_, hash_shift_, bucket_count_, state_,
-            live_count_, peak_state_size_, hashes + i, n - i);
-        stats_.instructions_checked += step.consumed;
-        stats_.state_size_accum += step.width_accum;
-        peak_state_size_ = step.peak;
-        if (step.consumed != 0) {
-          state_ = step.state;
-          live_count_ = step.live;
-          exit_allowed_ = node_exit_[step.state] != 0;
-        }
-        i += step.consumed;
-        if (i == n) return n;
-      }
-      if (on_hashed(hashes[i]) == Verdict::Mismatch && stop_on_mismatch) {
-        return i;
-      }
-      ++i;
-    }
-    return n;
-  }
-
-  /// What advance() over a summarised lane did: the count advance()
-  /// would return, and whether the walk joined the canonical one.
+  /// What advance() over a summarised lane did: how many leading hashes
+  /// matched, and whether the walk joined the canonical one.
   struct LaneAdvance {
     std::size_t ok = 0;
     bool joined = false;
   };
 
-  /// advance() for a superblock whose install-time canonical walk is
-  /// summarised in `lane` (positioned at the dispatch's first op):
-  /// identical verdicts, stats, peak width and exit bit. Steps one table
-  /// load per hash until the state equals the canonical state at that
-  /// position; from there the canonical walk is the real one, so the
-  /// rest of the mismatch-free run is settled in O(1) -- the width-sum
-  /// difference, the run's final state, and a peak rescan only when the
-  /// run's stored peak exceeds the current one. From the first hash the
-  /// table cannot step (a mismatch or a report out of range) the rest of
-  /// the slice goes through advance(), as does every slice after a
-  /// latched attack.
+  /// Feed `n` precomputed hashes -- one superblock's slice of a compiled
+  /// hash lane, whose install-time canonical walk is summarised in `lane`
+  /// (positioned at the dispatch's first op) -- and stop at the first
+  /// Mismatch. Verdicts, stats, peak width and exit bit are those of
+  /// on_hashed() over the same hashes up to and including that one.
+  /// Steps one table load per hash until the state equals the canonical
+  /// state at that position; from there the canonical walk is the real
+  /// one, so the rest of the mismatch-free run is settled in O(1) -- the
+  /// width-sum difference, the run's final state, and a peak rescan only
+  /// when the run's stored peak exceeds the current one. The first hash
+  /// the table cannot step (a mismatch, a report out of range, or any
+  /// hash once an attack is latched) goes through on_hashed(), which
+  /// flags it; its index is the returned count.
   LaneAdvance advance(const CanonicalLane& lane, const std::uint8_t* hashes,
-                      std::size_t n, bool stop_on_mismatch) {
+                      std::size_t n) {
     LaneAdvance out;
-    if (attack_flagged_) {
-      out.ok = advance(hashes, n, stop_on_mismatch);
-      return out;
-    }
     std::uint32_t state = state_;
     std::size_t live = live_count_;
     std::size_t peak = peak_state_size_;
     std::uint64_t width_accum = 0;
     std::size_t i = 0;
-    while (i < n) {
+    const std::size_t walk = attack_flagged_ ? 0 : n;
+    while (i < walk) {
       const std::uint8_t hashed = hashes[i];
       if (hashed >= bucket_count_) break;
       const std::uint32_t v = fast_next_[(state << hash_shift_) | hashed];
@@ -234,7 +193,9 @@ class HardwareMonitor {
       live_count_ = live;
       exit_allowed_ = node_exit_[state] != 0;
     }
-    out.ok = i == n ? n : i + advance(hashes + i, n - i, stop_on_mismatch);
+    // The table cannot step hashes[i]: on_hashed() flags it.
+    if (i < n) (void)on_hashed(hashes[i]);
+    out.ok = i;
     return out;
   }
 

@@ -23,8 +23,8 @@
 // equal and the rest of the run is settled in O(1), for any retired
 // length: the full superblock, a side exit, or a stop before an MMIO or
 // trapping op anywhere in the lane. A different seed can only cost a
-// missed join, never a wrong verdict; a walk that never joins goes
-// through HardwareMonitor::advance(), the per-hash path and the oracle.
+// missed join, never a wrong verdict; a walk that never joins steps
+// every hash, exactly as the per-hash on_hashed() (the oracle) would.
 //
 // Size is kBytesPerLaneOp per superblock op -- a constant of the program,
 // independent of the graph, the hash parameter and any packet -- and the

@@ -153,7 +153,6 @@ struct MonitoredCore::MonitorFeed {
   const MonitorSummary* summary;  // null: lane not summarised
   const Core& core;
   PacketResult& result;
-  bool enforce;
   bool flagged = false;
 
   std::uint64_t on_batch(const std::uint8_t* hashes, std::uint64_t n,
@@ -163,12 +162,13 @@ struct MonitoredCore::MonitorFeed {
     std::uint64_t ok = 0;
     if (summary != nullptr) [[likely]] {
       const monitor::HardwareMonitor::LaneAdvance step = monitor.advance(
-          summary->lane(hashes), hashes, static_cast<std::size_t>(n),
-          enforce);
+          summary->lane(hashes), hashes, static_cast<std::size_t>(n));
       if (step.joined) ++result.summary_joins;
       ok = step.ok;
     } else {
-      ok = monitor.advance(hashes, static_cast<std::size_t>(n), enforce);
+      while (ok < n && monitor.on_hashed(hashes[ok]) == monitor::Verdict::Ok) {
+        ++ok;
+      }
     }
     flagged = ok < n;
     result.instructions += flagged ? ok + 1 : n;
@@ -193,7 +193,7 @@ struct MonitoredCore::MonitorFeed {
         core.precomputed_hash(info.pc, hashed)
             ? monitor.on_hashed(hashed)
             : monitor.on_instruction(info.word);
-    flagged = verdict == monitor::Verdict::Mismatch && enforce;
+    flagged = verdict == monitor::Verdict::Mismatch;
     return !flagged;
   }
 };
@@ -215,7 +215,7 @@ PacketResult MonitoredCore::run_packet(
                            core_.compiled_program().get())
           ? summary_.get()
           : nullptr;
-  MonitorFeed feed{*monitor_, summary, core_, result, enforce_};
+  MonitorFeed feed{*monitor_, summary, core_, result};
   const StepInfo info =
       core_.run_observed(std::numeric_limits<std::uint64_t>::max(), feed);
   if (feed.flagged) {
@@ -231,8 +231,7 @@ PacketResult MonitoredCore::run_packet(
       break;
     case StepEvent::PacketDone:
       // A sentinel return must be sanctioned by the monitoring graph.
-      if (info.pc == kReturnSentinel && !monitor_->exit_allowed() &&
-          enforce_) {
+      if (info.pc == kReturnSentinel && !monitor_->exit_allowed()) {
         result.outcome = PacketOutcome::AttackDetected;
         core_.reset();
         break;

@@ -194,10 +194,6 @@ class MonitoredCore {
     return summary_;
   }
 
-  /// When true (default), mismatches stop the core immediately. Disabling
-  /// lets benchmarks measure the unmonitored baseline on identical inputs.
-  void set_enforcement(bool on) { enforce_ = on; }
-
   /// Attach (or detach with nullptr) cached metric handles; `obs` must
   /// outlive the core or the next attach. Detached, the commit path pays
   /// one null check.
@@ -211,7 +207,6 @@ class MonitoredCore {
   std::unique_ptr<monitor::HardwareMonitor> monitor_;
   std::shared_ptr<const MonitorSummary> summary_;
   CoreStats stats_;
-  bool enforce_ = true;
   CoreObs* obs_ = nullptr;
   // Cross-packet core and monitor state snapshotted by
   // begin_speculation(), and the configuration an install() inside the

@@ -58,9 +58,11 @@ RecoveryAction RecoveryController::on_outcome_speculative(std::size_t core,
   undo.prev_reinstalls = state.reinstalls;
   undo.prev_bit = state.window[state.window_pos];
 
-  const bool violation =
-      outcome == PacketOutcome::AttackDetected ||
-      (config_.count_traps && outcome == PacketOutcome::Trapped);
+  // Traps (faults, watchdog) count alongside monitor mismatches: on a
+  // healthy binary they usually mean a corrupted program store -- exactly
+  // what reinstall fixes.
+  const bool violation = outcome == PacketOutcome::AttackDetected ||
+                         outcome == PacketOutcome::Trapped;
   undo.violation = violation;
   if (violation) total_violations_.fetch_add(1, std::memory_order_relaxed);
 
@@ -164,27 +166,6 @@ std::size_t RecoveryController::healthy_cores() const {
   std::size_t n = 0;
   for (const auto& state : cores_) {
     if (state.health.load(std::memory_order_relaxed) == CoreHealth::Healthy) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::size_t RecoveryController::quarantined_cores() const {
-  std::size_t n = 0;
-  for (const auto& state : cores_) {
-    if (state.health.load(std::memory_order_relaxed) ==
-        CoreHealth::Quarantined) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::size_t RecoveryController::offline_cores() const {
-  std::size_t n = 0;
-  for (const auto& state : cores_) {
-    if (state.health.load(std::memory_order_relaxed) == CoreHealth::Offline) {
       ++n;
     }
   }

@@ -62,10 +62,6 @@ struct RecoveryConfig {
   /// ReinstallLastGood: re-images allowed before escalating to quarantine
   /// (kUnboundedReinstalls: never escalate).
   std::size_t max_reinstalls = 2;
-  /// Whether traps (faults/watchdog) count as violations alongside
-  /// monitor mismatches. Traps on a healthy binary usually indicate a
-  /// corrupted program store -- exactly what reinstall fixes.
-  bool count_traps = true;
 
   /// True when the policy can take a core out of the dispatch set by
   /// itself: QuarantineAfterK, and ReinstallLastGood unless
@@ -168,8 +164,6 @@ class RecoveryController {
     return reinstall_requests_.load(std::memory_order_relaxed);
   }
   std::size_t healthy_cores() const;
-  std::size_t quarantined_cores() const;
-  std::size_t offline_cores() const;
 
  private:
   struct CoreState {

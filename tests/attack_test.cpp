@@ -30,27 +30,33 @@ np::MonitoredCore monitored_cm(std::uint32_t param) {
   return core;
 }
 
+// ipv4-cm on a bare np::Core -- no monitor at all -- run on one packet.
+np::StepInfo run_unmonitored_cm(np::Core& core, const util::Bytes& packet) {
+  core.load_program(net::build_ipv4_cm());
+  core.deliver_packet(packet);
+  return core.run();
+}
+
 TEST(CmAttack, HijacksUnmonitoredCore) {
-  // Without enforcement the shellcode runs to completion: proof the
+  // Without a monitor the shellcode runs to completion: proof the
   // vulnerability is real, not an artifact of the monitor.
   auto attack = craft_cm_overflow(marker_shellcode(0x1337BEEF));
-  np::MonitoredCore core = monitored_cm(0xA11CE);
-  core.set_enforcement(false);
-  np::PacketResult r = core.process_packet(attack.packet);
+  np::Core core;
+  const np::StepInfo last = run_unmonitored_cm(core, attack.packet);
   // Shellcode signaled PKT_DONE itself after planting the marker.
-  EXPECT_EQ(r.outcome, PacketOutcome::Dropped);
-  EXPECT_EQ(core.core().reg(2), 0x1337BEEFu);  // $v0 marker: code ran
+  EXPECT_EQ(last.event, np::StepEvent::PacketDone);
+  EXPECT_NE(last.pc, np::kReturnSentinel);
+  EXPECT_EQ(core.reg(2), 0x1337BEEFu);  // $v0 marker: code ran
 }
 
 TEST(CmAttack, InjectedOutputWithoutMonitor) {
   auto attack = craft_cm_overflow(inject_output_shellcode(0xEE, 64));
-  np::MonitoredCore core = monitored_cm(0xA11CE);
-  core.set_enforcement(false);
-  np::PacketResult r = core.process_packet(attack.packet);
-  ASSERT_EQ(r.outcome, PacketOutcome::Forwarded);
-  ASSERT_EQ(r.output.size(), 64u);
-  EXPECT_EQ(r.output[0], 0xEE);
-  EXPECT_EQ(r.output[63], 0xEE);
+  np::Core core;
+  const np::StepInfo last = run_unmonitored_cm(core, attack.packet);
+  ASSERT_EQ(last.event, np::StepEvent::PacketOut);
+  ASSERT_EQ(core.output().size(), 64u);
+  EXPECT_EQ(core.output()[0], 0xEE);
+  EXPECT_EQ(core.output()[63], 0xEE);
 }
 
 TEST(CmAttack, MonitorDetectsHijack) {

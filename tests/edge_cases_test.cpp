@@ -276,7 +276,9 @@ target:
 }
 
 TEST(CoreEdge, SelfModifyingCodeRunsUnmonitored) {
-  // Sanity: without enforcement the self-modified instruction executes.
+  // Sanity: on a bare core, with no monitor, the self-modified
+  // instruction executes -- also with the compiled artifact attached,
+  // whose text the store dirties.
   isa::Program p = isa::assemble(R"(
 main:
     la $t0, target
@@ -287,15 +289,17 @@ target:
     addiu $t2, $t2, 1
     jr $ra
 )");
-  monitor::MerkleTreeHash hash(0x5E1F);
-  np::MonitoredCore core;
-  core.install(p, monitor::extract_graph(p, hash),
-               std::make_unique<monitor::MerkleTreeHash>(hash));
-  core.set_enforcement(false);
-  (void)core.process_packet(util::Bytes{1});
+  np::Core core;
+  core.load_program(
+      p, np::CompiledProgram::compile(p, monitor::MerkleTreeHash(0x5E1F)));
+  ASSERT_TRUE(core.compiled_live());
+  core.deliver_packet(util::Bytes{1});
+  (void)core.run();
+  EXPECT_TRUE(core.text_dirty());
+  EXPECT_FALSE(core.compiled_live());
   // $t2 unchanged (the addiu was replaced); $t1 doubled by the new addu.
-  EXPECT_EQ(core.core().reg(10), 0u);                    // $t2
-  EXPECT_EQ(core.core().reg(9), 2u * 0x01294821 % (1ull << 32));  // $t1+$t1
+  EXPECT_EQ(core.reg(10), 0u);                            // $t2
+  EXPECT_EQ(core.reg(9), 2u * 0x01294821 % (1ull << 32));  // $t1+$t1
 }
 
 // ---------------- packet parsing corners ----------------

@@ -362,12 +362,14 @@ TEST_P(MonitorDifferential, CompiledMatchesReferenceOnRandomStreams) {
   EXPECT_GT(rejected, 0) << "no graph past the bound was drawn";
 }
 
-// The batched feed HardwareMonitor::advance() -- the path superblock
+// The lane walk HardwareMonitor::advance() -- the path superblock
 // dispatches take -- against the per-hash reference, on the same graphs
-// and streams as above. Each stream is cut into random-size chunks fed
-// with either stop_on_mismatch setting; after every chunk the returned
-// index must be the reference's first-mismatch index within the chunk
-// (or the chunk size), and every observable must agree.
+// and streams as above. The lane never joins, so random graphs and
+// subset states reach the walk's own stepping and its stop at the first
+// mismatch. Each stream is cut into random-size chunks; after every chunk
+// the returned count must be the reference's first-mismatch index within
+// the chunk (or the chunk size), and every observable must agree. Once
+// the reference is latched, every chunk accepts 0 hashes.
 TEST_P(MonitorDifferential, BatchedAdvanceMatchesReferenceOnRandomStreams) {
   util::Rng rng(0xD1FF + static_cast<std::uint64_t>(GetParam()) * 2654435761u);
   util::Rng chunking(0xC4C + static_cast<std::uint64_t>(GetParam()));
@@ -393,7 +395,7 @@ TEST_P(MonitorDifferential, BatchedAdvanceMatchesReferenceOnRandomStreams) {
       compiled.reset();
       reference.reset();
       const std::vector<std::uint8_t> stream = random_stream(rng, graph);
-      const bool stop_on_mismatch = chunking.chance(0.5);
+      const testsupport::NeverJoiningLane never_joining(stream.size());
       std::size_t at = 0;
       while (at < stream.size()) {
         const std::size_t chunk = 1 + chunking.below(
@@ -401,14 +403,14 @@ TEST_P(MonitorDifferential, BatchedAdvanceMatchesReferenceOnRandomStreams) {
         std::size_t expected = chunk;
         for (std::size_t k = 0; k < chunk; ++k) {
           if (reference.on_hashed(stream[at + k]) ==
-                  monitor::Verdict::Mismatch &&
-              stop_on_mismatch) {
+              monitor::Verdict::Mismatch) {
             expected = k;
             break;
           }
         }
         const std::size_t got =
-            compiled.advance(stream.data() + at, chunk, stop_on_mismatch);
+            compiled.advance(never_joining.lane(), stream.data() + at, chunk)
+                .ok;
         ASSERT_EQ(got, expected) << "graph " << g << " stream " << s
                                  << " offset " << at;
         ASSERT_NO_FATAL_FAILURE(

@@ -1,9 +1,10 @@
 // The install-time monitor summary (np::MonitorSummary) against the
-// per-hash path it replaces. HardwareMonitor::advance() over a hash slice
-// is the oracle: settling a superblock dispatch through the summary must
-// give the same returned count, attack flag, tracked set, MonitorStats,
-// peak width and exit bit, for every anchor, entry state and retired
-// length -- including graphs whose numbering defeats the seed rule.
+// per-hash path it replaces. on_hashed() over a hash slice, stopped at the
+// first Mismatch, is the oracle: settling a superblock dispatch through
+// the summary must give the same accepted count, attack flag, tracked
+// set, MonitorStats, peak width and exit bit, for every anchor, entry
+// state and retired length -- including graphs whose numbering defeats
+// the seed rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,6 +80,17 @@ bool same_monitor(const HardwareMonitor& got, const HardwareMonitor& want) {
          a.state_size_accum == b.state_size_accum;
 }
 
+// The oracle: `n` hashes through on_hashed(), stopping at the first
+// Mismatch. Returns how many matched before it.
+std::size_t feed_per_hash(HardwareMonitor& monitor,
+                          const std::uint8_t* hashes, std::size_t n) {
+  std::size_t ok = 0;
+  while (ok < n && monitor.on_hashed(hashes[ok]) == monitor::Verdict::Ok) {
+    ++ok;
+  }
+  return ok;
+}
+
 struct DiffCount {
   std::size_t cases = 0;
   std::size_t joined = 0;
@@ -86,7 +98,7 @@ struct DiffCount {
 
 // Every superblock anchor of `code`, from every state whose tracked set
 // holds the anchor's node, the entry state and `random_states` sampled
-// states, for every retired length and both stop_on_mismatch values.
+// states, for every retired length.
 void run_differential(const std::shared_ptr<const CompiledGraph>& graph,
                       const std::shared_ptr<const CompiledProgram>& code,
                       const MerkleTreeHash& hash, std::size_t random_states,
@@ -116,24 +128,21 @@ void run_differential(const std::shared_ptr<const CompiledGraph>& graph,
     const monitor::CanonicalLane lane = summary->lane(ref.hashes);
     for (std::uint32_t state : states) {
       for (std::uint32_t len = 1; len <= ref.len; ++len) {
-        for (bool stop : {false, true}) {
-          fast.seek(state);
-          oracle.seek(state);
-          const HardwareMonitor::LaneAdvance got =
-              fast.advance(lane, ref.hashes, len, stop);
-          const std::size_t want = oracle.advance(ref.hashes, len, stop);
-          if (got.ok != want || !same_monitor(fast, oracle)) {
-            const std::string at = label + " anchor " + std::to_string(i) +
-                                   " state " + std::to_string(state) +
-                                   " len " + std::to_string(len) +
-                                   (stop ? " stop" : " run-on");
-            EXPECT_EQ(got.ok, want) << at;
-            expect_same_monitor(fast, oracle, at);
-            return;
-          }
-          ++count.cases;
-          if (got.joined) ++count.joined;
+        fast.seek(state);
+        oracle.seek(state);
+        const HardwareMonitor::LaneAdvance got =
+            fast.advance(lane, ref.hashes, len);
+        const std::size_t want = feed_per_hash(oracle, ref.hashes, len);
+        if (got.ok != want || !same_monitor(fast, oracle)) {
+          const std::string at = label + " anchor " + std::to_string(i) +
+                                 " state " + std::to_string(state) +
+                                 " len " + std::to_string(len);
+          EXPECT_EQ(got.ok, want) << at;
+          expect_same_monitor(fast, oracle, at);
+          return;
         }
+        ++count.cases;
+        if (got.joined) ++count.joined;
       }
     }
   }
@@ -248,6 +257,47 @@ TEST(SummaryDifferentialWide, SaturatedPeakStaysExact) {
                    "wide", count);
   ASSERT_FALSE(HasFailure());
   EXPECT_GT(count.joined, 0u);
+}
+
+// Once an attack is latched, the lane walk accepts no hash of any slice:
+// it answers Mismatch at the first hash, counted exactly as on_hashed()
+// counts it, and an empty slice changes nothing.
+TEST(SummaryDifferentialLatched, FlaggedMonitorAcceptsNoHash) {
+  const isa::Program program = net::build_ipv4_cm();
+  const MerkleTreeHash hash(0x1A7C4, 4);
+  auto graph = CompiledGraph::compile(monitor::extract_graph(program, hash));
+  auto code = CompiledProgram::compile(program, hash);
+  auto summary = MonitorSummary::build(graph, code);
+  HardwareMonitor fast(graph, hash.clone());
+  HardwareMonitor oracle(graph, hash.clone());
+  const std::uint8_t out_of_range = 0xFF;  // past 2^4: never steps
+  std::size_t slices = 0;
+  for (std::uint32_t i = 0; i < code->num_ops(); ++i) {
+    const CompiledProgram::TraceRef ref =
+        code->trace_at(code->text_base() + i * 4);
+    if (ref.len == 0) continue;
+    const std::string at = "anchor " + std::to_string(i);
+    fast.reset();
+    oracle.reset();
+    ASSERT_EQ(fast.on_hashed(out_of_range), monitor::Verdict::Mismatch);
+    ASSERT_EQ(oracle.on_hashed(out_of_range), monitor::Verdict::Mismatch);
+    const monitor::CanonicalLane lane = summary->lane(ref.hashes);
+
+    EXPECT_EQ(fast.advance(lane, ref.hashes, 0).ok, 0u) << at;
+    ASSERT_NO_FATAL_FAILURE(expect_same_monitor(fast, oracle, at + " empty"));
+
+    const std::uint64_t checked = fast.stats().instructions_checked;
+    const HardwareMonitor::LaneAdvance got =
+        fast.advance(lane, ref.hashes, ref.len);
+    EXPECT_EQ(got.ok, 0u) << at;
+    EXPECT_FALSE(got.joined) << at;
+    EXPECT_EQ(feed_per_hash(oracle, ref.hashes, ref.len), 0u) << at;
+    EXPECT_EQ(fast.stats().instructions_checked, checked + 1) << at;
+    EXPECT_TRUE(fast.attack_flagged()) << at;
+    ASSERT_NO_FATAL_FAILURE(expect_same_monitor(fast, oracle, at));
+    ++slices;
+  }
+  EXPECT_GT(slices, 0u);
 }
 
 // Whole packets through a MonitoredCore: the summarised feed against the

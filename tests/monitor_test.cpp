@@ -393,8 +393,9 @@ void expect_agree(const HardwareMonitor& compiled,
 }
 
 // Walks `streams` through the compiled monitor -- per hash, and batched
-// through advance() -- and through the reference walker, requiring
-// agreement on every observable.
+// through the lane walk advance() over a never-joining lane, resumed
+// past each mismatch it stops at -- and through the reference walker,
+// requiring agreement on every observable.
 void run_against_reference(const MonitoringGraph& graph,
                            const std::vector<std::vector<std::uint8_t>>&
                                streams) {
@@ -413,7 +414,14 @@ void run_against_reference(const MonitoringGraph& graph,
       ASSERT_EQ(stepped.on_hashed(report), reference.on_hashed(report));
       ASSERT_NO_FATAL_FAILURE(expect_agree(stepped, reference));
     }
-    (void)batched.advance(stream.data(), stream.size(), false);
+    const testsupport::NeverJoiningLane never_joining(stream.size());
+    std::size_t at = 0;
+    while (at < stream.size()) {
+      const std::size_t rest = stream.size() - at;
+      const std::size_t ok =
+          batched.advance(never_joining.lane(), stream.data() + at, rest).ok;
+      at += ok == rest ? rest : ok + 1;
+    }
     ASSERT_NO_FATAL_FAILURE(expect_agree(batched, reference));
   }
 }

@@ -118,10 +118,11 @@ TEST(MonitoredCore, DetectsInjectedCode) {
   EXPECT_GT(detected, trials * 9 / 10);
 }
 
+// The baseline DetectsInjectedCode is measured against: the same app on a
+// bare Core, with no monitor, runs the injected code to its end.
 TEST(MonitoredCore, EnforcementOffLetsAttackRun) {
-  MonitoredCore core;
-  install(core, kVulnApp);
-  core.set_enforcement(false);
+  Core core;
+  core.load_program(isa::assemble(kVulnApp));
   isa::Program payload = isa::assemble(R"(
     li $t2, 0xFFFF0008
     sw $zero, 0($t2)
@@ -130,9 +131,11 @@ TEST(MonitoredCore, EnforcementOffLetsAttackRun) {
   for (std::size_t i = 0; i < payload.text.size(); ++i) {
     util::store_le32(payload.text[i], pkt.data() + 4 * i);
   }
-  PacketResult r = core.process_packet(pkt);
-  // Injected code ran to completion (signaled done) -- no enforcement.
-  EXPECT_EQ(r.outcome, PacketOutcome::Dropped);
+  core.deliver_packet(pkt);
+  const StepInfo last = core.run();
+  // The injected store signaled done from the packet buffer.
+  EXPECT_EQ(last.event, StepEvent::PacketDone);
+  EXPECT_EQ(last.pc, 0x30000u + 4 * (payload.text.size() - 1));
 }
 
 TEST(MonitoredCore, TrapReportsAsTrapped) {

@@ -52,7 +52,6 @@ TEST(MpsocStress, RecoveryMathDriftGuard) {
   EXPECT_EQ(defaults.violation_threshold, kViolationThreshold);
   EXPECT_EQ(defaults.window_packets, kWindowPackets);
   EXPECT_EQ(defaults.max_reinstalls, kMaxReinstalls);
-  EXPECT_TRUE(defaults.count_traps);
   EXPECT_EQ(kPacketsToQuarantine, (kMaxReinstalls + 1) * kViolationThreshold);
 }
 

@@ -174,7 +174,7 @@ inline void expect_trace_conserved(const EngineTrace& trace,
   }
   EXPECT_EQ(per_core_packets + trace.stats.undispatched, submitted);
   EXPECT_EQ(trace.stats.packets, per_core_packets);
-  // RecoveryConfig default count_traps=true: every trap is a violation.
+  // Every trap is a violation, like every monitor mismatch.
   EXPECT_EQ(trace.stats.violations,
             trace.stats.attacks_detected + trace.stats.traps);
 }

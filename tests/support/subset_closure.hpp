@@ -1,6 +1,6 @@
 // An independent oracle for CompiledGraph's subset-construction bound,
-// plus the seeded random-graph generator the monitor differential suites
-// draw from.
+// plus the seeded random-graph generator and the never-joining lane the
+// monitor differential suites draw from.
 //
 // subset_closure() recomputes, naively and without the compiler's
 // tables, every matched set the monitor can reach: the multi-match
@@ -27,6 +27,7 @@
 
 #include "monitor/compiled_graph.hpp"
 #include "monitor/graph.hpp"
+#include "monitor/monitor.hpp"
 #include "util/rng.hpp"
 
 namespace sdmmon::testsupport {
@@ -142,6 +143,21 @@ inline std::shared_ptr<const monitor::CompiledGraph> compile_checked(
   expect_closed(*compiled);
   return compiled;
 }
+
+/// A summarised lane of `n` positions whose canonical states are all
+/// kFastEmpty, which no table step yields: HardwareMonitor::advance()
+/// over it never joins, so it steps every hash of any graph itself, up to
+/// the first Mismatch. Only state[] is read before a join.
+struct NeverJoiningLane {
+  explicit NeverJoiningLane(std::size_t n)
+      : states(n, monitor::CompiledGraph::kFastEmpty) {}
+  monitor::CanonicalLane lane() const {
+    monitor::CanonicalLane lane;
+    lane.state = states.data();
+    return lane;
+  }
+  std::vector<std::uint32_t> states;
+};
 
 }  // namespace sdmmon::testsupport
 
