@@ -19,9 +19,8 @@
 //   * TraceDifferential -- branchy text: superblocks spanning several
 //     predicted branches, constant side exits, and a mismatch landing
 //     before a side-exiting branch.
-// Each also covers mid-stream reinstalls, self-modifying stores and all
-// three recovery policies on an MPSoC. One test checks that every core
-// of an MPSoC reads the op and superblock tables of one shared artifact.
+// Each also covers mid-stream reinstalls, self-modifying stores, shared
+// artifacts, and all three recovery policies on an MPSoC.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -429,6 +428,16 @@ void expect_recovery_policies_match(std::uint64_t seed) {
   }
 }
 
+const CompiledProgram* expect_one_shared_artifact(const Mpsoc& soc) {
+  const CompiledProgram* shared = soc.core(0).core().compiled_program().get();
+  EXPECT_NE(shared, nullptr);
+  for (std::size_t c = 1; c < soc.num_cores(); ++c) {
+    EXPECT_EQ(soc.core(c).core().compiled_program().get(), shared)
+        << "core " << c;
+  }
+  return shared;
+}
+
 // ---------------------------------------------------------------------
 // PredecodeDifferential: per-op lockstep
 // ---------------------------------------------------------------------
@@ -502,23 +511,13 @@ TEST(PredecodeDifferential, SelfModifyingStoreFallsBackAndMatchesOracle) {
             static_cast<int>(StepEvent::PacketDone));
 }
 
-// Every core reads the predecoded op table and the superblock tables of
-// the one shared artifact.
 TEST(PredecodeDifferential, InstallAllSharesOneCompiledProgramAcrossCores) {
   Mpsoc soc(4);
   testsupport::install_all(soc, testsupport::kEchoApp, 0x1D1D);
-  const CompiledProgram* shared = soc.core(0).core().compiled_program().get();
+  const CompiledProgram* shared = expect_one_shared_artifact(soc);
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(shared->num_ops(),
             isa::assemble(testsupport::kEchoApp).text.size());
-  EXPECT_GT(shared->num_traces(), 0u);
-  for (std::size_t c = 1; c < soc.num_cores(); ++c) {
-    const CompiledProgram* code = soc.core(c).core().compiled_program().get();
-    ASSERT_EQ(code, shared) << "core " << c;
-    EXPECT_EQ(code->ops_data(), shared->ops_data()) << "core " << c;
-    EXPECT_EQ(code->trace_ops_data(), shared->trace_ops_data())
-        << "core " << c;
-  }
 }
 
 TEST(PredecodeDifferential, AttackRecoveryPoliciesMatchAcrossEngines) {
@@ -598,6 +597,19 @@ TEST(FuseDifferential, SelfModifyingStoreKillsFusionAndMatchesOracle) {
       << "the compiled tier must not survive a dirtied text image";
   fast.reset();
   EXPECT_TRUE(fast.compiled_live());
+}
+
+// Every core reads the one predecoded op table of the shared artifact.
+TEST(FuseDifferential, FusedTablesRideTheSharedArtifact) {
+  Mpsoc soc(4);
+  testsupport::install_all(soc, testsupport::kEchoApp, 0x1D1D);
+  const CompiledProgram* shared = expect_one_shared_artifact(soc);
+  ASSERT_NE(shared, nullptr);
+  for (std::size_t c = 1; c < soc.num_cores(); ++c) {
+    EXPECT_EQ(soc.core(c).core().compiled_program()->ops_data(),
+              shared->ops_data())
+        << "core " << c;
+  }
 }
 
 TEST(FuseDifferential, AttackRecoveryPoliciesMatchAcrossTiers) {
@@ -723,6 +735,19 @@ TEST(TraceDifferential, TierSelectorIsSticky) {
   EXPECT_EQ(core.tier(), Tier::Compiled);
   core.load_program(app, compiled);
   EXPECT_TRUE(core.compiled_live());
+}
+
+TEST(TraceDifferential, TraceTablesRideTheSharedArtifact) {
+  Mpsoc soc(4);
+  testsupport::install_all(soc, testsupport::kEchoApp, 0x1D1D);
+  const CompiledProgram* shared = expect_one_shared_artifact(soc);
+  ASSERT_NE(shared, nullptr);
+  for (std::size_t c = 1; c < soc.num_cores(); ++c) {
+    EXPECT_EQ(soc.core(c).core().compiled_program()->trace_ops_data(),
+              shared->trace_ops_data())
+        << "core " << c;
+  }
+  EXPECT_GT(shared->num_traces(), 0u);
 }
 
 TEST(TraceDifferential, AttackRecoveryPoliciesMatchAcrossTiers) {
