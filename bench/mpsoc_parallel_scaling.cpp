@@ -8,9 +8,7 @@
 // serial engine (verified by tests/mpsoc_parallel_diff_test.cpp). This
 // bench measures the price and the payoff: packets/sec of the serial
 // baseline vs the parallel engine at 1, 2, 4, and 8 workers on the
-// same 8-core fleet and workload — plus the cost of speculation under
-// a quarantining recovery policy, where every rollback restores only the
-// dirty pages the speculated packets touched.
+// same 8-core fleet and workload.
 //
 // Pass criterion: >= 3x serial throughput at 8 workers on a host with at
 // least 8 hardware threads; elsewhere the 8-worker run must keep >= 0.7x
@@ -22,17 +20,12 @@
 #include <thread>
 #include <vector>
 
-#include "attack/attack.hpp"
 #include "bench_util.hpp"
 #include "isa/assembler.hpp"
 #include "monitor/analysis.hpp"
-#include "net/apps.hpp"
-#include "np/memmap.hpp"
 #include "np/mpsoc.hpp"
 #include "np/parallel_mpsoc.hpp"
-#include "obs/obs.hpp"
 #include "sdmmon/workload.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -116,75 +109,6 @@ double run_parallel(const std::vector<protocol::WorkItem>& items,
   return static_cast<double>(items.size()) / seconds;
 }
 
-// ---- rollback cost under a quarantining recovery policy --------------
-//
-// Speculation is free until a quarantine changes the active set; then
-// the engine takes a recovery epoch and rolls the speculated tail back
-// by restoring the dirty pages each packet touched (np::Memory captures,
-// page granularity). A reinstall re-images its core inline and takes no
-// epoch, so this section drives attack traffic through QuarantineAfterK
-// and releases the quarantined cores every kReleaseEvery packets, which
-// keeps epochs firing. It then reads the np.parallel.* rollback
-// telemetry: the packets-per-rollback-byte row regression-gates snapshot
-// cost, and bytes-per-replayed-packet is compared against the full
-// writable core state to show rollback cost is proportional to state
-// touched, not core image size.
-
-const std::uint64_t kRollbackPackets =
-    static_cast<std::uint64_t>(bench::scaled(60'000, 1'500));
-constexpr double kAttackRate = 0.03;
-constexpr std::uint64_t kReleaseEvery = 256;
-
-struct RollbackCost {
-  std::uint64_t epochs = 0;
-  std::uint64_t replayed = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t quarantines = 0;
-};
-
-RollbackCost run_rollback_cost() {
-  np::RecoveryConfig recovery;
-  recovery.policy = np::RecoveryPolicy::QuarantineAfterK;
-  recovery.violation_threshold = 3;
-  recovery.window_packets = 64;
-
-  np::ParallelMpsoc soc(kCores, np::DispatchPolicy::RoundRobin, recovery);
-  isa::Program app = net::build_ipv4_cm();
-  monitor::MerkleTreeHash hash(0xBEEFCAFE);
-  soc.install_all(app, monitor::extract_graph(app, hash), hash);
-
-  obs::Registry registry;
-  soc.enable_obs(registry);
-
-  util::Rng rng(0x0F0F5EED);
-  auto attack = attack::craft_cm_overflow(attack::marker_shellcode());
-  for (std::uint64_t i = 0; i < kRollbackPackets; ++i) {
-    util::Bytes packet =
-        rng.chance(kAttackRate)
-            ? attack.packet
-            : attack::benign_cm_packet(static_cast<std::uint8_t>(rng.below(100)));
-    soc.submit(std::move(packet), static_cast<std::uint32_t>(i));
-    if ((i + 1) % kReleaseEvery == 0) {
-      // The operator puts quarantined cores back into service, so the
-      // fleet never degrades out and quarantines keep coming.
-      soc.flush();
-      for (std::size_t c = 0; c < kCores; ++c) {
-        if (soc.core_health(c) == np::CoreHealth::Quarantined) {
-          soc.release_core(c);
-        }
-      }
-    }
-  }
-  soc.flush();
-
-  RollbackCost out;
-  out.epochs = soc.speculation_rollbacks();
-  out.replayed = registry.counter(obs::names::kParallelReplayedPackets).value();
-  out.bytes = registry.counter(obs::names::kParallelRollbackBytes).value();
-  out.quarantines = soc.aggregate_stats().quarantine_events;
-  return out;
-}
-
 }  // namespace
 
 int main() {
@@ -253,63 +177,6 @@ int main() {
   bench::note("proof and docs/ARCHITECTURE.md for the sharded "
               "reorder-buffer design.");
 
-  // ---- dirty-page rollback cost ------------------------------------
-  bench::heading("X2c: speculation rollback cost (dirty-page snapshots)");
-  bench::note("ipv4-cm under " + std::to_string(kRollbackPackets) +
-              " packets at " +
-              std::to_string(static_cast<int>(kAttackRate * 100)) +
-              "% attack rate, QuarantineAfterK, quarantined cores");
-  bench::note("released every " + std::to_string(kReleaseEvery) +
-              " packets (every quarantine takes a recovery epoch that");
-  bench::note("rolls the speculated tail back page-by-page)");
-
-  const RollbackCost rc = run_rollback_cost();
-  // Full writable per-core state, for scale: what a full-image snapshot
-  // would copy per speculated packet instead of the touched pages.
-  const double full_state_bytes = static_cast<double>(
-      np::kDataSize + np::kStackSize + np::kPktInSize + np::kPktOutSize);
-  const double bytes_per_replayed =
-      rc.replayed == 0 ? 0.0
-                       : static_cast<double>(rc.bytes) /
-                             static_cast<double>(rc.replayed);
-  const double pkts_per_rollback_byte =
-      rc.bytes == 0 ? 0.0
-                    : static_cast<double>(kRollbackPackets) /
-                          static_cast<double>(rc.bytes);
-
-  std::printf("\n%-28s %14s\n", "quantity", "value");
-  bench::rule(44);
-  std::printf("%-28s %14llu\n", "recovery epochs",
-              static_cast<unsigned long long>(rc.epochs));
-  std::printf("%-28s %14llu\n", "quarantines",
-              static_cast<unsigned long long>(rc.quarantines));
-  std::printf("%-28s %14llu\n", "replayed packets",
-              static_cast<unsigned long long>(rc.replayed));
-  std::printf("%-28s %14llu\n", "rollback bytes",
-              static_cast<unsigned long long>(rc.bytes));
-  std::printf("%-28s %14.1f\n", "bytes / replayed packet",
-              bytes_per_replayed);
-  std::printf("%-28s %14.0f\n", "full core state (bytes)", full_state_bytes);
-  std::printf("%-28s %14.4f\n", "packets / rollback byte",
-              pkts_per_rollback_byte);
-  bench::rule(44);
-  if (rc.bytes == 0) {
-    bench::note("no rollback telemetry recorded (no recovery epoch fired");
-    bench::note("on this budget) -- row kept for schema stability with");
-    bench::note("zeroed values.");
-  } else {
-    std::printf("\nrollback restores %.1f bytes per replayed packet "
-                "(%.0fx less than a\nfull %.0f-byte core-state copy)\n",
-                bytes_per_replayed, full_state_bytes / bytes_per_replayed,
-                full_state_bytes);
-  }
-  report.add_row({{"engine", "rollback_cost"},
-                  {"policy", "quarantine_after_k"},
-                  {"epochs", rc.epochs},
-                  {"replayed_packets", rc.replayed},
-                  {"rollback_bytes", rc.bytes},
-                  {"bytes_per_replayed_packet", bytes_per_replayed},
-                  {"pkts_per_rollback_byte", pkts_per_rollback_byte}});
   report.write();
 
   // Quick mode (bench-smoke CI) validates wiring and JSON schema on a

@@ -152,7 +152,8 @@ int main() {
   bench::note("reset costs only the attack packet, so ~1 for reset-and-");
   bench::note("continue). benign-fwd%: goodput -- benign packets that still");
   bench::note("made it out; under quarantine it shows capacity traded for");
-  bench::note("containment (undisp% = packets with no dispatchable core).");
+  bench::note("containment (undisp% = packets dropped unrun: no placeable");
+  bench::note("core, or a core quarantined within the placement lag).");
 
   // ---- X2b: re-image cost, shared artifact vs per-reinstall recompile --
   // reinstall_core re-images a core from LastGoodConfig. Before the

@@ -45,14 +45,6 @@ void Core::load_program(const isa::Program& program,
   reset();
 }
 
-void Core::restore_image(const isa::Program& program,
-                         std::shared_ptr<const CompiledProgram> compiled) {
-  program_ = program;
-  program_loaded_ = true;
-  compiled_ = std::move(compiled);
-  update_live();
-}
-
 void Core::update_live() {
   text_base_ = compiled_ != nullptr ? compiled_->text_base() : 0;
   text_bytes_ = compiled_ != nullptr ? compiled_->text_bytes() : 0;

@@ -77,12 +77,6 @@ class Core {
   void load_program(const isa::Program& program,
                     std::shared_ptr<const CompiledProgram> compiled);
 
-  /// Re-attach a program and artifact loaded earlier WITHOUT re-imaging
-  /// memory: speculation rollback, where the dirty-page log restores
-  /// memory and restore_spec_state() the text-dirty flag.
-  void restore_image(const isa::Program& program,
-                     std::shared_ptr<const CompiledProgram> compiled);
-
   /// The loaded program (text, data, entry).
   const isa::Program& program() const { return program_; }
 
@@ -181,28 +175,6 @@ class Core {
   /// code or injection). Cleared only by the re-imaging reset paths --
   /// soft_reset() keeps it, because soft reset does not restore text.
   bool text_dirty() const { return text_dirty_; }
-
-  /// Architectural state that survives soft_reset() and is observable
-  /// across packets: the cycle counter (guest-readable via kRegCycles),
-  /// the cumulative instruction mix, and the text-dirty flag. Together
-  /// with the memory pages a packet writes (captured by
-  /// Memory::begin_capture), this is everything one speculative packet
-  /// execution can leak into the next -- the parallel engine snapshots
-  /// exactly this pair instead of copying the whole core.
-  struct SpecState {
-    std::uint64_t cycles = 0;
-    InstrMix mix;
-    bool text_dirty = false;
-  };
-  SpecState capture_spec_state() const { return {cycles_, mix_, text_dirty_}; }
-  void restore_spec_state(const SpecState& state) {
-    cycles_ = state.cycles;
-    mix_ = state.mix;
-    if (text_dirty_ != state.text_dirty) {
-      text_dirty_ = state.text_dirty;
-      update_live();
-    }
-  }
 
  private:
   /// Observer that ignores retired ops (plain run()).

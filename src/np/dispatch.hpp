@@ -20,8 +20,8 @@ enum class DispatchPolicy : std::uint8_t {
 /// RoundRobin dispatch, exactly once per dispatched packet. FlowHash
 /// neither reads nor advances it. Placement depends only on the policy,
 /// the active set, the flow key and the cursor -- never on what a packet
-/// did on its core -- so the parallel engine can rewind the cursor and
-/// re-plan a rolled-back tail exactly as the serial engine would.
+/// did on its core -- so the parallel engine can place packets ahead of
+/// their execution exactly as the serial engine would.
 inline std::size_t pick_dispatch_core(DispatchPolicy policy,
                                       const std::vector<std::size_t>& active,
                                       std::uint32_t flow_key,

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 namespace sdmmon::np {
 
@@ -56,12 +55,6 @@ Memory::Memory() : arena_(arena_offset(kPktOutBase + kPktOutSize)) {
 
 void Memory::touch_page(std::uint32_t page) {
   std::uint8_t& attr = attr_[page];
-  if ((store_mask_ & kCaptured) && !(attr & kCaptured)) {
-    attr |= kCaptured;
-    const std::uint8_t* p = arena_.data() + arena_offset(page * kPageBytes);
-    capture_log_.push_back(
-        {page * kPageBytes, util::Bytes(p, p + kPageBytes)});
-  }
   if (!(attr & kNonzero)) {
     attr |= kNonzero;
     nonzero_pages_.push_back(static_cast<std::uint16_t>(page));
@@ -75,7 +68,6 @@ void Memory::scrub(std::uint32_t begin, std::uint32_t end) {
       nonzero_pages_[kept++] = page;
       continue;
     }
-    touch_page(page);  // logs the pre-image; the page is already listed
     std::memset(arena_.data() + arena_offset(page * kPageBytes), 0,
                 kPageBytes);
     attr_[page] &= static_cast<std::uint8_t>(~kNonzero);
@@ -93,28 +85,6 @@ void Memory::zero_region(std::uint32_t base) {
     }
   }
   throw std::out_of_range("Memory::zero_region: no region at base");
-}
-
-void Memory::end_capture() {
-  for (const PageCopy& copy : capture_log_) {
-    attr_[copy.addr / kPageBytes] &= static_cast<std::uint8_t>(~kCaptured);
-  }
-  store_mask_ = kMapped | kNonzero;
-}
-
-void Memory::begin_capture() {
-  end_capture();
-  capture_log_.clear();
-  store_mask_ |= kCaptured;
-}
-
-std::vector<Memory::PageCopy> Memory::take_capture() {
-  end_capture();
-  return std::exchange(capture_log_, {});
-}
-
-void Memory::restore_pages(std::span<const PageCopy> log) {
-  for (const PageCopy& copy : log) write_block(copy.addr, copy.bytes);
 }
 
 void Memory::write_block(std::uint32_t addr,

@@ -11,13 +11,9 @@
 //    crosses a page, so this bit is the whole bounds check;
 //  * kNonzero: clear => the page is all-zero. Set pages are also listed,
 //    so clear()/zero_region() visit only pages written since they were
-//    last zeroed: the per-packet soft reset is O(bytes touched);
-//  * kCaptured: an active *capture* holds the page's pre-image. A capture
-//    logs each page the first time it is dirtied, so a speculative packet
-//    run is rolled back by restoring only the touched pages (the parallel
-//    engine's dirty-page snapshots), not a copy of the whole core.
-// Loads and stores are inline; only a store that must set one of the
-// page's bits goes out of line.
+//    last zeroed: the per-packet soft reset is O(bytes touched).
+// Loads and stores are inline; only a store to an unmapped or all-zero
+// page goes out of line.
 #ifndef SDMMON_NP_MEMORY_HPP
 #define SDMMON_NP_MEMORY_HPP
 
@@ -39,26 +35,20 @@ enum class MemFault {
   Unaligned,
 };
 
-/// Dirty-page tracking granularity. Small enough that a packet touching a
-/// few stack slots logs a few hundred bytes, large enough that the
-/// per-store bookkeeping is one shift and one attribute byte.
+/// Dirty-page tracking granularity. Small enough that a soft reset after
+/// a packet touching a few stack slots zeroes a few hundred bytes, large
+/// enough that the per-store bookkeeping is one shift and one attribute
+/// byte.
 inline constexpr std::uint32_t kPageBytes = 256;
 
 class Memory {
  public:
-  /// Pre-image of one page, recorded by an active capture the first time
-  /// the page is written. `addr` is the page-aligned guest address.
-  struct PageCopy {
-    std::uint32_t addr;
-    util::Bytes bytes;
-  };
-
   Memory();
 
   /// Zero all regions (used on full core reset).
   void clear();
 
-  /// Zero the single region starting at `base` (capture aware). Used by
+  /// Zero the single region starting at `base`. Used by
   /// the per-packet soft reset on stack/pktin/pktout.
   void zero_region(std::uint32_t base);
 
@@ -87,22 +77,10 @@ class Memory {
   void write_block(std::uint32_t addr, std::span<const std::uint8_t> data);
   util::Bytes read_block(std::uint32_t addr, std::size_t len) const;
 
-  /// Start recording page pre-images. Any capture already in progress is
-  /// discarded. Each page is logged at most once per capture, at its
-  /// content before the first write under this capture.
-  void begin_capture();
-
-  /// Stop recording and hand the log to the caller. The log order is the
-  /// first-touch order; restore in *reverse* to undo.
-  std::vector<PageCopy> take_capture();
-
-  /// Write page pre-images back (rollback). Call with a log from
-  /// take_capture, iterating it in reverse order when undoing multiple
-  /// captures newest-first. Each copy is a write_block.
-  void restore_pages(std::span<const PageCopy> log);
-
  private:
-  static constexpr std::uint8_t kMapped = 1, kNonzero = 2, kCaptured = 4;
+  static constexpr std::uint8_t kMapped = 1, kNonzero = 2;
+  /// A store to a page missing either bit takes the out-of-line path.
+  static constexpr std::uint8_t kStoreMask = kMapped | kNonzero;
   /// Pages with an attribute byte, and the hole left out of the arena.
   static constexpr std::uint32_t kPages =
       (kPktOutBase + kPktOutSize) / kPageBytes;
@@ -127,14 +105,12 @@ class Memory {
     return value;
   }
 
-  /// A page missing a bit of `store_mask_` takes the out-of-line
-  /// touch_page before the store.
   template <typename T>
   MemFault store(std::uint32_t addr, T value) {
     if (addr % sizeof(T) != 0) return MemFault::Unaligned;
     const std::uint32_t page = addr / kPageBytes;
     if (page >= kPages) return MemFault::OutOfRange;
-    if ((attr_[page] & store_mask_) != store_mask_) {
+    if ((attr_[page] & kStoreMask) != kStoreMask) {
       if (!(attr_[page] & kMapped)) return MemFault::OutOfRange;
       touch_page(page);
     }
@@ -145,21 +121,15 @@ class Memory {
     return MemFault::None;
   }
 
-  /// Log the page's pre-image if the active capture has not yet, and
-  /// flag (and list) it nonzero.
+  /// Flag (and list) the page nonzero.
   void touch_page(std::uint32_t page);
   /// Zero every nonzero page in [begin, end) (shared by clear/zero_region).
   void scrub(std::uint32_t begin, std::uint32_t end);
-  /// Clear kCaptured over the logged pages and stop capturing.
-  void end_capture();
 
   std::vector<std::uint8_t> arena_;
   std::array<std::uint8_t, kPages> attr_{};
   /// Exactly the pages whose kNonzero bit is set.
   std::vector<std::uint16_t> nonzero_pages_;
-  /// kMapped|kNonzero, plus kCaptured while a capture is active.
-  std::uint8_t store_mask_ = kMapped | kNonzero;
-  std::vector<PageCopy> capture_log_;
 };
 
 }  // namespace sdmmon::np

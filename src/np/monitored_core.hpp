@@ -33,7 +33,7 @@ struct PacketResult {
   Trap trap = Trap::None;           // valid when outcome == Trapped
   /// Peak NFA tracked-state width while this packet executed. Captured
   /// at execute time so the observability layer can histogram it on the
-  /// deterministic commit path (exact even across speculative rollback).
+  /// deterministic commit path.
   std::uint32_t monitor_width = 0;
   /// Compiled-tier telemetry: superblock dispatches this packet took,
   /// and how many of them ended in a side exit (branch resolved off the
@@ -60,15 +60,6 @@ struct InstallArtifacts {
   std::shared_ptr<const MonitorSummary> summary = nullptr;
 };
 
-/// One installed configuration of a core: the binary, its install
-/// artifacts and the hash unit -- everything MonitoredCore::install
-/// swaps in.
-struct CoreConfig {
-  isa::Program program;
-  InstallArtifacts artifacts;
-  std::unique_ptr<monitor::InstructionHash> hash;
-};
-
 /// Cumulative per-core counters.
 struct CoreStats {
   std::uint64_t packets = 0;
@@ -84,7 +75,7 @@ struct CoreStats {
 /// (or a tool) via CoreObs::create; the MonitoredCore keeps a non-owning
 /// pointer and updates the handles on its commit path only, so counters
 /// and histograms stay exact and deterministic even when the parallel
-/// engine executes speculatively. Serialized-writer: commits happen under
+/// engine executes ahead of the fold. Serialized-writer: commits happen under
 /// the engine's fold lock (or on the serial engine's only thread), so
 /// `tick` needs no synchronization of its own.
 struct CoreObs {
@@ -150,40 +141,14 @@ class MonitoredCore {
   /// Run one packet WITHOUT touching the cumulative CoreStats. All memory
   /// and monitor effects (soft reset, data-RAM writes, attack reset)
   /// happen exactly as in process_packet; only the counters are deferred.
-  /// The parallel engine executes speculatively on worker threads and
-  /// folds results in serial packet order, which keeps CoreStats
-  /// bit-identical to the serial engine even when speculated packets are
-  /// rolled back. Requires installed().
+  /// The parallel engine executes on worker threads and folds results in
+  /// serial packet order, which keeps CoreStats and the per-core metrics
+  /// bit-identical to the serial engine. Requires installed().
   PacketResult execute_packet(std::span<const std::uint8_t> packet);
 
   /// Fold one execute_packet() result into the cumulative CoreStats,
   /// updating exactly the counters process_packet would have.
   void commit_result(const PacketResult& result);
-
-  /// Everything one speculative execute_packet() -- and an install()
-  /// that followed it inside the same bracket (a last-good re-image) --
-  /// changed on this core that outlives it: the Core's cross-packet
-  /// architectural state, the monitor's cumulative stats and peak width,
-  /// the memory pages the bracket dirtied, and the configuration the
-  /// install replaced.
-  struct SpecUndo {
-    Core::SpecState core_state;
-    monitor::HardwareMonitor::Tally monitor_tally;
-    std::vector<Memory::PageCopy> pages;  // pages the bracket dirtied
-    /// Program, artifacts and hash unit before the bracket's first
-    /// install(); null when it installed nothing.
-    std::unique_ptr<CoreConfig> replaced;
-  };
-
-  /// Bracket one speculative execute_packet() (and an optional install()
-  /// after it): begin_speculation() arms dirty-page capture and
-  /// snapshots the cross-packet core state; end_speculation() disarms
-  /// capture and returns the undo record; rollback_speculation() restores
-  /// all of it (pages in reverse touch order). When undoing several
-  /// packets on one core, roll back newest-first.
-  void begin_speculation();
-  SpecUndo end_speculation();
-  void rollback_speculation(const SpecUndo& undo);
 
   const CoreStats& stats() const { return stats_; }
   Core& core() { return core_; }
@@ -208,14 +173,6 @@ class MonitoredCore {
   std::shared_ptr<const MonitorSummary> summary_;
   CoreStats stats_;
   CoreObs* obs_ = nullptr;
-  // Cross-packet core and monitor state snapshotted by
-  // begin_speculation(), and the configuration an install() inside the
-  // bracket replaced, handed out by end_speculation(). One speculation
-  // may be active at a time.
-  Core::SpecState spec_state_;
-  monitor::HardwareMonitor::Tally spec_tally_;
-  std::unique_ptr<CoreConfig> spec_replaced_;
-  bool speculating_ = false;
 };
 
 }  // namespace sdmmon::np

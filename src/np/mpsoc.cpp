@@ -46,16 +46,8 @@ std::unique_ptr<EngineObs> EngineObs::create(obs::Registry& registry,
   obs->monitor_summary_bytes =
       &registry.gauge(obs::names::kEngineMonitorSummaryBytes);
   if (parallel) {
-    obs->shard_epochs = &registry.counter(obs::names::kParallelShardEpochs);
     obs->shard_queue_depth = &registry.histogram(
         obs::names::kParallelShardQueueDepth, obs::depth_buckets());
-    obs->rollbacks = &registry.counter(obs::names::kParallelRollbacks);
-    obs->replayed_packets =
-        &registry.counter(obs::names::kParallelReplayedPackets);
-    obs->rollback_bytes =
-        &registry.counter(obs::names::kParallelRollbackBytes);
-    obs->snapshot_dirty_pages = &registry.histogram(
-        obs::names::kCoreSnapshotDirtyPages, obs::depth_buckets());
   }
   obs->device_id = device_id;
   obs->cores.reserve(num_cores);
@@ -69,9 +61,7 @@ std::unique_ptr<EngineObs> EngineObs::create(obs::Registry& registry,
 
 void EngineObs::record_outcome(std::uint64_t cycle, std::size_t core,
                                const PacketResult& result,
-                               RecoveryAction action,
-                               std::size_t window_violations,
-                               const RecoveryController& recovery) {
+                               std::size_t window_violations) {
   const std::uint32_t core32 = static_cast<std::uint32_t>(core);
   if (result.outcome == PacketOutcome::AttackDetected) {
     journal->record({obs::EventKind::AttackDetected, cycle, core32,
@@ -89,15 +79,7 @@ void EngineObs::record_outcome(std::uint64_t cycle, std::size_t core,
         trace_side_exits_total * 1000 / trace_dispatches_total));
   }
   window_occupancy->record(window_violations);
-  if (action == RecoveryAction::Quarantine) {
-    quarantines->add(1);
-    journal->record({obs::EventKind::Quarantine, cycle, core32, device_id,
-                     window_violations});
-    healthy_cores->set(
-        static_cast<std::int64_t>(recovery.healthy_cores()));
-  }
-  // Reinstall bookkeeping happens in CoreArray::note_reinstall, right
-  // after this call, with the cost reimage_core measured.
+  // Reinstall and quarantine bookkeeping follow in CoreArray::commit.
 }
 
 void EngineObs::note_compiled(const monitor::CompiledGraph& graph) {
@@ -157,7 +139,7 @@ void complete_summary(InstallArtifacts& artifacts) {
 }  // namespace
 
 // ---------------------------------------------------------------------
-// CoreArray: installs, recovery re-image, admin transitions, stats
+// CoreArray: installs, placement, one packet's run and commit, release
 // ---------------------------------------------------------------------
 
 CoreArray::CoreArray(std::size_t num_cores, DispatchPolicy policy,
@@ -166,7 +148,8 @@ CoreArray::CoreArray(std::size_t num_cores, DispatchPolicy policy,
       policy_(policy),
       recovery_(num_cores, recovery),
       last_good_(num_cores),
-      parallel_(parallel) {}
+      parallel_(parallel),
+      excluded_(num_cores, false) {}
 
 CoreArray::~CoreArray() { delete obs_.load(std::memory_order_relaxed); }
 
@@ -180,7 +163,7 @@ void CoreArray::enable_obs(obs::Registry& registry, std::uint32_t device_id,
     cores_[c].attach_obs(&obs->cores[c]);
   }
   obs->healthy_cores->set(
-      static_cast<std::int64_t>(recovery_.healthy_cores()));
+      static_cast<std::int64_t>(cores_.size() - quarantined_));
   delete obs_.exchange(obs.release(), std::memory_order_acq_rel);
 }
 
@@ -217,6 +200,7 @@ void CoreArray::install_all(const isa::Program& program,
     cores_[c].install(program, artifacts, hash.clone());
     last_good_[c] = LastGoodConfig{program, artifacts, hash.clone()};
   }
+  rebuild_placement();
   note_install(obs::kAllCores, program, artifacts);
 }
 
@@ -237,6 +221,7 @@ void CoreArray::install(std::size_t core_index, const isa::Program& program,
   last_good_.at(core_index) =
       LastGoodConfig{program, artifacts, hash->clone()};
   cores_.at(core_index).install(program, artifacts, std::move(hash));
+  rebuild_placement();
   note_install(static_cast<std::uint32_t>(core_index), program, artifacts);
 }
 
@@ -253,61 +238,130 @@ void CoreArray::note_install(std::uint32_t core, const isa::Program& program,
   }
 }
 
-std::optional<std::uint64_t> CoreArray::reimage_core(
-    std::size_t index, RecoveryController::OutcomeUndo* undo) {
+std::size_t CoreArray::place(std::uint64_t seq, std::uint32_t flow_key) {
+  if (seq >= next_exclusion_.load(std::memory_order_acquire)) {
+    apply_exclusions(seq);
+  }
+  if (placement_.empty()) return kUndispatched;
+  return pick_dispatch_core(policy_, placement_, flow_key, rr_next_);
+}
+
+void CoreArray::apply_exclusions(std::uint64_t seq) {
+  std::lock_guard<std::mutex> lock(exclusions_mutex_);
+  auto due = exclusions_.begin();
+  for (; due != exclusions_.end() && due->first <= seq; ++due) {
+    excluded_[due->second] = true;
+  }
+  exclusions_.erase(exclusions_.begin(), due);
+  next_exclusion_.store(exclusions_.empty() ? kNever
+                                            : exclusions_.front().first,
+                        std::memory_order_release);
+  rebuild_placement();
+}
+
+void CoreArray::rebuild_placement() {
+  placement_.clear();
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    if (cores_[c].installed() && !excluded_[c]) placement_.push_back(c);
+  }
+}
+
+void CoreArray::execute(std::size_t core, std::span<const std::uint8_t> packet,
+                        Execution& ex) {
+  // Placement keeps sending packets to a freshly quarantined core until
+  // its exclusion is due; the core runs none of them.
+  if (recovery_.health(core) != CoreHealth::Healthy) return;
+  ex.core = core;
+  ex.result = cores_[core].execute_packet(packet);
+  ex.action = recovery_.on_outcome(core, ex.result.outcome);
+  ex.window_violations = recovery_.window_violations(core);
+  if (ex.action == RecoveryAction::Reinstall) {
+    ex.reimage_ns = reimage_core(core);
+  }
+}
+
+std::optional<std::uint64_t> CoreArray::reimage_core(std::size_t index) {
   const std::optional<LastGoodConfig>& good = last_good_[index];
   if (!good) return std::nullopt;  // policy degrades to reset
   const auto start = std::chrono::steady_clock::now();
   cores_[index].install(good->program, good->artifacts, good->hash->clone());
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  recovery_.note_reinstall(index, undo);
+  recovery_.note_reinstall(index);
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
 }
 
-void CoreArray::note_reinstall(std::size_t index, std::uint64_t reimage_ns) {
-  ++reinstalls_;
-  if (EngineObs* obs = engine_obs()) {
-    obs->reinstall_ns->record(reimage_ns);
-    obs->reinstalls->add(1);
-    obs->journal->record({obs::EventKind::Reinstall,
-                          obs->dispatched->value(),
-                          static_cast<std::uint32_t>(index), obs->device_id,
-                          0});
+void CoreArray::commit(std::uint64_t seq, const Execution& ex) {
+  EngineObs* obs = engine_obs();
+  if (ex.core == kUndispatched) {
+    ++undispatched_;
+    if (obs != nullptr) obs->undispatched->add(1);
+    return;
+  }
+  cores_[ex.core].commit_result(ex.result);
+  if (obs != nullptr) {
+    obs->dispatched->add(1);
+    obs->record_outcome(obs->dispatched->value(), ex.core, ex.result,
+                        ex.window_violations);
+  }
+  if (ex.reimage_ns) {
+    ++reinstalls_;
+    if (obs != nullptr) {
+      obs->reinstall_ns->record(*ex.reimage_ns);
+      obs->reinstalls->add(1);
+      obs->journal->record({obs::EventKind::Reinstall,
+                            obs->dispatched->value(),
+                            static_cast<std::uint32_t>(ex.core),
+                            obs->device_id, 0});
+    }
+  }
+  if (ex.action == RecoveryAction::Quarantine) {
+    note_quarantine(ex.core, seq, ex.window_violations);
   }
 }
 
-void CoreArray::set_core_offline(std::size_t index, bool offline) {
-  quiesce();
-  recovery_.set_offline(index, offline);
-  note_admin_transition(index, offline ? obs::EventKind::Offline
-                                       : obs::EventKind::Online);
+void CoreArray::note_quarantine(std::size_t index, std::uint64_t seq,
+                                std::size_t window_violations) {
+  ++quarantined_;
+  {
+    std::lock_guard<std::mutex> lock(exclusions_mutex_);
+    if (exclusions_.empty()) {
+      next_exclusion_.store(seq + kPlacementLag, std::memory_order_release);
+    }
+    exclusions_.emplace_back(seq + kPlacementLag, index);
+  }
+  if (EngineObs* obs = engine_obs()) {
+    obs->quarantines->add(1);
+    obs->journal->record({obs::EventKind::Quarantine,
+                          obs->dispatched->value(),
+                          static_cast<std::uint32_t>(index), obs->device_id,
+                          window_violations});
+    obs->healthy_cores->set(
+        static_cast<std::int64_t>(cores_.size() - quarantined_));
+  }
 }
 
 void CoreArray::release_core(std::size_t index) {
   quiesce();
+  if (recovery_.health(index) == CoreHealth::Quarantined) --quarantined_;
   recovery_.release(index);
-  note_admin_transition(index, obs::EventKind::Release);
-}
-
-void CoreArray::note_admin_transition(std::size_t index,
-                                      obs::EventKind kind) {
+  {
+    std::lock_guard<std::mutex> lock(exclusions_mutex_);
+    std::erase_if(exclusions_,
+                  [index](const auto& e) { return e.second == index; });
+    next_exclusion_.store(exclusions_.empty() ? kNever
+                                              : exclusions_.front().first,
+                          std::memory_order_release);
+  }
+  excluded_[index] = false;
+  rebuild_placement();
   if (EngineObs* obs = engine_obs()) {
-    obs->journal->record({kind, obs->dispatched->value(),
+    obs->journal->record({obs::EventKind::Release, obs->dispatched->value(),
                           static_cast<std::uint32_t>(index), obs->device_id,
                           0});
     obs->healthy_cores->set(
-        static_cast<std::int64_t>(recovery_.healthy_cores()));
+        static_cast<std::int64_t>(cores_.size() - quarantined_));
   }
-}
-
-std::vector<std::size_t> CoreArray::active_cores() const {
-  std::vector<std::size_t> active;
-  active.reserve(cores_.size());
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    if (core_dispatchable(c)) active.push_back(c);
-  }
-  return active;
 }
 
 MpsocStats CoreArray::aggregate_stats() const {
@@ -320,20 +374,12 @@ MpsocStats CoreArray::aggregate_stats() const {
     sum.attacks_detected += s.attacks_detected;
     sum.traps += s.traps;
     sum.instructions += s.instructions;
-    switch (recovery_.health(c)) {
-      case CoreHealth::Healthy:
-        if (cores_[c].installed()) {
-          ++sum.healthy_cores;
-        } else {
-          ++sum.uninstalled_cores;
-        }
-        break;
-      case CoreHealth::Quarantined:
-        ++sum.quarantined_cores;
-        break;
-      case CoreHealth::Offline:
-        ++sum.offline_cores;
-        break;
+    if (recovery_.health(c) == CoreHealth::Quarantined) {
+      ++sum.quarantined_cores;
+    } else if (cores_[c].installed()) {
+      ++sum.healthy_cores;
+    } else {
+      ++sum.uninstalled_cores;
     }
   }
   sum.total_cores = cores_.size();
@@ -354,37 +400,12 @@ Mpsoc::Mpsoc(std::size_t num_cores, DispatchPolicy policy,
 
 PacketResult Mpsoc::process_packet(std::span<const std::uint8_t> packet,
                                    std::uint32_t flow_key) {
-  std::vector<std::size_t> active = active_cores();
-  if (active.empty()) {
-    // Fully degraded (or nothing installed yet): drop, never crash.
-    note_undispatched();
-    PacketResult result;
-    result.outcome = PacketOutcome::Dropped;
-    return result;
-  }
-  const std::size_t index =
-      pick_dispatch_core(policy_, active, flow_key, next_);
-  PacketResult result = cores_[index].process_packet(packet);
-  const RecoveryAction action = recovery_.on_outcome(index, result.outcome);
-  if (EngineObs* obs = engine_obs()) {
-    obs->dispatched->add(1);
-    obs->record_outcome(obs->dispatched->value(), index, result, action,
-                        recovery_.window_violations(index), recovery_);
-  }
-  switch (action) {
-    case RecoveryAction::None:
-      break;
-    case RecoveryAction::Reinstall:
-      if (const std::optional<std::uint64_t> ns = reimage_core(index)) {
-        note_reinstall(index, *ns);
-      }
-      break;
-    case RecoveryAction::Quarantine:
-      // Controller already moved the core out of the dispatch set; the
-      // next packet's active_cores() no longer contains it.
-      break;
-  }
-  return result;
+  const std::uint64_t seq = next_seq_++;
+  Execution ex;
+  const std::size_t core = place(seq, flow_key);
+  if (core != kUndispatched) execute(core, packet, ex);
+  commit(seq, ex);
+  return std::move(ex.result);
 }
 
 }  // namespace sdmmon::np

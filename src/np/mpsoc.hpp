@@ -4,16 +4,27 @@
 // binary + monitoring graph + hash parameter.
 //
 // Beyond dispatch, the MPSoC owns the recovery pipeline: every packet
-// outcome feeds a RecoveryController, and the dispatcher routes around
-// cores that are quarantined, offline, or simply not yet installed, so a
+// outcome feeds a RecoveryController, and placement routes around cores
+// that are quarantined or simply not yet installed, so a
 // partially-degraded MPSoC keeps forwarding on its remaining cores
 // (graceful degradation) instead of black-holing a share of the traffic.
+//
+// Recovery stays local to one core, as in the paper (Section 2.1): a
+// quarantine decided by packet `i` stops that core at once, and takes it
+// out of placement from packet `i + kPlacementLag` on. Packets placed on
+// it in between are dropped unrun and counted as undispatched -- what a
+// hardware dispatcher flushing the core's input queue would do. Nothing
+// else rewinds.
 #ifndef SDMMON_NP_MPSOC_HPP
 #define SDMMON_NP_MPSOC_HPP
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "np/compiled_program.hpp"
@@ -23,14 +34,28 @@
 
 namespace sdmmon::np {
 
+/// Packets between a quarantine decision and the placement change it
+/// causes, in both engines: a quarantine decided by packet `i` removes
+/// its core from placement from packet `i + kPlacementLag` on. Sequence
+/// numbers count every packet handed to the engine, undispatched ones
+/// included. The parallel engine keeps at most this many packets
+/// between placement and its in-order fold (ParallelConfig::batch_size
+/// is clamped to it), so every exclusion a placement depends on is
+/// already known when the packet is placed.
+inline constexpr std::size_t kPlacementLag = 256;
+
 /// The core configuration captured at the last successful install, used
 /// by RecoveryPolicy::ReinstallLastGood to re-image a misbehaving core.
-/// Holds the shared compiled artifacts, not copies: a quarantine
+/// Holds the shared compiled artifacts, not copies: a last-good
 /// re-image swaps pointers back into the core instead of deep-copying,
 /// recompiling the graph, or re-decoding the text, which is what makes
 /// recovery latency independent of program and graph size. Shared by the
 /// serial and parallel engines.
-using LastGoodConfig = CoreConfig;
+struct LastGoodConfig {
+  isa::Program program;
+  InstallArtifacts artifacts;
+  std::unique_ptr<monitor::InstructionHash> hash;
+};
 
 /// Throws if (program, graph, hash) cannot be installed; leaves all real
 /// cores untouched. Compiles the wire-format graph (the compiler rejects
@@ -60,11 +85,11 @@ void validate_install_config(const isa::Program& program,
 /// working; the health fields describe the dispatcher's current view.
 struct MpsocStats : CoreStats {
   std::size_t total_cores = 0;
-  std::size_t healthy_cores = 0;       // dispatchable (and installed)
+  std::size_t healthy_cores = 0;       // healthy and installed
   std::size_t quarantined_cores = 0;
-  std::size_t offline_cores = 0;
   std::size_t uninstalled_cores = 0;   // healthy but nothing installed yet
-  /// Packets that could not be dispatched because no core was available.
+  /// Packets dropped unrun: no core was placeable, or placement sent the
+  /// packet to a core quarantined within the last kPlacementLag packets.
   std::uint64_t undispatched = 0;
   std::uint64_t violations = 0;        // attacks + counted traps
   std::uint64_t quarantine_events = 0;
@@ -80,7 +105,7 @@ struct EngineObs {
   obs::Registry* registry = nullptr;
   obs::EventJournal* journal = nullptr;
   obs::Counter* dispatched = nullptr;    // packets committed to a core
-  obs::Counter* undispatched = nullptr;  // dropped: no dispatchable core
+  obs::Counter* undispatched = nullptr;  // dropped unrun (see MpsocStats)
   obs::Counter* installs = nullptr;
   obs::Counter* quarantines = nullptr;
   obs::Counter* reinstalls = nullptr;
@@ -114,13 +139,8 @@ struct EngineObs {
   obs::Gauge* monitor_summary_bytes = nullptr;
   std::uint64_t trace_dispatches_total = 0;
   std::uint64_t trace_side_exits_total = 0;
-  // Parallel engine only (sharded engine internals):
-  obs::Counter* shard_epochs = nullptr;     // recovery epochs coordinated
+  // Parallel engine only:
   obs::Histogram* shard_queue_depth = nullptr;  // ring depth at enqueue
-  obs::Counter* rollbacks = nullptr;
-  obs::Counter* replayed_packets = nullptr;
-  obs::Counter* rollback_bytes = nullptr;   // dirty-page bytes restored
-  obs::Histogram* snapshot_dirty_pages = nullptr;  // pages per speculation
   std::uint32_t device_id = 0;
   std::vector<CoreObs> cores;
 
@@ -132,27 +152,24 @@ struct EngineObs {
   /// commit order (deterministic across engines). `cycle` is the number
   /// of packets the engine has committed so far.
   void record_outcome(std::uint64_t cycle, std::size_t core,
-                      const PacketResult& result, RecoveryAction action,
-                      std::size_t window_violations,
-                      const RecoveryController& recovery);
+                      const PacketResult& result,
+                      std::size_t window_violations);
   /// Update the compiled-artifact size gauges after an install.
   void note_compiled(const monitor::CompiledGraph& graph);
   /// Update the predecoded-program size gauges after an install.
   void note_predecoded(const CompiledProgram& code);
 };
 
-/// Everything of an MPSoC that is not the packet path, shared by the
-/// serial `Mpsoc` and the `ParallelMpsoc`: the monitored cores, their
-/// last-good configurations, the dispatch policy, the RecoveryController,
-/// the observability handles, and the undispatched/reinstall tallies.
-/// Transactional install, last-good re-image, administrative drain and
-/// release, and the aggregate view are written here once, so the two
-/// engines cannot drift on policy. Each mutating operation first calls
-/// quiesce() -- a no-op on the serial engine, flush() on the parallel one
-/// -- so it always lands on a packet boundary. Of this class, the packet
-/// paths use only active_cores(), engine_obs(), note_undispatched(), and
-/// reimage_core() with note_reinstall() (the two halves of a
-/// RecoveryAction::Reinstall); none is virtual.
+/// Everything of an MPSoC but the packet loop, shared by the serial
+/// `Mpsoc` and the `ParallelMpsoc`: the monitored cores, their last-good
+/// configurations, the placement set, the RecoveryController, the
+/// observability handles, and the undispatched/reinstall tallies.
+/// Transactional install, placement, one packet's core-local run and its
+/// in-order commit, last-good re-image, release, and the aggregate view
+/// are written here once, so the two engines cannot drift on policy.
+/// Each administrative operation first calls quiesce() -- a no-op on the
+/// serial engine, flush() on the parallel one -- so it always lands on a
+/// packet boundary and applies at once.
 class CoreArray {
  public:
   virtual ~CoreArray();
@@ -198,32 +215,38 @@ class CoreArray {
   /// quiescent only).
   MpsocStats aggregate_stats() const;
 
-  RecoveryController& recovery() { return recovery_; }
   const RecoveryController& recovery() const { return recovery_; }
   CoreHealth core_health(std::size_t index) const {
     return recovery_.health(index);
   }
-  /// Administrative drain / restore of one core.
-  void set_core_offline(std::size_t index, bool offline);
-  /// Operator releases a quarantined core back into the dispatch set.
+  /// Operator releases a quarantined core back into service. It rejoins
+  /// placement at once, and an exclusion its quarantine scheduled but
+  /// that is not yet due is cancelled.
   void release_core(std::size_t index);
-
-  /// True if `index` would currently receive traffic.
-  bool core_dispatchable(std::size_t index) const {
-    return recovery_.dispatchable(index) && cores_[index].installed();
-  }
 
   /// Attach the observability layer: register this engine's metrics in
   /// `registry` and start journaling recovery events. `device_id` tags
   /// journal events when several engines share one registry;
   /// `sample_period` thins per-core histograms (counters stay exact).
-  /// The parallel engine also registers its shard, epoch and rollback
-  /// metrics. Until it is called, each instrumentation site costs one
-  /// null check.
+  /// The parallel engine also registers its shard-queue histogram. Until
+  /// it is called, each instrumentation site costs one null check.
   void enable_obs(obs::Registry& registry, std::uint32_t device_id = 0,
                   std::uint32_t sample_period = 1);
 
  protected:
+  static constexpr std::size_t kUndispatched =
+      static_cast<std::size_t>(-1);
+
+  /// One packet's core-local run: everything its in-order commit needs.
+  struct Execution {
+    std::size_t core = kUndispatched;  // kUndispatched: dropped unrun
+    PacketResult result;
+    RecoveryAction action = RecoveryAction::None;
+    std::size_t window_violations = 0;  // right after on_outcome
+    /// The re-image's wall-clock ns when the run re-imaged its core.
+    std::optional<std::uint64_t> reimage_ns;
+  };
+
   /// `parallel` selects the parallel engine's extra metrics in
   /// enable_obs().
   CoreArray(std::size_t num_cores, DispatchPolicy policy,
@@ -232,37 +255,30 @@ class CoreArray {
   /// Bring the engine to a packet boundary before core state changes.
   virtual void quiesce() {}
 
-  /// Dispatchable core indices in ascending order (empty = degraded out).
-  std::vector<std::size_t> active_cores() const;
-  /// Core-local half of RecoveryAction::Reinstall: re-image core `index`
-  /// from its last-good configuration and restart its recovery window
-  /// (RecoveryController::note_reinstall, saving what it clears into
-  /// `undo` when given). Touches core `index` only, so the parallel
-  /// engine runs it on the worker that owns the core. Returns the
-  /// re-image's wall-clock ns, or nullopt -- having changed nothing --
-  /// when the core has no last-good configuration.
-  std::optional<std::uint64_t> reimage_core(
-      std::size_t index, RecoveryController::OutcomeUndo* undo = nullptr);
-  /// Engine-wide half, in serial packet order right after the acting
-  /// packet's outcome is recorded: count the re-image, sample its
-  /// `reimage_ns` and journal it.
-  void note_reinstall(std::size_t index, std::uint64_t reimage_ns);
-  /// Count one packet dropped because no core was dispatchable.
-  void note_undispatched() {
-    ++undispatched_;
-    if (EngineObs* obs = engine_obs()) obs->undispatched->add(1);
-  }
+  /// Place packet `seq` (called once per packet, in sequence order):
+  /// apply every exclusion due by `seq`, then pick a core of the
+  /// placement set, or return kUndispatched when it is empty.
+  std::size_t place(std::uint64_t seq, std::uint32_t flow_key);
+  /// Core-local half: run `packet` on its placed `core`, report the
+  /// outcome, and re-image the core on RecoveryAction::Reinstall. Touches
+  /// core `core` only, so the parallel engine runs it on the worker that
+  /// owns the core. A core quarantined by an older packet runs nothing,
+  /// and `ex` stays an undispatched drop.
+  void execute(std::size_t core, std::span<const std::uint8_t> packet,
+               Execution& ex);
+  /// Engine-wide half, in sequence order: count the packet (as
+  /// undispatched when it did not run), journal its outcome, count a
+  /// re-image, and schedule a quarantine's placement exclusion.
+  void commit(std::uint64_t seq, const Execution& ex);
   /// The attached observability handles (null until enable_obs()). Safe
   /// to read from worker threads: enable_obs() publishes with release.
   EngineObs* engine_obs() const {
     return obs_.load(std::memory_order_acquire);
   }
 
-  std::vector<MonitoredCore> cores_;
-  DispatchPolicy policy_;
-  RecoveryController recovery_;
-
  private:
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
   /// Compile the wire-format graph and predecode the text, each under its
   /// install-path obs timer.
   InstallArtifacts compile_artifacts(const isa::Program& program,
@@ -270,12 +286,42 @@ class CoreArray {
                                      const monitor::InstructionHash& hash);
   void note_install(std::uint32_t core, const isa::Program& program,
                     const InstallArtifacts& artifacts);
-  void note_admin_transition(std::size_t index, obs::EventKind kind);
+  /// Re-image core `index` from its last-good configuration and restart
+  /// its recovery window. Returns the wall-clock ns, or nullopt --
+  /// having changed nothing -- when the core has no last-good
+  /// configuration.
+  std::optional<std::uint64_t> reimage_core(std::size_t index);
+  void note_quarantine(std::size_t index, std::uint64_t seq,
+                       std::size_t window_violations);
+  /// Move every exclusion due by `seq` into excluded_.
+  void apply_exclusions(std::uint64_t seq);
+  /// Placeable = installed and not excluded. Rebuilt on transitions only.
+  void rebuild_placement();
 
+  std::vector<MonitoredCore> cores_;
+  DispatchPolicy policy_;
+  RecoveryController recovery_;
   std::vector<std::optional<LastGoodConfig>> last_good_;
   bool parallel_;
+
+  // Placement, read and written only by the thread that places packets
+  // (and by administrative transitions, which quiesce first).
+  std::vector<std::size_t> placement_;  // ascending core indices
+  std::vector<bool> excluded_;          // out of placement until released
+  std::size_t rr_next_ = 0;             // RoundRobin cursor
+
+  // Exclusions scheduled by committed quarantines and not yet due, as
+  // (due sequence number, core) in due order. Commit appends, placement
+  // consumes; next_exclusion_ (the first due, or kNever) lets placement
+  // skip the lock until one is due.
+  std::mutex exclusions_mutex_;
+  std::vector<std::pair<std::uint64_t, std::size_t>> exclusions_;
+  std::atomic<std::uint64_t> next_exclusion_{kNever};
+
+  // Commit-order tallies.
   std::uint64_t undispatched_ = 0;
   std::uint64_t reinstalls_ = 0;
+  std::size_t quarantined_ = 0;  // feeds the healthy-cores gauge
   /// Owned; replaced only by enable_obs(), after quiesce().
   std::atomic<EngineObs*> obs_{nullptr};
 };
@@ -288,15 +334,16 @@ class Mpsoc : public CoreArray {
                  DispatchPolicy policy = DispatchPolicy::RoundRobin,
                  RecoveryConfig recovery = {});
 
-  /// Dispatch a packet to a core per the policy; `flow_key` feeds the
-  /// FlowHash policy (ignored for RoundRobin). Quarantined, offline, and
-  /// uninstalled cores are routed around; when no core is dispatchable
-  /// the packet is dropped (and counted in `undispatched`).
+  /// Place a packet on a core per the policy and run it; `flow_key`
+  /// feeds the FlowHash policy (ignored for RoundRobin). When no core is
+  /// placeable, or placement picks a core that a packet less than
+  /// kPlacementLag packets ago quarantined, the packet is dropped unrun
+  /// (and counted in `undispatched`).
   PacketResult process_packet(std::span<const std::uint8_t> packet,
                               std::uint32_t flow_key = 0);
 
  private:
-  std::size_t next_ = 0;  // RoundRobin cursor
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace sdmmon::np

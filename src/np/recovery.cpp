@@ -6,7 +6,6 @@ const char* core_health_name(CoreHealth health) {
   switch (health) {
     case CoreHealth::Healthy: return "healthy";
     case CoreHealth::Quarantined: return "quarantined";
-    case CoreHealth::Offline: return "offline";
   }
   return "?";
 }
@@ -39,31 +38,14 @@ void RecoveryController::clear_window(CoreState& state) {
 
 RecoveryAction RecoveryController::on_outcome(std::size_t core,
                                               PacketOutcome outcome) {
-  OutcomeUndo undo;
-  return on_outcome_speculative(core, outcome, undo);
-}
-
-RecoveryAction RecoveryController::on_outcome_speculative(std::size_t core,
-                                                          PacketOutcome outcome,
-                                                          OutcomeUndo& undo) {
   CoreState& state = cores_[core];
-  undo = OutcomeUndo{};
-  if (state.health.load(std::memory_order_relaxed) != CoreHealth::Healthy) {
-    return RecoveryAction::None;
-  }
-  undo.applied = true;
-  undo.prev_pos = state.window_pos;
-  undo.prev_fill = state.window_fill;
-  undo.prev_violations = state.window_violations;
-  undo.prev_reinstalls = state.reinstalls;
-  undo.prev_bit = state.window[state.window_pos];
+  if (state.health != CoreHealth::Healthy) return RecoveryAction::None;
 
   // Traps (faults, watchdog) count alongside monitor mismatches: on a
   // healthy binary they usually mean a corrupted program store -- exactly
   // what reinstall fixes.
   const bool violation = outcome == PacketOutcome::AttackDetected ||
                          outcome == PacketOutcome::Trapped;
-  undo.violation = violation;
   if (violation) total_violations_.fetch_add(1, std::memory_order_relaxed);
 
   // Slide the window by one packet.
@@ -88,88 +70,34 @@ RecoveryAction RecoveryController::on_outcome_speculative(std::size_t core,
       return RecoveryAction::None;
     case RecoveryPolicy::QuarantineAfterK:
       quarantine(core);
-      undo.quarantined = true;
       return RecoveryAction::Quarantine;
     case RecoveryPolicy::ReinstallLastGood:
       if (state.reinstalls >= config_.max_reinstalls) {
         quarantine(core);
-        undo.quarantined = true;
         return RecoveryAction::Quarantine;
       }
       reinstall_requests_.fetch_add(1, std::memory_order_relaxed);
-      undo.reinstall_requested = true;
       return RecoveryAction::Reinstall;
   }
   return RecoveryAction::None;
 }
 
-void RecoveryController::undo_outcome(std::size_t core,
-                                      const OutcomeUndo& undo) {
-  if (!undo.applied) return;
-  CoreState& state = cores_[core];
-  if (!undo.prev_window.empty()) state.window = undo.prev_window;
-  if (undo.quarantined) {
-    state.health.store(CoreHealth::Healthy, std::memory_order_relaxed);
-    quarantine_events_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (undo.reinstall_requested) {
-    reinstall_requests_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (undo.violation) {
-    total_violations_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  state.window[undo.prev_pos] = undo.prev_bit;
-  state.window_pos = undo.prev_pos;
-  state.window_fill = undo.prev_fill;
-  state.window_violations = undo.prev_violations;
-  state.reinstalls = undo.prev_reinstalls;
-}
-
-void RecoveryController::set_offline(std::size_t core, bool offline) {
-  CoreState& state = cores_[core];
-  if (offline) {
-    state.health.store(CoreHealth::Offline, std::memory_order_relaxed);
-  } else if (state.health.load(std::memory_order_relaxed) ==
-             CoreHealth::Offline) {
-    state.health.store(CoreHealth::Healthy, std::memory_order_relaxed);
-    clear_window(state);
-    state.reinstalls = 0;
-  }
-}
-
 void RecoveryController::quarantine(std::size_t core) {
-  CoreState& state = cores_[core];
-  if (state.health.load(std::memory_order_relaxed) ==
-      CoreHealth::Quarantined) {
-    return;
-  }
-  state.health.store(CoreHealth::Quarantined, std::memory_order_relaxed);
+  cores_[core].health = CoreHealth::Quarantined;
   quarantine_events_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RecoveryController::release(std::size_t core) {
   CoreState& state = cores_[core];
-  state.health.store(CoreHealth::Healthy, std::memory_order_relaxed);
+  state.health = CoreHealth::Healthy;
   clear_window(state);
   state.reinstalls = 0;
 }
 
-void RecoveryController::note_reinstall(std::size_t core,
-                                        OutcomeUndo* undo) {
+void RecoveryController::note_reinstall(std::size_t core) {
   CoreState& state = cores_[core];
-  if (undo != nullptr) undo->prev_window = state.window;
   ++state.reinstalls;
   clear_window(state);
-}
-
-std::size_t RecoveryController::healthy_cores() const {
-  std::size_t n = 0;
-  for (const auto& state : cores_) {
-    if (state.health.load(std::memory_order_relaxed) == CoreHealth::Healthy) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace sdmmon::np

@@ -12,11 +12,10 @@
 //     |  +-----------------------------------------------------------> |
 //     +------------------- release() (operator action) ----------------+
 //
-// Offline is a separate administrative state (hardware fault / manual
-// drain); only an explicit set_offline(false) brings a core back. The
-// dispatcher treats Quarantined and Offline cores as undispatchable, so a
-// compromised or flaky core sheds load to its healthy peers instead of
-// black-holing a fixed slice of traffic.
+// A quarantined core runs no packet. The engines take it out of
+// placement kPlacementLag packets after the quarantining one (see
+// np/mpsoc.hpp), so a compromised core sheds load to its healthy peers
+// instead of black-holing a fixed slice of traffic.
 #ifndef SDMMON_NP_RECOVERY_HPP
 #define SDMMON_NP_RECOVERY_HPP
 
@@ -30,9 +29,8 @@
 namespace sdmmon::np {
 
 enum class CoreHealth : std::uint8_t {
-  Healthy,      // dispatchable
-  Quarantined,  // too many violations; excluded until released
-  Offline,      // administratively removed (fault / drain)
+  Healthy,      // runs the packets placed on it
+  Quarantined,  // too many violations; runs nothing until released
 };
 
 const char* core_health_name(CoreHealth health);
@@ -62,17 +60,6 @@ struct RecoveryConfig {
   /// ReinstallLastGood: re-images allowed before escalating to quarantine
   /// (kUnboundedReinstalls: never escalate).
   std::size_t max_reinstalls = 2;
-
-  /// True when the policy can take a core out of the dispatch set by
-  /// itself: QuarantineAfterK, and ReinstallLastGood unless
-  /// max_reinstalls is kUnboundedReinstalls. Only a quarantine changes
-  /// where later packets go, so the parallel engine speculates with
-  /// rollback capture exactly when this holds.
-  bool can_quarantine() const {
-    return policy == RecoveryPolicy::QuarantineAfterK ||
-           (policy == RecoveryPolicy::ReinstallLastGood &&
-            max_reinstalls != kUnboundedReinstalls);
-  }
 };
 
 /// What the caller (the MPSoC) must do after reporting an outcome.
@@ -91,63 +78,23 @@ class RecoveryController {
   std::size_t num_cores() const { return cores_.size(); }
 
   /// Report one packet outcome for `core`; returns the action the policy
-  /// demands. Quarantined/offline cores report None (they should not be
-  /// receiving packets at all).
+  /// demands. A quarantined core reports None (it runs no packets).
+  /// Thread contract: a core's state is touched only by the one thread
+  /// that runs the core's packets (the owning shard worker on the
+  /// parallel engine), or by an administrative transition while the
+  /// engine is quiescent; the global tallies are relaxed atomics so
+  /// concurrent reporters on *different* cores are safe.
   RecoveryAction on_outcome(std::size_t core, PacketOutcome outcome);
 
-  /// Everything on_outcome changed, captured so a speculative outcome can
-  /// be withdrawn exactly (the parallel engine rolls outcomes back when a
-  /// recovery epoch rewinds past them).
-  struct OutcomeUndo {
-    bool applied = false;            // core was Healthy; effects occurred
-    bool violation = false;
-    bool quarantined = false;        // this call performed the quarantine
-    bool reinstall_requested = false;
-    bool prev_bit = false;           // overwritten window slot
-    std::size_t prev_pos = 0;
-    std::size_t prev_fill = 0;
-    std::size_t prev_violations = 0;
-    std::size_t prev_reinstalls = 0;
-    /// The window (after this call's slide) that a following
-    /// note_reinstall(core, &undo) cleared; empty when none ran. The
-    /// prev_* values above restore its position and counts.
-    std::vector<bool> prev_window;
-  };
+  CoreHealth health(std::size_t core) const { return cores_[core].health; }
 
-  /// on_outcome with an undo record. Thread contract: a core's state is
-  /// touched only by the worker of the shard that owns the core, or by
-  /// the epoch coordinator while every worker is parked; the global
-  /// tallies are relaxed atomics so concurrent reporters on *different*
-  /// cores are safe.
-  RecoveryAction on_outcome_speculative(std::size_t core,
-                                        PacketOutcome outcome,
-                                        OutcomeUndo& undo);
-
-  /// Exactly invert a prior on_outcome_speculative, and the
-  /// note_reinstall it was followed by (same core, undo records applied
-  /// in reverse report order).
-  void undo_outcome(std::size_t core, const OutcomeUndo& undo);
-
-  CoreHealth health(std::size_t core) const {
-    return cores_[core].health.load(std::memory_order_relaxed);
-  }
-  bool dispatchable(std::size_t core) const {
-    return health(core) == CoreHealth::Healthy;
-  }
-
-  /// Administrative transitions.
-  void set_offline(std::size_t core, bool offline);
-  void quarantine(std::size_t core);
-  /// Operator releases a quarantined/offline core back to service with a
-  /// clean violation window.
+  /// Operator releases a quarantined core back to service with a clean
+  /// violation window.
   void release(std::size_t core);
 
   /// The MPSoC calls this after acting on RecoveryAction::Reinstall so
-  /// the escalation counter and window restart cleanly. With `undo` (the
-  /// record of the on_outcome_speculative call that asked for the
-  /// re-image), the cleared window is saved so undo_outcome withdraws
-  /// both calls.
-  void note_reinstall(std::size_t core, OutcomeUndo* undo = nullptr);
+  /// the escalation counter and window restart cleanly.
+  void note_reinstall(std::size_t core);
 
   /// Violations currently inside `core`'s sliding window.
   std::size_t window_violations(std::size_t core) const {
@@ -163,15 +110,10 @@ class RecoveryController {
   std::uint64_t reinstall_requests() const {
     return reinstall_requests_.load(std::memory_order_relaxed);
   }
-  std::size_t healthy_cores() const;
 
  private:
   struct CoreState {
-    // Atomic because the parallel engine's planner polls dispatchable()
-    // while a worker may quarantine the core. The other fields are
-    // touched only by the owning shard's worker, or by the epoch
-    // coordinator while every worker is parked.
-    std::atomic<CoreHealth> health{CoreHealth::Healthy};
+    CoreHealth health = CoreHealth::Healthy;
     std::vector<bool> window;        // ring buffer of recent outcomes
     std::size_t window_pos = 0;
     std::size_t window_fill = 0;
@@ -180,6 +122,7 @@ class RecoveryController {
   };
 
   void clear_window(CoreState& state);
+  void quarantine(std::size_t core);
 
   RecoveryConfig config_;
   std::vector<CoreState> cores_;

@@ -8,11 +8,8 @@ const char* event_kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::Install: return "install";
     case EventKind::Reinstall: return "reinstall";
-    case EventKind::Rollback: return "rollback";
     case EventKind::Quarantine: return "quarantine";
     case EventKind::Release: return "release";
-    case EventKind::Offline: return "offline";
-    case EventKind::Online: return "online";
     case EventKind::AttackDetected: return "attack-detected";
     case EventKind::Trap: return "trap";
     case EventKind::CampaignFailure: return "campaign-failure";

@@ -1,6 +1,6 @@
 // Bounded structured event journal: the "flight recorder" of the
 // observability layer. Hot paths append fixed-size Event records
-// (install / reinstall / rollback / quarantine / attack detection ...)
+// (install / reinstall / quarantine / attack detection ...)
 // with an engine-cycle timestamp and core/device ids; when the ring is
 // full the oldest event is evicted, so a long-running engine keeps the
 // most recent history at O(capacity) memory. Thread-safe: campaign code
@@ -19,11 +19,8 @@ namespace sdmmon::obs {
 enum class EventKind : std::uint8_t {
   Install,          // configuration installed (core == kAllCores for all)
   Reinstall,        // recovery re-imaged a core from last-good
-  Rollback,         // parallel engine rolled back speculative execution
   Quarantine,       // recovery quarantined a core
   Release,          // operator released a core back to service
-  Offline,          // core administratively taken offline
-  Online,           // core administratively restored
   AttackDetected,   // monitor mismatch on a packet
   Trap,             // core trap (fault/overflow/watchdog) on a packet
   CampaignFailure,  // fleet campaign gave up on a device

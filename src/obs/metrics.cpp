@@ -157,8 +157,8 @@ std::string Registry::snapshot_json() const {
 namespace {
 // Canonical edges. Instructions: packet handlers run tens to a few
 // thousand instructions. Widths: the NFA rarely tracks more than a
-// handful of nodes. Depths: shard-queue depths and dirty-page counts,
-// bounded by the speculation window (batch_size). Latency:
+// handful of nodes. Depths: shard-queue depths, bounded by the parallel
+// engine's in-flight window (batch_size). Latency:
 // log-spaced 1us .. 1s.
 constexpr std::uint64_t kInstr[] = {16,   32,   64,    128,   256,  512,
                                     1024, 2048, 4096,  8192,  16384};

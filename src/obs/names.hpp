@@ -59,21 +59,16 @@ inline constexpr const char* kRecoveryReinstallNs =
     "np.recovery.reinstall_ns";
 
 // ---- parallel engine internals (sharded engine) ----
-inline constexpr const char* kParallelShardSteals =
-    "np.parallel.shard_steals";
-inline constexpr const char* kParallelShardEpochs =
-    "np.parallel.shard_epochs";
 inline constexpr const char* kParallelShardQueueDepth =
     "np.parallel.shard_queue_depth";
-inline constexpr const char* kParallelRollbacks = "np.parallel.rollbacks";
+// Registered by nothing, so a registry reads them as 0. Kept only
+// because perfbench reads them; they go with its next change.
+inline constexpr const char* kParallelShardSteals =
+    "np.parallel.shard_steals";
 inline constexpr const char* kParallelReplayedPackets =
     "np.parallel.replayed_packets";
 inline constexpr const char* kParallelRollbackBytes =
     "np.parallel.rollback_bytes";
-// Registered by the parallel engine only (dirty-page capture is its
-// speculation mechanism); per-snapshot, not per-core suffixed.
-inline constexpr const char* kCoreSnapshotDirtyPages =
-    "np.core.snapshot_dirty_pages";
 
 // ---- fleet campaigns (operator side) ----
 inline constexpr const char* kFleetAttempts = "fleet.attempts";

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,129 +98,6 @@ TEST(Memory, ClearZeroesEverything) {
   ASSERT_EQ(m.store32(kDataBase, 0xFFFFFFFF), MemFault::None);
   m.clear();
   EXPECT_EQ(m.load32(kDataBase).value(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Dirty-page capture (the parallel engine's speculation snapshots)
-// ---------------------------------------------------------------------
-
-util::Bytes full_image(const Memory& m) {
-  util::Bytes image;
-  image.reserve(kTextSize + kDataSize + kStackSize + kPktInSize +
-                kPktOutSize);
-  for (auto [base, size] :
-       {std::pair{kTextBase, kTextSize}, {kDataBase, kDataSize},
-        {kStackBase, kStackSize}, {kPktInBase, kPktInSize},
-        {kPktOutBase, kPktOutSize}}) {
-    util::Bytes region = m.read_block(base, size);
-    image.insert(image.end(), region.begin(), region.end());
-  }
-  return image;
-}
-
-TEST(Memory, RollbackRestoresExactlyTouchedPagesByteForByte) {
-  // Property: for an arbitrary write pattern under capture, restoring the
-  // capture log (in reverse) reproduces the pre-capture image EXACTLY --
-  // the dirty-page snapshot is equivalent to a full-state copy -- while
-  // the log covers only the pages actually touched, each at most once.
-  Memory m;
-  std::uint32_t rng = 0xC0FFEE;
-  auto next = [&rng] {
-    rng ^= rng << 13;
-    rng ^= rng >> 17;
-    rng ^= rng << 5;
-    return rng;
-  };
-  // Pre-capture background state scattered across all regions.
-  for (int i = 0; i < 200; ++i) {
-    const std::uint32_t addr = kDataBase + (next() % (kDataSize - 4));
-    ASSERT_EQ(m.store8(addr, static_cast<std::uint8_t>(next())),
-              MemFault::None);
-  }
-  m.write_block(kStackBase + 128, util::Bytes(700, 0x5A));
-  const util::Bytes before = full_image(m);
-
-  m.begin_capture();
-  std::set<std::uint32_t> touched;  // expected dirty pages (aligned addrs)
-  auto note = [&touched](std::uint32_t addr, std::uint32_t len) {
-    for (std::uint32_t a = addr & ~(kPageBytes - 1); a < addr + len;
-         a += kPageBytes) {
-      touched.insert(a);
-    }
-  };
-  // Mixed-width scattered stores...
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t addr = kDataBase + (next() % (kDataSize - 4) & ~3u);
-    ASSERT_EQ(m.store32(addr, next()), MemFault::None);
-    note(addr, 4);
-  }
-  // ...a page-straddling bulk write...
-  m.write_block(kPktOutBase + 40, util::Bytes(600, 0xEE));
-  note(kPktOutBase + 40, 600);
-  // ...and a capture-aware region scrub (the soft-reset path).
-  m.zero_region(kStackBase);
-  note(kStackBase, kStackSize);
-
-  std::vector<Memory::PageCopy> log = m.take_capture();
-
-  // The log names each touched page exactly once, page-aligned, whole.
-  std::set<std::uint32_t> logged;
-  for (const Memory::PageCopy& page : log) {
-    EXPECT_EQ(page.addr % kPageBytes, 0u);
-    EXPECT_EQ(page.bytes.size(), kPageBytes);
-    EXPECT_TRUE(logged.insert(page.addr).second)
-        << "page logged twice: " << page.addr;
-  }
-  // Every logged page was touched; zero_region skips pages it knows are
-  // already zero, so `logged` may be a strict subset of `touched` -- but
-  // never the other way around for pages whose content actually changed.
-  for (std::uint32_t addr : logged) {
-    EXPECT_TRUE(touched.count(addr)) << "untouched page logged: " << addr;
-  }
-
-  m.restore_pages(log);
-  EXPECT_EQ(full_image(m), before);
-}
-
-TEST(Memory, NestedCapturesRollBackNewestFirst) {
-  // Two speculative "packets" on one core: each capture brackets one
-  // packet; undoing newest-first must land back on the original state,
-  // undoing only the newest must land on the state after packet one.
-  Memory m;
-  m.write_block(kDataBase, util::Bytes{10, 20, 30, 40});
-  const util::Bytes original = full_image(m);
-
-  m.begin_capture();
-  ASSERT_EQ(m.store32(kDataBase, 0x11111111), MemFault::None);
-  ASSERT_EQ(m.store32(kStackBase + 64, 0x22222222), MemFault::None);
-  std::vector<Memory::PageCopy> first = m.take_capture();
-  const util::Bytes after_first = full_image(m);
-
-  m.begin_capture();
-  ASSERT_EQ(m.store32(kDataBase, 0x33333333), MemFault::None);
-  ASSERT_EQ(m.store32(kPktOutBase, 0x44444444), MemFault::None);
-  std::vector<Memory::PageCopy> second = m.take_capture();
-
-  m.restore_pages(second);
-  EXPECT_EQ(full_image(m), after_first);
-  m.restore_pages(first);
-  EXPECT_EQ(full_image(m), original);
-}
-
-TEST(Memory, RestoredPagesAreScrubbedByTheNextReset) {
-  // A capture that saw a page zeroed logs its nonzero pre-image; restoring
-  // it must flag the page nonzero again, or the next soft reset would
-  // skip it and leak the old bytes into the next packet.
-  Memory m;
-  ASSERT_EQ(m.store32(kStackBase + 8, 0xFEEDF00D), MemFault::None);
-  m.begin_capture();
-  m.zero_region(kStackBase);
-  const std::vector<Memory::PageCopy> log = m.take_capture();
-  ASSERT_EQ(log.size(), 1u);
-  m.restore_pages(log);
-  EXPECT_EQ(m.load32(kStackBase + 8).value(), 0xFEEDF00Du);
-  m.zero_region(kStackBase);
-  EXPECT_EQ(m.load32(kStackBase + 8).value(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -340,22 +216,25 @@ struct Xorshift {
   }
 };
 
-// A Memory, its model, and the capture bookkeeping that lets rollback be
-// checked against the model. Copyable, so copying a harness copies the
+util::Bytes full_image(const Memory& m) {
+  util::Bytes image;
+  image.reserve(kTextSize + kDataSize + kStackSize + kPktInSize +
+                kPktOutSize);
+  for (auto [base, size] :
+       {std::pair{kTextBase, kTextSize}, {kDataBase, kDataSize},
+        {kStackBase, kStackSize}, {kPktInBase, kPktInSize},
+        {kPktOutBase, kPktOutSize}}) {
+    util::Bytes region = m.read_block(base, size);
+    image.insert(image.end(), region.begin(), region.end());
+  }
+  return image;
+}
+
+// A Memory and its model. Copyable, so copying a harness copies the
 // Memory under test.
 struct Harness {
-  struct Taken {
-    NaiveMemory before;  // the model when the capture began
-    std::vector<Memory::PageCopy> log;
-  };
-
   Memory mem;
   NaiveMemory model;
-  std::optional<NaiveMemory> capturing;  // model at begin_capture
-  // Taken captures, oldest first. Each began where the previous was
-  // taken, so undoing them newest-first walks back through `before`s; a
-  // mutation outside any capture breaks that chain and commits them.
-  std::vector<Taken> taken;
 
   static std::uint32_t pick_addr(Xorshift& rng) {
     switch (rng() % 8) {
@@ -375,26 +254,9 @@ struct Harness {
     }
   }
 
-  void mutated() {
-    if (!capturing) taken.clear();
-  }
-
-  void take() {
-    std::vector<Memory::PageCopy> log = mem.take_capture();
-    std::set<std::uint32_t> pages;
-    for (const Memory::PageCopy& page : log) {
-      ASSERT_EQ(page.addr % kPageBytes, 0u);
-      ASSERT_EQ(page.bytes.size(), kPageBytes);
-      ASSERT_TRUE(pages.insert(page.addr).second)
-          << "page logged twice: " << page.addr;
-    }
-    taken.push_back({*capturing, std::move(log)});
-    capturing.reset();
-  }
-
   // One random operation on both sides; returns its description.
   std::string step(Xorshift& rng) {
-    const std::uint32_t kind = rng() % 100;
+    const std::uint32_t kind = rng() % 89;
     std::uint32_t addr = pick_addr(rng);
     const unsigned size = 1u << (rng() % 3);
     if (rng() % 4 != 0) addr &= ~(size - 1);
@@ -414,7 +276,6 @@ struct Harness {
       if (size == 2) got = mem.store16(addr, static_cast<std::uint16_t>(value));
       if (size == 4) got = mem.store32(addr, value);
       EXPECT_EQ(got, model.store(addr, size, value)) << "store" << size << at;
-      if (got == MemFault::None) mutated();
       return "store" + std::to_string(size) + at;
     }
     if (kind < 85) {
@@ -434,7 +295,6 @@ struct Harness {
           threw = true;
         }
         EXPECT_EQ(threw, !model.write_block(addr, data)) << "write" << what;
-        if (!threw) mutated();
         return "write_block" + what;
       }
       std::optional<util::Bytes> got;
@@ -457,39 +317,11 @@ struct Harness {
         threw = true;
       }
       EXPECT_EQ(threw, !model.zero_region(base)) << "zero_region " << base;
-      mutated();
       return "zero_region " + std::to_string(base);
     }
-    if (kind < 89) {
-      mem.clear();
-      model.clear();
-      mutated();
-      return "clear";
-    }
-    if (kind < 93) {
-      // Restarting discards the capture in progress: what it saw is now
-      // uncaptured, so earlier captures can no longer be undone.
-      if (capturing) taken.clear();
-      mem.begin_capture();
-      capturing = model;
-      return "begin_capture";
-    }
-    if (kind < 96) {
-      if (!capturing) return "take_capture (none active)";
-      take();
-      return "take_capture";
-    }
-    if (capturing || taken.empty()) return "restore (nothing to undo)";
-    // Undo the newest k captures, newest first; each lands on the state
-    // its capture began from.
-    for (std::uint32_t k = 1 + rng() % taken.size(); k > 0; --k) {
-      mem.restore_pages(taken.back().log);
-      model = taken.back().before;
-      taken.pop_back();
-      EXPECT_TRUE(full_image(mem) == model.image()) << "undo, " << k - 1
-                                                    << " more to go";
-    }
-    return "restore_pages";
+    mem.clear();
+    model.clear();
+    return "clear";
   }
 };
 
@@ -512,16 +344,12 @@ TEST(MemoryDifferential, CopyEqualsOriginalThenEvolvesIndependently) {
   Harness original;
   Xorshift rng{0xC0FFEE};
   for (int i = 0; i < 400; ++i) (void)original.step(rng);
-  if (!original.capturing) {
-    original.mem.begin_capture();
-    original.capturing = original.model;
-  }
   ASSERT_EQ(original.mem.store32(kStackBase + 0x40, 0xA5A5A5A5),
             MemFault::None);
   ASSERT_EQ(original.model.store(kStackBase + 0x40, 4, 0xA5A5A5A5),
             MemFault::None);
 
-  Harness copy = original;  // mid-capture: the copy carries the capture
+  Harness copy = original;
   ASSERT_TRUE(full_image(copy.mem) == full_image(original.mem));
 
   // Diverge: each side is only ever checked against its own model, so a
@@ -544,9 +372,10 @@ TEST(MemoryDifferential, BlocksCrossingARegionBoundaryThrow) {
     EXPECT_THROW(m.write_block(edge - 4, util::Bytes(8, 1)), std::out_of_range)
         << edge;
     EXPECT_THROW(m.read_block(edge - 4, 8), std::out_of_range) << edge;
-    const Memory::PageCopy straddle{edge - kPageBytes / 2,
-                                    util::Bytes(kPageBytes, 1)};
-    EXPECT_THROW(m.restore_pages({&straddle, 1}), std::out_of_range) << edge;
+    EXPECT_THROW(m.write_block(edge - kPageBytes / 2,
+                               util::Bytes(kPageBytes, 1)),
+                 std::out_of_range)
+        << edge;
   }
   // Nothing was written by the rejected copies.
   EXPECT_TRUE(full_image(m) == NaiveMemory().image());

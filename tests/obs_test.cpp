@@ -163,9 +163,9 @@ TEST(ObsJournal, RecordedSurvivesClear) {
 
 TEST(ObsJournal, EventKindNamesAreDistinct) {
   const EventKind kinds[] = {
-      EventKind::Install,   EventKind::Reinstall, EventKind::Rollback,
-      EventKind::Quarantine, EventKind::Release,  EventKind::Offline,
-      EventKind::Online,    EventKind::AttackDetected, EventKind::Trap,
+      EventKind::Install,    EventKind::Reinstall,
+      EventKind::Quarantine, EventKind::Release,
+      EventKind::AttackDetected, EventKind::Trap,
       EventKind::CampaignFailure};
   std::vector<std::string> names;
   for (EventKind k : kinds) names.emplace_back(event_kind_name(k));

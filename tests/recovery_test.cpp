@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "isa/assembler.hpp"
 #include "monitor/analysis.hpp"
 #include "net/apps.hpp"
@@ -16,6 +19,7 @@
 #include "np/mpsoc.hpp"
 #include "sdmmon/channel.hpp"
 #include "sdmmon/fleet_ops.hpp"
+#include "support/placement_model.hpp"
 #include "support/test_apps.hpp"
 #include "support/test_params.hpp"
 #include "util/fault.hpp"
@@ -55,7 +59,6 @@ TEST(RecoveryController, QuarantineAfterKInWindow) {
   EXPECT_EQ(rc.health(0), np::CoreHealth::Quarantined);
   EXPECT_EQ(rc.health(1), np::CoreHealth::Healthy);
   EXPECT_EQ(rc.quarantine_events(), 1u);
-  EXPECT_EQ(rc.healthy_cores(), 1u);
 }
 
 TEST(RecoveryController, WindowSlidesViolationsOut) {
@@ -118,7 +121,6 @@ TEST(RecoveryController, UnboundedReinstallsNeverQuarantine) {
   np::RecoveryConfig config = testsupport::make_recovery_config(
       np::RecoveryPolicy::ReinstallLastGood, /*threshold=*/1,
       testsupport::kWindowPackets, np::kUnboundedReinstalls);
-  EXPECT_FALSE(config.can_quarantine());
   np::RecoveryController rc(2, config);
   constexpr std::size_t kTrips = 20'000;
   for (std::size_t i = 0; i < kTrips; ++i) {
@@ -131,66 +133,6 @@ TEST(RecoveryController, UnboundedReinstallsNeverQuarantine) {
   EXPECT_EQ(rc.health(1), np::CoreHealth::Healthy);
   EXPECT_EQ(rc.quarantine_events(), 0u);
   EXPECT_EQ(rc.reinstall_requests(), kTrips);
-}
-
-TEST(RecoveryController, CanQuarantineForEveryOtherActingConfig) {
-  using np::RecoveryPolicy;
-  for (std::size_t max : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                          std::size_t{1000}, np::kUnboundedReinstalls - 1}) {
-    SCOPED_TRACE("max_reinstalls=" + std::to_string(max));
-    EXPECT_TRUE(testsupport::make_recovery_config(
-                    RecoveryPolicy::ReinstallLastGood, 3, 64, max)
-                    .can_quarantine());
-  }
-  for (std::size_t max : {std::size_t{0}, std::size_t{2},
-                          np::kUnboundedReinstalls}) {
-    SCOPED_TRACE("max_reinstalls=" + std::to_string(max));
-    EXPECT_TRUE(testsupport::make_recovery_config(
-                    RecoveryPolicy::QuarantineAfterK, 3, 64, max)
-                    .can_quarantine());
-    EXPECT_FALSE(testsupport::make_recovery_config(
-                     RecoveryPolicy::ResetAndContinue, 3, 64, max)
-                     .can_quarantine());
-  }
-}
-
-TEST(RecoveryController, UndoWithdrawsOutcomeAndItsReinstall) {
-  // The parallel engine re-images inline and may later roll the packet
-  // back: undo_outcome must restore the window note_reinstall cleared,
-  // so the next packets see exactly the pre-packet state.
-  np::RecoveryConfig config = testsupport::make_recovery_config(
-      np::RecoveryPolicy::ReinstallLastGood, /*threshold=*/2,
-      /*window=*/4, /*max_reinstalls=*/3);
-  np::RecoveryController rolled(1, config);
-  np::RecoveryController oracle(1, config);
-  for (np::RecoveryController* rc : {&rolled, &oracle}) {
-    rc->on_outcome(0, np::PacketOutcome::AttackDetected);
-    rc->on_outcome(0, np::PacketOutcome::Forwarded);
-  }
-  np::RecoveryController::OutcomeUndo undo;
-  ASSERT_EQ(rolled.on_outcome_speculative(
-                0, np::PacketOutcome::AttackDetected, undo),
-            np::RecoveryAction::Reinstall);
-  rolled.note_reinstall(0, &undo);
-  EXPECT_EQ(rolled.window_violations(0), 0u);
-  rolled.undo_outcome(0, undo);
-  EXPECT_EQ(rolled.window_violations(0), oracle.window_violations(0));
-  EXPECT_EQ(rolled.reinstall_requests(), oracle.reinstall_requests());
-  EXPECT_EQ(rolled.total_violations(), oracle.total_violations());
-  // Same decisions from here on: the restored window slides the first
-  // violation out after exactly the oracle's number of packets.
-  for (np::PacketOutcome outcome :
-       {np::PacketOutcome::Forwarded, np::PacketOutcome::Forwarded,
-        np::PacketOutcome::AttackDetected, np::PacketOutcome::Forwarded,
-        np::PacketOutcome::AttackDetected, np::PacketOutcome::AttackDetected}) {
-    const np::RecoveryAction expected = oracle.on_outcome(0, outcome);
-    EXPECT_EQ(rolled.on_outcome(0, outcome), expected);
-    if (expected == np::RecoveryAction::Reinstall) {
-      oracle.note_reinstall(0);
-      rolled.note_reinstall(0);
-    }
-    EXPECT_EQ(rolled.window_violations(0), oracle.window_violations(0));
-  }
 }
 
 TEST(RecoveryController, TrapsCountTowardThresholdWhenConfigured) {
@@ -214,11 +156,6 @@ TEST(RecoveryController, ReleaseAndOfflineTransitions) {
   rc.release(0);
   EXPECT_EQ(rc.health(0), np::CoreHealth::Healthy);
   EXPECT_EQ(rc.window_violations(0), 0u);
-
-  rc.set_offline(1, true);
-  EXPECT_EQ(rc.health(1), np::CoreHealth::Offline);
-  EXPECT_FALSE(rc.dispatchable(1));
-  rc.set_offline(1, false);
   EXPECT_EQ(rc.health(1), np::CoreHealth::Healthy);
 }
 
@@ -328,50 +265,99 @@ TEST(MpsocRecovery, InstallAllSharesOneCompiledGraphAcrossReinstall) {
 }
 
 TEST(MpsocRecovery, TwoOfEightQuarantinedKeepsForwardingAllPolicies) {
+  // Cores 2 and 5 run the vulnerable app and quarantine on their K-th
+  // attack packet. Placement keeps sending them packets for
+  // kPlacementLag packets after each quarantine, dropped unrun; after
+  // that the six echo cores forward everything.
+  constexpr std::size_t kCores = 8;
+  constexpr std::size_t kPackets = 600;
+  const std::vector<bool> vulnerable = {false, false, true, false,
+                                        false, true,  false, false};
+  std::vector<std::uint32_t> flows;
+  for (std::uint32_t i = 0; i < kPackets; ++i) flows.push_back(i * 7919);
   for (np::DispatchPolicy policy :
        {np::DispatchPolicy::RoundRobin, np::DispatchPolicy::FlowHash}) {
+    SCOPED_TRACE(policy == np::DispatchPolicy::RoundRobin ? "round-robin"
+                                                          : "flow-hash");
     np::RecoveryConfig config;
     config.policy = np::RecoveryPolicy::QuarantineAfterK;
-    np::Mpsoc soc(8, policy, config);
-    install_all(soc, kEchoApp, 0xD15);
-    soc.recovery().quarantine(2);
-    soc.recovery().quarantine(5);
+    np::Mpsoc soc(kCores, policy, config);
+    for (std::size_t c = 0; c < kCores; ++c) {
+      install_one(soc, c, vulnerable[c] ? kVulnApp : kEchoApp,
+                  0xD15 + static_cast<std::uint32_t>(c));
+    }
+    const util::Bytes attack = attack_packet();
+    for (std::uint32_t flow : flows) (void)soc.process_packet(attack, flow);
+
+    const testsupport::PlacementModel model = testsupport::model_placement(
+        policy, vulnerable, config.violation_threshold, flows);
+    ASSERT_TRUE(model.quarantined_by[2] && model.quarantined_by[5]);
+    ASSERT_LT(std::max(*model.quarantined_by[2], *model.quarantined_by[5]) +
+                  np::kPlacementLag,
+              kPackets);
+    if (policy == np::DispatchPolicy::RoundRobin) {
+      // Core 2 runs packets 2, 10, 18 and core 5 runs 5, 13, 21. Each
+      // then receives every 8th packet up to 18 + L and 21 + L, 31 each.
+      EXPECT_EQ(model.lag_drops, 62u);
+    }
+    np::MpsocStats stats = soc.aggregate_stats();
+    EXPECT_EQ(soc.core(2).stats().packets, config.violation_threshold);
+    EXPECT_EQ(soc.core(5).stats().packets, config.violation_threshold);
+    EXPECT_EQ(stats.undispatched, model.lag_drops);
+    EXPECT_EQ(stats.forwarded,
+              kPackets - 2 * config.violation_threshold - model.lag_drops);
+    EXPECT_EQ(stats.total_cores, kCores);
+    EXPECT_EQ(stats.healthy_cores, 6u);
+    EXPECT_EQ(stats.quarantined_cores, 2u);
 
     for (std::uint32_t i = 0; i < 64; ++i) {
       util::Bytes pkt(1 + i % 32, static_cast<std::uint8_t>(i));
       np::PacketResult r = soc.process_packet(pkt, /*flow_key=*/i * 7919);
-      ASSERT_EQ(r.outcome, np::PacketOutcome::Forwarded)
-          << "policy " << static_cast<int>(policy) << " packet " << i;
+      ASSERT_EQ(r.outcome, np::PacketOutcome::Forwarded) << "packet " << i;
     }
-    EXPECT_EQ(soc.core(2).stats().packets, 0u);
-    EXPECT_EQ(soc.core(5).stats().packets, 0u);
-
-    np::MpsocStats stats = soc.aggregate_stats();
-    EXPECT_EQ(stats.total_cores, 8u);
-    EXPECT_EQ(stats.healthy_cores, 6u);
-    EXPECT_EQ(stats.quarantined_cores, 2u);
-    EXPECT_EQ(stats.forwarded, 64u);
-    EXPECT_EQ(stats.undispatched, 0u);
+    EXPECT_EQ(soc.core(2).stats().packets, config.violation_threshold);
+    EXPECT_EQ(soc.core(5).stats().packets, config.violation_threshold);
+    EXPECT_EQ(soc.aggregate_stats().undispatched, model.lag_drops);
   }
 }
 
 TEST(MpsocRecovery, FlowHashRemapsOffQuarantinedCore) {
-  np::Mpsoc soc(4, np::DispatchPolicy::FlowHash);
+  // One flow sticks to one core. When that core quarantines, the flow's
+  // next kPlacementLag - 1 packets still go there and are dropped
+  // unrun; from the quarantining packet + kPlacementLag on, the flow
+  // remaps to one other core and stays there.
+  np::RecoveryConfig config;
+  config.policy = np::RecoveryPolicy::QuarantineAfterK;
+  config.violation_threshold = testsupport::kViolationThreshold;
+  np::Mpsoc soc(4, np::DispatchPolicy::FlowHash, config);
   install_all(soc, kEchoApp, 0xF10);
   const std::uint32_t flow = 0xABCD;
-  util::Bytes pkt = {1};
-  (void)soc.process_packet(pkt, flow);
-  std::size_t original = 0;
-  for (std::size_t c = 0; c < 4; ++c) {
-    if (soc.core(c).stats().packets > 0) original = c;
+  std::size_t rr = 0;
+  const std::size_t original = np::pick_dispatch_core(
+      np::DispatchPolicy::FlowHash, {0, 1, 2, 3}, flow, rr);
+  install_one(soc, original, kVulnApp, 0xF11);
+
+  const util::Bytes attack = attack_packet();
+  for (std::size_t i = 0; i < config.violation_threshold; ++i) {
+    EXPECT_EQ(soc.process_packet(attack, flow).outcome,
+              np::PacketOutcome::AttackDetected);
   }
-  soc.recovery().quarantine(original);
+  EXPECT_EQ(soc.core_health(original), np::CoreHealth::Quarantined);
+  for (std::size_t i = 1; i < np::kPlacementLag; ++i) {
+    const np::PacketResult r = soc.process_packet(attack, flow);
+    EXPECT_EQ(r.outcome, np::PacketOutcome::Dropped) << "lag packet " << i;
+    EXPECT_EQ(r.instructions, 0u) << "lag packet " << i;
+  }
+  EXPECT_EQ(soc.aggregate_stats().undispatched, np::kPlacementLag - 1);
+
   // The same flow now lands on a different (healthy) core, consistently.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(soc.process_packet(pkt, flow).outcome,
+    EXPECT_EQ(soc.process_packet(attack, flow).outcome,
               np::PacketOutcome::Forwarded);
   }
-  EXPECT_EQ(soc.core(original).stats().packets, 1u);
+  EXPECT_EQ(soc.core(original).stats().packets,
+            config.violation_threshold);
+  EXPECT_EQ(soc.aggregate_stats().undispatched, np::kPlacementLag - 1);
   int other_cores_used = 0;
   for (std::size_t c = 0; c < 4; ++c) {
     if (c != original && soc.core(c).stats().packets > 0) ++other_cores_used;
@@ -380,31 +366,52 @@ TEST(MpsocRecovery, FlowHashRemapsOffQuarantinedCore) {
 }
 
 TEST(MpsocRecovery, OrganicQuarantineShedsLoadToHealthyCores) {
-  // Cores 0-1 run the vulnerable app, cores 2-7 run echo. Mixed hostile
-  // traffic quarantines the vulnerable cores; after that every packet is
-  // served by the healthy six.
+  // Cores 0-1 run the vulnerable app, cores 2-7 run echo. Hostile
+  // traffic quarantines the vulnerable cores; kPlacementLag packets after
+  // each quarantine, every packet is served by the healthy six.
+  constexpr std::size_t kCores = 8;
+  constexpr std::uint32_t kPackets = 600;
   np::RecoveryConfig config;
   config.policy = np::RecoveryPolicy::QuarantineAfterK;
   config.violation_threshold = testsupport::kViolationThreshold;
   config.window_packets = 32;
-  np::Mpsoc soc(8, np::DispatchPolicy::FlowHash, config);
-  for (std::size_t c = 0; c < 8; ++c) {
-    install_one(soc, c, c < 2 ? kVulnApp : kEchoApp,
+  np::Mpsoc soc(kCores, np::DispatchPolicy::FlowHash, config);
+  std::vector<bool> vulnerable(kCores, false);
+  for (std::size_t c = 0; c < kCores; ++c) {
+    vulnerable[c] = c < 2;
+    install_one(soc, c, vulnerable[c] ? kVulnApp : kEchoApp,
                 0x1000 + static_cast<std::uint32_t>(c));
   }
 
   util::Bytes hostile = attack_packet();
-  for (std::uint32_t i = 0; i < 400; ++i) {
+  std::vector<std::uint32_t> flows;
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    flows.push_back(i);
     (void)soc.process_packet(hostile, /*flow_key=*/i);
-    if (soc.aggregate_stats().quarantined_cores == 2) break;
   }
+  const testsupport::PlacementModel model = testsupport::model_placement(
+      np::DispatchPolicy::FlowHash, vulnerable, config.violation_threshold,
+      flows);
+  ASSERT_TRUE(model.quarantined_by[0] && model.quarantined_by[1]);
+  ASSERT_LT(std::max(*model.quarantined_by[0], *model.quarantined_by[1]) +
+                np::kPlacementLag,
+            kPackets);
+
   np::MpsocStats mid = soc.aggregate_stats();
   EXPECT_EQ(mid.quarantined_cores, 2u);
   EXPECT_EQ(soc.core_health(0), np::CoreHealth::Quarantined);
   EXPECT_EQ(soc.core_health(1), np::CoreHealth::Quarantined);
+  // Each quarantine drops fewer than kPlacementLag packets, all of them
+  // bound for the quarantined core.
+  EXPECT_EQ(mid.undispatched, model.lag_drops);
+  EXPECT_LE(mid.undispatched, 2 * (np::kPlacementLag - 1));
+  EXPECT_EQ(soc.core(0).stats().packets, config.violation_threshold);
+  EXPECT_EQ(soc.core(1).stats().packets, config.violation_threshold);
+  EXPECT_EQ(mid.forwarded,
+            kPackets - 2 * config.violation_threshold - model.lag_drops);
 
   // With the vulnerable cores isolated, the same traffic is all served.
-  std::uint64_t before = soc.aggregate_stats().forwarded;
+  std::uint64_t before = mid.forwarded;
   for (std::uint32_t i = 0; i < 40; ++i) {
     EXPECT_EQ(soc.process_packet(hostile, i * 31).outcome,
               np::PacketOutcome::Forwarded);

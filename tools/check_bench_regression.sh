@@ -9,9 +9,7 @@
 #   * Rows pair by their first string-valued field (the row key, e.g.
 #     "app"); rows without a string field pair by position.
 #   * Only higher-is-better fields are compared: names matching
-#     kpps / mpps / minstr_s / _per_s / throughput / speedup /
-#     pkts_per_rollback_byte (more packets per byte of rollback work
-#     means cheaper dirty-page snapshots).
+#     kpps / mpps / minstr_s / _per_s / throughput / speedup.
 #     Latency- and size-class fields are deliberately ignored -- the
 #     gate exists to catch throughput regressions, not to freeze every
 #     number in place.
@@ -60,7 +58,7 @@ threshold = float(os.environ["THRESHOLD"])
 quick = bool(os.environ.get("SDMMON_BENCH_QUICK"))
 
 THROUGHPUT = re.compile(
-    r"(kpps|mpps|minstr_s|_per_s|throughput|speedup|pkts_per_rollback_byte)"
+    r"(kpps|mpps|minstr_s|_per_s|throughput|speedup)"
 )
 EXACT = re.compile(
     r"^(dispatches_per_pkt|side_exit_rate|summary_join_rate"
