@@ -129,10 +129,10 @@ int main() {
     // identical. The compiled warm pass also collects dispatch,
     // side-exit and summary-join telemetry (it does not vary across reps
     // of identical packets).
-    core.core().set_tier(np::Tier::Interpret);
+    core.set_tier(np::Tier::Interpret);
     (void)time_packets(core, counted);
     const np::CoreStats interp_stats = core.stats();
-    core.core().set_tier(np::Tier::Compiled);
+    core.set_tier(np::Tier::Compiled);
     std::uint64_t dispatches = 0, side_exits = 0, joins = 0;
     for (const util::Bytes& packet : counted) {
       const np::PacketResult r = core.process_packet(packet);
@@ -156,9 +156,9 @@ int main() {
 
     double interp_kpps = 0.0, compiled_kpps = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      core.core().set_tier(np::Tier::Interpret);
+      core.set_tier(np::Tier::Interpret);
       interp_kpps = std::max(interp_kpps, time_packets(core, packets));
-      core.core().set_tier(np::Tier::Compiled);
+      core.set_tier(np::Tier::Compiled);
       compiled_kpps = std::max(compiled_kpps, time_packets(core, packets));
     }
     const double speedup = compiled_kpps / interp_kpps;

@@ -2,44 +2,6 @@
 
 namespace sdmmon::fleet {
 
-const char* release_channel_name(ReleaseChannel channel) {
-  switch (channel) {
-    case ReleaseChannel::Canary: return "canary";
-    case ReleaseChannel::Beta: return "beta";
-    case ReleaseChannel::Stable: return "stable";
-  }
-  return "?";
-}
-
-const char* device_state_name(DeviceState state) {
-  switch (state) {
-    case DeviceState::Enrolled: return "enrolled";
-    case DeviceState::Scheduled: return "scheduled";
-    case DeviceState::Backoff: return "backoff";
-    case DeviceState::Installing: return "installing";
-    case DeviceState::Baking: return "baking";
-    case DeviceState::Healthy: return "healthy";
-    case DeviceState::Quarantined: return "quarantined";
-    case DeviceState::Rejected: return "rejected";
-    case DeviceState::Unreachable: return "unreachable";
-    case DeviceState::RolledBack: return "rolled-back";
-  }
-  return "?";
-}
-
-bool device_state_terminal(DeviceState state) {
-  switch (state) {
-    case DeviceState::Healthy:
-    case DeviceState::Quarantined:
-    case DeviceState::Rejected:
-    case DeviceState::Unreachable:
-    case DeviceState::RolledBack:
-      return true;
-    default:
-      return false;
-  }
-}
-
 double ModeledDevice::uniform() {
   // One splitmix step per draw: stateless apart from the counter, so a
   // device's decision sequence depends only on (seed, draw index) -- not

@@ -23,8 +23,6 @@ namespace sdmmon::fleet {
 /// the same fleet always partitions the same way.
 enum class ReleaseChannel : std::uint8_t { Canary, Beta, Stable };
 
-const char* release_channel_name(ReleaseChannel channel);
-
 /// Where a device stands in the current rollout.
 enum class DeviceState : std::uint8_t {
   Enrolled,     // not (yet) targeted, running its current version
@@ -38,12 +36,6 @@ enum class DeviceState : std::uint8_t {
   Unreachable,  // retry schedule exhausted without a delivery
   RolledBack,   // halt controller re-imaged it to last-good
 };
-
-const char* device_state_name(DeviceState state);
-
-/// True for states that end a device's participation in its wave (the
-/// wave-completion and halt arithmetic counts these).
-bool device_state_terminal(DeviceState state);
 
 /// Per-release failure characteristics as experienced by one modeled
 /// device -- the modeled equivalent of what a poisoned binary, a broken

@@ -1,26 +1,8 @@
 #include "fleet/rollout.hpp"
 
-#include "crypto/sha256.hpp"
-#include "util/bytes.hpp"
+#include <algorithm>
 
 namespace sdmmon::fleet {
-
-std::string release_app_hash_hex(const Release& release) {
-  crypto::Sha256 hasher;
-  if (!release.binary.text.empty()) {
-    hasher.update(release.binary.serialize());
-  } else {
-    hasher.update(release.app_name);
-    std::uint8_t v[4] = {
-        static_cast<std::uint8_t>(release.version),
-        static_cast<std::uint8_t>(release.version >> 8),
-        static_cast<std::uint8_t>(release.version >> 16),
-        static_cast<std::uint8_t>(release.version >> 24),
-    };
-    hasher.update(std::span<const std::uint8_t>(v, 4));
-  }
-  return util::to_hex(hasher.finish());
-}
 
 HaltReason HaltController::evaluate(const WaveStats& wave) const {
   if (wave.installed >= thresholds_.min_sample) {
@@ -38,6 +20,25 @@ HaltReason HaltController::evaluate(const WaveStats& wave) const {
     }
   }
   return HaltReason::None;
+}
+
+double fleet_health_score(const FleetHealth& health) {
+  if (health.devices == 0) return 100.0;
+  const double n = static_cast<double>(health.devices);
+  double score = 100.0 * health.convergence();
+  // In-flight devices are not failures: credit them at half weight so a
+  // mid-rollout fleet reads "converging", not "broken".
+  score += 50.0 * static_cast<double>(health.in_flight) / n;
+  // Quarantines are monitor verdicts -- penalize beyond the convergence
+  // loss already incurred. Delivery failures cost less: the fleet is
+  // stale, not compromised.
+  score -= 200.0 * static_cast<double>(health.quarantined) / n;
+  score -= 50.0 * static_cast<double>(health.rejected) / n;
+  score -= 25.0 * static_cast<double>(health.unreachable) / n;
+  // Rolled-back devices are safe (running last-good) but the rollout
+  // failed for them.
+  score -= 10.0 * static_cast<double>(health.rolled_back) / n;
+  return std::clamp(score, 0.0, 100.0);
 }
 
 }  // namespace sdmmon::fleet

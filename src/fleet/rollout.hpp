@@ -1,7 +1,7 @@
 // Staged-rollout policy objects: the release being shipped, per-wave
-// outcome accounting, and the automatic-halt controller that freezes a
+// outcome accounting, the automatic-halt controller that freezes a
 // wave when its failure rates say the release (or the fleet's view of
-// it) is bad. Pure decision logic -- no scheduling, no devices -- so the
+// it) is bad, and the fleet health score. Pure decision logic -- no scheduling, no devices -- so the
 // thresholds are unit-testable and the same controller judges modeled
 // and concrete outcomes identically.
 #ifndef SDMMON_FLEET_ROLLOUT_HPP
@@ -30,11 +30,6 @@ struct Release {
   /// analogue of behavior.quarantine_rate.
   double concrete_attack_rate = 0.0;
 };
-
-/// SHA-256 hex of the release's installable image -- the attestation
-/// anchor every device reports back. Falls back to hashing
-/// (app_name, version) when the release carries no concrete binary.
-std::string release_app_hash_hex(const Release& release);
 
 /// Outcome accounting for one wave. `installed` counts devices that
 /// activated the release (and is therefore the halt controller's
@@ -85,6 +80,30 @@ class HaltController {
  private:
   HaltThresholds thresholds_;
 };
+
+/// Fleet-level aggregate the health score is computed from.
+struct FleetHealth {
+  std::size_t devices = 0;
+  std::size_t healthy = 0;       // converged on the target release
+  std::size_t in_flight = 0;     // scheduled / backoff / installing / baking
+  std::size_t quarantined = 0;
+  std::size_t rejected = 0;
+  std::size_t unreachable = 0;
+  std::size_t rolled_back = 0;
+
+  double convergence() const {
+    return devices == 0
+               ? 1.0
+               : static_cast<double>(healthy) / static_cast<double>(devices);
+  }
+};
+
+/// 0..100 fleet security/health score. Convergence carries the score;
+/// quarantines are weighted hard (each one is a monitor saying the fleet
+/// is running something hostile) and delivery failures softly. The
+/// formula is deliberately simple and documented -- operators compare
+/// scores across rollouts, so stability beats cleverness.
+double fleet_health_score(const FleetHealth& health);
 
 }  // namespace sdmmon::fleet
 

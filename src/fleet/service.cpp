@@ -82,9 +82,6 @@ FleetService::FleetService(Simulator& sim, FleetConfig config)
       slot.device = manufacturer_->provision_device(
           "fleet-dev-" + std::to_string(i), config_.concrete_cores,
           config_.concrete_recovery);
-      slot.registry = std::make_unique<obs::Registry>();
-      slot.device->mpsoc().enable_obs(*slot.registry,
-                                      static_cast<std::uint32_t>(i));
     }
   }
 
@@ -579,24 +576,6 @@ RolloutReport FleetService::report() const {
   report.waves = waves_;
   report.health = health();
   report.health_score = fleet_health_score(report.health);
-  return report;
-}
-
-AttestationReport FleetService::attest(std::size_t id) const {
-  const ModeledDevice& dev = fleet_.at(id);
-  if (concrete_active_ && id < concrete_.size()) {
-    AttestationReport report = attest_concrete(*concrete_[id].device,
-                                               concrete_[id].registry.get());
-    report.device_id = dev.id;
-    report.version = dev.version;
-    report.state = dev.state;
-    report.app_hash_hex = release_app_hash_hex(release_);
-    return report;
-  }
-  AttestationReport report = attest_modeled(dev);
-  if (dev.version == release_.version) {
-    report.app_hash_hex = release_app_hash_hex(release_);
-  }
   return report;
 }
 

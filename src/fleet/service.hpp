@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/attestation.hpp"
 #include "fleet/device_model.hpp"
 #include "fleet/rollout.hpp"
 #include "fleet/sim.hpp"
@@ -163,17 +162,12 @@ class FleetService : public SimActor {
   std::size_t device_count() const { return fleet_.size(); }
   const ModeledDevice& device(std::size_t id) const { return fleet_[id]; }
 
-  /// Attestation for one device (concrete ids report through the real
-  /// registry snapshot; modeled ids from their state machine).
-  AttestationReport attest(std::size_t id) const;
-
   std::size_t concrete_count() const { return concrete_.size(); }
   protocol::NetworkProcessorDevice& concrete_device(std::size_t slot);
 
  private:
   struct ConcreteSlot {
     std::unique_ptr<protocol::NetworkProcessorDevice> device;
-    std::unique_ptr<obs::Registry> registry;
     isa::Program current_binary;
     bool has_current = false;
     isa::Program last_good_binary;

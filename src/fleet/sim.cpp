@@ -20,16 +20,6 @@ bool Simulator::step() {
   return true;
 }
 
-std::uint64_t Simulator::run_until(SimTime deadline) {
-  std::uint64_t dispatched = 0;
-  while (!heap_.empty() && heap_.top().event.at <= deadline) {
-    step();
-    ++dispatched;
-  }
-  if (now_ < deadline) now_ = deadline;
-  return dispatched;
-}
-
 std::uint64_t Simulator::run(std::uint64_t max_events) {
   std::uint64_t dispatched = 0;
   while (max_events == 0 || dispatched < max_events) {

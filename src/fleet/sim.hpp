@@ -56,10 +56,6 @@ class Simulator {
     schedule_at(now_ + delay, actor, kind, a, b);
   }
 
-  /// Dispatch events with at <= deadline (advancing now() to each event's
-  /// time, then to the deadline). Returns events dispatched.
-  std::uint64_t run_until(SimTime deadline);
-
   /// Drain the queue completely. `max_events` bounds runaway simulations
   /// (0 = unbounded); returns events dispatched.
   std::uint64_t run(std::uint64_t max_events = 0);

@@ -142,7 +142,7 @@ PacketResult MonitoredCore::execute_packet(
 // cumulative counters (Core::retract_trace) before the recovery reset.
 struct MonitoredCore::MonitorFeed {
   monitor::HardwareMonitor& monitor;
-  const MonitorSummary* summary;  // null: lane not summarised
+  const MonitorSummary& summary;
   const Core& core;
   PacketResult& result;
   bool flagged = false;
@@ -151,17 +151,10 @@ struct MonitoredCore::MonitorFeed {
                          bool side_exit) {
     ++result.trace_dispatches;
     if (side_exit) ++result.trace_side_exits;
-    std::uint64_t ok = 0;
-    if (summary != nullptr) [[likely]] {
-      const monitor::HardwareMonitor::LaneAdvance step = monitor.advance(
-          summary->lane(hashes), hashes, static_cast<std::size_t>(n));
-      if (step.joined) ++result.summary_joins;
-      ok = step.ok;
-    } else {
-      while (ok < n && monitor.on_hashed(hashes[ok]) == monitor::Verdict::Ok) {
-        ++ok;
-      }
-    }
+    const monitor::HardwareMonitor::LaneAdvance step = monitor.advance(
+        summary.lane(hashes), hashes, static_cast<std::size_t>(n));
+    if (step.joined) ++result.summary_joins;
+    const std::uint64_t ok = step.ok;
     flagged = ok < n;
     result.instructions += flagged ? ok + 1 : n;
     return ok;
@@ -200,14 +193,7 @@ PacketResult MonitoredCore::run_packet(
   monitor_->reset();
   core_.deliver_packet(packet);
 
-  // The summary indexes the installed program's lane; a program loaded
-  // onto the core behind install()'s back is fed hash by hash.
-  const MonitorSummary* summary =
-      summary_->built_from(monitor_->compiled().get(),
-                           core_.compiled_program().get())
-          ? summary_.get()
-          : nullptr;
-  MonitorFeed feed{*monitor_, summary, core_, result};
+  MonitorFeed feed{*monitor_, *summary_, core_, result};
   const StepInfo info =
       core_.run_observed(std::numeric_limits<std::uint64_t>::max(), feed);
   if (feed.flagged) {

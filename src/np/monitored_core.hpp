@@ -151,8 +151,15 @@ class MonitoredCore {
   void commit_result(const PacketResult& result);
 
   const CoreStats& stats() const { return stats_; }
-  Core& core() { return core_; }
+  /// Read-only: a program reaches the core only through install(), so the
+  /// installed summary always indexes the running program's lane.
   const Core& core() const { return core_; }
+  /// Core::set_tier (the differential oracles run an Interpret twin).
+  void set_tier(Tier tier) { core_.set_tier(tier); }
+  /// Core::set_watchdog_budget.
+  void set_watchdog_budget(std::uint64_t cycles) {
+    core_.set_watchdog_budget(cycles);
+  }
   const monitor::HardwareMonitor& monitor() const { return *monitor_; }
   /// The shared summary artifact (nullptr until installed).
   const std::shared_ptr<const MonitorSummary>& summary() const {

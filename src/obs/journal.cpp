@@ -73,13 +73,6 @@ std::vector<Event> EventJournal::events_and_recorded(
   return out;
 }
 
-void EventJournal::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  head_ = 0;
-  size_ = 0;
-  // recorded_ is a lifetime total and survives clear().
-}
-
 void EventJournal::append_json(JsonWriter& writer) const {
   const std::vector<Event> copy = events();
   writer.begin_array();

@@ -16,23 +16,35 @@
 
 namespace sdmmon::obs {
 
+/// The numeric values are wire codes (the RPC Journal payload carries
+/// them as one byte; docs/PROTOCOL.md lists them): never renumber one. A
+/// retired kind leaves its code unused, and a new kind takes the next
+/// code and becomes kLastEventKind.
 enum class EventKind : std::uint8_t {
-  Install,          // configuration installed (core == kAllCores for all)
-  Reinstall,        // recovery re-imaged a core from last-good
-  Quarantine,       // recovery quarantined a core
-  Release,          // operator released a core back to service
-  AttackDetected,   // monitor mismatch on a packet
-  Trap,             // core trap (fault/overflow/watchdog) on a packet
-  CampaignFailure,  // fleet campaign gave up on a device
-  RolloutWave,      // staged rollout opened a wave (device = wave index)
-  RolloutHalt,      // halt controller froze a rollout (arg = HaltReason)
-  RolloutRollback,  // post-halt rollback finished (arg = devices rolled)
-  RpcSessionOpened, // control-plane server accepted a session (device =
-                    // session id)
-  RpcSessionClosed, // session ended (arg = requests served)
-  RpcRejected,      // server refused a request or frame (arg = reason:
-                    // RpcErrorCode, or 100 + FrameError for wire damage)
+  Install = 0,            // configuration installed (core == kAllCores
+                          // for all)
+  Reinstall = 1,          // recovery re-imaged a core from last-good
+  Quarantine = 2,         // recovery quarantined a core
+  Release = 3,            // operator released a core back to service
+  AttackDetected = 4,     // monitor mismatch on a packet
+  Trap = 5,               // core trap (fault/overflow/watchdog) on a packet
+  CampaignFailure = 6,    // fleet campaign gave up on a device
+  RolloutWave = 7,        // staged rollout opened a wave (device = wave
+                          // index)
+  RolloutHalt = 8,        // halt controller froze a rollout (arg =
+                          // HaltReason)
+  RolloutRollback = 9,    // post-halt rollback finished (arg = devices
+                          // rolled)
+  RpcSessionOpened = 10,  // control-plane server accepted a session
+                          // (device = session id)
+  RpcSessionClosed = 11,  // session ended (arg = requests served)
+  RpcRejected = 12,       // server refused a request or frame (arg =
+                          // reason: RpcErrorCode, or 100 + FrameError
+                          // for wire damage)
 };
+
+/// The highest assigned wire code; decoders reject anything above it.
+inline constexpr EventKind kLastEventKind = EventKind::RpcRejected;
 
 const char* event_kind_name(EventKind kind);
 
@@ -73,8 +85,6 @@ class EventJournal {
   /// recorded count, for cursor-based streaming readers: the index of
   /// the first returned event is exactly `recorded - events.size()`.
   std::vector<Event> events_and_recorded(std::uint64_t& recorded) const;
-
-  void clear();
 
   /// Serialize the retained events as a JSON array (oldest first).
   void append_json(JsonWriter& writer) const;

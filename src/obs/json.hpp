@@ -1,14 +1,12 @@
-// Minimal JSON support for the observability layer: a streaming writer
-// (used by Registry::snapshot_json, the event journal, and the bench
-// JSON reports) and a small recursive-descent parser (used by tests to
-// round-trip snapshots and by tooling that validates BENCH_*.json).
-// Deliberately tiny -- objects, arrays, strings, integers, doubles,
-// booleans, null -- because every schema we emit is flat and known.
+// Minimal JSON output for the observability layer: a streaming writer
+// used by Registry::snapshot_json, the event journal, and the bench
+// JSON reports. Deliberately tiny -- objects, arrays, strings, integers,
+// doubles, booleans, null -- because every schema we emit is flat and
+// known. The reader the tests check it with is tests/support/json_value.hpp.
 #ifndef SDMMON_SRC_OBS_JSON_HPP
 #define SDMMON_SRC_OBS_JSON_HPP
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,55 +89,6 @@ class JsonWriter {
   std::string out_;
   std::vector<bool> first_;  // per open container: no element written yet
   bool after_key_ = false;
-};
-
-/// Parsed JSON document node. Numbers that look integral are kept as
-/// int64 exactly (counters exceed double's 2^53 mantissa in long runs);
-/// everything else becomes double.
-class JsonValue {
- public:
-  enum class Kind : std::uint8_t {
-    Null, Bool, Int, Double, String, Array, Object
-  };
-
-  /// Parse one document; throws std::runtime_error with position info on
-  /// malformed input or trailing garbage.
-  static JsonValue parse(std::string_view text);
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
-  bool as_bool() const { return bool_; }
-  /// Integral value (valid for Int; truncates for Double).
-  std::int64_t as_int() const;
-  double as_double() const;
-  const std::string& as_string() const { return string_; }
-
-  // Array access.
-  std::size_t size() const { return items_.size(); }
-  const JsonValue& operator[](std::size_t index) const {
-    return items_.at(index);
-  }
-  const std::vector<JsonValue>& items() const { return items_; }
-
-  // Object access.
-  bool has(const std::string& key) const {
-    return members_.find(key) != members_.end();
-  }
-  const JsonValue& at(const std::string& key) const;
-  const std::map<std::string, JsonValue>& members() const {
-    return members_;
-  }
-
- private:
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0;
-  std::string string_;
-  std::vector<JsonValue> items_;
-  std::map<std::string, JsonValue> members_;
-
-  friend class JsonParser;
 };
 
 }  // namespace sdmmon::obs

@@ -157,7 +157,7 @@ RpcClient::InstallRetryResult RpcClient::install_with_retry(
   const std::uint64_t id = next_request_id_++;
   const util::Bytes frame_bytes =
       encode_frame({MsgType::Install, id, payload.encode()});
-  set_timeout_ms(attempt_timeout_ms);
+  stream_.set_recv_timeout_ms(attempt_timeout_ms);
   for (std::size_t attempt = 0; attempt < max_attempts && connected_;
        ++attempt) {
     ++result.attempts;
@@ -176,7 +176,7 @@ RpcClient::InstallRetryResult RpcClient::install_with_retry(
     }
     break;
   }
-  set_timeout_ms(0);
+  stream_.set_recv_timeout_ms(0);
   return result;
 }
 

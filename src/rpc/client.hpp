@@ -85,9 +85,6 @@ class RpcClient {
   /// Polite close: Goodbye -> GoodbyeAck. The session is unusable after.
   bool goodbye();
 
-  /// Receive timeout for responses; 0 blocks indefinitely.
-  void set_timeout_ms(std::uint32_t ms) { stream_.set_recv_timeout_ms(ms); }
-
   bool connected() const { return connected_; }
   const std::string& last_error() const { return last_error_; }
 

@@ -172,7 +172,7 @@ JournalPayload JournalPayload::decode(std::span<const std::uint8_t> bytes) {
   for (std::uint32_t i = 0; i < count; ++i) {
     obs::Event event;
     const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(obs::EventKind::RpcRejected)) {
+    if (kind > static_cast<std::uint8_t>(obs::kLastEventKind)) {
       throw DecodeError("rpc payload: unknown journal event kind");
     }
     event.kind = static_cast<obs::EventKind>(kind);

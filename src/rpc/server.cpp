@@ -24,13 +24,6 @@ protocol::InstallStatus DeviceHost::install_bytes(
   return device_.install_bytes(bytes, now);
 }
 
-np::PacketResult DeviceHost::process_packet(
-    std::span<const std::uint8_t> packet, std::uint32_t flow_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  packets_.fetch_add(1, std::memory_order_relaxed);
-  return device_.process_packet(packet, flow_key);
-}
-
 std::size_t DeviceHost::pump(std::span<const protocol::WorkItem> items) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const protocol::WorkItem& item : items) {

@@ -69,17 +69,13 @@ class DeviceHost {
   protocol::InstallStatus install_bytes(std::span<const std::uint8_t> bytes,
                                         std::uint64_t now);
 
-  /// Data-plane: process one packet under the device lock.
-  np::PacketResult process_packet(std::span<const std::uint8_t> packet,
-                                  std::uint32_t flow_key = 0);
-
   /// Pump a batch of workload items through the device under ONE lock
   /// acquisition -- the load generator's path. Batching keeps lock
   /// traffic off the per-packet path while still letting control
   /// requests interleave between batches. Returns items processed.
   std::size_t pump(std::span<const protocol::WorkItem> items);
 
-  /// Packets processed via this host (pump + process_packet).
+  /// Packets processed via this host (pump).
   std::uint64_t packets() const {
     return packets_.load(std::memory_order_relaxed);
   }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <stdexcept>
 
-#include "obs/json.hpp"
 #include "sdmmon/timed_install.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -101,36 +99,15 @@ std::uint32_t FleetOperator::device_index(const std::string& name) const {
   return obs::kAllCores;  // not enrolled (should not happen)
 }
 
-const DeviceReport* FleetOperator::CampaignResult::report_for(
-    const std::string& device) const {
-  for (const DeviceReport& report : reports) {
-    if (report.device == device) return &report;
-  }
-  return nullptr;
-}
-
 DeviceReport FleetOperator::deploy_one(NetworkProcessorDevice& device,
                                        const isa::Program& binary,
                                        std::uint64_t now, Channel& channel,
-                                       const RetryPolicy& retry,
-                                       const DeviceResumeState& carry) {
+                                       const RetryPolicy& retry) {
   DeviceReport report;
   report.device = device.name();
-  // A restored campaign resumes the device mid-schedule: attempts and
-  // backoff are cumulative across the restart, so the retry budget is
-  // honored end to end, not re-granted. A fresh campaign carries zeros.
-  report.attempts = carry.attempts;
-  report.backoff_s = carry.backoff_s;
   const std::uint64_t key = device_backoff_key(report.device);
 
-  if (report.attempts >= retry.max_attempts) {
-    // The snapshot says the schedule was already spent.
-    report.outcome = DeviceOutcome::BudgetExhausted;
-    return report;
-  }
-
-  for (std::size_t attempt = report.attempts; attempt < retry.max_attempts;
-       ++attempt) {
+  for (std::size_t attempt = 0; attempt < retry.max_attempts; ++attempt) {
     // Each attempt is a freshly sealed package: a new hash parameter and,
     // crucially, a new sequence number -- so a retry after a lost *reply*
     // (the device actually installed) is fresh, not a replay.
@@ -191,28 +168,16 @@ FleetOperator::CampaignResult FleetOperator::run_campaign(
       if (timed.ok) per_install_s = timed.timing(model).total();
       measured = timed.ok;
     }
-    // A schedule position restored from a snapshot is consumed exactly
-    // once; in-process retries keep their historical fresh schedule.
-    DeviceResumeState carry;
-    if (auto it = carry_.find(device->name()); it != carry_.end()) {
-      carry = it->second;
-      carry_.erase(it);
-    }
-    DeviceReport report = deploy_one(*device, binary, now, link, retry,
-                                     carry);
+    DeviceReport report = deploy_one(*device, binary, now, link, retry);
     if (obs_) obs_->record_report(report, device_index(report.device));
     result.modeled_seconds_sequential +=
-        per_install_s * static_cast<double>(report.attempts -
-                                            carry.attempts) +
-        (report.backoff_s - carry.backoff_s);
+        per_install_s * static_cast<double>(report.attempts) +
+        report.backoff_s;
     if (report.ok()) {
       ++result.succeeded;
-      progress_.erase(report.device);
     } else {
       ++result.failed;
       pending_.push_back(device);
-      progress_[report.device] =
-          DeviceResumeState{report.attempts, report.backoff_s};
       util::log_info("campaign: device ", report.device, " failed (",
                      device_outcome_name(report.outcome), ", last status ",
                      install_status_name(report.last_status), ", ",
@@ -275,86 +240,6 @@ FleetOperator::CampaignResult FleetOperator::rotate_parameters(
     result.reports.push_back(std::move(report));
   }
   return result;
-}
-
-std::string CampaignSnapshot::to_json() const {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema").value(1);
-  w.key("has_binary").value(has_binary);
-  if (has_binary) {
-    w.key("binary_hex").value(util::to_hex(binary.serialize()));
-  }
-  w.key("pending").begin_array();
-  for (const auto& [name, state] : pending) {
-    w.begin_object();
-    w.key("device").value(name);
-    w.key("attempts").value(static_cast<std::uint64_t>(state.attempts));
-    w.key("backoff_s").value(state.backoff_s);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-CampaignSnapshot CampaignSnapshot::from_json(std::string_view text) {
-  const obs::JsonValue doc = obs::JsonValue::parse(text);
-  if (doc.kind() != obs::JsonValue::Kind::Object ||
-      !doc.has("schema") || doc.at("schema").as_int() != 1) {
-    throw std::runtime_error("campaign snapshot: unknown schema");
-  }
-  CampaignSnapshot snap;
-  snap.has_binary = doc.has("has_binary") && doc.at("has_binary").as_bool();
-  if (snap.has_binary) {
-    util::Bytes bytes = util::from_hex(doc.at("binary_hex").as_string());
-    snap.binary = isa::Program::deserialize(bytes);
-  }
-  if (doc.has("pending")) {
-    for (const obs::JsonValue& item : doc.at("pending").items()) {
-      DeviceResumeState state;
-      state.attempts =
-          static_cast<std::size_t>(item.at("attempts").as_int());
-      state.backoff_s = item.at("backoff_s").as_double();
-      snap.pending.emplace_back(item.at("device").as_string(), state);
-    }
-  }
-  return snap;
-}
-
-CampaignSnapshot FleetOperator::snapshot_campaign() const {
-  CampaignSnapshot snap;
-  snap.has_binary = has_binary_;
-  if (has_binary_) snap.binary = last_binary_;
-  for (const NetworkProcessorDevice* device : pending_) {
-    DeviceResumeState state;
-    if (auto it = progress_.find(device->name()); it != progress_.end()) {
-      state = it->second;
-    }
-    snap.pending.emplace_back(device->name(), state);
-  }
-  return snap;
-}
-
-std::size_t FleetOperator::restore_campaign(const CampaignSnapshot& snap) {
-  has_binary_ = snap.has_binary;
-  if (snap.has_binary) last_binary_ = snap.binary;
-  pending_.clear();
-  progress_.clear();
-  carry_.clear();
-  std::size_t matched = 0;
-  for (const auto& [name, state] : snap.pending) {
-    auto it = std::find_if(devices_.begin(), devices_.end(),
-                           [&name = name](NetworkProcessorDevice* d) {
-                             return d->name() == name;
-                           });
-    if (it == devices_.end()) continue;  // not enrolled here: dropped
-    pending_.push_back(*it);
-    progress_[name] = state;
-    carry_[name] = state;
-    ++matched;
-  }
-  return matched;
 }
 
 bool FleetOperator::parameters_all_distinct() const {

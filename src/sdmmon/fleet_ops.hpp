@@ -82,33 +82,6 @@ struct DeviceReport {
   bool ok() const { return outcome == DeviceOutcome::Installed; }
 };
 
-/// Where an unconverged device stands in its retry schedule: attempts
-/// already spent and modeled backoff already consumed. Carried across an
-/// operator restart so a restored campaign *continues* the schedule
-/// (budget arithmetic included) instead of granting every device a fresh
-/// retry allowance.
-struct DeviceResumeState {
-  std::size_t attempts = 0;
-  double backoff_s = 0;
-};
-
-/// Serializable campaign state: everything an operator console must
-/// persist to survive a restart mid-campaign -- the deployed binary, the
-/// unconverged device set, and each device's position in its retry
-/// schedule. JSON because the operator side already speaks it
-/// (snapshot_json, BENCH reports); the binary travels hex-encoded through
-/// its existing wire serialization.
-struct CampaignSnapshot {
-  bool has_binary = false;
-  isa::Program binary;
-  /// Unconverged devices in campaign order, with their schedule position.
-  std::vector<std::pair<std::string, DeviceResumeState>> pending;
-
-  std::string to_json() const;
-  /// Throws std::runtime_error / util::DecodeError on malformed input.
-  static CampaignSnapshot from_json(std::string_view text);
-};
-
 /// Cached observability handles for fleet campaigns: attempt/retry
 /// counters, one counter per DeviceOutcome, and per-device attempt /
 /// backoff distributions. Campaign paths are cold (operator actions, not
@@ -157,7 +130,6 @@ class FleetOperator {
     std::vector<DeviceReport> reports;
 
     bool converged() const { return failed == 0; }
-    const DeviceReport* report_for(const std::string& device) const;
   };
 
   /// Install `binary` on every enrolled device, each with its own fresh
@@ -179,19 +151,6 @@ class FleetOperator {
 
   /// Devices the last campaign failed to converge (targets of resume()).
   std::size_t pending_devices() const { return pending_.size(); }
-
-  /// Capture the resumable campaign state (deployed binary, unconverged
-  /// set, per-device schedule position). Meaningful after any campaign;
-  /// an empty snapshot (has_binary == false) when nothing was deployed.
-  CampaignSnapshot snapshot_campaign() const;
-
-  /// Restore a snapshot onto this operator view -- typically a freshly
-  /// constructed one after a console restart, with the same devices
-  /// enrolled. Pending devices are matched by name (unknown names are
-  /// dropped); their schedule positions are consumed by the next
-  /// resume(), which therefore *continues* each device's retry budget.
-  /// Returns the number of pending devices matched.
-  std::size_t restore_campaign(const CampaignSnapshot& snapshot);
 
   /// Re-key the fleet: re-seal the most recently deployed binary with new
   /// parameters for every *healthy* device. Devices whose last install
@@ -216,8 +175,7 @@ class FleetOperator {
  private:
   DeviceReport deploy_one(NetworkProcessorDevice& device,
                           const isa::Program& binary, std::uint64_t now,
-                          Channel& channel, const RetryPolicy& retry,
-                          const DeviceResumeState& carry);
+                          Channel& channel, const RetryPolicy& retry);
   CampaignResult run_campaign(const std::vector<NetworkProcessorDevice*>& targets,
                               const isa::Program& binary, std::uint64_t now,
                               const NiosTimingModel& model, Channel* channel,
@@ -229,12 +187,6 @@ class FleetOperator {
   crypto::RsaPublicKey manufacturer_root_;
   std::vector<NetworkProcessorDevice*> devices_;
   std::vector<NetworkProcessorDevice*> pending_;  // unconverged last time
-  /// Schedule position of each unconverged device (snapshot payload).
-  std::map<std::string, DeviceResumeState> progress_;
-  /// Restored schedule positions, consumed by the next campaign touching
-  /// the device. Only populated by restore_campaign(): an in-process
-  /// resume() keeps its historical fresh-schedule semantics.
-  std::map<std::string, DeviceResumeState> carry_;
   isa::Program last_binary_;
   bool has_binary_ = false;
   std::unique_ptr<FleetObs> obs_;

@@ -254,7 +254,7 @@ void expect_same_stats(const MonitoredCore& a, const MonitoredCore& b) {
 // A (compiled, oracle) MonitoredCore pair; the oracle interprets.
 struct CorePair {
   MonitoredCore fast, oracle;
-  CorePair() { oracle.core().set_tier(Tier::Interpret); }
+  CorePair() { oracle.set_tier(Tier::Interpret); }
 
   void install(const isa::Program& app, const monitor::MonitoringGraph& graph,
                const monitor::MerkleTreeHash& hash) {
@@ -288,8 +288,8 @@ void expect_apps_match(const std::vector<isa::Program>& apps,
     CorePair pair;
     pair.install(app, monitor::extract_graph(app, hash), hash);
     if (watchdog != 0) {
-      pair.fast.core().set_watchdog_budget(watchdog);
-      pair.oracle.core().set_watchdog_budget(watchdog);
+      pair.fast.set_watchdog_budget(watchdog);
+      pair.oracle.set_watchdog_budget(watchdog);
     }
     net::TrafficGenerator gen;
     std::uint64_t dispatches = 0;
@@ -401,7 +401,7 @@ void expect_recovery_policies_match(std::uint64_t seed) {
     Mpsoc fast_soc(2, DispatchPolicy::RoundRobin, config);
     Mpsoc oracle_soc(2, DispatchPolicy::RoundRobin, config);
     for (std::size_t c = 0; c < oracle_soc.num_cores(); ++c) {
-      oracle_soc.core(c).core().set_tier(Tier::Interpret);
+      oracle_soc.core(c).set_tier(Tier::Interpret);
     }
     testsupport::install_all(fast_soc, testsupport::kVulnApp, 0x7E57);
     testsupport::install_all(oracle_soc, testsupport::kVulnApp, 0x7E57);

@@ -37,6 +37,14 @@ FleetFixture& fixture() {
   return f;
 }
 
+const DeviceReport* report_for(const FleetOperator::CampaignResult& result,
+                               const std::string& device) {
+  for (const DeviceReport& report : result.reports) {
+    if (report.device == device) return &report;
+  }
+  return nullptr;
+}
+
 std::uint32_t param_of(const NetworkProcessorDevice& device) {
   const auto* merkle = dynamic_cast<const monitor::MerkleTreeHash*>(
       &device.mpsoc().core(0).monitor().hash());
@@ -110,14 +118,14 @@ TEST(FleetOps, DeployProducesPerDeviceReports) {
   EXPECT_TRUE(result.converged());
   ASSERT_EQ(result.reports.size(), f.devices.size());
   for (const auto& device : f.devices) {
-    const DeviceReport* report = result.report_for(device->name());
+    const DeviceReport* report = report_for(result, device->name());
     ASSERT_NE(report, nullptr) << device->name();
     EXPECT_TRUE(report->ok());
     EXPECT_EQ(report->outcome, DeviceOutcome::Installed);
     EXPECT_EQ(report->last_status, InstallStatus::Ok);
     EXPECT_EQ(report->attempts, 1u);  // reliable channel: one shot each
   }
-  EXPECT_EQ(result.report_for("no-such-device"), nullptr);
+  EXPECT_EQ(report_for(result, "no-such-device"), nullptr);
   EXPECT_EQ(f.fleet.pending_devices(), 0u);
 }
 
@@ -135,7 +143,7 @@ TEST(FleetOps, RotateSkipsUnhealthyDeviceAndResumeRecoversIt) {
   auto rotated = f.fleet.rotate_parameters(kNow + 200);
   EXPECT_EQ(rotated.succeeded, 4u);
   EXPECT_EQ(rotated.skipped, 1u);
-  const DeviceReport* report = rotated.report_for(sick.name());
+  const DeviceReport* report = report_for(rotated, sick.name());
   ASSERT_NE(report, nullptr);
   EXPECT_EQ(report->outcome, DeviceOutcome::SkippedUnhealthy);
   // The unhealthy device was not touched: old parameter still active.
@@ -209,126 +217,68 @@ TEST(FleetOpsJitter, DevicesDesynchronize) {
   EXPECT_GE(first_gaps.size(), 19u);  // spread, not resynchronized
 }
 
-// ---------------------------------------------------------------------
-// Campaign snapshot / restore (operator restart survival)
-// ---------------------------------------------------------------------
-
-struct RestartFixture {
+// A fresh three-device fleet: the tests below fail every device on
+// purpose, so they cannot share the suite's fixture.
+struct FreshFleet {
   Manufacturer manufacturer{"rm", kKeyBits, crypto::Drbg("restart-man")};
   NetworkOperator op{"ro", kKeyBits, crypto::Drbg("restart-op")};
   std::vector<std::unique_ptr<NetworkProcessorDevice>> devices;
+  FleetOperator fleet{op, manufacturer.public_key()};
 
-  RestartFixture() {
+  FreshFleet() {
     op.accept_certificate(manufacturer.certify_operator(
         op.name(), op.public_key(), kNow - 10, kNow + 1'000'000));
     for (int i = 0; i < 3; ++i) {
       devices.push_back(manufacturer.provision_device(
           "restart-router-" + std::to_string(i), 1));
+      fleet.enroll(devices.back().get());
     }
-  }
-
-  FleetOperator make_fleet() {
-    FleetOperator fleet(op, manufacturer.public_key());
-    for (auto& device : devices) fleet.enroll(device.get());
-    return fleet;
   }
 };
 
-TEST(FleetOpsSnapshot, SurvivesOperatorRestartAndContinuesSchedule) {
-  RestartFixture f;
-  FleetOperator fleet = f.make_fleet();
-
-  // Campaign over a dead channel: every device burns its full retry
-  // allowance (4 attempts, 0.5+1+2 = 3.5s of backoff) and stays pending.
+TEST(FleetOps, InProcessResumeKeepsFreshSchedule) {
+  // resume() grants each pending device a fresh retry allowance.
+  FreshFleet f;
   util::FaultInjector dead(util::FaultProfile{.drop_rate = 1.0});
   LossyChannel dead_channel(dead);
-  RetryPolicy retry;
-  auto result = fleet.deploy(net::build_udp_echo(), kNow, NiosTimingModel(),
-                             &dead_channel, retry);
-  EXPECT_EQ(result.failed, 3u);
-  ASSERT_EQ(fleet.pending_devices(), 3u);
-
-  // Snapshot -> JSON -> restore onto a fresh operator console.
-  CampaignSnapshot snapshot = fleet.snapshot_campaign();
-  ASSERT_TRUE(snapshot.has_binary);
-  ASSERT_EQ(snapshot.pending.size(), 3u);
-  for (const auto& [name, state] : snapshot.pending) {
-    EXPECT_EQ(state.attempts, 4u) << name;
-    EXPECT_DOUBLE_EQ(state.backoff_s, 3.5) << name;
-  }
-  CampaignSnapshot restored = CampaignSnapshot::from_json(snapshot.to_json());
-  EXPECT_EQ(restored.pending.size(), 3u);
-  EXPECT_EQ(restored.binary.text, snapshot.binary.text);
-  EXPECT_EQ(restored.binary.name, snapshot.binary.name);
-
-  FleetOperator rebooted = f.make_fleet();
-  EXPECT_EQ(rebooted.restore_campaign(restored), 3u);
-  EXPECT_EQ(rebooted.pending_devices(), 3u);
-
-  // The restored console CONTINUES each device's schedule: with the same
-  // 4-attempt policy the allowance is already spent, so resume() fails
-  // fast without touching the channel.
-  auto exhausted = rebooted.resume(kNow + 100, NiosTimingModel(), nullptr,
-                                   retry);
-  EXPECT_EQ(exhausted.succeeded, 0u);
-  for (const auto& report : exhausted.reports) {
-    EXPECT_EQ(report.outcome, DeviceOutcome::BudgetExhausted);
-    EXPECT_EQ(report.attempts, 4u);  // carried, no new attempts
-  }
-
-  // With a raised allowance the carried position is continued, not reset:
-  // the first new attempt is attempt #5.
-  FleetOperator rebooted2 = f.make_fleet();
-  EXPECT_EQ(rebooted2.restore_campaign(restored), 3u);
-  RetryPolicy extended = retry;
-  extended.max_attempts = 6;
-  auto recovered = rebooted2.resume(kNow + 200, NiosTimingModel(), nullptr,
-                                    extended);
-  EXPECT_EQ(recovered.succeeded, 3u);
-  for (const auto& report : recovered.reports) {
-    EXPECT_EQ(report.attempts, 5u) << report.device;
-  }
-  EXPECT_EQ(rebooted2.pending_devices(), 0u);
-  for (auto& device : f.devices) {
-    EXPECT_TRUE(device->last_install_ok());
-    EXPECT_EQ(device->application_name(), "udp-echo");
-  }
-}
-
-TEST(FleetOpsSnapshot, InProcessResumeKeepsFreshSchedule) {
-  // Without a restore, resume() retains its historical semantics: the
-  // pending device gets a fresh retry allowance.
-  RestartFixture f;
-  FleetOperator fleet = f.make_fleet();
-  util::FaultInjector dead(util::FaultProfile{.drop_rate = 1.0});
-  LossyChannel dead_channel(dead);
-  (void)fleet.deploy(net::build_udp_echo(), kNow, NiosTimingModel(),
-                     &dead_channel, RetryPolicy());
-  ASSERT_EQ(fleet.pending_devices(), 3u);
-  auto resumed = fleet.resume(kNow + 100);
+  (void)f.fleet.deploy(net::build_udp_echo(), kNow, NiosTimingModel(),
+                       &dead_channel, RetryPolicy());
+  ASSERT_EQ(f.fleet.pending_devices(), 3u);
+  auto resumed = f.fleet.resume(kNow + 100);
   EXPECT_EQ(resumed.succeeded, 3u);
   for (const auto& report : resumed.reports) {
     EXPECT_EQ(report.attempts, 1u);  // fresh schedule, reliable channel
   }
 }
 
-TEST(FleetOpsSnapshot, EmptySnapshotRoundTrips) {
-  RestartFixture f;
-  FleetOperator fleet = f.make_fleet();
-  CampaignSnapshot snapshot = fleet.snapshot_campaign();
-  EXPECT_FALSE(snapshot.has_binary);
-  EXPECT_TRUE(snapshot.pending.empty());
-  CampaignSnapshot restored = CampaignSnapshot::from_json(snapshot.to_json());
-  EXPECT_FALSE(restored.has_binary);
-  FleetOperator rebooted = f.make_fleet();
-  EXPECT_EQ(rebooted.restore_campaign(restored), 0u);
-}
+TEST(FleetOps, ObsCountsCampaignOutcomesAndJournalsFailures) {
+  FreshFleet f;
+  obs::Registry registry;
+  f.fleet.enable_obs(registry);
+  // Dead channel: each of the 3 devices spends all 4 attempts and ends
+  // ChannelLost. The reliable resume then installs each in one attempt.
+  util::FaultInjector dead(util::FaultProfile{.drop_rate = 1.0});
+  LossyChannel dead_channel(dead);
+  (void)f.fleet.deploy(net::build_udp_echo(), kNow, NiosTimingModel(),
+                       &dead_channel, RetryPolicy());
+  (void)f.fleet.resume(kNow + 100);
 
-TEST(FleetOpsSnapshot, MalformedJsonIsRejected) {
-  EXPECT_THROW(CampaignSnapshot::from_json("{\"schema\":99}"),
-               std::runtime_error);
-  EXPECT_THROW(CampaignSnapshot::from_json("not json"),
-               std::runtime_error);
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at(obs::names::kFleetAttempts), 3u * 4 + 3);
+  EXPECT_EQ(snap.counters.at(obs::names::kFleetRetries), 3u * 3);
+  EXPECT_EQ(snap.counters.at(obs::names::kFleetChannelLost), 3u);
+  EXPECT_EQ(snap.counters.at(obs::names::kFleetInstalled), 3u);
+  EXPECT_EQ(snap.counters.at(obs::names::kFleetRejected), 0u);
+  EXPECT_EQ(snap.histograms.at(obs::names::kFleetAttemptsPerDevice).count,
+            6u);
+  EXPECT_EQ(snap.histograms.at(obs::names::kFleetBackoffMs).count, 6u);
+  ASSERT_EQ(snap.events.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(snap.events[i].kind, obs::EventKind::CampaignFailure);
+    EXPECT_EQ(snap.events[i].device, i);  // enrollment index
+    EXPECT_EQ(snap.events[i].arg,
+              static_cast<std::uint64_t>(DeviceOutcome::ChannelLost));
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -340,8 +290,8 @@ TEST(FleetOpsClockSkew, SkewedDeviceRejectsRotationAsRejectedNotLost) {
   // must reject the (perfectly good) package with BadCertificate -- and
   // the operator must classify that as Rejected (a device-side verdict),
   // not ChannelLost (a delivery failure): retrying cannot fix it.
-  RestartFixture f;
-  FleetOperator fleet = f.make_fleet();
+  FreshFleet f;
+  FleetOperator& fleet = f.fleet;
   auto deployed = fleet.deploy(net::build_udp_echo(), kNow);
   ASSERT_TRUE(deployed.converged());
 

@@ -10,7 +10,6 @@
 
 #include <set>
 
-#include "fleet/attestation.hpp"
 #include "isa/assembler.hpp"
 #include "obs/obs.hpp"
 #include "support/test_apps.hpp"
@@ -370,36 +369,6 @@ TEST(FleetRolloutConcrete, RealDevicesInstallQuarantineAndRollBack) {
     EXPECT_GE(stats.quarantine_events, 1u);  // the attack left a record
     EXPECT_GE(stats.attacks_detected, 1u);
   }
-}
-
-TEST(FleetRolloutConcrete, AttestationReportsCarryMonitorEvidence) {
-  ConcreteFleet fleet;
-  fleet.service->start_rollout(fleet.echo_release());
-  fleet.sim.run();
-  fleet.service->start_rollout(fleet.vuln_release());
-  fleet.sim.run();
-  ASSERT_TRUE(fleet.service->report().halted);
-
-  // Concrete attestations: stats sourced from the device's observability
-  // snapshot (the JSON a reporting agent ships) when obs is compiled in,
-  // from engine counters otherwise -- same numbers either way.
-  AttestationReport concrete = fleet.service->attest(0);
-  EXPECT_TRUE(concrete.concrete);
-  EXPECT_EQ(concrete.state, DeviceState::RolledBack);
-  EXPECT_GT(concrete.packets, 0u);
-  EXPECT_GE(concrete.attacks, 1u);
-  EXPECT_GE(concrete.quarantines, 1u);
-  EXPECT_NE(concrete.hash_param, 0u);
-  EXPECT_FALSE(concrete.app_hash_hex.empty());
-
-  // Modeled attestation for a rolled-back peer.
-  AttestationReport modeled = fleet.service->attest(3);
-  EXPECT_FALSE(modeled.concrete);
-  EXPECT_EQ(modeled.version, 1u);
-
-  // SR2 evidence: the two concrete devices report distinct parameters.
-  EXPECT_NE(fleet.service->attest(0).hash_param,
-            fleet.service->attest(1).hash_param);
 }
 
 // ---------------------------------------------------------------------

@@ -67,18 +67,6 @@ TEST(FleetSim, PastSchedulesClampToNow) {
   EXPECT_EQ(rec.seen[1].at, 50u);
 }
 
-TEST(FleetSim, RunUntilAdvancesClockToDeadline) {
-  Simulator sim;
-  Recorder rec;
-  sim.schedule_at(100, &rec, 1);
-  sim.schedule_at(900, &rec, 2);
-  EXPECT_EQ(sim.run_until(500), 1u);
-  EXPECT_EQ(sim.now(), 500u);
-  EXPECT_EQ(sim.events_pending(), 1u);
-  EXPECT_EQ(sim.run_until(1000), 1u);
-  EXPECT_EQ(sim.events_executed(), 2u);
-}
-
 /// Actor that reschedules itself forever -- run(max) must stop it.
 struct Perpetual : SimActor {
   void on_event(Simulator& sim, const SimEvent&) override {
@@ -118,16 +106,6 @@ TEST(FleetSim, ModeledDeviceDrawsAreDeterministic) {
   // A different device id gives an uncorrelated stream.
   ModeledDevice c{.seed = mix_seed(9, 2)};
   EXPECT_NE(a.uniform(), c.uniform());
-}
-
-TEST(FleetSim, DeviceStateNamesAndTerminality) {
-  EXPECT_STREQ(device_state_name(DeviceState::Baking), "baking");
-  EXPECT_STREQ(device_state_name(DeviceState::RolledBack), "rolled-back");
-  EXPECT_TRUE(device_state_terminal(DeviceState::Healthy));
-  EXPECT_TRUE(device_state_terminal(DeviceState::Unreachable));
-  EXPECT_FALSE(device_state_terminal(DeviceState::Baking));
-  EXPECT_FALSE(device_state_terminal(DeviceState::Scheduled));
-  EXPECT_STREQ(release_channel_name(ReleaseChannel::Canary), "canary");
 }
 
 }  // namespace

@@ -77,11 +77,14 @@ TEST(FlowStats, MalformedPacketsNotCounted) {
 }
 
 TEST(FlowStats, FullResetWipesCounters) {
-  // Attack recovery re-images data memory: counters reset to zero.
+  // Trap recovery re-images data memory: counters reset to zero. A
+  // one-cycle watchdog budget makes the next packet trap.
   Rig rig;
   (void)rig.send(ip(1, 1, 1, 1), ip(2, 2, 2, 2));
   ASSERT_EQ(rig.total(), 1u);
-  rig.core.core().reset();  // full re-image (recovery path)
+  rig.core.set_watchdog_budget(1);
+  ASSERT_EQ(rig.send(ip(1, 1, 1, 1), ip(2, 2, 2, 2)).outcome,
+            np::PacketOutcome::Trapped);
   EXPECT_EQ(rig.total(), 0u);
 }
 

@@ -309,7 +309,7 @@ TEST(SummaryDifferentialPackets, SummarisedCoreMatchesInterpreter) {
   MonitoredCore fast, oracle;
   fast.install(program, graph, hash.clone());
   oracle.install(program, graph, hash.clone());
-  oracle.core().set_tier(Tier::Interpret);
+  oracle.set_tier(Tier::Interpret);
   const util::Bytes attack =
       attack::craft_cm_overflow(attack::marker_shellcode()).packet;
   std::size_t joins = 0;
@@ -332,34 +332,6 @@ TEST(SummaryDifferentialPackets, SummarisedCoreMatchesInterpreter) {
   }
   EXPECT_GT(joins, 0u);
   EXPECT_EQ(attacks, 40u);
-}
-
-// The summary indexes the installed program's lane. A program loaded onto
-// the core behind install()'s back is fed hash by hash instead, with the
-// same results as the interpreter.
-TEST(SummaryDifferentialPackets, ProgramLoadedBehindInstallIsFedPerHash) {
-  const isa::Program installed = net::build_ipv4_cm();
-  const isa::Program loaded = net::build_udp_echo();
-  const MerkleTreeHash hash(0x10AD, 4);
-  const monitor::MonitoringGraph graph =
-      monitor::extract_graph(installed, hash);
-  MonitoredCore fast, oracle;
-  fast.install(installed, graph, hash.clone());
-  oracle.install(installed, graph, hash.clone());
-  fast.core().load_program(loaded, CompiledProgram::compile(loaded, hash));
-  oracle.core().load_program(loaded);
-  ASSERT_TRUE(fast.core().compiled_live());
-  for (int i = 0; i < 20; ++i) {
-    const util::Bytes packet =
-        attack::benign_cm_packet(static_cast<std::uint8_t>(i));
-    const PacketResult a = fast.process_packet(packet);
-    const PacketResult b = oracle.process_packet(packet);
-    ASSERT_EQ(a.outcome, b.outcome) << "packet " << i;
-    ASSERT_EQ(a.instructions, b.instructions) << "packet " << i;
-    EXPECT_EQ(a.summary_joins, 0u) << "packet " << i;
-    ASSERT_NO_FATAL_FAILURE(expect_same_monitor(
-        fast.monitor(), oracle.monitor(), "packet " + std::to_string(i)));
-  }
 }
 
 TEST(MonitorSummary, SizeIsBoundedByTheLane) {

@@ -187,6 +187,42 @@ TEST(RpcCodecFuzz, TypedPayloadsRoundTrip) {
   }
 }
 
+// The journal's EventKind values are wire codes: each is pinned, crosses
+// the Journal payload as itself, and anything past the last one is a
+// typed decode error.
+TEST(RpcCodecFuzz, JournalEventKindCodesArePinned) {
+  using obs::EventKind;
+  const std::pair<EventKind, std::uint8_t> codes[] = {
+      {EventKind::Install, 0},          {EventKind::Reinstall, 1},
+      {EventKind::Quarantine, 2},       {EventKind::Release, 3},
+      {EventKind::AttackDetected, 4},   {EventKind::Trap, 5},
+      {EventKind::CampaignFailure, 6},  {EventKind::RolloutWave, 7},
+      {EventKind::RolloutHalt, 8},      {EventKind::RolloutRollback, 9},
+      {EventKind::RpcSessionOpened, 10}, {EventKind::RpcSessionClosed, 11},
+      {EventKind::RpcRejected, 12},
+  };
+  EXPECT_EQ(static_cast<std::uint8_t>(obs::kLastEventKind), 12);
+  // Layout: next_cursor u64, dropped u64, count u32, then per event the
+  // kind byte first.
+  constexpr std::size_t kFirstKindByte = 8 + 8 + 4;
+  for (const auto& [kind, code] : codes) {
+    SCOPED_TRACE(obs::event_kind_name(kind));
+    EXPECT_EQ(static_cast<std::uint8_t>(kind), code);
+    JournalPayload journal;
+    journal.events.push_back({kind, 1, 2, 3, 4});
+    util::Bytes bytes = journal.encode();
+    ASSERT_GT(bytes.size(), kFirstKindByte);
+    EXPECT_EQ(bytes[kFirstKindByte], code);
+    const JournalPayload decoded = JournalPayload::decode(bytes);
+    ASSERT_EQ(decoded.events.size(), 1u);
+    EXPECT_EQ(decoded.events[0], journal.events[0]);
+    if (kind == obs::kLastEventKind) {
+      bytes[kFirstKindByte] = static_cast<std::uint8_t>(code + 1);
+      EXPECT_THROW((void)JournalPayload::decode(bytes), util::DecodeError);
+    }
+  }
+}
+
 TEST(RpcCodecFuzz, HeaderFieldViolationsAreTyped) {
   const util::Bytes good = encode_frame({MsgType::Ping, 9, {}});
 

@@ -263,9 +263,9 @@ TEST(RpcDiff, InProcessLostReplyInstallsTwiceByDesign) {
                             protocol::NiosTimingModel(), &channel, retry);
 
   ASSERT_TRUE(result.converged());
-  const DeviceReport* report = result.report_for(device.name());
-  ASSERT_NE(report, nullptr);
-  EXPECT_EQ(report->attempts, 2u) << "reply loss must trigger a retry";
+  ASSERT_EQ(result.reports.size(), 1u);
+  EXPECT_EQ(result.reports[0].attempts, 2u)
+      << "reply loss must trigger a retry";
 
   const auto& audit = device.audit_log();
   ASSERT_EQ(audit.size(), audit_before + 2)
