@@ -528,7 +528,7 @@ void FleetService::maybe_advance_wave(Simulator& sim) {
   if (halted_ || !running_) return;
   const WaveStats& wave = waves_[current_wave_];
   if (wave.terminal() < wave.targeted) return;
-  if (current_wave_ + 1 < waves_.size()) {
+  if (std::size_t{current_wave_} + 1 < waves_.size()) {
     sim.schedule_in(config_.wave_gap_ms, this, kEvWaveOpen,
                     current_wave_ + 1, rollout_epoch_);
   } else {

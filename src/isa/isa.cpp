@@ -15,54 +15,10 @@ struct OpInfo {
 };
 
 constexpr std::array<OpInfo, kNumOps> kOpTable = {{
-    {Op::Sll, "sll", OpClass::Alu, 0, 0},
-    {Op::Srl, "srl", OpClass::Alu, 0, 2},
-    {Op::Sra, "sra", OpClass::Alu, 0, 3},
-    {Op::Sllv, "sllv", OpClass::Alu, 0, 4},
-    {Op::Srlv, "srlv", OpClass::Alu, 0, 6},
-    {Op::Srav, "srav", OpClass::Alu, 0, 7},
-    {Op::Jr, "jr", OpClass::JumpReg, 0, 8},
-    {Op::Jalr, "jalr", OpClass::JumpReg, 0, 9},
-    {Op::Syscall, "syscall", OpClass::Trap, 0, 12},
-    {Op::Break, "break", OpClass::Trap, 0, 13},
-    {Op::Mfhi, "mfhi", OpClass::Alu, 0, 16},
-    {Op::Mflo, "mflo", OpClass::Alu, 0, 18},
-    {Op::Mult, "mult", OpClass::Alu, 0, 24},
-    {Op::Multu, "multu", OpClass::Alu, 0, 25},
-    {Op::Div, "div", OpClass::Alu, 0, 26},
-    {Op::Divu, "divu", OpClass::Alu, 0, 27},
-    {Op::Add, "add", OpClass::Alu, 0, 32},
-    {Op::Addu, "addu", OpClass::Alu, 0, 33},
-    {Op::Sub, "sub", OpClass::Alu, 0, 34},
-    {Op::Subu, "subu", OpClass::Alu, 0, 35},
-    {Op::And, "and", OpClass::Alu, 0, 36},
-    {Op::Or, "or", OpClass::Alu, 0, 37},
-    {Op::Xor, "xor", OpClass::Alu, 0, 38},
-    {Op::Nor, "nor", OpClass::Alu, 0, 39},
-    {Op::Slt, "slt", OpClass::Alu, 0, 42},
-    {Op::Sltu, "sltu", OpClass::Alu, 0, 43},
-    {Op::Beq, "beq", OpClass::Branch, 4, -1},
-    {Op::Bne, "bne", OpClass::Branch, 5, -1},
-    {Op::Blez, "blez", OpClass::Branch, 6, -1},
-    {Op::Bgtz, "bgtz", OpClass::Branch, 7, -1},
-    {Op::Addi, "addi", OpClass::Alu, 8, -1},
-    {Op::Addiu, "addiu", OpClass::Alu, 9, -1},
-    {Op::Slti, "slti", OpClass::Alu, 10, -1},
-    {Op::Sltiu, "sltiu", OpClass::Alu, 11, -1},
-    {Op::Andi, "andi", OpClass::Alu, 12, -1},
-    {Op::Ori, "ori", OpClass::Alu, 13, -1},
-    {Op::Xori, "xori", OpClass::Alu, 14, -1},
-    {Op::Lui, "lui", OpClass::Alu, 15, -1},
-    {Op::Lb, "lb", OpClass::Load, 32, -1},
-    {Op::Lh, "lh", OpClass::Load, 33, -1},
-    {Op::Lw, "lw", OpClass::Load, 35, -1},
-    {Op::Lbu, "lbu", OpClass::Load, 36, -1},
-    {Op::Lhu, "lhu", OpClass::Load, 37, -1},
-    {Op::Sb, "sb", OpClass::Store, 40, -1},
-    {Op::Sh, "sh", OpClass::Store, 41, -1},
-    {Op::Sw, "sw", OpClass::Store, 43, -1},
-    {Op::J, "j", OpClass::Jump, 2, -1},
-    {Op::Jal, "jal", OpClass::JumpLink, 3, -1},
+#define SDMMON_ISA_INFO(name, mnemonic, cls, primary, funct) \
+  {Op::name, mnemonic, OpClass::cls, primary, funct},
+    SDMMON_ISA_OPS(SDMMON_ISA_INFO)
+#undef SDMMON_ISA_INFO
 }};
 
 const OpInfo& info(Op op) { return kOpTable[static_cast<std::size_t>(op)]; }

@@ -22,28 +22,76 @@ class IsaError : public std::runtime_error {
   explicit IsaError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Every op the core executes, in Op order: X(name, mnemonic, OpClass,
+/// primary opcode field (0 for R-type), funct field (-1 unless R-type)).
+/// Op, kNumOps, the encode/decode table and Core::exec_trace's handler
+/// table are all expanded from this one list, so their orders cannot
+/// drift apart.
+#define SDMMON_ISA_OPS(X)               \
+  /* R-type (opcode 0, by funct) */     \
+  X(Sll, "sll", Alu, 0, 0)              \
+  X(Srl, "srl", Alu, 0, 2)              \
+  X(Sra, "sra", Alu, 0, 3)              \
+  X(Sllv, "sllv", Alu, 0, 4)            \
+  X(Srlv, "srlv", Alu, 0, 6)            \
+  X(Srav, "srav", Alu, 0, 7)            \
+  X(Jr, "jr", JumpReg, 0, 8)            \
+  X(Jalr, "jalr", JumpReg, 0, 9)        \
+  X(Syscall, "syscall", Trap, 0, 12)    \
+  X(Break, "break", Trap, 0, 13)        \
+  X(Mfhi, "mfhi", Alu, 0, 16)           \
+  X(Mflo, "mflo", Alu, 0, 18)           \
+  X(Mult, "mult", Alu, 0, 24)           \
+  X(Multu, "multu", Alu, 0, 25)         \
+  X(Div, "div", Alu, 0, 26)             \
+  X(Divu, "divu", Alu, 0, 27)           \
+  X(Add, "add", Alu, 0, 32)             \
+  X(Addu, "addu", Alu, 0, 33)           \
+  X(Sub, "sub", Alu, 0, 34)             \
+  X(Subu, "subu", Alu, 0, 35)           \
+  X(And, "and", Alu, 0, 36)             \
+  X(Or, "or", Alu, 0, 37)               \
+  X(Xor, "xor", Alu, 0, 38)             \
+  X(Nor, "nor", Alu, 0, 39)             \
+  X(Slt, "slt", Alu, 0, 42)             \
+  X(Sltu, "sltu", Alu, 0, 43)           \
+  /* I-type */                          \
+  X(Beq, "beq", Branch, 4, -1)          \
+  X(Bne, "bne", Branch, 5, -1)          \
+  X(Blez, "blez", Branch, 6, -1)        \
+  X(Bgtz, "bgtz", Branch, 7, -1)        \
+  X(Addi, "addi", Alu, 8, -1)           \
+  X(Addiu, "addiu", Alu, 9, -1)         \
+  X(Slti, "slti", Alu, 10, -1)          \
+  X(Sltiu, "sltiu", Alu, 11, -1)        \
+  X(Andi, "andi", Alu, 12, -1)          \
+  X(Ori, "ori", Alu, 13, -1)            \
+  X(Xori, "xori", Alu, 14, -1)          \
+  X(Lui, "lui", Alu, 15, -1)            \
+  X(Lb, "lb", Load, 32, -1)             \
+  X(Lh, "lh", Load, 33, -1)             \
+  X(Lw, "lw", Load, 35, -1)             \
+  X(Lbu, "lbu", Load, 36, -1)           \
+  X(Lhu, "lhu", Load, 37, -1)           \
+  X(Sb, "sb", Store, 40, -1)            \
+  X(Sh, "sh", Store, 41, -1)            \
+  X(Sw, "sw", Store, 43, -1)            \
+  /* J-type */                          \
+  X(J, "j", Jump, 2, -1)                \
+  X(Jal, "jal", JumpLink, 3, -1)
+
 /// Mnemonic-level opcode covering every instruction the core executes.
 enum class Op : std::uint8_t {
-  // R-type (opcode 0, distinguished by funct)
-  Sll, Srl, Sra, Sllv, Srlv, Srav,
-  Jr, Jalr,
-  Syscall, Break,
-  Mfhi, Mflo,
-  Mult, Multu, Div, Divu,
-  Add, Addu, Sub, Subu,
-  And, Or, Xor, Nor,
-  Slt, Sltu,
-  // I-type
-  Beq, Bne, Blez, Bgtz,
-  Addi, Addiu, Slti, Sltiu,
-  Andi, Ori, Xori, Lui,
-  Lb, Lh, Lw, Lbu, Lhu,
-  Sb, Sh, Sw,
-  // J-type
-  J, Jal,
+#define SDMMON_ISA_ENUM(name, ...) name,
+  SDMMON_ISA_OPS(SDMMON_ISA_ENUM)
+#undef SDMMON_ISA_ENUM
 };
 
-constexpr int kNumOps = static_cast<int>(Op::Jal) + 1;
+constexpr int kNumOps = 0
+#define SDMMON_ISA_COUNT(...) +1
+    SDMMON_ISA_OPS(SDMMON_ISA_COUNT)
+#undef SDMMON_ISA_COUNT
+    ;
 
 /// Instruction classes relevant to control-flow analysis.
 enum class OpClass {

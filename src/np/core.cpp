@@ -325,57 +325,103 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
   bool dirtied = false;
   bool side_exit = false;
 
-  for (; op != end; ++op) {
-    const isa::Instr& in = op->instr;
-    const std::uint32_t a = regs[in.rs];
-    const std::uint32_t b = regs[in.rt];
-    bool taken = false;
-    // Results come from np/op_table.hpp; this switch only stops the
-    // batch where step() must take over.
-    switch (in.op) {
-#define SDMMON_RD(name, value)      \
-  case Op::name:                    \
-    if (in.rd) regs[in.rd] = value; \
-    ++alu;                          \
-    continue;
-#define SDMMON_RT(name, value)      \
-  case Op::name:                    \
-    if (in.rt) regs[in.rt] = value; \
-    ++alu;                          \
-    continue;
+  // Direct-threaded dispatch: every handler ends by jumping straight to
+  // the next op's handler, so each op kind gets its own indirect branch
+  // (and branch-predictor history) instead of sharing one switch. The
+  // table is expanded from the same op list as isa::Op, so its order is
+  // structural. Results come from np/op_table.hpp; a handler only decides
+  // where a result goes and where step() must take over.
+#define SDMMON_LABEL(name, ...) &&L_##name,
+  static void* const kHandler[isa::kNumOps] = {
+      SDMMON_ISA_OPS(SDMMON_LABEL)};
+#undef SDMMON_LABEL
+#define SDMMON_DISPATCH goto* kHandler[static_cast<std::size_t>(op->instr.op)]
+#define SDMMON_NEXT           \
+  if (++op == end) goto done; \
+  SDMMON_DISPATCH
+  // Each handler block reads its own operands; a and b are read before
+  // the op writes anything.
+#define SDMMON_OPERANDS                                 \
+  const isa::Instr& in = op->instr;                     \
+  [[maybe_unused]] const std::uint32_t a = regs[in.rs]; \
+  [[maybe_unused]] const std::uint32_t b = regs[in.rt]
+
+  if (op == end) goto done;
+  SDMMON_DISPATCH;
+
+#define SDMMON_RD(name, value)        \
+  L_##name: {                         \
+    SDMMON_OPERANDS;                  \
+    if (in.rd) regs[in.rd] = value;   \
+    ++alu;                            \
+    SDMMON_NEXT;                      \
+  }
+#define SDMMON_RT(name, value)        \
+  L_##name: {                         \
+    SDMMON_OPERANDS;                  \
+    if (in.rt) regs[in.rt] = value;   \
+    ++alu;                            \
+    SDMMON_NEXT;                      \
+  }
 #define SDMMON_OVF(name, dest, value, overflow) \
-  case Op::name: {                              \
+  L_##name: {                                   \
+    SDMMON_OPERANDS;                            \
     const std::uint32_t r = value;              \
     if (overflow) goto done;                    \
     if (in.dest) regs[in.dest] = r;             \
     ++alu;                                      \
-    continue;                                   \
+    SDMMON_NEXT;                                \
   }
 #define SDMMON_MULDIV(name, guard, value)         \
-  case Op::name:                                  \
+  L_##name: {                                     \
+    SDMMON_OPERANDS;                              \
     if (guard) {                                  \
       const std::uint64_t p = value;              \
       hi = static_cast<std::uint32_t>(p >> 32);   \
       lo = static_cast<std::uint32_t>(p);         \
     }                                             \
     ++muldiv;                                     \
-    continue;
-#define SDMMON_BRANCH(name, cond) \
-  case Op::name:                  \
-    taken = cond;                 \
-    break;
+    SDMMON_NEXT;                                  \
+  }
+  // Conditional branch: it always retires. exec() counts it taken iff it
+  // left the fall-through path (a taken branch-to-next counts not-taken),
+  // and one whose next pc differs from the predicted pc retires and then
+  // side-exits. Comparing pcs rather than conditions keeps a taken
+  // branch-to-next on its predicted path, which is what retract_trace
+  // assumes of every branch but a side-exiting one.
+#define SDMMON_BRANCH(name, cond)                                       \
+  L_##name: {                                                           \
+    SDMMON_OPERANDS;                                                    \
+    const std::uint32_t fall = op->pc + 4;                              \
+    ctrl_next = (cond) ? ops::branch_target(op->pc, in) : fall;         \
+    const bool left_fall = ctrl_next != fall;                           \
+    if (left_fall) {                                                    \
+      ++btaken;                                                         \
+    } else {                                                            \
+      ++bnot;                                                           \
+    }                                                                   \
+    if (left_fall !=                                                    \
+        ((op->flags & CompiledProgram::kTracePredTaken) != 0)) {        \
+      ++op;                                                             \
+      side_exit = true;                                                 \
+      goto done;                                                        \
+    }                                                                   \
+    SDMMON_NEXT;                                                        \
+  }
 #define SDMMON_LOAD(name, width, sign)                             \
-  case Op::name: {                                                 \
+  L_##name: {                                                      \
+    SDMMON_OPERANDS;                                               \
     const std::uint32_t addr = a + ops::simm(in);                  \
     if (addr >= kMmioBase) goto done;                              \
     const auto v = ops::load<width>(mem_, addr);                   \
     if (!v) goto done;                                             \
     if (in.rt) regs[in.rt] = ops::extend<width, sign>(*v);         \
     ++loads;                                                       \
-    continue;                                                      \
+    SDMMON_NEXT;                                                   \
   }
 #define SDMMON_STORE(name, width)                                  \
-  case Op::name: {                                                 \
+  L_##name: {                                                      \
+    SDMMON_OPERANDS;                                               \
     const std::uint32_t addr = a + ops::simm(in);                  \
     if (addr >= kMmioBase) goto done;                              \
     if (ops::store<width>(mem_, addr, b) != MemFault::None) {      \
@@ -387,15 +433,15 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
       dirtied = true;                                              \
       goto done;                                                   \
     }                                                              \
-    continue;                                                      \
+    SDMMON_NEXT;                                                   \
   }
-      SDMMON_OPS_ALU_RD(SDMMON_RD)
-      SDMMON_OPS_ALU_RT(SDMMON_RT)
-      SDMMON_OPS_ALU_OVF(SDMMON_OVF)
-      SDMMON_OPS_MULDIV(SDMMON_MULDIV)
-      SDMMON_OPS_BRANCH(SDMMON_BRANCH)
-      SDMMON_OPS_LOAD(SDMMON_LOAD)
-      SDMMON_OPS_STORE(SDMMON_STORE)
+  SDMMON_OPS_ALU_RD(SDMMON_RD)
+  SDMMON_OPS_ALU_RT(SDMMON_RT)
+  SDMMON_OPS_ALU_OVF(SDMMON_OVF)
+  SDMMON_OPS_MULDIV(SDMMON_MULDIV)
+  SDMMON_OPS_BRANCH(SDMMON_BRANCH)
+  SDMMON_OPS_LOAD(SDMMON_LOAD)
+  SDMMON_OPS_STORE(SDMMON_STORE)
 #undef SDMMON_RD
 #undef SDMMON_RT
 #undef SDMMON_OVF
@@ -403,44 +449,23 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
 #undef SDMMON_BRANCH
 #undef SDMMON_LOAD
 #undef SDMMON_STORE
-      case Op::J:
-        ctrl_next = ops::jump_target(in);
-        ++jumps;
-        continue;
-      case Op::Jal:
-        regs[31] = op->pc + 4;
-        ctrl_next = ops::jump_target(in);
-        ++jumps;
-        continue;
-      default:
-        goto done;  // jr/jalr/syscall/break never enter a superblock
-    }
-    // Conditional branch: it always retires. exec() counts it taken iff
-    // it left the fall-through path (a taken branch-to-next counts
-    // not-taken), and one whose next pc differs from the predicted pc
-    // retires and then side-exits. Comparing pcs rather than conditions
-    // keeps a taken branch-to-next on its predicted path, which is what
-    // retract_trace assumes of every branch but a side-exiting one.
-    {
-      const std::uint32_t fall = op->pc + 4;
-      const std::uint32_t actual =
-          taken ? ops::branch_target(op->pc, in) : fall;
-      const bool left_fall = actual != fall;
-      const bool predicted_taken =
-          (op->flags & CompiledProgram::kTracePredTaken) != 0;
-      if (left_fall) {
-        ++btaken;
-      } else {
-        ++bnot;
-      }
-      ctrl_next = actual;
-      if (left_fall != predicted_taken) {
-        ++op;
-        side_exit = true;
-        goto done;
-      }
-    }
-  }
+L_J:
+  ctrl_next = ops::jump_target(op->instr);
+  ++jumps;
+  SDMMON_NEXT;
+L_Jal:
+  regs[31] = op->pc + 4;
+  ctrl_next = ops::jump_target(op->instr);
+  ++jumps;
+  SDMMON_NEXT;
+#undef SDMMON_OPERANDS
+#undef SDMMON_NEXT
+#undef SDMMON_DISPATCH
+  // jr/jalr/syscall/break never enter a superblock.
+L_Jr:
+L_Jalr:
+L_Syscall:
+L_Break:
 done:
 
   const std::uint64_t retired = static_cast<std::uint64_t>(op - trace);

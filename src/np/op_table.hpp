@@ -1,6 +1,8 @@
 // The one definition of every op's architectural result. Both executors
 // expand these tables: Core::exec() (the interpreter oracle and the
-// per-op path) and Core::exec_trace() (the compiled superblock tier).
+// per-op path) into the cases of its switch, and Core::exec_trace() (the
+// compiled superblock tier) into the direct-threaded handlers its label
+// table dispatches to.
 // An executor decides only what happens *around* a result -- where it is
 // written, and whether a trap ends the step (exec) or stops the batch
 // before the op retires (exec_trace) -- never the result itself, so the

@@ -183,7 +183,9 @@ TEST(FleetRollout, FixedReleaseConvergesAfterHalt) {
   EXPECT_EQ(report.health.healthy + report.health.unreachable, 5'000u);
   for (std::size_t id = 0; id < service.device_count(); ++id) {
     const ModeledDevice& dev = service.device(id);
-    if (dev.state == DeviceState::Healthy) EXPECT_EQ(dev.version, 3u);
+    if (dev.state == DeviceState::Healthy) {
+      EXPECT_EQ(dev.version, 3u);
+    }
   }
 }
 
@@ -257,7 +259,9 @@ TEST(FleetRollout, SlowRollAttackAgainstRotationIsCaughtMidBake) {
   // Rolled-back devices are on the pre-rotation version again.
   for (std::size_t id = 0; id < service.device_count(); ++id) {
     const ModeledDevice& dev = service.device(id);
-    if (dev.state == DeviceState::RolledBack) EXPECT_EQ(dev.version, 1u);
+    if (dev.state == DeviceState::RolledBack) {
+      EXPECT_EQ(dev.version, 1u);
+    }
   }
 }
 

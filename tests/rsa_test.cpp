@@ -100,7 +100,9 @@ TEST(RsaDecrypt, RejectsTamperedCiphertext) {
   ct[10] ^= 0x01;
   auto pt = rsa_decrypt(kp.priv, ct);
   // Either padding fails (nullopt) or the recovered bytes differ.
-  if (pt) EXPECT_NE(*pt, util::bytes_of("secret"));
+  if (pt) {
+    EXPECT_NE(*pt, util::bytes_of("secret"));
+  }
 }
 
 TEST(RsaDecrypt, RejectsWrongLength) {

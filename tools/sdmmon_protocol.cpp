@@ -3,12 +3,12 @@
 // command-line workflow.
 //
 //   sdmmon-protocol keygen  --seed S --bits 2048 --priv m.key --pub m.pub
-//   sdmmon-protocol certify --issuer-priv m.key --issuer-name acme \
-//       --subject-pub op.pub --subject-name noc --not-after 2000000000 \
+//   sdmmon-protocol certify --issuer-priv m.key --issuer-name acme
+//       --subject-pub op.pub --subject-name noc --not-after 2000000000
 //       --out op.cert
-//   sdmmon-protocol package --operator-priv op.key --cert op.cert \
+//   sdmmon-protocol package --operator-priv op.key --cert op.cert
 //       --device-pub dev.pub --image prog.img --seq 1 --seed X --out pkg.bin
-//   sdmmon-protocol install --device-priv dev.key --root-pub m.pub \
+//   sdmmon-protocol install --device-priv dev.key --root-pub m.pub
 //       --pkg pkg.bin [--now T]
 #include <cstdio>
 #include <memory>
