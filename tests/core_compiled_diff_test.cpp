@@ -18,9 +18,8 @@
 //     mismatches inside a body-only run;
 //   * TraceDifferential -- branchy text: superblocks spanning several
 //     predicted branches, constant side exits, and a mismatch landing
-//     before a side-exiting branch; plus every op of the ISA placed
-//     inside one superblock, so each entry of exec_trace's handler
-//     table is checked.
+//     before a side-exiting branch; plus fixed cases of each stop rule
+//     at a known place in a superblock.
 // Each also covers mid-stream reinstalls, self-modifying stores, shared
 // artifacts, and all three recovery policies on an MPSoC.
 #include <gtest/gtest.h>
@@ -767,7 +766,7 @@ TEST(TraceDifferential, AttackRecoveryPoliciesMatchAcrossTiers) {
 }
 
 // ---------------------------------------------------------------------
-// Every op inside a superblock
+// Stop rules inside a superblock
 // ---------------------------------------------------------------------
 
 // What run_observed() retired, dispatch by dispatch.
@@ -786,17 +785,16 @@ struct DispatchLog {
 
 // How the superblock executor must treat the op under test.
 enum class OpFate {
-  Retires,      // retires in the body; the dispatch runs on past it
-  EndsDispatch, // branch or jump, retired as the dispatch's last op
-  StopsBefore,  // would trap or touches MMIO: step() takes it over
-  NeverInTrace, // jr/jalr/syscall/break: the superblock ends before it
+  EndsDispatch,  // branch-to-next, retired as the dispatch's last op
+  StopsBefore,   // would trap or touches MMIO: step() takes it over
+  NeverInTrace,  // jr/jalr/syscall/break: the superblock ends before it
 };
 
 struct OpCase {
   isa::Instr in;
   std::uint32_t a = 0;  // value of rs ($t4)
   std::uint32_t b = 0;  // value of rt ($t5)
-  OpFate fate = OpFate::Retires;
+  OpFate fate = OpFate::StopsBefore;
 };
 
 constexpr int kRs = 12, kRt = 13, kRd = 14;  // $t4, $t5, $t6
@@ -804,181 +802,107 @@ constexpr std::uint32_t kOpIndex = 2;        // text index of the op
 constexpr std::uint32_t kDataWord = kDataBase + 0x100;
 
 // The op under test at text index 2 of
-//   multu $t4, $t5   (hi:lo distinct and nonzero for mfhi/mflo)
-//   addiu $t1, $t1, 1
-//   <op>
-//   mfhi $t7         (hi and lo reach registers after the op)
-//   mflo $s0
-//   addiu $t2, $t2, 1
-//   jr $ra
-// with a data word at kDataWord whose bytes and halfwords are negative.
+//   addiu $t1, $t1, 1; addiu $t1, $t1, 1; <op>; addiu $t2, $t2, 1; jr $ra
+// with mapped data around kDataWord.
 isa::Program op_program(const isa::Instr& in) {
   isa::Program p;
-  p.name = "every-op";
-  p.text = {isa::encode(isa::make_rtype(isa::Op::Multu, 0, kRs, kRt)),
-            isa::encode(isa::make_itype(isa::Op::Addiu, 9, 9, 1)),
-            isa::encode(in),
-            isa::encode(isa::make_rtype(isa::Op::Mfhi, 15, 0, 0)),
-            isa::encode(isa::make_rtype(isa::Op::Mflo, 16, 0, 0)),
+  p.name = "stop-rules";
+  const std::uint32_t bump =
+      isa::encode(isa::make_itype(isa::Op::Addiu, 9, 9, 1));
+  p.text = {bump, bump, isa::encode(in),
             isa::encode(isa::make_itype(isa::Op::Addiu, 10, 10, 1)),
             isa::encode(isa::make_rtype(isa::Op::Jr, 0, 31, 0))};
   p.data_base = kDataBase;
   p.data.assign(0x200, 0);
-  util::store_le32(0x80F1'82F3u, p.data.data() + (kDataWord - kDataBase));
   return p;
 }
 
-// Operand cases for one op: each branch taken and not, forward, backward
-// (predicted taken) and to the next word; each trapping op with operands
-// that trap; each load and store faulting and reaching MMIO.
-std::vector<OpCase> op_cases(isa::Op op) {
-  constexpr std::uint32_t kA = 0x1234'5678u;
-  constexpr std::uint32_t kB = 0x8FED'CBA9u;  // negative: signed != unsigned
-  constexpr std::int32_t kImm = -0x1235;
+// The cases the random programs reach rarely or never: overflow operands,
+// every load and store faulting and reaching MMIO, each branch to the
+// next word taken and not, and the ops that end a superblock before them.
+std::vector<OpCase> stop_rule_cases() {
   using isa::Op;
   std::vector<OpCase> cases;
   auto add = [&](isa::Instr in, std::uint32_t a, std::uint32_t b,
                  OpFate fate) { cases.push_back({in, a, b, fate}); };
-  switch (op) {
-    case Op::Sll: case Op::Srl: case Op::Sra:
-      add(isa::make_shift(op, kRd, kRt, 7), kA, kB, OpFate::Retires);
-      break;
-    case Op::Sllv: case Op::Srlv: case Op::Srav:
-    case Op::Addu: case Op::Subu: case Op::And: case Op::Or: case Op::Xor:
-    case Op::Nor: case Op::Slt: case Op::Sltu:
-      add(isa::make_rtype(op, kRd, kRs, kRt), kA, kB, OpFate::Retires);
-      break;
-    case Op::Add: case Op::Sub:
-      add(isa::make_rtype(op, kRd, kRs, kRt), kA, 0x0FED'CBA9u,
-          OpFate::Retires);
-      add(isa::make_rtype(op, kRd, kRs, kRt), 0x7FFF'FFFFu,
-          op == Op::Add ? 1u : 0xFFFF'FFFFu, OpFate::StopsBefore);
-      break;
-    case Op::Addi:
-      add(isa::make_itype(op, kRt, kRs, kImm), kA, kB, OpFate::Retires);
-      add(isa::make_itype(op, kRt, kRs, 1), 0x7FFF'FFFFu, kB,
-          OpFate::StopsBefore);
-      break;
-    case Op::Addiu: case Op::Slti: case Op::Sltiu: case Op::Andi:
-    case Op::Ori: case Op::Xori:
-      add(isa::make_itype(op, kRt, kRs, kImm), kA, kB, OpFate::Retires);
-      break;
-    case Op::Lui:
-      add(isa::make_itype(op, kRt, 0, kImm), kA, kB, OpFate::Retires);
-      break;
-    case Op::Mfhi: case Op::Mflo:
-      add(isa::make_rtype(op, kRd, 0, 0), kA, kB, OpFate::Retires);
-      break;
-    case Op::Mult: case Op::Multu: case Op::Div: case Op::Divu:
-      add(isa::make_rtype(op, 0, kRs, kRt), kA, kB, OpFate::Retires);
-      add(isa::make_rtype(op, 0, kRs, kRt), kA, 0, OpFate::Retires);
-      break;
-    case Op::Beq: case Op::Bne: case Op::Blez: case Op::Bgtz: {
-      const int rt = op == Op::Beq || op == Op::Bne ? kRt : 0;
-      for (std::int32_t off : {2, -2, 0}) {
-        const isa::Instr in = isa::make_branch(op, kRs, rt, off);
-        add(in, 5, 5, OpFate::EndsDispatch);           // beq, bgtz taken
-        add(in, 0x8000'0000u, 5, OpFate::EndsDispatch);  // bne, blez taken
-      }
-      break;
-    }
-    case Op::J: case Op::Jal:
-      add(isa::make_jump(op, 5), kA, kB, OpFate::EndsDispatch);
-      break;
-    case Op::Jr:
-      add(isa::make_rtype(op, 0, kRs, 0), 20, kB, OpFate::NeverInTrace);
-      break;
-    case Op::Jalr:
-      add(isa::make_rtype(op, kRd, kRs, 0), 20, kB, OpFate::NeverInTrace);
-      break;
-    case Op::Syscall: case Op::Break:
-      add(isa::make_rtype(op, 0, 0, 0), kA, kB, OpFate::NeverInTrace);
-      break;
-    case Op::Lb: case Op::Lbu: case Op::Lh: case Op::Lhu: case Op::Lw:
-    case Op::Sb: case Op::Sh: case Op::Sw: {
-      const isa::Instr in = isa::make_itype(op, kRt, kRs, 4);
-      const bool word = op == Op::Lw || op == Op::Sw;
-      const bool byte = op == Op::Lb || op == Op::Lbu || op == Op::Sb;
-      add(in, kDataWord - 4, kB, OpFate::Retires);
-      if (!word) add(in, kDataWord - 2, kB, OpFate::Retires);
-      if (!byte) add(in, kDataWord - 3, kB, OpFate::StopsBefore);  // unaligned
-      add(in, 0x0010'0000u, kB, OpFate::StopsBefore);  // unmapped
-      add(in, kRegPktInLen - 4, kB, OpFate::StopsBefore);
-      if (isa::op_class(op) == isa::OpClass::Store) {
-        add(in, kRegPktOutPort - 4, kB, OpFate::StopsBefore);
-      }
-      break;
+  add(isa::make_rtype(Op::Add, kRd, kRs, kRt), 0x7FFF'FFFFu, 1,
+      OpFate::StopsBefore);
+  add(isa::make_rtype(Op::Sub, kRd, kRs, kRt), 0x7FFF'FFFFu, 0xFFFF'FFFFu,
+      OpFate::StopsBefore);
+  add(isa::make_itype(Op::Addi, kRt, kRs, 1), 0x7FFF'FFFFu, 0,
+      OpFate::StopsBefore);
+  for (Op op : {Op::Lb, Op::Lbu, Op::Lh, Op::Lhu, Op::Lw, Op::Sb, Op::Sh,
+                Op::Sw}) {
+    const isa::Instr in = isa::make_itype(op, kRt, kRs, 4);
+    const bool byte = op == Op::Lb || op == Op::Lbu || op == Op::Sb;
+    if (!byte) add(in, kDataWord - 3, 0, OpFate::StopsBefore);  // unaligned
+    add(in, 0x0010'0000u, 0, OpFate::StopsBefore);                // unmapped
+    add(in, kRegPktInLen - 4, 0, OpFate::StopsBefore);
+    if (isa::op_class(op) == isa::OpClass::Store) {
+      add(in, kRegPktOutPort - 4, 0, OpFate::StopsBefore);
     }
   }
+  for (Op op : {Op::Beq, Op::Bne, Op::Blez, Op::Bgtz}) {
+    const int rt = op == Op::Beq || op == Op::Bne ? kRt : 0;
+    const isa::Instr in = isa::make_branch(op, kRs, rt, 0);
+    add(in, 5, 5, OpFate::EndsDispatch);            // beq, bgtz taken
+    add(in, 0x8000'0000u, 5, OpFate::EndsDispatch);  // bne, blez taken
+  }
+  add(isa::make_rtype(Op::Jr, 0, kRs, 0), 20, 0, OpFate::NeverInTrace);
+  add(isa::make_rtype(Op::Jalr, kRd, kRs, 0), 20, 0, OpFate::NeverInTrace);
+  add(isa::make_rtype(Op::Syscall, 0, 0, 0), 0, 0, OpFate::NeverInTrace);
+  add(isa::make_rtype(Op::Break, 0, 0, 0), 0, 0, OpFate::NeverInTrace);
   return cases;
 }
 
-// Each op of the ISA inside a formed superblock, run for one dispatch on
-// the compiled tier and for as many steps on the interpreter: registers
-// (hi and lo through mfhi/mflo), the data word, pc, cycles and the
-// retired mix must match. A wrong entry in exec_trace's handler table
-// -- an op dispatched to another op's handler -- fails here even when
-// the random programs never emit that op.
-TEST(TraceDifferential, EveryOpMatchesInterpreterInsideASuperblock) {
-  for (int i = 0; i < isa::kNumOps; ++i) {
-    const auto op = static_cast<isa::Op>(i);
-    const std::vector<OpCase> cases = op_cases(op);
-    ASSERT_FALSE(cases.empty()) << isa::op_name(op);
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-      const OpCase& oc = cases[c];
-      SCOPED_TRACE(std::string(isa::op_name(op)) + " case " +
-                   std::to_string(c));
-      const isa::Program p = op_program(oc.in);
-      auto compiled =
-          CompiledProgram::compile(p, monitor::MerkleTreeHash(0x0A11));
-      const CompiledProgram::TraceRef entry = compiled->trace_at(0);
-      if (oc.fate == OpFate::NeverInTrace) {
-        ASSERT_EQ(entry.len, kOpIndex) << "the superblock must end before it";
-        ASSERT_EQ(compiled->trace_at(4 * kOpIndex).len, 0u);
-      } else {
-        ASSERT_GT(entry.len, kOpIndex);
-        ASSERT_EQ(entry.ops[kOpIndex].instr, oc.in);
-      }
-      // Branches and jumps end the dispatch, and an op outside every
-      // superblock is stepped right after it; every other op runs the
-      // whole superblock unless it stops it.
-      const std::uint64_t steps =
-          oc.fate == OpFate::EndsDispatch || oc.fate == OpFate::NeverInTrace
-              ? kOpIndex + 1
-              : entry.len;
+// Each case at a fixed place in a superblock, run on the compiled tier
+// and for as many steps on the interpreter: state, pc, cycles and the
+// retired mix must match, and the dispatch must stop where the stop
+// rules say.
+TEST(TraceDifferential, StopRulesMatchInterpreterInsideASuperblock) {
+  const std::vector<OpCase> cases = stop_rule_cases();
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const OpCase& oc = cases[c];
+    SCOPED_TRACE(std::string(isa::op_name(oc.in.op)) + " case " +
+                 std::to_string(c));
+    const isa::Program p = op_program(oc.in);
+    auto compiled =
+        CompiledProgram::compile(p, monitor::MerkleTreeHash(0x0A11));
+    const CompiledProgram::TraceRef entry = compiled->trace_at(0);
+    if (oc.fate == OpFate::NeverInTrace) {
+      ASSERT_EQ(entry.len, kOpIndex) << "the superblock must end before it";
+      ASSERT_EQ(compiled->trace_at(4 * kOpIndex).len, 0u);
+    } else {
+      ASSERT_GT(entry.len, kOpIndex);
+      ASSERT_EQ(entry.ops[kOpIndex].instr, oc.in);
+    }
+    const std::uint64_t steps =
+        oc.fate == OpFate::StopsBefore ? entry.len : kOpIndex + 1;
 
-      Core fast, oracle;
-      oracle.set_tier(Tier::Interpret);
-      for (Core* core : {&fast, &oracle}) {
-        core->load_program(p, compiled);
-        core->set_reg(kRs, oc.a);
-        core->set_reg(kRt, oc.b);
-      }
-      DispatchLog log;
-      const StepInfo got = fast.run_observed(steps, log);
-      expect_same_step(got, oracle.run(steps), steps);
-      expect_same_state(fast, oracle);
-      EXPECT_EQ(fast.memory().load32(kDataWord),
-                oracle.memory().load32(kDataWord));
-      EXPECT_EQ(fast.output_port(), oracle.output_port());
+    Core fast, oracle;
+    oracle.set_tier(Tier::Interpret);
+    for (Core* core : {&fast, &oracle}) {
+      core->load_program(p, compiled);
+      core->set_reg(kRs, oc.a);
+      core->set_reg(kRt, oc.b);
+    }
+    DispatchLog log;
+    const StepInfo got = fast.run_observed(steps, log);
+    expect_same_step(got, oracle.run(steps), steps);
+    expect_same_state(fast, oracle);
+    EXPECT_EQ(fast.output_port(), oracle.output_port());
 
-      ASSERT_FALSE(log.batches.empty());
-      switch (oc.fate) {
-        case OpFate::Retires:
-        case OpFate::EndsDispatch:
-          EXPECT_EQ(log.batches, std::vector<std::uint64_t>{steps})
-              << "one dispatch retires the op";
-          EXPECT_TRUE(log.steps.empty());
-          break;
-        case OpFate::StopsBefore:
-        case OpFate::NeverInTrace:
-          EXPECT_EQ(log.batches.front(), kOpIndex)
-              << "the dispatch must stop before the op";
-          ASSERT_FALSE(log.steps.empty());
-          EXPECT_EQ(log.steps.front().pc, 4 * kOpIndex);
-          EXPECT_EQ(log.steps.front().word, isa::encode(oc.in));
-          break;
-      }
+    ASSERT_FALSE(log.batches.empty());
+    if (oc.fate == OpFate::EndsDispatch) {
+      EXPECT_EQ(log.batches, std::vector<std::uint64_t>{steps})
+          << "one dispatch retires the branch";
+      EXPECT_TRUE(log.steps.empty());
+    } else {
+      EXPECT_EQ(log.batches.front(), kOpIndex)
+          << "the dispatch must stop before the op";
+      ASSERT_FALSE(log.steps.empty());
+      EXPECT_EQ(log.steps.front().pc, 4 * kOpIndex);
+      EXPECT_EQ(log.steps.front().word, isa::encode(oc.in));
     }
   }
 }
