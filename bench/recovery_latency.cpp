@@ -156,29 +156,31 @@ int main() {
   bench::note("core, or a core quarantined within the placement lag).");
 
   // ---- X2b: re-image cost, shared artifact vs per-reinstall recompile --
-  // reinstall_core re-images a core from LastGoodConfig. Before the
+  // reimage_core re-images a core from LastGoodConfig. Before the
   // compiled-graph pipeline that meant deep-copying the wire-format
   // graph and rebuilding the monitor's tables on every quarantine
-  // recovery; now it swaps the shared immutable artifact back in. Both
-  // paths are timed here on a bare core so the before/after lives in
-  // the BENCH JSON next to the policy sweeps above.
+  // recovery; now it swaps the shared immutable artifacts (built once,
+  // here as at install) back in. Both paths are timed here on a bare
+  // core so the before/after lives in the BENCH JSON next to the policy
+  // sweeps above.
   bench::heading("X2b: core re-image latency (last-good reinstall path)");
   {
     using BClock = std::chrono::steady_clock;
     isa::Program app = net::build_ipv4_cm();
     monitor::MerkleTreeHash hash(0xBEEFCAFE);
     monitor::MonitoringGraph graph = monitor::extract_graph(app, hash);
-    std::shared_ptr<const monitor::CompiledGraph> artifact =
-        monitor::CompiledGraph::compile(graph);
+    const np::InstallArtifacts artifacts =
+        np::validate_install_config(app, graph, hash);
     const int reps = bench::scaled(2000, 20);
 
     np::MonitoredCore core;
     // Warm both paths once (first install sizes core memory etc.).
-    core.install(app, artifact, std::make_unique<monitor::MerkleTreeHash>(hash));
+    core.install(app, artifacts,
+                 std::make_unique<monitor::MerkleTreeHash>(hash));
 
     auto start = BClock::now();
     for (int i = 0; i < reps; ++i) {
-      core.install(app, artifact,
+      core.install(app, artifacts,
                    std::make_unique<monitor::MerkleTreeHash>(hash));
     }
     const double shared_ns =
@@ -206,8 +208,8 @@ int main() {
     report.add_row({{"reinstall_path", "recompile_copy"},
                     {"reinstall_ns", recompile_ns}});
     report.set_meta("reinstall_speedup", recompile_ns / shared_ns);
-    bench::note("ipv4-cm config; shared path is what reinstall_core now");
-    bench::note("does (pointer swap into the core's monitor), recompile");
+    bench::note("ipv4-cm config; shared path is what reimage_core does");
+    bench::note("(artifact pointer swap + memory re-image), recompile");
     bench::note("path replays the old per-reinstall deep copy + compile.");
   }
   report.write();

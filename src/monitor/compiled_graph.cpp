@@ -1,6 +1,7 @@
 #include "monitor/compiled_graph.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -209,8 +210,14 @@ void CompiledGraph::determinise() {
 
 std::shared_ptr<const CompiledGraph> CompiledGraph::compile(
     MonitoringGraph graph) {
-  return std::shared_ptr<const CompiledGraph>(
+  const auto start = std::chrono::steady_clock::now();
+  auto compiled = std::shared_ptr<CompiledGraph>(
       new CompiledGraph(std::move(graph)));
+  compiled->compile_ns_ = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  return compiled;
 }
 
 std::size_t CompiledGraph::footprint_bytes() const {

@@ -150,6 +150,10 @@ class CompiledGraph {
   /// signed, serialized, and re-verified against the binary).
   const MonitoringGraph& source() const { return source_; }
 
+  /// Wall-clock cost of compile() (the np.engine.graph_compile_ns
+  /// install histogram).
+  std::uint64_t compile_ns() const { return compile_ns_; }
+
  private:
   explicit CompiledGraph(MonitoringGraph graph);
 
@@ -158,6 +162,7 @@ class CompiledGraph {
   void determinise();
 
   MonitoringGraph source_;
+  std::uint64_t compile_ns_ = 0;
   std::uint32_t hash_buckets_ = 0;        // 2^hash_width
   std::vector<std::uint8_t> node_hash_;   // [num_nodes]
   // CSR offsets into edges_: entry [node * 2^w + h] opens the slice of

@@ -10,8 +10,8 @@ namespace sdmmon::np {
 
 std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
     const isa::Program& program, const monitor::InstructionHash& hash) {
+  const auto start = std::chrono::steady_clock::now();
   auto compiled = std::shared_ptr<CompiledProgram>(new CompiledProgram());
-  compiled->source_ = program;
   compiled->text_base_ = program.text_base;
   compiled->text_bytes_ =
       static_cast<std::uint32_t>(program.text.size() * 4);
@@ -94,9 +94,12 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
       compiled->trace_off_[at] = static_cast<std::uint32_t>(begin + j);
     }
   }
+  const auto end = std::chrono::steady_clock::now();
   compiled->trace_build_ns_ = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - trace_start)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - trace_start)
+          .count());
+  compiled->compile_ns_ = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count());
   return compiled;
 }

@@ -135,8 +135,10 @@ class CompiledProgram {
   std::size_t num_traces() const { return num_traces_; }
   std::size_t num_trace_ops() const { return trace_ops_.size(); }
 
-  /// Wall-clock cost of superblock formation inside compile() (the
+  /// Wall-clock cost of compile() (the np.core.predecode_ns install
+  /// histogram) and of the superblock formation inside it (the
   /// np.core.trace_build_ns install histogram).
+  std::uint64_t compile_ns() const { return compile_ns_; }
   std::uint64_t trace_build_ns() const { return trace_build_ns_; }
 
   /// Precomputed monitor hash of the instruction at `pc`. Returns false
@@ -150,25 +152,21 @@ class CompiledProgram {
   }
 
   /// Bytes of flat compiled state (the np.engine.compiled_program_bytes
-  /// gauge). Excludes the retained source program, which is cold.
+  /// gauge).
   std::size_t footprint_bytes() const {
     return ops_.size() * sizeof(PreOp) + trace_ops_.size() * sizeof(TraceOp) +
            trace_hash_lane_.size() + trace_len_.size() +
            trace_off_.size() * sizeof(std::uint32_t);
   }
 
-  /// The program this artifact was compiled from (what gets signed,
-  /// re-imaged at reset, and re-verified by install staging).
-  const isa::Program& source() const { return source_; }
-
  private:
   CompiledProgram() = default;
 
-  isa::Program source_;
   std::uint32_t text_base_ = 0;
   std::uint32_t text_bytes_ = 0;
   std::size_t num_blocks_ = 0;
   std::size_t num_traces_ = 0;
+  std::uint64_t compile_ns_ = 0;
   std::uint64_t trace_build_ns_ = 0;
   std::vector<PreOp> ops_;
   std::vector<std::uint8_t> trace_len_;   // superblock length per op (0: none)

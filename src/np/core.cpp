@@ -24,25 +24,32 @@ const char* trap_name(Trap trap) {
 
 Core::Core() = default;
 
-void Core::load_program(const isa::Program& program) {
+void Core::load_program(const isa::Program& program,
+                        std::shared_ptr<const CompiledProgram> compiled) {
+  check_load(program, compiled.get());
   program_ = program;
   program_loaded_ = true;
-  compiled_ = nullptr;
+  compiled_ = std::move(compiled);
   reset();
 }
 
-void Core::load_program(const isa::Program& program,
-                        std::shared_ptr<const CompiledProgram> compiled) {
+void Core::check_load(const isa::Program& program,
+                      const CompiledProgram* compiled) {
   if (compiled != nullptr &&
       (compiled->text_base() != program.text_base ||
        compiled->num_ops() != program.text.size())) {
     throw std::invalid_argument(
         "CompiledProgram does not match the program being loaded");
   }
-  program_ = program;
-  program_loaded_ = true;
-  compiled_ = std::move(compiled);
-  reset();
+  // reset() writes exactly these two blocks (an empty one is skipped).
+  if (!program.text.empty()) {
+    Memory::check_block(program.text_base, program.text.size() * 4,
+                        "program text outside the memory map");
+  }
+  if (!program.data.empty()) {
+    Memory::check_block(program.data_base, program.data.size(),
+                        "program data outside the memory map");
+  }
 }
 
 void Core::update_live() {

@@ -64,18 +64,22 @@ class Core {
  public:
   Core();
 
-  /// Load program text+data into memory and prime entry state. Drops any
-  /// previously attached compiled artifact (word-at-a-time interpreter).
-  void load_program(const isa::Program& program);
-
-  /// Load a program together with its install-time compiled artifact.
-  /// Under the Compiled tier run() dispatches superblocks out of the
-  /// shared immutable artifact while the in-memory text still matches the
-  /// installed image. Throws std::invalid_argument if the artifact was
-  /// not compiled from `program` (base/size mismatch) -- staging
-  /// validation upstream makes this unreachable on install paths.
+  /// Load program text+data into memory and prime entry state, together
+  /// with its install-time compiled artifact (nullptr: none; the
+  /// word-at-a-time interpreter runs). Under the Compiled tier run()
+  /// dispatches superblocks out of the shared immutable artifact while
+  /// the in-memory text still matches the installed image. Runs
+  /// check_load() first, so a program that cannot be loaded throws with
+  /// the core untouched.
   void load_program(const isa::Program& program,
-                    std::shared_ptr<const CompiledProgram> compiled);
+                    std::shared_ptr<const CompiledProgram> compiled = nullptr);
+
+  /// Throws std::invalid_argument if `compiled` (may be null) was not
+  /// compiled from `program` (base/size mismatch), and std::out_of_range
+  /// unless its text and data each lie inside one memory region. Needs
+  /// no core: the install check runs it before any core is touched.
+  static void check_load(const isa::Program& program,
+                         const CompiledProgram* compiled);
 
   /// The loaded program (text, data, entry).
   const isa::Program& program() const { return program_; }

@@ -29,10 +29,12 @@ constexpr bool regions_fit_arena() {
 }
 static_assert(regions_fit_arena());
 
+}  // namespace
+
 // The arena is contiguous across region boundaries, so a bulk copy is
-// checked against the region map: throws unless [addr, addr + len) lies
-// inside one region.
-void check_block(std::uint32_t addr, std::size_t len, const char* what) {
+// checked against the region map.
+void Memory::check_block(std::uint32_t addr, std::size_t len,
+                         const char* what) {
   for (const Region& r : kRegions) {
     if (addr - r.base < r.size) {
       if (len <= r.size - (addr - r.base)) return;
@@ -41,8 +43,6 @@ void check_block(std::uint32_t addr, std::size_t len, const char* what) {
   }
   throw std::out_of_range(what);
 }
-
-}  // namespace
 
 Memory::Memory() : arena_(arena_offset(kPktOutBase + kPktOutSize)) {
   static_assert(kPages <= 0x10000, "page numbers are listed as uint16");

@@ -77,6 +77,12 @@ class Memory {
   void write_block(std::uint32_t addr, std::span<const std::uint8_t> data);
   util::Bytes read_block(std::uint32_t addr, std::size_t len) const;
 
+  /// Throws std::out_of_range(`what`) unless [addr, addr + len) lies
+  /// inside one region: the bounds check of write_block/read_block, so
+  /// a loader can check a block fits before it changes any memory.
+  static void check_block(std::uint32_t addr, std::size_t len,
+                          const char* what);
+
  private:
   static constexpr std::uint8_t kMapped = 1, kNonzero = 2;
   /// A store to a page missing either bit takes the out-of-line path.

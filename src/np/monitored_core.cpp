@@ -19,9 +19,23 @@ const char* packet_outcome_name(PacketOutcome outcome) {
 
 MonitoredCore::MonitoredCore() = default;
 
-void MonitoredCore::install(const isa::Program& program,
-                            const InstallArtifacts& artifacts,
-                            std::unique_ptr<monitor::InstructionHash> hash) {
+InstallArtifacts validate_install_config(const isa::Program& program,
+                                         monitor::MonitoringGraph graph,
+                                         const monitor::InstructionHash& hash) {
+  // Compilation is itself the graph-validation step: the compiler throws
+  // on structurally malformed graphs. Predecoding is total (undecodable
+  // words become trapping ops), so it never fails.
+  InstallArtifacts artifacts;
+  artifacts.graph = monitor::CompiledGraph::compile(std::move(graph));
+  artifacts.code = CompiledProgram::compile(program, hash);
+  artifacts.summary = MonitorSummary::build(artifacts.graph, artifacts.code);
+  validate_install_config(program, artifacts, hash);
+  return artifacts;
+}
+
+void validate_install_config(const isa::Program& program,
+                             const InstallArtifacts& artifacts,
+                             const monitor::InstructionHash& hash) {
   const CompiledProgram* code = artifacts.code.get();
   if (artifacts.graph == nullptr || code == nullptr ||
       artifacts.summary == nullptr) {
@@ -36,17 +50,38 @@ void MonitoredCore::install(const isa::Program& program,
   // The hash parameter is secret (it never leaves the unit), so artifact
   // provenance cannot be checked by name: spot-check sampled precomputed
   // hashes against the unit being installed instead. Bounded at 16
-  // samples to keep the quarantine re-image path a cheap pointer swap.
+  // samples to keep fast switches cheap.
   const std::size_t n = code->num_ops();
   const std::size_t samples = std::min<std::size_t>(n, 16);
   for (std::size_t s = 0; s < samples; ++s) {
     const CompiledProgram::PreOp& op = code->ops_data()[s * n / samples];
-    if (op.mhash != hash->hash(op.word)) {
+    if (op.mhash != hash.hash(op.word)) {
       throw std::invalid_argument(
           "CompiledProgram hashes were not computed under the installed "
           "hash unit");
     }
   }
+  Core::check_load(program, code);
+}
+
+void MonitoredCore::install(const isa::Program& program,
+                            const InstallArtifacts& artifacts,
+                            std::unique_ptr<monitor::InstructionHash> hash) {
+  validate_install_config(program, artifacts, *hash);
+  commit_install(program, artifacts, std::move(hash));
+}
+
+void MonitoredCore::install(const isa::Program& program,
+                            monitor::MonitoringGraph graph,
+                            std::unique_ptr<monitor::InstructionHash> hash) {
+  const InstallArtifacts artifacts =
+      validate_install_config(program, std::move(graph), *hash);
+  commit_install(program, artifacts, std::move(hash));
+}
+
+void MonitoredCore::commit_install(
+    const isa::Program& program, const InstallArtifacts& artifacts,
+    std::unique_ptr<monitor::InstructionHash> hash) {
   core_.load_program(program, artifacts.code);
   if (monitor_) {
     monitor_->install(artifacts.graph, std::move(hash));
@@ -55,33 +90,6 @@ void MonitoredCore::install(const isa::Program& program,
                                                           std::move(hash));
   }
   summary_ = artifacts.summary;
-}
-
-void MonitoredCore::install(const isa::Program& program,
-                            std::shared_ptr<const monitor::CompiledGraph> graph,
-                            std::shared_ptr<const CompiledProgram> code,
-                            std::unique_ptr<monitor::InstructionHash> hash) {
-  std::shared_ptr<const MonitorSummary> summary =
-      MonitorSummary::build(graph, code);
-  install(program,
-          InstallArtifacts{std::move(graph), std::move(code),
-                           std::move(summary)},
-          std::move(hash));
-}
-
-void MonitoredCore::install(const isa::Program& program,
-                            std::shared_ptr<const monitor::CompiledGraph> graph,
-                            std::unique_ptr<monitor::InstructionHash> hash) {
-  std::shared_ptr<const CompiledProgram> code =
-      CompiledProgram::compile(program, *hash);
-  install(program, std::move(graph), std::move(code), std::move(hash));
-}
-
-void MonitoredCore::install(const isa::Program& program,
-                            monitor::MonitoringGraph graph,
-                            std::unique_ptr<monitor::InstructionHash> hash) {
-  install(program, monitor::CompiledGraph::compile(std::move(graph)),
-          std::move(hash));
 }
 
 CoreObs CoreObs::create(obs::Registry& registry, std::uint32_t core_id,

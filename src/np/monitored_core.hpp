@@ -50,8 +50,9 @@ struct PacketResult {
 /// (binary, graph, hash-parameter) package: the compiled monitoring
 /// graph, the predecoded program, and the summary of the monitor's walk
 /// through the program's superblocks, built from exactly that pair.
-/// Built exactly once per install and shared as pointers through every
-/// layer (cores, recovery snapshots, the device application store).
+/// Built exactly once per install, by the wire overload of
+/// validate_install_config, and shared as pointers through every layer
+/// (cores, recovery snapshots, the device application store).
 /// MonitoredCore::install needs all three; CoreArray's install paths
 /// also accept a null summary and build it once for every core.
 struct InstallArtifacts {
@@ -59,6 +60,27 @@ struct InstallArtifacts {
   std::shared_ptr<const CompiledProgram> code;
   std::shared_ptr<const MonitorSummary> summary = nullptr;
 };
+
+/// The install builder: compiles the wire-format graph (the compiler
+/// rejects malformed graphs and ones the subset construction cannot
+/// close), predecodes the text under `hash`, summarises the monitor's
+/// walk through its superblocks, and runs the check below on the result.
+/// Throws where either does; returns all three artifacts, so every
+/// install path builds them exactly once and shares them everywhere.
+InstallArtifacts validate_install_config(const isa::Program& program,
+                                         monitor::MonitoringGraph graph,
+                                         const monitor::InstructionHash& hash);
+
+/// The install check; needs no core. Throws std::invalid_argument when
+/// an artifact is null, when the summary was not built from exactly
+/// this (graph, code) pair, when sampled precomputed hashes were not
+/// computed under `hash`, or when the predecoded program is not
+/// `program`'s; throws std::out_of_range when the program does not fit
+/// the memory map (Core::check_load). Cores are identical, so an install
+/// that passes it cannot fail on any core.
+void validate_install_config(const isa::Program& program,
+                             const InstallArtifacts& artifacts,
+                             const monitor::InstructionHash& hash);
 
 /// Cumulative per-core counters.
 struct CoreStats {
@@ -103,32 +125,19 @@ class MonitoredCore {
   /// Construct with monitoring disabled (no program installed yet).
   MonitoredCore();
 
-  /// Preferred: install a (binary, install artifacts, hash)
-  /// configuration -- the step SDMMon authenticates. The artifacts are
-  /// shared, not copied: every core of an MPSoC holds the same pointers,
-  /// and a quarantine re-image from LastGoodConfig is pointer swaps. The
-  /// hash unit's parameter is part of `hash`; the program artifact
-  /// carries that hash's precomputed per-instruction values, so the
-  /// monitor check becomes on_hashed(byte load), and the summary settles
-  /// each superblock dispatch in O(1). Throws std::invalid_argument --
-  /// before touching the core -- when an artifact is null, when the
-  /// summary was not built from exactly this (graph, code) pair, or when
-  /// the precomputed hashes were not computed under `hash`.
+  /// Install a (binary, install artifacts, hash) configuration -- the
+  /// step SDMMon authenticates. The artifacts are shared, not copied:
+  /// every core of an MPSoC holds the same pointers, and a quarantine
+  /// re-image from LastGoodConfig is pointer swaps. The hash unit's
+  /// parameter is part of `hash`; the program artifact carries that
+  /// hash's precomputed per-instruction values, so the monitor check
+  /// becomes on_hashed(byte load), and the summary settles each
+  /// superblock dispatch in O(1). Runs validate_install_config first:
+  /// an install either throws with the core untouched or cannot fail.
   void install(const isa::Program& program, const InstallArtifacts& artifacts,
                std::unique_ptr<monitor::InstructionHash> hash);
 
-  /// Convenience: build the summary privately, then install.
-  void install(const isa::Program& program,
-               std::shared_ptr<const monitor::CompiledGraph> graph,
-               std::shared_ptr<const CompiledProgram> code,
-               std::unique_ptr<monitor::InstructionHash> hash);
-
-  /// Convenience: predecode the program privately, then install.
-  void install(const isa::Program& program,
-               std::shared_ptr<const monitor::CompiledGraph> graph,
-               std::unique_ptr<monitor::InstructionHash> hash);
-
-  /// Convenience: compile a wire-format graph privately, then install.
+  /// Build the artifacts from a wire-format graph, then install.
   void install(const isa::Program& program, monitor::MonitoringGraph graph,
                std::unique_ptr<monitor::InstructionHash> hash);
 
@@ -174,6 +183,12 @@ class MonitoredCore {
  private:
   struct MonitorFeed;
   PacketResult run_packet(std::span<const std::uint8_t> packet);
+  /// install() after its check: cannot fail. CoreArray checks a
+  /// configuration once, then commits it to every core.
+  friend class CoreArray;
+  void commit_install(const isa::Program& program,
+                      const InstallArtifacts& artifacts,
+                      std::unique_ptr<monitor::InstructionHash> hash);
 
   Core core_;
   std::unique_ptr<monitor::HardwareMonitor> monitor_;

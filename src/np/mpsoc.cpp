@@ -83,6 +83,7 @@ void EngineObs::record_outcome(std::uint64_t cycle, std::size_t core,
 }
 
 void EngineObs::note_compiled(const monitor::CompiledGraph& graph) {
+  graph_compile_ns->record(graph.compile_ns());
   compiled_nodes->set(static_cast<std::int64_t>(graph.num_nodes()));
   compiled_edges->set(static_cast<std::int64_t>(graph.num_edges()));
   compiled_bytes->set(static_cast<std::int64_t>(graph.footprint_bytes()));
@@ -93,42 +94,17 @@ void EngineObs::note_predecoded(const CompiledProgram& code) {
   compiled_blocks->set(static_cast<std::int64_t>(code.num_blocks()));
   compiled_program_bytes->set(
       static_cast<std::int64_t>(code.footprint_bytes()));
+  predecode_ns->record(code.compile_ns());
   trace_build_ns->record(code.trace_build_ns());
   trace_count->set(static_cast<std::int64_t>(code.num_traces()));
   trace_ops->set(static_cast<std::int64_t>(code.num_trace_ops()));
 }
 
-InstallArtifacts validate_install_config(const isa::Program& program,
-                                         const monitor::MonitoringGraph& graph,
-                                         const monitor::InstructionHash& hash) {
-  // Compilation is itself the graph-validation step: the compiler throws
-  // on structurally malformed graphs before any real core is touched.
-  // Predecoding is total (undecodable words become trapping ops), so it
-  // can never fail on text the staging core accepted.
-  InstallArtifacts artifacts;
-  artifacts.graph = monitor::CompiledGraph::compile(graph);
-  artifacts.code = CompiledProgram::compile(program, hash);
-  artifacts.summary = MonitorSummary::build(artifacts.graph, artifacts.code);
-  validate_install_config(program, artifacts, hash);
-  return artifacts;
-}
-
-void validate_install_config(const isa::Program& program,
-                             const InstallArtifacts& artifacts,
-                             const monitor::InstructionHash& hash) {
-  // The scratch install exercises exactly what the real one will:
-  // load_program's memory-map fit and artifact/program match checks plus
-  // MonitoredCore::install's null-artifact, summary-provenance and
-  // artifact/hash spot-checks.
-  MonitoredCore probe;
-  probe.install(program, artifacts, hash.clone());
-}
-
 namespace {
 
 /// Callers holding only the (graph, code) pair leave the summary null;
-/// build it once, before staging, so every core shares it. A null
-/// graph or program throws std::invalid_argument here.
+/// build it once, before the install check, so every core shares it. A
+/// null graph or program throws std::invalid_argument here.
 void complete_summary(InstallArtifacts& artifacts) {
   if (artifacts.summary == nullptr) {
     artifacts.summary =
@@ -167,27 +143,10 @@ void CoreArray::enable_obs(obs::Registry& registry, std::uint32_t device_id,
   delete obs_.exchange(obs.release(), std::memory_order_acq_rel);
 }
 
-InstallArtifacts CoreArray::compile_artifacts(
-    const isa::Program& program, monitor::MonitoringGraph graph,
-    const monitor::InstructionHash& hash) {
-  EngineObs* obs = engine_obs();
-  InstallArtifacts artifacts;
-  {
-    obs::ScopedTimerNs timer(obs ? obs->graph_compile_ns : nullptr);
-    artifacts.graph = monitor::CompiledGraph::compile(std::move(graph));
-  }
-  {
-    obs::ScopedTimerNs timer(obs ? obs->predecode_ns : nullptr);
-    artifacts.code = CompiledProgram::compile(program, hash);
-  }
-  artifacts.summary = MonitorSummary::build(artifacts.graph, artifacts.code);
-  return artifacts;
-}
-
 void CoreArray::install_all(const isa::Program& program,
                             const monitor::MonitoringGraph& graph,
                             const monitor::InstructionHash& hash) {
-  install_all(program, compile_artifacts(program, graph, hash), hash);
+  install_all(program, validate_install_config(program, graph, hash), hash);
 }
 
 void CoreArray::install_all(const isa::Program& program,
@@ -197,19 +156,11 @@ void CoreArray::install_all(const isa::Program& program,
   complete_summary(artifacts);
   validate_install_config(program, artifacts, hash);
   for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c].install(program, artifacts, hash.clone());
+    cores_[c].commit_install(program, artifacts, hash.clone());
     last_good_[c] = LastGoodConfig{program, artifacts, hash.clone()};
   }
   rebuild_placement();
   note_install(obs::kAllCores, program, artifacts);
-}
-
-void CoreArray::install(std::size_t core_index, const isa::Program& program,
-                        monitor::MonitoringGraph graph,
-                        std::unique_ptr<monitor::InstructionHash> hash) {
-  InstallArtifacts artifacts =
-      compile_artifacts(program, std::move(graph), *hash);
-  install(core_index, program, std::move(artifacts), std::move(hash));
 }
 
 void CoreArray::install(std::size_t core_index, const isa::Program& program,
@@ -220,7 +171,7 @@ void CoreArray::install(std::size_t core_index, const isa::Program& program,
   validate_install_config(program, artifacts, *hash);
   last_good_.at(core_index) =
       LastGoodConfig{program, artifacts, hash->clone()};
-  cores_.at(core_index).install(program, artifacts, std::move(hash));
+  cores_.at(core_index).commit_install(program, artifacts, std::move(hash));
   rebuild_placement();
   note_install(static_cast<std::uint32_t>(core_index), program, artifacts);
 }
@@ -284,7 +235,8 @@ std::optional<std::uint64_t> CoreArray::reimage_core(std::size_t index) {
   const std::optional<LastGoodConfig>& good = last_good_[index];
   if (!good) return std::nullopt;  // policy degrades to reset
   const auto start = std::chrono::steady_clock::now();
-  cores_[index].install(good->program, good->artifacts, good->hash->clone());
+  cores_[index].commit_install(good->program, good->artifacts,
+                               good->hash->clone());
   const auto elapsed = std::chrono::steady_clock::now() - start;
   recovery_.note_reinstall(index);
   return static_cast<std::uint64_t>(

@@ -49,36 +49,14 @@ inline constexpr std::size_t kPlacementLag = 256;
 /// Holds the shared compiled artifacts, not copies: a last-good
 /// re-image swaps pointers back into the core instead of deep-copying,
 /// recompiling the graph, or re-decoding the text, which is what makes
-/// recovery latency independent of program and graph size. Shared by the
+/// recovery latency independent of program and graph size. The install
+/// checked it, so the re-image commits it unchecked. Shared by the
 /// serial and parallel engines.
 struct LastGoodConfig {
   isa::Program program;
   InstallArtifacts artifacts;
   std::unique_ptr<monitor::InstructionHash> hash;
 };
-
-/// Throws if (program, graph, hash) cannot be installed; leaves all real
-/// cores untouched. Compiles the wire-format graph (the compiler rejects
-/// malformed graphs: out-of-range entry/successors, hashes wider than
-/// the declared width), predecodes the text under `hash`, summarises the
-/// monitor's walk through its superblocks, and stages the binary on a
-/// scratch core (load_program throws when it does not fit the memory
-/// map). Cores are identical, so success here guarantees success on
-/// every real core (commit cannot fail). Returns all three artifacts so
-/// install paths build them exactly once and share them everywhere.
-InstallArtifacts validate_install_config(const isa::Program& program,
-                                         const monitor::MonitoringGraph& graph,
-                                         const monitor::InstructionHash& hash);
-
-/// Same staging checks against already-compiled artifacts (fast switches
-/// and re-installs of authenticated applications). Also spot-checks that
-/// the predecoded hashes match `hash` and that the summary was built from
-/// exactly this (graph, code) pair (see MonitoredCore::install). Throws
-/// std::invalid_argument when an artifact is null or the summary is
-/// another pair's.
-void validate_install_config(const isa::Program& program,
-                             const InstallArtifacts& artifacts,
-                             const monitor::InstructionHash& hash);
 
 /// Aggregate counters plus MPSoC-level health. Inherits the summed
 /// per-core counters so existing readers of `.forwarded` etc. keep
@@ -112,16 +90,19 @@ struct EngineObs {
   obs::Gauge* healthy_cores = nullptr;
   obs::Histogram* window_occupancy = nullptr;  // violations at decision
   obs::Histogram* reinstall_ns = nullptr;      // wall-clock (cold path)
-  /// Install-time graph-compilation cost and compiled-artifact size --
-  /// the pipeline stage the compiled-monitor refactor moved out of the
-  /// per-instruction hot path.
+  /// The installed graph's compile time (CompiledGraph::compile_ns(),
+  /// recorded on every install, fast switches included) and
+  /// compiled-artifact size -- the pipeline stage the compiled-monitor
+  /// refactor moved out of the per-instruction hot path.
   obs::Histogram* graph_compile_ns = nullptr;  // wall-clock (install path)
   obs::Gauge* compiled_nodes = nullptr;
   obs::Gauge* compiled_edges = nullptr;
   obs::Gauge* compiled_bytes = nullptr;
-  /// Install-time text predecoding cost and predecoded-artifact size --
-  /// the pipeline stage the compiled-program refactor moved out of the
-  /// per-instruction hot path (decode + Merkle hash, paid once).
+  /// The installed program's predecode time
+  /// (CompiledProgram::compile_ns(), recorded like graph_compile_ns) and
+  /// predecoded-artifact size -- the pipeline stage the compiled-program
+  /// refactor moved out of the per-instruction hot path (decode + Merkle
+  /// hash, paid once).
   obs::Histogram* predecode_ns = nullptr;  // wall-clock (install path)
   obs::Gauge* compiled_ops = nullptr;
   obs::Gauge* compiled_blocks = nullptr;
@@ -154,9 +135,10 @@ struct EngineObs {
   void record_outcome(std::uint64_t cycle, std::size_t core,
                       const PacketResult& result,
                       std::size_t window_violations);
-  /// Update the compiled-artifact size gauges after an install.
+  /// Record the installed graph's compile time and size after an install.
   void note_compiled(const monitor::CompiledGraph& graph);
-  /// Update the predecoded-program size gauges after an install.
+  /// Record the installed program's compile times and size after an
+  /// install.
   void note_predecoded(const CompiledProgram& code);
 };
 
@@ -182,11 +164,12 @@ class CoreArray {
   DispatchPolicy policy() const { return policy_; }
 
   /// Install the same configuration on every core (cloning the hash unit).
-  /// Transactional: the configuration is validated on a scratch core
-  /// first, so a bad program/graph throws *before* any real core is
-  /// touched and the previous configuration keeps running everywhere.
-  /// The wire-format graph is compiled, the text predecoded and the
-  /// monitor summary built exactly once; all cores (and the
+  /// Transactional: the configuration is checked once
+  /// (validate_install_config), so a bad program/graph throws *before*
+  /// any core or last-good slot is touched and the previous configuration
+  /// keeps running everywhere; then it is committed to every core, which
+  /// cannot fail. The wire-format graph is compiled, the text predecoded
+  /// and the monitor summary built exactly once; all cores (and the
   /// LastGoodConfig recovery snapshots) share the immutable artifacts.
   void install_all(const isa::Program& program,
                    const monitor::MonitoringGraph& graph,
@@ -199,14 +182,9 @@ class CoreArray {
   void install_all(const isa::Program& program, InstallArtifacts artifacts,
                    const monitor::InstructionHash& hash);
 
-  /// Install on one core only (heterogeneous workload mapping). Validated
-  /// on a scratch core first, like install_all.
-  void install(std::size_t core_index, const isa::Program& program,
-               monitor::MonitoringGraph graph,
-               std::unique_ptr<monitor::InstructionHash> hash);
-
-  /// Per-core install of already-compiled artifacts (per-core fast
-  /// switch).
+  /// Install already-compiled artifacts on one core only (heterogeneous
+  /// workload mapping, per-core fast switch). Checked first, like
+  /// install_all.
   void install(std::size_t core_index, const isa::Program& program,
                InstallArtifacts artifacts,
                std::unique_ptr<monitor::InstructionHash> hash);
@@ -279,11 +257,6 @@ class CoreArray {
  private:
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-  /// Compile the wire-format graph and predecode the text, each under its
-  /// install-path obs timer.
-  InstallArtifacts compile_artifacts(const isa::Program& program,
-                                     monitor::MonitoringGraph graph,
-                                     const monitor::InstructionHash& hash);
   void note_install(std::uint32_t core, const isa::Program& program,
                     const InstallArtifacts& artifacts);
   /// Re-image core `index` from its last-good configuration and restart

@@ -11,43 +11,9 @@
 #ifndef SDMMON_SRC_OBS_OBS_HPP
 #define SDMMON_SRC_OBS_OBS_HPP
 
-#include <chrono>
-#include <exception>
-
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-
-namespace sdmmon::obs {
-
-/// Records elapsed wall-clock nanoseconds into a histogram on
-/// destruction. Pass nullptr to make it a no-op (the start timestamp is
-/// still taken; only use on cold paths like reinstalls). A scope left by
-/// an exception records nothing: a stage that threw produced nothing for
-/// the histogram to time.
-class ScopedTimerNs {
- public:
-  explicit ScopedTimerNs(Histogram* sink)
-      : sink_(sink),
-        exceptions_(std::uncaught_exceptions()),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimerNs() {
-    if (sink_ == nullptr || std::uncaught_exceptions() > exceptions_) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    sink_->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
-  }
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
-
- private:
-  Histogram* sink_;
-  int exceptions_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace sdmmon::obs
 
 #endif  // SDMMON_SRC_OBS_OBS_HPP

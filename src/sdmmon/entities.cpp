@@ -103,12 +103,10 @@ InstallStatus NetworkProcessorDevice::install(const WirePackage& wire,
     status = install_impl(wire, now);
   } catch (const std::exception&) {
     // A payload that passed every cryptographic check can still fail to
-    // stage (e.g. its binary does not fit the memory map). The MPSoC
-    // validates before committing, so the cores still run the previous
-    // configuration; restore the device-level bookkeeping to match.
+    // build or check (e.g. its binary does not fit the memory map). Both
+    // throw before any core, the store or the sequence number changes,
+    // so the previous configuration keeps running untouched.
     status = InstallStatus::StageFailed;
-    auto it = store_.find(app_name_);
-    if (installed_ && it != store_.end()) activate(it->second);
   }
   return record_install(status, now);
 }
@@ -184,18 +182,14 @@ InstallStatus NetworkProcessorDevice::install_impl(const WirePackage& wire,
   }
 
   // The wire format carries the graph uncompiled and the text raw (they
-  // are what the operator signed); compile the graph, predecode the text
-  // and summarise the monitor's walk through its superblocks exactly
+  // are what the operator signed); build the install artifacts exactly
   // once, now that every cryptographic check has passed. The store and
-  // all cores share the immutable artifacts. A malformed graph throws
-  // here; a binary that does not fit the memory map throws from
-  // install_all's staging check in activate(), before any core is
-  // touched -- install() turns either into StageFailed.
-  np::InstallArtifacts artifacts{
-      monitor::CompiledGraph::compile(std::move(payload.graph)),
-      np::CompiledProgram::compile(payload.binary, hash), nullptr};
-  artifacts.summary =
-      np::MonitorSummary::build(artifacts.graph, artifacts.code);
+  // all cores share them. A malformed graph or a binary that does not
+  // fit the memory map throws here, before any core is touched --
+  // install() turns it into StageFailed.
+  np::InstallArtifacts artifacts =
+      np::validate_install_config(payload.binary, std::move(payload.graph),
+                                  hash);
   StoredApp app{std::move(payload.binary), std::move(artifacts),
                 payload.hash_param};
   activate(app);

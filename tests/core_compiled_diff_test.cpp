@@ -270,8 +270,7 @@ struct CorePair {
   void install(const isa::Program& app, const monitor::MonitoringGraph& graph,
                const monitor::MerkleTreeHash& hash) {
     for (MonitoredCore* mc : {&fast, &oracle}) {
-      mc->install(app, monitor::CompiledGraph::compile(graph),
-                  std::make_unique<monitor::MerkleTreeHash>(hash));
+      mc->install(app, graph, std::make_unique<monitor::MerkleTreeHash>(hash));
     }
     ASSERT_TRUE(fast.core().compiled_live());
     ASSERT_FALSE(oracle.core().compiled_live());
@@ -481,11 +480,14 @@ TEST(PredecodeDifferential, MidStreamReinstallKeepsEquivalence) {
 TEST(PredecodeDifferential, MismatchedArtifactHashRejectedAtInstall) {
   const isa::Program app = net::build_udp_echo();
   monitor::MerkleTreeHash installed(0x1111);
-  auto graph = monitor::extract_graph(app, installed);
+  auto graph =
+      monitor::CompiledGraph::compile(monitor::extract_graph(app, installed));
   auto wrong = CompiledProgram::compile(app, monitor::MerkleTreeHash(0x2222));
+  const InstallArtifacts artifacts{graph, wrong,
+                                   MonitorSummary::build(graph, wrong)};
   MonitoredCore core;
   EXPECT_THROW(
-      core.install(app, monitor::CompiledGraph::compile(graph), wrong,
+      core.install(app, artifacts,
                    std::make_unique<monitor::MerkleTreeHash>(installed)),
       std::invalid_argument);
 }

@@ -155,8 +155,6 @@ TYPED_TEST(EngineInstall, UnstageableInstallLeavesPreviousAppEverywhere) {
   EXPECT_THROW(engine.install_all(bad, this->bad_artifacts_, this->hash_),
                std::out_of_range);
   for (std::size_t c = 0; c < kCores; ++c) {
-    EXPECT_THROW(engine.install(c, bad, this->bad_graph_, this->hash_.clone()),
-                 std::out_of_range);
     EXPECT_THROW(
         engine.install(c, bad, this->bad_artifacts_, this->hash_.clone()),
         std::out_of_range);
@@ -348,10 +346,6 @@ TYPED_TEST(EngineInstall, OverBoundGraphIsTypedRejectionThatChangesNothing) {
                std::invalid_argument);
   EXPECT_THROW(engine.install_all(this->good_, graph, this->hash_),
                std::invalid_argument);
-  for (std::size_t c = 0; c < kCores; ++c) {
-    EXPECT_THROW(engine.install(c, this->good_, graph, this->hash_.clone()),
-                 std::invalid_argument);
-  }
   for (std::size_t c = 0; c < kCores; ++c) {
     EXPECT_TRUE(CoreImage::of(engine.core(c), this->good_) == before[c])
         << "core " << c;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/assembler.hpp"
@@ -176,6 +177,72 @@ TEST(MonitoredCore, RecoveryAfterAttack) {
   EXPECT_EQ(r.output, good);
 }
 
+// Echo app that counts its packets in data RAM, so a re-image shows.
+constexpr const char* kCountingEchoApp = R"(
+main:
+    la $t7, count
+    lw $t8, 0($t7)
+    addiu $t8, $t8, 1
+    sw $t8, 0($t7)
+    li $t0, 0xFFFF0000
+    lw $t1, 0($t0)        # len
+    beqz $t1, drop
+    li $t2, 0x30000       # src
+    li $t3, 0x40000       # dst
+    move $t4, $zero       # i
+copy:
+    addu $t5, $t2, $t4
+    lbu $t6, 0($t5)
+    addu $t5, $t3, $t4
+    sb $t6, 0($t5)
+    addiu $t4, $t4, 1
+    bne $t4, $t1, copy
+    li $t0, 0xFFFF0004    # commit
+    sw $t1, 0($t0)
+drop:
+    jr $ra
+
+.data
+count:
+    .word 5
+)";
+
+// An install the core cannot load throws before the core changes: the
+// running app keeps its text, data, compiled program and monitor graph,
+// and still forwards.
+TEST(MonitoredCore, FailedInstallLeavesRunningAppAlone) {
+  MonitoredCore core;
+  const isa::Program app = isa::assemble(kCountingEchoApp);
+  install(core, kCountingEchoApp);
+  const util::Bytes pkt = {0xCA, 0xFE};
+  ASSERT_EQ(core.process_packet(pkt).outcome, PacketOutcome::Forwarded);
+  const auto image = [&] {
+    const Memory& mem = core.core().memory();
+    return std::vector<util::Bytes>{
+        mem.read_block(app.text_base, app.text.size() * 4),
+        mem.read_block(app.data_base, app.data.size())};
+  };
+  const std::vector<util::Bytes> before = image();
+  ASSERT_NE(before[1], app.data) << "the packet moved the counter";
+  const auto code = core.core().compiled_program();
+  const auto graph = core.monitor().compiled();
+
+  isa::Program bad = isa::assemble(kEchoApp);
+  bad.data = util::Bytes(64, 0xAB);
+  bad.data_base = 0xFFFF'FF00;
+  MerkleTreeHash hash(0xBAD);
+  EXPECT_THROW(core.install(bad, extract_graph(bad, hash),
+                            std::make_unique<MerkleTreeHash>(hash)),
+               std::out_of_range);
+
+  EXPECT_EQ(image(), before);
+  EXPECT_EQ(core.core().compiled_program(), code);
+  EXPECT_EQ(core.monitor().compiled(), graph);
+  const PacketResult r = core.process_packet(pkt);
+  EXPECT_EQ(r.outcome, PacketOutcome::Forwarded);
+  EXPECT_EQ(r.output, pkt);
+}
+
 TEST(Mpsoc, RoundRobinDispatch) {
   Mpsoc soc(4);
   isa::Program p = isa::assemble(kEchoApp);
@@ -249,9 +316,11 @@ TEST(Mpsoc, PerCoreHeterogeneousInstall) {
   isa::Program echo = isa::assemble(kEchoApp);
   isa::Program drop = isa::assemble("main:\n jr $ra\n");
   MerkleTreeHash h1(1), h2(2);
-  soc.install(0, echo, extract_graph(echo, h1),
+  soc.install(0, echo,
+              validate_install_config(echo, extract_graph(echo, h1), h1),
               std::make_unique<MerkleTreeHash>(h1));
-  soc.install(1, drop, extract_graph(drop, h2),
+  soc.install(1, drop,
+              validate_install_config(drop, extract_graph(drop, h2), h2),
               std::make_unique<MerkleTreeHash>(h2));
   util::Bytes pkt = {5};
   EXPECT_EQ(soc.process_packet(pkt).outcome, PacketOutcome::Forwarded);

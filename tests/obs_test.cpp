@@ -244,26 +244,5 @@ TEST(ObsJson, SnapshotJsonRoundTrips) {
   EXPECT_EQ(snap.events.size(), 2u);
 }
 
-TEST(ObsJson, ScopedTimerRecordsIntoSink) {
-  Registry reg;
-  Histogram& h = reg.histogram("t", latency_ns_buckets());
-  {
-    ScopedTimerNs timer(&h);
-  }
-  EXPECT_EQ(h.count(), 1u);
-  {
-    ScopedTimerNs none(nullptr);  // must be a safe no-op
-  }
-  EXPECT_EQ(h.count(), 1u);
-  // A scope an exception leaves records nothing.
-  EXPECT_THROW(
-      {
-        ScopedTimerNs timer(&h);
-        throw std::runtime_error("stage failed");
-      },
-      std::runtime_error);
-  EXPECT_EQ(h.count(), 1u);
-}
-
 }  // namespace
 }  // namespace sdmmon::obs

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "crypto/aes.hpp"
 #include "monitor/analysis.hpp"
 #include "net/apps.hpp"
 #include "net/packet.hpp"
+#include "obs/obs.hpp"
 #include "sdmmon/timed_install.hpp"
 
 namespace sdmmon::protocol {
@@ -81,6 +83,27 @@ TEST(Protocol, ReprogrammingSwitchesApplication) {
   ASSERT_EQ(r.outcome, np::PacketOutcome::Forwarded);
   auto out = net::Ipv4Packet::parse(r.output);
   EXPECT_EQ(out->src, net::ip(5, 6, 7, 8));
+}
+
+// The sealed install path records the installed artifacts' compile
+// times, once per install; a fast switch records them again.
+TEST(Protocol, SealedInstallRecordsCompileHistograms) {
+  World& w = world();
+  obs::Registry registry;  // outlives the device attached to it
+  auto device = w.manufacturer.provision_device("router-obs", 2);
+  device->mpsoc().enable_obs(registry);
+  const auto samples = [&registry] {
+    return std::vector<std::uint64_t>{
+        registry.histogram(obs::names::kEngineGraphCompileNs, {}).count(),
+        registry.histogram(obs::names::kCorePredecodeNs, {}).count()};
+  };
+  ASSERT_EQ(device->install(w.op.program_device(net::build_ipv4_forward(),
+                                                device->public_key()),
+                            kNow),
+            InstallStatus::Ok);
+  EXPECT_EQ(samples(), (std::vector<std::uint64_t>{1, 1}));
+  ASSERT_TRUE(device->switch_to("ipv4-forward"));
+  EXPECT_EQ(samples(), (std::vector<std::uint64_t>{2, 2}));
 }
 
 TEST(Protocol, FreshHashParameterPerPackage) {

@@ -466,6 +466,7 @@ struct RollbackWorld {
   crypto::RsaKeyPair root;
   crypto::RsaKeyPair op_keys;
   crypto::Certificate op_cert;
+  obs::Registry registry;  // outlives the device that may attach to it
   protocol::NetworkProcessorDevice device;
   std::uint64_t sequence = 0;
 
@@ -636,6 +637,58 @@ TEST(InstallRollback, UnstageableBinaryKeepsPreviousConfig) {
             protocol::InstallStatus::StageFailed);
   EXPECT_FALSE(w.device.last_install_ok());
   w.expect_baseline_running();
+}
+
+// A StageFailed install changes nothing: every check runs before any
+// core changes, so the cores keep their application data (here
+// flow-stats' per-flow counters) and no install is counted or journaled.
+TEST(InstallRollback, StageFailedLeavesDataRegionsAndInstallMetrics) {
+  RollbackWorld& w = rollback_world();
+  const isa::Program app = net::build_flow_stats();
+  ASSERT_EQ(w.device.install(w.seal(app, 0xF10), kNow),
+            protocol::InstallStatus::Ok);
+  np::Mpsoc& soc = w.device.mpsoc();
+  soc.enable_obs(w.registry);
+  for (std::uint8_t i = 0; i < 8; ++i) {
+    const util::Bytes pkt = net::make_udp_packet(
+        net::ip(10, 0, 0, i), net::ip(10, 0, 1, 2), 7, 7,
+        util::bytes_of("count me"));
+    ASSERT_EQ(w.device.process_packet(pkt).outcome,
+              np::PacketOutcome::Forwarded);
+  }
+  const auto data_regions = [&] {
+    std::vector<util::Bytes> regions;
+    for (std::size_t c = 0; c < soc.num_cores(); ++c) {
+      regions.push_back(soc.core(c).core().memory().read_block(
+          app.data_base, app.data.size()));
+    }
+    return regions;
+  };
+  const auto install_events = [&] {
+    const std::vector<obs::Event> events = w.registry.journal().events();
+    return std::count_if(events.begin(), events.end(), [](const obs::Event& e) {
+      return e.kind == obs::EventKind::Install;
+    });
+  };
+  const std::vector<util::Bytes> before = data_regions();
+  for (const util::Bytes& region : before) {
+    ASSERT_NE(region, util::Bytes(app.data.size(), 0)) << "counters moved";
+  }
+  obs::Counter& installs = w.registry.counter(obs::names::kEngineInstalls);
+  const std::uint64_t installs_before = installs.value();
+  const auto events_before = install_events();
+
+  isa::Program bad = net::build_udp_echo();
+  bad.name = "oversized";
+  bad.data = util::Bytes(64, 0xEE);
+  bad.data_base = 0xFFFF'FF00;
+  EXPECT_EQ(w.device.install(w.seal(bad, 0x57A7), kNow),
+            protocol::InstallStatus::StageFailed);
+
+  EXPECT_EQ(data_regions(), before);
+  EXPECT_EQ(installs.value(), installs_before);
+  EXPECT_EQ(install_events(), events_before);
+  EXPECT_EQ(w.device.application_name(), "flow-stats");
 }
 
 TEST(InstallRollback, AuditLogRecordsEveryRejection) {

@@ -12,6 +12,7 @@
 
 #include "isa/assembler.hpp"
 #include "monitor/analysis.hpp"
+#include "np/monitored_core.hpp"
 #include "util/bytes.hpp"
 
 namespace sdmmon::testsupport {
@@ -79,7 +80,9 @@ void install_one(Soc& soc, std::size_t core, const char* src,
                  std::uint32_t param) {
   isa::Program p = isa::assemble(src);
   monitor::MerkleTreeHash hash(param);
-  soc.install(core, p, monitor::extract_graph(p, hash),
+  soc.install(core, p,
+              np::validate_install_config(p, monitor::extract_graph(p, hash),
+                                          hash),
               std::make_unique<monitor::MerkleTreeHash>(hash));
 }
 
