@@ -67,6 +67,7 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
           break;
         case isa::OpClass::Jump:
         case isa::OpClass::JumpLink:
+          top.flags |= kTraceJump;
           next = ops::jump_target(in);
           break;
         default:
@@ -93,6 +94,23 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
       compiled->trace_len_[at] = static_cast<std::uint8_t>(len - j);
       compiled->trace_off_[at] = static_cast<std::uint32_t>(begin + j);
     }
+  }
+  // The prefix table Core settles a dispatch's retired mix from
+  // (trace_mix), classified by the same mix_counter as exec().
+  InstrMix running;
+  compiled->mix_prefix_.reserve(compiled->trace_ops_.size() + 1);
+  compiled->mix_prefix_.emplace_back();
+  for (const TraceOp& op : compiled->trace_ops_) {
+    ++ops::mix_counter(running, op.instr.op,
+                       (op.flags & kTracePredTaken) != 0);
+    compiled->mix_prefix_.push_back(
+        {static_cast<std::uint8_t>(running.alu),
+         static_cast<std::uint8_t>(running.load),
+         static_cast<std::uint8_t>(running.store),
+         static_cast<std::uint8_t>(running.branch_not_taken),
+         static_cast<std::uint8_t>(running.branch_taken),
+         static_cast<std::uint8_t>(running.jump),
+         static_cast<std::uint8_t>(running.muldiv)});
   }
   const auto end = std::chrono::steady_clock::now();
   compiled->trace_build_ns_ = static_cast<std::uint64_t>(

@@ -10,7 +10,8 @@
 //     monitor on the per-op path and the install spot-check, and
 //   * superblocks ("traces") of decoded ops anchored at text pcs, which
 //     the compiled tier retires whole, feeding the monitor one
-//     precomputed hash slice per dispatch.
+//     precomputed hash slice per dispatch and settling its retired
+//     instruction mix from one prefix-table difference (trace_mix).
 //
 // Like monitor::CompiledGraph, a CompiledProgram is immutable after
 // compile() and is shared as std::shared_ptr<const CompiledProgram> by
@@ -52,6 +53,7 @@
 #include "isa/isa.hpp"
 #include "isa/program.hpp"
 #include "monitor/hash.hpp"
+#include "np/cycle_model.hpp"
 
 namespace sdmmon::np {
 
@@ -74,7 +76,10 @@ class CompiledProgram {
     std::uint8_t flags = 0;
   };
 
-  /// TraceOp::flags bits.
+  /// TraceOp::flags bits. A branch's pc after it retires follows from
+  /// kTracePredTaken and whether it side-exited; every other op but a
+  /// jump falls through (a non-branch never has kTracePredTaken set).
+  static constexpr std::uint8_t kTraceJump = 0x02;       // j/jal
   static constexpr std::uint8_t kTracePredTaken = 0x04;  // branch predicted taken
 
   /// Superblock length cap; also guarantees formation terminates on
@@ -121,6 +126,36 @@ class CompiledProgram {
     return {trace_ops_.data() + at, trace_hash_lane_.data() + at, len};
   }
 
+  /// Retired-instruction mix of the `n` superblock ops starting at
+  /// `first` (a pointer into trace_ops_data(), n <= kTraceCap), each
+  /// branch counted in its predicted direction -- except, when
+  /// `side_exit`, op n - 1: a branch that resolved the other way. O(1):
+  /// the difference of two entries of the install-time prefix table.
+  InstrMix trace_mix(const TraceOp* first, std::uint64_t n,
+                     bool side_exit) const {
+    const std::size_t at = static_cast<std::size_t>(first - trace_ops_.data());
+    const MixPrefix& from = mix_prefix_[at];
+    const MixPrefix& to = mix_prefix_[at + n];
+    // Byte-wide differences are exact: n <= kTraceCap = 255.
+    InstrMix mix;
+    mix.alu = static_cast<std::uint8_t>(to.alu - from.alu);
+    mix.load = static_cast<std::uint8_t>(to.load - from.load);
+    mix.store = static_cast<std::uint8_t>(to.store - from.store);
+    mix.branch_not_taken =
+        static_cast<std::uint8_t>(to.branch_not_taken - from.branch_not_taken);
+    mix.branch_taken =
+        static_cast<std::uint8_t>(to.branch_taken - from.branch_taken);
+    mix.jump = static_cast<std::uint8_t>(to.jump - from.jump);
+    mix.muldiv = static_cast<std::uint8_t>(to.muldiv - from.muldiv);
+    if (side_exit) {
+      const bool predicted_taken =
+          (first[n - 1].flags & kTracePredTaken) != 0;
+      --(predicted_taken ? mix.branch_taken : mix.branch_not_taken);
+      ++(predicted_taken ? mix.branch_not_taken : mix.branch_taken);
+    }
+    return mix;
+  }
+
   /// Flat array holding every formed superblock concatenated (suffix
   /// anchors point into it, they add no ops).
   const TraceOp* trace_ops_data() const { return trace_ops_.data(); }
@@ -156,10 +191,24 @@ class CompiledProgram {
   std::size_t footprint_bytes() const {
     return ops_.size() * sizeof(PreOp) + trace_ops_.size() * sizeof(TraceOp) +
            trace_hash_lane_.size() + trace_len_.size() +
-           trace_off_.size() * sizeof(std::uint32_t);
+           trace_off_.size() * sizeof(std::uint32_t) +
+           mix_prefix_.size() * sizeof(MixPrefix);
   }
 
  private:
+  /// Running retired-mix counts over trace_ops_, mod 2^8, every branch
+  /// in its predicted direction: entry i counts ops [0, i). Superblocks
+  /// hold no trap ops.
+  struct MixPrefix {
+    std::uint8_t alu = 0;
+    std::uint8_t load = 0;
+    std::uint8_t store = 0;
+    std::uint8_t branch_not_taken = 0;
+    std::uint8_t branch_taken = 0;
+    std::uint8_t jump = 0;
+    std::uint8_t muldiv = 0;
+  };
+
   CompiledProgram() = default;
 
   std::uint32_t text_base_ = 0;
@@ -173,6 +222,7 @@ class CompiledProgram {
   std::vector<std::uint32_t> trace_off_;  // offset into trace_ops_
   std::vector<TraceOp> trace_ops_;        // all superblocks, concatenated
   std::vector<std::uint8_t> trace_hash_lane_;  // mhash per superblock op
+  std::vector<MixPrefix> mix_prefix_;  // trace_ops_.size() + 1 entries
 };
 
 }  // namespace sdmmon::np

@@ -243,9 +243,10 @@ StepInfo Core::exec(const Instr& in, StepInfo info) {
       write(in.rt, width == 8 ? reg & 0xFFu : reg);                     \
       break;                                                            \
     }                                                                   \
-    const auto v = ops::load<width>(mem_, addr);                        \
-    if (!v) return finish(info, StepEvent::Trapped, Trap::MemFault);    \
-    write(in.rt, ops::extend<width, sign>(*v));                         \
+    if (!ops::load<width>(mem_, addr, reg)) {                           \
+      return finish(info, StepEvent::Trapped, Trap::MemFault);          \
+    }                                                                   \
+    write(in.rt, ops::extend<width, sign>(reg));                        \
     break;                                                              \
   }
     // Sub-word MMIO stores address the containing register.
@@ -309,8 +310,9 @@ StepInfo Core::exec(const Instr& in, StepInfo info) {
 __attribute__((aligned(64)))
 Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
                                  std::uint64_t n) {
-  // Execute-first batch over the predicted path. All accounting is
-  // deferred to the epilogue and covers exactly the retired prefix,
+  // Execute-first batch over the predicted path. The handlers only
+  // compute results and find where the batch stops; the epilogue settles
+  // cycles, the retired mix and pc for exactly the retired prefix,
   // bit-identical to that many step() calls: step() counts an op on
   // entry, and a stopped-before op has not entered.
   const CompiledProgram::TraceOp* op = trace;
@@ -318,24 +320,17 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
   std::uint32_t* const regs = regs_.data();
   std::uint32_t hi = hi_;
   std::uint32_t lo = lo_;
-  std::uint64_t alu = 0;
-  std::uint64_t muldiv = 0;
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
-  std::uint64_t jumps = 0;
-  std::uint64_t btaken = 0;
-  std::uint64_t bnot = 0;
-  // pc after the most recently retired control-flow op. Body ops retire
-  // to op->pc + 4, so the epilogue consults this only when the *last*
-  // retired op redirected control flow.
-  std::uint32_t ctrl_next = 0;
+  const std::uint32_t text_base = text_base_;
+  const std::uint32_t text_bytes = text_bytes_;
   bool dirtied = false;
   bool side_exit = false;
 
   // Direct-threaded dispatch: every handler ends by jumping straight to
   // the next op's handler, so each op kind gets its own indirect branch
-  // (and branch-predictor history) instead of sharing one switch. The
-  // table is expanded from the same op list as isa::Op, so its order is
+  // (and branch-predictor history) instead of sharing one switch. This
+  // file is compiled with -fno-crossjumping, or GCC would merge those
+  // identical handler tails back into a few shared jumps. The table is
+  // expanded from the same op list as isa::Op, so its order is
   // structural. Results come from np/op_table.hpp; a handler only decides
   // where a result goes and where step() must take over.
 #define SDMMON_LABEL(name, ...) &&L_##name,
@@ -360,14 +355,12 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
   L_##name: {                         \
     SDMMON_OPERANDS;                  \
     if (in.rd) regs[in.rd] = value;   \
-    ++alu;                            \
     SDMMON_NEXT;                      \
   }
 #define SDMMON_RT(name, value)        \
   L_##name: {                         \
     SDMMON_OPERANDS;                  \
     if (in.rt) regs[in.rt] = value;   \
-    ++alu;                            \
     SDMMON_NEXT;                      \
   }
 #define SDMMON_OVF(name, dest, value, overflow) \
@@ -376,7 +369,6 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
     const std::uint32_t r = value;              \
     if (overflow) goto done;                    \
     if (in.dest) regs[in.dest] = r;             \
-    ++alu;                                      \
     SDMMON_NEXT;                                \
   }
 #define SDMMON_MULDIV(name, guard, value)         \
@@ -387,26 +379,19 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
       hi = static_cast<std::uint32_t>(p >> 32);   \
       lo = static_cast<std::uint32_t>(p);         \
     }                                             \
-    ++muldiv;                                     \
     SDMMON_NEXT;                                  \
   }
   // Conditional branch: it always retires. exec() counts it taken iff it
   // left the fall-through path (a taken branch-to-next counts not-taken),
-  // and one whose next pc differs from the predicted pc retires and then
+  // and one that differs from its predicted direction retires and then
   // side-exits. Comparing pcs rather than conditions keeps a taken
-  // branch-to-next on its predicted path, which is what retract_trace
-  // assumes of every branch but a side-exiting one.
+  // branch-to-next on its predicted path, which is what the epilogue and
+  // retract_trace assume of every branch but a side-exiting one.
 #define SDMMON_BRANCH(name, cond)                                       \
   L_##name: {                                                           \
     SDMMON_OPERANDS;                                                    \
-    const std::uint32_t fall = op->pc + 4;                              \
-    ctrl_next = (cond) ? ops::branch_target(op->pc, in) : fall;         \
-    const bool left_fall = ctrl_next != fall;                           \
-    if (left_fall) {                                                    \
-      ++btaken;                                                         \
-    } else {                                                            \
-      ++bnot;                                                           \
-    }                                                                   \
+    const bool left_fall =                                              \
+        (cond) && ops::branch_target(op->pc, in) != op->pc + 4;         \
     if (left_fall !=                                                    \
         ((op->flags & CompiledProgram::kTracePredTaken) != 0)) {        \
       ++op;                                                             \
@@ -419,11 +404,11 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
   L_##name: {                                                      \
     SDMMON_OPERANDS;                                               \
     const std::uint32_t addr = a + ops::simm(in);                  \
-    if (addr >= kMmioBase) goto done;                              \
-    const auto v = ops::load<width>(mem_, addr);                   \
-    if (!v) goto done;                                             \
-    if (in.rt) regs[in.rt] = ops::extend<width, sign>(*v);         \
-    ++loads;                                                       \
+    std::uint32_t v = 0;                                           \
+    if (addr >= kMmioBase || !ops::load<width>(mem_, addr, v)) {   \
+      goto done;                                                   \
+    }                                                              \
+    if (in.rt) regs[in.rt] = ops::extend<width, sign>(v);          \
     SDMMON_NEXT;                                                   \
   }
 #define SDMMON_STORE(name, width)                                  \
@@ -434,8 +419,7 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
     if (ops::store<width>(mem_, addr, b) != MemFault::None) {      \
       goto done;                                                   \
     }                                                              \
-    ++stores;                                                      \
-    if (addr - text_base_ < text_bytes_) {                         \
+    if (addr - text_base < text_bytes) {                           \
       ++op; /* the dirtying store itself retires */                \
       dirtied = true;                                              \
       goto done;                                                   \
@@ -457,13 +441,9 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
 #undef SDMMON_LOAD
 #undef SDMMON_STORE
 L_J:
-  ctrl_next = ops::jump_target(op->instr);
-  ++jumps;
   SDMMON_NEXT;
 L_Jal:
   regs[31] = op->pc + 4;
-  ctrl_next = ops::jump_target(op->instr);
-  ++jumps;
   SDMMON_NEXT;
 #undef SDMMON_OPERANDS
 #undef SDMMON_NEXT
@@ -478,28 +458,22 @@ done:
   const std::uint64_t retired = static_cast<std::uint64_t>(op - trace);
   hi_ = hi;
   lo_ = lo;
-  mix_.alu += alu;
-  mix_.muldiv += muldiv;
-  mix_.load += loads;
-  mix_.store += stores;
-  mix_.jump += jumps;
-  mix_.branch_taken += btaken;
-  mix_.branch_not_taken += bnot;
   cycles_ += retired;
   packet_cycles_ += retired;
   if (retired > 0) {
+    mix_ += compiled_->trace_mix(trace, retired, side_exit);
+    // pc follows the last retired op: a jump goes to its target, a
+    // branch in its predicted direction (the other one if it
+    // side-exited), and anything else to the next word -- which is also
+    // where a stopped-before op sits.
     const CompiledProgram::TraceOp& last = trace[retired - 1];
-    switch (isa::op_class(last.instr.op)) {
-      case isa::OpClass::Branch:
-      case isa::OpClass::Jump:
-      case isa::OpClass::JumpLink:
-        pc_ = ctrl_next;
-        break;
-      default:
-        // Body ops fall through; a stopped-before op always sits at
-        // last.pc + 4 (superblock pcs are contiguous between control ops).
-        pc_ = last.pc + 4;
-        break;
+    if ((last.flags & CompiledProgram::kTraceJump) != 0) {
+      pc_ = ops::jump_target(last.instr);
+    } else if (((last.flags & CompiledProgram::kTracePredTaken) != 0) !=
+               side_exit) {
+      pc_ = ops::branch_target(last.pc, last.instr);
+    } else {
+      pc_ = last.pc + 4;
     }
   }
   if (dirtied) {
@@ -513,17 +487,10 @@ done:
 
 void Core::retract_trace(const CompiledProgram::TraceOp* trace,
                          std::uint64_t n, bool last_mispredicted) {
-  // Every overshoot branch retired along its predicted path (taken iff
-  // its static flag says taken -- a predicted-taken branch is backward,
-  // so it always left the fall-through path, and a predicted-not-taken
-  // branch that followed prediction never did), EXCEPT a side-exiting
-  // branch, which is always the final retired op and resolved the other
-  // way.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    bool taken = (trace[i].flags & CompiledProgram::kTracePredTaken) != 0;
-    if (i + 1 == n && last_mispredicted) taken = !taken;
-    --ops::mix_counter(mix_, trace[i].instr.op, taken);
-  }
+  // The overshoot was settled by exec_trace's epilogue from the same
+  // prefix table; a side-exiting branch is the dispatch's last op, so it
+  // is among the retracted ones only when any are.
+  mix_ -= compiled_->trace_mix(trace, n, last_mispredicted && n > 0);
   cycles_ -= n;
   packet_cycles_ -= n;
 }

@@ -205,7 +205,8 @@ class Core {
   /// load/store reaches MMIO -- step() re-derives that op's event --
   /// and *after* a store that dirties the predecoded text or a branch
   /// that side-exits. Cycles, mix, and pc advance exactly as `retired`
-  /// step() calls would.
+  /// step() calls would; all three are settled once, after the last op,
+  /// from the retired count, the prefix table and the last op.
   TraceExec exec_trace(const CompiledProgram::TraceOp* trace,
                        std::uint64_t n);
 
@@ -213,7 +214,8 @@ class Core {
   /// points at them): the monitor-unchecked overshoot past a flagged
   /// hash, undone right before the recovery reset() so the cumulative
   /// cycle and mix counters match a reference core that stopped at the
-  /// flagged op.
+  /// flagged op. O(1): the same install-time prefix counts
+  /// (CompiledProgram::trace_mix) the dispatch settled its mix from.
   /// Registers and memory need no compensation -- reset() re-images
   /// them. `last_mispredicted` is the dispatch's side_exit flag: a
   /// side-exiting branch is always the last retired op and the only one

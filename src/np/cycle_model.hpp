@@ -39,6 +39,20 @@ struct InstrMix {
                     muldiv - rhs.muldiv,
                     trap - rhs.trap};
   }
+
+  InstrMix& operator+=(const InstrMix& rhs) {
+    alu += rhs.alu;
+    load += rhs.load;
+    store += rhs.store;
+    branch_not_taken += rhs.branch_not_taken;
+    branch_taken += rhs.branch_taken;
+    jump += rhs.jump;
+    muldiv += rhs.muldiv;
+    trap += rhs.trap;
+    return *this;
+  }
+
+  InstrMix& operator-=(const InstrMix& rhs) { return *this = *this - rhs; }
 };
 
 struct CycleCosts {

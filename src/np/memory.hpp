@@ -54,13 +54,30 @@ class Memory {
 
   // All accessors return/accept little-endian values (MIPS LE).
   std::optional<std::uint32_t> load32(std::uint32_t addr) const {
-    return load<std::uint32_t>(addr);
+    return load_optional<std::uint32_t>(addr);
   }
   std::optional<std::uint16_t> load16(std::uint32_t addr) const {
-    return load<std::uint16_t>(addr);
+    return load_optional<std::uint16_t>(addr);
   }
   std::optional<std::uint8_t> load8(std::uint32_t addr) const {
-    return load<std::uint8_t>(addr);
+    return load_optional<std::uint8_t>(addr);
+  }
+  /// Load a T (std::uint8_t/uint16_t/uint32_t) zero-extended into `out`;
+  /// false, with `out` untouched, when the access is unaligned or
+  /// unmapped. The executors' form: no std::optional to keep in memory.
+  template <typename T>
+  bool load(std::uint32_t addr, std::uint32_t& out) const {
+    const std::uint32_t page = addr / kPageBytes;
+    if (addr % sizeof(T) != 0 || page >= kPages || !(attr_[page] & kMapped)) {
+      return false;
+    }
+    const std::uint8_t* p = arena_.data() + arena_offset(addr);
+    T value = 0;
+    for (unsigned i = 0; i < sizeof(T); ++i) {
+      value |= static_cast<T>(T{p[i]} << 8 * i);
+    }
+    out = value;
+    return true;
   }
   MemFault store32(std::uint32_t addr, std::uint32_t value) {
     return store(addr, value);
@@ -98,17 +115,10 @@ class Memory {
   }
 
   template <typename T>
-  std::optional<T> load(std::uint32_t addr) const {
-    const std::uint32_t page = addr / kPageBytes;
-    if (addr % sizeof(T) != 0 || page >= kPages || !(attr_[page] & kMapped)) {
-      return std::nullopt;
-    }
-    const std::uint8_t* p = arena_.data() + arena_offset(addr);
-    T value = 0;
-    for (unsigned i = 0; i < sizeof(T); ++i) {
-      value |= static_cast<T>(T{p[i]} << 8 * i);
-    }
-    return value;
+  std::optional<T> load_optional(std::uint32_t addr) const {
+    std::uint32_t value = 0;
+    if (!load<T>(addr, value)) return std::nullopt;
+    return static_cast<T>(value);
   }
 
   template <typename T>

@@ -143,10 +143,15 @@ void CoreArray::enable_obs(obs::Registry& registry, std::uint32_t device_id,
   delete obs_.exchange(obs.release(), std::memory_order_acq_rel);
 }
 
-void CoreArray::install_all(const isa::Program& program,
-                            const monitor::MonitoringGraph& graph,
-                            const monitor::InstructionHash& hash) {
-  install_all(program, validate_install_config(program, graph, hash), hash);
+InstallArtifacts CoreArray::install_all(const isa::Program& program,
+                                        monitor::MonitoringGraph graph,
+                                        const monitor::InstructionHash& hash) {
+  // The builder has checked what it built.
+  InstallArtifacts artifacts =
+      validate_install_config(program, std::move(graph), hash);
+  quiesce();
+  commit_all(program, artifacts, hash);
+  return artifacts;
 }
 
 void CoreArray::install_all(const isa::Program& program,
@@ -155,6 +160,12 @@ void CoreArray::install_all(const isa::Program& program,
   quiesce();
   complete_summary(artifacts);
   validate_install_config(program, artifacts, hash);
+  commit_all(program, artifacts, hash);
+}
+
+void CoreArray::commit_all(const isa::Program& program,
+                           const InstallArtifacts& artifacts,
+                           const monitor::InstructionHash& hash) {
   for (std::size_t c = 0; c < cores_.size(); ++c) {
     cores_[c].commit_install(program, artifacts, hash.clone());
     last_good_[c] = LastGoodConfig{program, artifacts, hash.clone()};

@@ -164,16 +164,17 @@ class CoreArray {
   DispatchPolicy policy() const { return policy_; }
 
   /// Install the same configuration on every core (cloning the hash unit).
-  /// Transactional: the configuration is checked once
-  /// (validate_install_config), so a bad program/graph throws *before*
-  /// any core or last-good slot is touched and the previous configuration
-  /// keeps running everywhere; then it is committed to every core, which
-  /// cannot fail. The wire-format graph is compiled, the text predecoded
-  /// and the monitor summary built exactly once; all cores (and the
-  /// LastGoodConfig recovery snapshots) share the immutable artifacts.
-  void install_all(const isa::Program& program,
-                   const monitor::MonitoringGraph& graph,
-                   const monitor::InstructionHash& hash);
+  /// Transactional: the install builder (validate_install_config) builds
+  /// and checks the configuration once, so a bad program/graph throws
+  /// *before* any core or last-good slot is touched and the previous
+  /// configuration keeps running everywhere; then it is committed to
+  /// every core, which cannot fail. The wire-format graph is compiled,
+  /// the text predecoded and the monitor summary built exactly once; all
+  /// cores (and the LastGoodConfig recovery snapshots) share the
+  /// immutable artifacts, which are returned for the caller to keep.
+  InstallArtifacts install_all(const isa::Program& program,
+                               monitor::MonitoringGraph graph,
+                               const monitor::InstructionHash& hash);
 
   /// Install already-compiled artifacts on every core -- the fast switch
   /// path for applications authenticated and compiled earlier (device
@@ -257,6 +258,10 @@ class CoreArray {
  private:
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
+  /// Commit checked artifacts to every core and its last-good slot.
+  void commit_all(const isa::Program& program,
+                  const InstallArtifacts& artifacts,
+                  const monitor::InstructionHash& hash);
   void note_install(std::uint32_t core, const isa::Program& program,
                     const InstallArtifacts& artifacts);
   /// Re-image core `index` from its last-good configuration and restart

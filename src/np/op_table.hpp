@@ -13,13 +13,14 @@
 //           the op writes anything;
 //   in      the decoded isa::Instr;
 //   hi, lo  the multiply/divide registers (std::uint32_t);
-// plus the helpers below.
+// plus the helpers below. The load and store tables give only a width:
+// both executors access memory through the one ops::load (a fault bit
+// plus an out-parameter) and ops::store below.
 #ifndef SDMMON_NP_OP_TABLE_HPP
 #define SDMMON_NP_OP_TABLE_HPP
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 
 #include "isa/isa.hpp"
 #include "np/cycle_model.hpp"
@@ -136,17 +137,20 @@ inline std::uint32_t jump_target(const isa::Instr& in) { return in.target * 4; }
   X(Sh, 16)                 \
   X(Sw, 32)
 
-/// Width-generic data access for the load/store tables.
+/// Width-generic data access for the load/store tables. A load is false
+/// when it faults (unaligned or unmapped); otherwise it writes the
+/// zero-extended value to `out`. Both executors load through it: a bool
+/// and an out-parameter rather than a std::optional, so the value stays
+/// in a register.
 template <int kWidth>
-std::optional<std::uint32_t> load(const Memory& mem, std::uint32_t addr) {
+inline bool load(const Memory& mem, std::uint32_t addr, std::uint32_t& out) {
   if constexpr (kWidth == 8) {
-    if (auto v = mem.load8(addr)) return *v;
+    return mem.load<std::uint8_t>(addr, out);
   } else if constexpr (kWidth == 16) {
-    if (auto v = mem.load16(addr)) return *v;
+    return mem.load<std::uint16_t>(addr, out);
   } else {
-    return mem.load32(addr);
+    return mem.load<std::uint32_t>(addr, out);
   }
-  return std::nullopt;
 }
 
 template <int kWidth>

@@ -182,17 +182,18 @@ InstallStatus NetworkProcessorDevice::install_impl(const WirePackage& wire,
   }
 
   // The wire format carries the graph uncompiled and the text raw (they
-  // are what the operator signed); build the install artifacts exactly
-  // once, now that every cryptographic check has passed. The store and
-  // all cores share them. A malformed graph or a binary that does not
-  // fit the memory map throws here, before any core is touched --
-  // install() turns it into StageFailed.
+  // are what the operator signed); install_all builds and checks the
+  // install artifacts exactly once, now that every cryptographic check
+  // has passed, and commits them to every core. The store keeps the
+  // same artifacts. A malformed graph or a binary that does not fit the
+  // memory map throws before any core is touched -- install() turns it
+  // into StageFailed.
   np::InstallArtifacts artifacts =
-      np::validate_install_config(payload.binary, std::move(payload.graph),
-                                  hash);
+      soc_.install_all(payload.binary, std::move(payload.graph), hash);
   StoredApp app{std::move(payload.binary), std::move(artifacts),
                 payload.hash_param};
-  activate(app);
+  installed_ = true;
+  app_name_ = app.binary.name;
   last_sequence_ = payload.sequence;
   store_[app_name_] = std::move(app);
   util::log_info("device ", name_, ": installed '", app_name_, "' (seq ",

@@ -909,5 +909,72 @@ TEST(TraceDifferential, StopRulesMatchInterpreterInsideASuperblock) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Mix settlement past the prefix table's byte wrap
+// ---------------------------------------------------------------------
+
+// A dispatch settles its retired mix from a byte-wide prefix table over
+// the artifact's superblock ops, exact only modulo 256. This text puts
+// more than 256 ops in that table and enters a superblock at a suffix
+// anchor past offset 256, where the running alu count crosses 256
+// inside the dispatch (and again inside the retracted tail below):
+//   [0, 100)    lw (never executed; keeps the alu count below the offset)
+//   [100, 400)  addiu $t1, $t1, 1
+//   400         beq $zero, $zero, 402 (forward, predicted not taken)
+//   401         addiu $t1, $t1, 1
+//   402         jr $ra
+constexpr std::uint32_t kWrapEntry = 300;   // text index of the entry
+constexpr std::uint32_t kWrapBranch = 400;  // the side-exiting branch
+
+isa::Program wrap_program() {
+  isa::Program p;
+  p.name = "mix-wrap";
+  p.text.assign(100, isa::encode(isa::make_itype(isa::Op::Lw, 10, 0, 0)));
+  p.text.resize(kWrapBranch,
+                isa::encode(isa::make_itype(isa::Op::Addiu, 9, 9, 1)));
+  p.text.push_back(
+      isa::encode(isa::make_branch(isa::Op::Beq, 0, 0, 1)));
+  p.text.push_back(isa::encode(isa::make_itype(isa::Op::Addiu, 9, 9, 1)));
+  p.text.push_back(isa::encode(isa::make_rtype(isa::Op::Jr, 0, 31, 0)));
+  p.entry = 4 * kWrapEntry;
+  return p;
+}
+
+TEST(TraceDifferential, MixSettlesExactlyPastThePrefixByteWrap) {
+  const isa::Program p = wrap_program();
+  auto compiled = CompiledProgram::compile(p, monitor::MerkleTreeHash(0x3A9));
+  ASSERT_GT(compiled->num_trace_ops(), 256u);
+  const CompiledProgram::TraceRef entry = compiled->trace_at(p.entry);
+  ASSERT_GT(entry.ops - compiled->trace_ops_data(), 256);
+  ASSERT_EQ(compiled->trace_at(p.entry - 4).ops + 1, entry.ops)
+      << "the entry must be a suffix anchor";
+  ASSERT_GT(entry.len, kWrapBranch - kWrapEntry);
+
+  // One dispatch retires the entry's run and side-exits at the branch.
+  const std::uint64_t steps = kWrapBranch - kWrapEntry + 1;
+  Core fast, oracle;
+  oracle.set_tier(Tier::Interpret);
+  fast.load_program(p, compiled);
+  oracle.load_program(p, compiled);
+  DispatchLog log;
+  expect_same_step(fast.run_observed(steps, log), oracle.run(steps), steps);
+  EXPECT_EQ(log.batches, std::vector<std::uint64_t>{steps});
+  expect_same_state(fast, oracle);
+  EXPECT_EQ(fast.instr_mix().branch_taken, 1u);
+  expect_same_step(fast.run(), oracle.run(), 0);
+  expect_same_state(fast, oracle);
+
+  // A monitor mismatch ten ops past the entry, whose retracted tail holds
+  // the byte wrap and the side-exiting branch; and one at that branch,
+  // which retracts nothing.
+  for (const std::uint32_t flagged : {kWrapEntry + 10, kWrapBranch}) {
+    SCOPED_TRACE("mismatch at " + std::to_string(flagged));
+    isa::Program expected = p;
+    expected.text[flagged] =
+        isa::encode(isa::make_itype(isa::Op::Addiu, 9, 9, 2));
+    expect_installed_mismatch_matches(p, expected);
+  }
+}
+
 }  // namespace
 }  // namespace sdmmon::np

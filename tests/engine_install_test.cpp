@@ -6,6 +6,8 @@
 // application, and moves no install metric or journal event.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -397,6 +399,44 @@ TYPED_TEST(EngineInstall, EveryCoreAndReimageShareOneSummary) {
   for (std::size_t c = 0; c < kCores; ++c) {
     EXPECT_EQ(engine.core(c).summary(), built) << "re-imaged core " << c;
   }
+}
+
+// A hash unit that counts its hash() calls (clones share the count).
+class CountingHash : public monitor::InstructionHash {
+ public:
+  CountingHash(const monitor::MerkleTreeHash& inner,
+               std::shared_ptr<std::atomic<std::uint64_t>> calls)
+      : inner_(inner), calls_(std::move(calls)) {}
+  std::uint8_t hash(std::uint32_t word) const override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return inner_.hash(word);
+  }
+  int width() const override { return inner_.width(); }
+  std::string name() const override { return inner_.name(); }
+  std::unique_ptr<monitor::InstructionHash> clone() const override {
+    return std::make_unique<CountingHash>(*this);
+  }
+
+ private:
+  monitor::MerkleTreeHash inner_;
+  std::shared_ptr<std::atomic<std::uint64_t>> calls_;
+};
+
+// A wire install checks its configuration exactly once: predecoding
+// hashes each of the n text words, and the one install check
+// spot-checks min(n, 16) of them.
+TYPED_TEST(EngineInstall, WireInstallRunsTheInstallCheckOnce) {
+  auto calls = std::make_shared<std::atomic<std::uint64_t>>(0);
+  const CountingHash hash(this->hash_, calls);
+  const np::InstallArtifacts built =
+      this->engine_.install_all(this->good_, this->good_graph_, hash);
+  const std::size_t n = this->good_.text.size();
+  EXPECT_EQ(calls->load(), n + std::min<std::size_t>(n, 16));
+  for (std::size_t c = 0; c < kCores; ++c) {
+    EXPECT_EQ(this->engine_.core(c).core().compiled_program(), built.code)
+        << "core " << c;
+  }
+  this->expect_forwarding();
 }
 
 }  // namespace
