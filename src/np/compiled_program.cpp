@@ -8,6 +8,60 @@
 
 namespace sdmmon::np {
 
+namespace {
+
+// An op's handler on its own (docs/EXECUTION.md, "Handler selection").
+TraceHandler own_handler(const isa::Instr& in, bool predicted_taken) {
+  switch (in.op) {
+#define SDMMON_RD(name, value) \
+  case isa::Op::name:          \
+    return in.rd == 0 ? TraceHandler::Nop : TraceHandler::name;
+#define SDMMON_RT(name, value) \
+  case isa::Op::name:          \
+    return in.rt == 0 ? TraceHandler::Nop : TraceHandler::name;
+#define SDMMON_BRANCH(name, cond)                        \
+  case isa::Op::name:                                    \
+    return in.imm == 0       ? TraceHandler::Nop         \
+           : predicted_taken ? TraceHandler::name##Taken \
+                             : TraceHandler::name;
+    SDMMON_OPS_ALU_RD(SDMMON_RD)
+    SDMMON_OPS_ALU_RT(SDMMON_RT)
+    SDMMON_OPS_BRANCH(SDMMON_BRANCH)
+#undef SDMMON_RD
+#undef SDMMON_RT
+#undef SDMMON_BRANCH
+    default:
+      return static_cast<TraceHandler>(in.op);
+  }
+}
+
+// Fuse adjacent pairs of one superblock, left to right. The second op of
+// a pair keeps its own handler: a suffix anchor may enter there.
+void fuse_pairs(CompiledProgram::TraceOp* ops, std::size_t len) {
+#define SDMMON_SECOND_LOAD(op) TraceHandler::op
+#define SDMMON_SECOND_STORE(op) TraceHandler::op
+#define SDMMON_SECOND_TAKEN(op) TraceHandler::op##Taken
+#define SDMMON_PAIR(name, first, dest, shape, second)             \
+  if (x.handler == TraceHandler::first &&                         \
+      y.handler == SDMMON_SECOND_##shape(second) &&               \
+      y.instr.rs == x.instr.dest) {                               \
+    x.handler = TraceHandler::name;                               \
+    ++i;                                                          \
+    continue;                                                     \
+  }
+  for (std::size_t i = 0; i + 1 < len; ++i) {
+    CompiledProgram::TraceOp& x = ops[i];
+    const CompiledProgram::TraceOp& y = ops[i + 1];
+    SDMMON_TRACE_PAIRS(SDMMON_PAIR)
+  }
+#undef SDMMON_PAIR
+#undef SDMMON_SECOND_LOAD
+#undef SDMMON_SECOND_STORE
+#undef SDMMON_SECOND_TAKEN
+}
+
+}  // namespace
+
 std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
     const isa::Program& program, const monitor::InstructionHash& hash) {
   const auto start = std::chrono::steady_clock::now();
@@ -75,6 +129,7 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
           break;
       }
       if (!enters) break;
+      top.handler = own_handler(in, (top.flags & kTracePredTaken) != 0);
       compiled->trace_ops_.push_back(top);
       compiled->trace_hash_lane_.push_back(top.mhash);
       // The predicted path leaves the text: the superblock ends here.
@@ -84,6 +139,7 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
     const std::size_t len = compiled->trace_ops_.size() - begin;
     if (len == 0) continue;
     ++compiled->num_traces_;
+    fuse_pairs(compiled->trace_ops_.data() + begin, len);
     for (std::size_t j = 0; j < len; ++j) {
       const std::size_t at = anchor + j;
       if (j > 0 && (at >= n || leader[at] ||

@@ -57,6 +57,56 @@
 
 namespace sdmmon::np {
 
+// Superblock handlers (docs/EXECUTION.md, "Handler selection"). compile()
+// gives every TraceOp the id of the Core::exec_trace handler that retires
+// it, chosen from facts fixed at install time. Ids below isa::kNumOps are
+// the ops' own handlers, in isa::Op order; the two lists below add the
+// rest. Both TraceHandler and exec_trace's label table are expanded from
+// these three lists, so their orders cannot drift apart.
+//
+// Variants of one op: X(handler)
+//   Nop            a non-trapping ALU op whose destination is $zero, or a
+//                  branch to the next word (it cannot leave the
+//                  fall-through path);
+//   <branch>Taken  a branch predicted taken. A branch's own handler is
+//                  the predicted-not-taken one.
+#define SDMMON_TRACE_VARIANTS(X) \
+  X(Nop)                         \
+  X(BeqTaken)                    \
+  X(BneTaken)                    \
+  X(BlezTaken)                   \
+  X(BgtzTaken)
+
+// Fused pairs, one handler retiring two adjacent ops of one superblock:
+// X(handler, first op, its destination field, second half's shape,
+// second op). The first op has its own handler (so it is a non-trapping
+// ALU op that writes a register other than $zero) and its result is the
+// second op's rs; the second op has its own handler (LOAD, STORE) or the
+// predicted-taken one (TAKEN). The second half takes the result as it
+// is, without reloading it from the register file.
+#define SDMMON_TRACE_PAIRS(X)              \
+  X(AdduLbu, Addu, rd, LOAD, Lbu)          \
+  X(AdduSb, Addu, rd, STORE, Sb)           \
+  X(AddiuBneTaken, Addiu, rt, TAKEN, Bne)
+
+enum class TraceHandler : std::uint8_t {
+#define SDMMON_HANDLER_ID(name, ...) name,
+  SDMMON_ISA_OPS(SDMMON_HANDLER_ID)
+  SDMMON_TRACE_VARIANTS(SDMMON_HANDLER_ID)
+  SDMMON_TRACE_PAIRS(SDMMON_HANDLER_ID)
+#undef SDMMON_HANDLER_ID
+};
+static_assert(static_cast<int>(TraceHandler::Nop) == isa::kNumOps,
+              "an op's own handler id is its isa::Op value");
+
+constexpr int kNumTraceHandlers = 0
+#define SDMMON_HANDLER_COUNT(...) +1
+    SDMMON_ISA_OPS(SDMMON_HANDLER_COUNT)
+    SDMMON_TRACE_VARIANTS(SDMMON_HANDLER_COUNT)
+    SDMMON_TRACE_PAIRS(SDMMON_HANDLER_COUNT)
+#undef SDMMON_HANDLER_COUNT
+    ;
+
 class CompiledProgram {
  public:
   /// One text word, indexed by (pc - text_base) / 4.
@@ -74,7 +124,9 @@ class CompiledProgram {
     std::uint32_t word = 0;  // raw encoding
     std::uint8_t mhash = 0;  // precomputed monitor hash of `word`
     std::uint8_t flags = 0;
+    TraceHandler handler = TraceHandler::Nop;  // what retires it
   };
+  static_assert(sizeof(TraceOp) == 28, "the handler id rides in padding");
 
   /// TraceOp::flags bits. A branch's pc after it retires follows from
   /// kTracePredTaken and whether it side-exited; every other op but a

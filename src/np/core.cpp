@@ -303,188 +303,6 @@ StepInfo Core::exec(const Instr& in, StepInfo info) {
   return info;
 }
 
-// Pinned to a 64-byte boundary: with no change to its code, moving this
-// function from a 64-byte to a 32-byte boundary (a code-size change
-// elsewhere in the binary) cost perfbench 8-13% of its packet rate
-// (docs/BENCHMARKS.md, "Code placement").
-__attribute__((aligned(64)))
-Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
-                                 std::uint64_t n) {
-  // Execute-first batch over the predicted path. The handlers only
-  // compute results and find where the batch stops; the epilogue settles
-  // cycles, the retired mix and pc for exactly the retired prefix,
-  // bit-identical to that many step() calls: step() counts an op on
-  // entry, and a stopped-before op has not entered.
-  const CompiledProgram::TraceOp* op = trace;
-  const CompiledProgram::TraceOp* const end = trace + n;
-  std::uint32_t* const regs = regs_.data();
-  std::uint32_t hi = hi_;
-  std::uint32_t lo = lo_;
-  const std::uint32_t text_base = text_base_;
-  const std::uint32_t text_bytes = text_bytes_;
-  bool dirtied = false;
-  bool side_exit = false;
-
-  // Direct-threaded dispatch: every handler ends by jumping straight to
-  // the next op's handler, so each op kind gets its own indirect branch
-  // (and branch-predictor history) instead of sharing one switch. This
-  // file is compiled with -fno-crossjumping, or GCC would merge those
-  // identical handler tails back into a few shared jumps. The table is
-  // expanded from the same op list as isa::Op, so its order is
-  // structural. Results come from np/op_table.hpp; a handler only decides
-  // where a result goes and where step() must take over.
-#define SDMMON_LABEL(name, ...) &&L_##name,
-  static void* const kHandler[isa::kNumOps] = {
-      SDMMON_ISA_OPS(SDMMON_LABEL)};
-#undef SDMMON_LABEL
-#define SDMMON_DISPATCH goto* kHandler[static_cast<std::size_t>(op->instr.op)]
-#define SDMMON_NEXT           \
-  if (++op == end) goto done; \
-  SDMMON_DISPATCH
-  // Each handler block reads its own operands; a and b are read before
-  // the op writes anything.
-#define SDMMON_OPERANDS                                 \
-  const isa::Instr& in = op->instr;                     \
-  [[maybe_unused]] const std::uint32_t a = regs[in.rs]; \
-  [[maybe_unused]] const std::uint32_t b = regs[in.rt]
-
-  if (op == end) goto done;
-  SDMMON_DISPATCH;
-
-#define SDMMON_RD(name, value)        \
-  L_##name: {                         \
-    SDMMON_OPERANDS;                  \
-    if (in.rd) regs[in.rd] = value;   \
-    SDMMON_NEXT;                      \
-  }
-#define SDMMON_RT(name, value)        \
-  L_##name: {                         \
-    SDMMON_OPERANDS;                  \
-    if (in.rt) regs[in.rt] = value;   \
-    SDMMON_NEXT;                      \
-  }
-#define SDMMON_OVF(name, dest, value, overflow) \
-  L_##name: {                                   \
-    SDMMON_OPERANDS;                            \
-    const std::uint32_t r = value;              \
-    if (overflow) goto done;                    \
-    if (in.dest) regs[in.dest] = r;             \
-    SDMMON_NEXT;                                \
-  }
-#define SDMMON_MULDIV(name, guard, value)         \
-  L_##name: {                                     \
-    SDMMON_OPERANDS;                              \
-    if (guard) {                                  \
-      const std::uint64_t p = value;              \
-      hi = static_cast<std::uint32_t>(p >> 32);   \
-      lo = static_cast<std::uint32_t>(p);         \
-    }                                             \
-    SDMMON_NEXT;                                  \
-  }
-  // Conditional branch: it always retires. exec() counts it taken iff it
-  // left the fall-through path (a taken branch-to-next counts not-taken),
-  // and one that differs from its predicted direction retires and then
-  // side-exits. Comparing pcs rather than conditions keeps a taken
-  // branch-to-next on its predicted path, which is what the epilogue and
-  // retract_trace assume of every branch but a side-exiting one.
-#define SDMMON_BRANCH(name, cond)                                       \
-  L_##name: {                                                           \
-    SDMMON_OPERANDS;                                                    \
-    const bool left_fall =                                              \
-        (cond) && ops::branch_target(op->pc, in) != op->pc + 4;         \
-    if (left_fall !=                                                    \
-        ((op->flags & CompiledProgram::kTracePredTaken) != 0)) {        \
-      ++op;                                                             \
-      side_exit = true;                                                 \
-      goto done;                                                        \
-    }                                                                   \
-    SDMMON_NEXT;                                                        \
-  }
-#define SDMMON_LOAD(name, width, sign)                             \
-  L_##name: {                                                      \
-    SDMMON_OPERANDS;                                               \
-    const std::uint32_t addr = a + ops::simm(in);                  \
-    std::uint32_t v = 0;                                           \
-    if (addr >= kMmioBase || !ops::load<width>(mem_, addr, v)) {   \
-      goto done;                                                   \
-    }                                                              \
-    if (in.rt) regs[in.rt] = ops::extend<width, sign>(v);          \
-    SDMMON_NEXT;                                                   \
-  }
-#define SDMMON_STORE(name, width)                                  \
-  L_##name: {                                                      \
-    SDMMON_OPERANDS;                                               \
-    const std::uint32_t addr = a + ops::simm(in);                  \
-    if (addr >= kMmioBase) goto done;                              \
-    if (ops::store<width>(mem_, addr, b) != MemFault::None) {      \
-      goto done;                                                   \
-    }                                                              \
-    if (addr - text_base < text_bytes) {                           \
-      ++op; /* the dirtying store itself retires */                \
-      dirtied = true;                                              \
-      goto done;                                                   \
-    }                                                              \
-    SDMMON_NEXT;                                                   \
-  }
-  SDMMON_OPS_ALU_RD(SDMMON_RD)
-  SDMMON_OPS_ALU_RT(SDMMON_RT)
-  SDMMON_OPS_ALU_OVF(SDMMON_OVF)
-  SDMMON_OPS_MULDIV(SDMMON_MULDIV)
-  SDMMON_OPS_BRANCH(SDMMON_BRANCH)
-  SDMMON_OPS_LOAD(SDMMON_LOAD)
-  SDMMON_OPS_STORE(SDMMON_STORE)
-#undef SDMMON_RD
-#undef SDMMON_RT
-#undef SDMMON_OVF
-#undef SDMMON_MULDIV
-#undef SDMMON_BRANCH
-#undef SDMMON_LOAD
-#undef SDMMON_STORE
-L_J:
-  SDMMON_NEXT;
-L_Jal:
-  regs[31] = op->pc + 4;
-  SDMMON_NEXT;
-#undef SDMMON_OPERANDS
-#undef SDMMON_NEXT
-#undef SDMMON_DISPATCH
-  // jr/jalr/syscall/break never enter a superblock.
-L_Jr:
-L_Jalr:
-L_Syscall:
-L_Break:
-done:
-
-  const std::uint64_t retired = static_cast<std::uint64_t>(op - trace);
-  hi_ = hi;
-  lo_ = lo;
-  cycles_ += retired;
-  packet_cycles_ += retired;
-  if (retired > 0) {
-    mix_ += compiled_->trace_mix(trace, retired, side_exit);
-    // pc follows the last retired op: a jump goes to its target, a
-    // branch in its predicted direction (the other one if it
-    // side-exited), and anything else to the next word -- which is also
-    // where a stopped-before op sits.
-    const CompiledProgram::TraceOp& last = trace[retired - 1];
-    if ((last.flags & CompiledProgram::kTraceJump) != 0) {
-      pc_ = ops::jump_target(last.instr);
-    } else if (((last.flags & CompiledProgram::kTracePredTaken) != 0) !=
-               side_exit) {
-      pc_ = ops::branch_target(last.pc, last.instr);
-    } else {
-      pc_ = last.pc + 4;
-    }
-  }
-  if (dirtied) {
-    // Deferred note_store(): drop the live view only after the batch
-    // accounting is settled.
-    text_dirty_ = true;
-    update_live();
-  }
-  return {retired, side_exit};
-}
-
 void Core::retract_trace(const CompiledProgram::TraceOp* trace,
                          std::uint64_t n, bool last_mispredicted) {
   // The overshoot was settled by exec_trace's epilogue from the same

@@ -107,6 +107,11 @@ class Memory {
   /// Pages with an attribute byte, and the hole left out of the arena.
   static constexpr std::uint32_t kPages =
       (kPktOutBase + kPktOutSize) / kPageBytes;
+  // Every access at or above kPages * kPageBytes fails, so none reaches
+  // the MMIO window: the superblock executor relies on this to stop
+  // before MMIO loads and stores without testing for them.
+  static_assert(kMmioBase >= kPages * kPageBytes,
+                "the MMIO window must lie above the mapped pages");
   static constexpr std::uint32_t kHole =
       kPktOutBase - (kPktInBase + kPktInSize);
 

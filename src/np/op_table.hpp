@@ -1,8 +1,11 @@
 // The one definition of every op's architectural result. Both executors
 // expand these tables: Core::exec() (the interpreter oracle and the
 // per-op path) into the cases of its switch, and Core::exec_trace() (the
-// compiled superblock tier) into the direct-threaded handlers its label
-// table dispatches to.
+// compiled superblock tier, src/np/core_trace.cpp) into the
+// direct-threaded handlers its label table dispatches to. The fused-pair
+// handlers there name two fixed ops; they take those ops' results from
+// the ops::alu / ops::taken / ops::LoadOf / ops::StoreOf templates below,
+// which are generated from these same tables.
 // An executor decides only what happens *around* a result -- where it is
 // written, and whether a trap ends the step (exec) or stops the batch
 // before the op retires (exec_trace) -- never the result itself, so the
@@ -136,6 +139,56 @@ inline std::uint32_t jump_target(const isa::Instr& in) { return in.target * 4; }
   X(Sb, 8)                  \
   X(Sh, 16)                 \
   X(Sw, 32)
+
+// The same table entries as templates of their op, for an executor that
+// names an op at compile time rather than through a switch: the fused
+// pairs of Core::exec_trace, whose halves are two fixed ops. Generated
+// from the tables above, so they add no result expression.
+template <isa::Op kOp>
+std::uint32_t alu(std::uint32_t a, std::uint32_t b, const isa::Instr& in,
+                  std::uint32_t hi, std::uint32_t lo);
+template <isa::Op kOp>
+bool taken(std::uint32_t a, std::uint32_t b);
+template <isa::Op kOp>
+struct LoadOf;  // kWidth, kSigned
+template <isa::Op kOp>
+struct StoreOf;  // kWidth
+
+#define SDMMON_ALU_OF(name, value)                                        \
+  template <>                                                             \
+  inline std::uint32_t alu<isa::Op::name>(                                \
+      [[maybe_unused]] std::uint32_t a, [[maybe_unused]] std::uint32_t b, \
+      [[maybe_unused]] const isa::Instr& in,                              \
+      [[maybe_unused]] std::uint32_t hi,                                  \
+      [[maybe_unused]] std::uint32_t lo) {                                \
+    return value;                                                         \
+  }
+#define SDMMON_TAKEN_OF(name, cond)                                     \
+  template <>                                                           \
+  inline bool taken<isa::Op::name>([[maybe_unused]] std::uint32_t a,    \
+                                   [[maybe_unused]] std::uint32_t b) {  \
+    return cond;                                                        \
+  }
+#define SDMMON_LOAD_OF(name, width, sign)    \
+  template <>                                \
+  struct LoadOf<isa::Op::name> {             \
+    static constexpr int kWidth = width;     \
+    static constexpr bool kSigned = sign;    \
+  };
+#define SDMMON_STORE_OF(name, width)         \
+  template <>                                \
+  struct StoreOf<isa::Op::name> {            \
+    static constexpr int kWidth = width;     \
+  };
+SDMMON_OPS_ALU_RD(SDMMON_ALU_OF)
+SDMMON_OPS_ALU_RT(SDMMON_ALU_OF)
+SDMMON_OPS_BRANCH(SDMMON_TAKEN_OF)
+SDMMON_OPS_LOAD(SDMMON_LOAD_OF)
+SDMMON_OPS_STORE(SDMMON_STORE_OF)
+#undef SDMMON_ALU_OF
+#undef SDMMON_TAKEN_OF
+#undef SDMMON_LOAD_OF
+#undef SDMMON_STORE_OF
 
 /// Width-generic data access for the load/store tables. A load is false
 /// when it faults (unaligned or unmapped); otherwise it writes the

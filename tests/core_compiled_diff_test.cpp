@@ -19,12 +19,18 @@
 //   * TraceDifferential -- branchy text: superblocks spanning several
 //     predicted branches, constant side exits, and a mismatch landing
 //     before a side-exiting branch; plus fixed cases of each stop rule
-//     at a known place in a superblock.
+//     at a known place in a superblock, and of each handler variant and
+//     fused pair under every max_steps and watchdog cut.
+// The random programs also carry the idioms handler selection fuses or
+// specialises, so every handler runs in all three suites.
 // Each also covers mid-stream reinstalls, self-modifying stores, shared
 // artifacts, and all three recovery policies on an MPSoC.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/assembler.hpp"
@@ -32,6 +38,7 @@
 #include "net/apps.hpp"
 #include "net/traffic.hpp"
 #include "np/mpsoc.hpp"
+#include "np/op_table.hpp"
 #include "support/test_apps.hpp"
 #include "util/rng.hpp"
 
@@ -48,15 +55,101 @@ struct ProgramShape {
   int branch, jump, jr, mem, trap_arith, imm, alu, shift;
   int branch_min, branch_span;  // branch offsets in [min, min + span)
   bool jal;                     // jumps include jal (writes $ra)
+  int idiom;                    // percent of positions holding an idiom
 };
 
 // Every construct in moderation (predecode lockstep).
-constexpr ProgramShape kMixed{8, 12, 15, 25, 30, 45, 85, 90, -4, 12, false};
+constexpr ProgramShape kMixed{
+    8, 12, 15, 25, 30, 45, 85, 90, -4, 12, false, 8};
 // Long straight-line bodies, still broken by every stop construct.
-constexpr ProgramShape kBodyHeavy{7, 10, 13, 21, 27, 45, 92, 96, -4, 12, false};
+constexpr ProgramShape kBodyHeavy{
+    7, 10, 13, 21, 27, 45, 92, 96, -4, 12, false, 10};
 // Short backward (predicted-taken) loops, forward skips (taken = side
 // exit), branch-to-next (imm 0: counted not-taken), j/jal.
-constexpr ProgramShape kBranchy{20, 24, 27, 35, 41, 58, 94, 97, -7, 12, true};
+constexpr ProgramShape kBranchy{
+    20, 24, 27, 35, 41, 58, 94, 97, -7, 12, true, 10};
+
+// The non-trapping ALU ops, by the field they write.
+#define SDMMON_OP_OF(name, ...) isa::Op::name,
+constexpr isa::Op kAluRdOps[] = {SDMMON_OPS_ALU_RD(SDMMON_OP_OF)};
+constexpr isa::Op kAluRtOps[] = {SDMMON_OPS_ALU_RT(SDMMON_OP_OF)};
+#undef SDMMON_OP_OF
+
+// `op`, one of the above, writing $zero, in the encoding the decoder
+// takes.
+isa::Instr zero_dest_op(isa::Op op, int rs, int rt, std::int32_t imm) {
+  switch (op) {
+    case isa::Op::Sll:
+    case isa::Op::Srl:
+    case isa::Op::Sra: return isa::make_shift(op, 0, rt, imm & 31);
+    case isa::Op::Mfhi:
+    case isa::Op::Mflo: return isa::make_rtype(op, 0, 0, 0);
+    case isa::Op::Lui: return isa::make_itype(op, 0, 0, imm);
+    default: break;
+  }
+  for (const isa::Op rt_op : kAluRtOps) {
+    if (op == rt_op) return isa::make_itype(op, 0, rs, imm);
+  }
+  return isa::make_rtype(op, 0, rs, rt);
+}
+
+// One of the idioms handler selection looks for (docs/EXECUTION.md,
+// "Handler selection"), at random operands, so every fused pair and
+// variant runs against the interpreter:
+//   * addu, then an lbu or sb based on the sum. The sum is a text
+//     address ($zero + $zero: a store there dirties the text), a data
+//     address (after lui 1), or a random one (mostly unmapped or MMIO);
+//   * addiu r, r, k, then a backward bne on r (bne r, r never branches:
+//     a side exit from the fused pair);
+//   * an ALU op writing $zero;
+//   * a branch to the next word.
+void push_idiom(util::Rng& rng, isa::Program& p, int rd, int rs, int rt) {
+  const std::int32_t imm = static_cast<std::int32_t>(rng.below(0x100)) - 0x80;
+  switch (rng.below(4)) {
+    case 0: {
+      int a = rs, b = rt;
+      switch (rng.below(3)) {
+        case 0: a = b = 0; break;
+        case 1:
+          p.text.push_back(
+              isa::encode(isa::make_itype(isa::Op::Lui, rd, 0, 1)));
+          a = rd;
+          b = 0;
+          break;
+        default: break;
+      }
+      p.text.push_back(isa::encode(isa::make_rtype(isa::Op::Addu, rd, a, b)));
+      const isa::Op mem = rng.below(2) == 0 ? isa::Op::Lbu : isa::Op::Sb;
+      p.text.push_back(isa::encode(
+          isa::make_itype(mem, rng.below(2) == 0 ? rd : rt, rd, imm)));
+      break;
+    }
+    case 1:
+      p.text.push_back(isa::encode(isa::make_itype(
+          isa::Op::Addiu, rd, rd, static_cast<std::int32_t>(1 + rng.below(3)))));
+      p.text.push_back(isa::encode(isa::make_branch(
+          isa::Op::Bne, rd, rng.below(4) == 0 ? rd : rt,
+          -static_cast<std::int32_t>(1 + rng.below(4)))));
+      break;
+    case 2: {
+      const std::size_t n_rd = std::size(kAluRdOps);
+      const std::size_t pick = rng.below(n_rd + std::size(kAluRtOps));
+      const isa::Op op =
+          pick < n_rd ? kAluRdOps[pick] : kAluRtOps[pick - n_rd];
+      p.text.push_back(isa::encode(zero_dest_op(op, rs, rt, imm)));
+      break;
+    }
+    default: {
+      static constexpr isa::Op kBranch[] = {isa::Op::Beq, isa::Op::Bne,
+                                            isa::Op::Blez, isa::Op::Bgtz};
+      const isa::Op op = kBranch[rng.below(4)];
+      const bool two_regs = op == isa::Op::Beq || op == isa::Op::Bne;
+      p.text.push_back(
+          isa::encode(isa::make_branch(op, rs, two_regs ? rt : 0, 0)));
+      break;
+    }
+  }
+}
 
 isa::Program random_program(util::Rng& rng, const ProgramShape& shape) {
   const std::size_t n = 16 + rng.below(48);
@@ -64,21 +157,26 @@ isa::Program random_program(util::Rng& rng, const ProgramShape& shape) {
   p.name = "compiled-fuzz";
   p.text_base = 0;
   p.entry = 0;
-  p.text.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  p.text.reserve(n + 2);
+  while (p.text.size() < n) {
     const int pick = static_cast<int>(rng.below(100));
     const int rd = static_cast<int>(8 + rng.below(16));  // $t0..$s7
     const int rs = static_cast<int>(8 + rng.below(16));
     const int rt = static_cast<int>(8 + rng.below(16));
-    if (pick < shape.branch) {
+    if (static_cast<int>(rng.below(100)) < shape.idiom) {
+      push_idiom(rng, p, rd, rs, rt);
+    } else if (pick < shape.branch) {
       static constexpr isa::Op kBranch[] = {isa::Op::Beq, isa::Op::Bne,
                                             isa::Op::Blez, isa::Op::Bgtz};
       const std::int32_t off =
           shape.branch_min +
           static_cast<std::int32_t>(
               rng.below(static_cast<std::uint64_t>(shape.branch_span)));
-      p.text.push_back(isa::encode(
-          isa::make_branch(kBranch[rng.below(4)], rs, rt, off)));
+      // blez/bgtz encode rt as 0, or the word does not decode.
+      const isa::Op op = kBranch[rng.below(4)];
+      const bool two_regs = op == isa::Op::Beq || op == isa::Op::Bne;
+      p.text.push_back(
+          isa::encode(isa::make_branch(op, rs, two_regs ? rt : 0, off)));
     } else if (pick < shape.jump) {
       const isa::Op op =
           shape.jal && rng.below(2) == 0 ? isa::Op::Jal : isa::Op::J;
@@ -974,6 +1072,322 @@ TEST(TraceDifferential, MixSettlesExactlyPastThePrefixByteWrap) {
         isa::encode(isa::make_itype(isa::Op::Addiu, 9, 9, 2));
     expect_installed_mismatch_matches(p, expected);
   }
+}
+
+// ---------------------------------------------------------------------
+// Handler selection: variants and fused pairs
+// ---------------------------------------------------------------------
+
+using Regs = std::vector<std::pair<int, std::uint32_t>>;
+
+// A program whose op at text index `at` must get `handler`, run from
+// p.entry with `regs` preset. Run for `limit` steps, the first dispatch
+// retires `first_batch` ops.
+struct HandlerCase {
+  std::string what;
+  isa::Program p;
+  std::uint32_t at;
+  TraceHandler handler;
+  Regs regs;
+  std::uint64_t limit;
+  std::uint64_t first_batch;
+};
+
+void load_case(Core& core, Tier tier, const HandlerCase& hc,
+               const std::shared_ptr<const CompiledProgram>& compiled,
+               std::uint64_t watchdog) {
+  core.set_tier(tier);
+  core.load_program(hc.p, compiled);
+  core.set_watchdog_budget(watchdog);
+  for (const auto& [r, v] : hc.regs) core.set_reg(r, v);
+}
+
+// Each case against the interpreter on state, pc, cycles(), instr_mix()
+// and the out port: run for `limit` steps, then cut by every max_steps
+// and every watchdog budget in [1, limit], so a cut lands between the
+// halves of every pair and before and after every stop.
+void expect_handler_cases_match(const std::vector<HandlerCase>& cases) {
+  for (const HandlerCase& hc : cases) {
+    SCOPED_TRACE(hc.what);
+    auto compiled =
+        CompiledProgram::compile(hc.p, monitor::MerkleTreeHash(0x4A4D));
+    const CompiledProgram::TraceRef ref = compiled->trace_at(4 * hc.at);
+    ASSERT_GT(ref.len, 0u);
+    ASSERT_EQ(static_cast<int>(ref.ops[0].handler),
+              static_cast<int>(hc.handler));
+
+    Core fast, oracle;
+    load_case(fast, Tier::Compiled, hc, compiled, 1'000'000);
+    load_case(oracle, Tier::Interpret, hc, compiled, 1'000'000);
+    DispatchLog log;
+    expect_same_step(fast.run_observed(hc.limit, log),
+                     oracle.run(hc.limit), hc.limit);
+    expect_same_state(fast, oracle);
+    EXPECT_EQ(fast.output_port(), oracle.output_port());
+    ASSERT_FALSE(log.batches.empty());
+    EXPECT_EQ(log.batches.front(), hc.first_batch);
+
+    for (std::uint64_t cut = 1; cut <= hc.limit; ++cut) {
+      for (const bool watchdog : {false, true}) {
+        SCOPED_TRACE((watchdog ? "watchdog " : "max_steps ") +
+                     std::to_string(cut));
+        Core f, o;
+        const std::uint64_t budget = watchdog ? cut : 1'000'000;
+        load_case(f, Tier::Compiled, hc, compiled, budget);
+        load_case(o, Tier::Interpret, hc, compiled, budget);
+        const std::uint64_t steps = watchdog ? hc.limit + 1 : cut;
+        expect_same_step(f.run(steps), o.run(steps), steps);
+        expect_same_state(f, o);
+        EXPECT_EQ(f.output_port(), o.output_port());
+      }
+    }
+  }
+}
+
+isa::Program program_of(std::vector<isa::Instr> body, std::uint32_t entry) {
+  isa::Program p;
+  p.name = "handlers";
+  for (const isa::Instr& in : body) {
+    const std::uint32_t word = isa::encode(in);
+    EXPECT_EQ(isa::try_decode(word), in) << "not a canonical encoding";
+    p.text.push_back(word);
+  }
+  p.text.push_back(isa::encode(isa::make_rtype(isa::Op::Jr, 0, 31, 0)));
+  p.entry = 4 * entry;
+  return p;
+}
+
+constexpr int kT1 = 9, kT2 = 10, kT4 = 12, kT5 = 13, kT6 = 14, kT7 = 15,
+              kT8 = 24;
+
+isa::Instr bump(int reg) { return isa::make_itype(isa::Op::Addiu, reg, reg, 1); }
+
+// addiu $t1; addu $t7, $t4, $t5; <lbu or sb> $t8 (or $t7), 3($t7);
+// addiu $t2; jr $ra -- the pair at index 1, entered at `entry`.
+isa::Program addu_pair_program(isa::Op second, int value_reg,
+                               std::uint32_t entry = 0) {
+  return program_of({bump(kT1), isa::make_rtype(isa::Op::Addu, kT7, kT4, kT5),
+                     isa::make_itype(second, value_reg, kT7, 3), bump(kT2)},
+                    entry);
+}
+
+// The second half of each addu pair stopping, and running through.
+TEST(TraceDifferential, FusedPairStopsMatchInterpreter) {
+  const std::uint32_t unmapped = 0x0010'0000u;
+  std::vector<HandlerCase> cases;
+  for (const isa::Op second : {isa::Op::Lbu, isa::Op::Sb}) {
+    const TraceHandler pair = second == isa::Op::Lbu ? TraceHandler::AdduLbu
+                                                     : TraceHandler::AdduSb;
+    const isa::Program p = addu_pair_program(second, kT8);
+    const std::string name(isa::op_name(second));
+    auto add = [&](const std::string& what, std::uint32_t t4,
+                   std::uint64_t first_batch) {
+      cases.push_back({"addu+" + name + " " + what, p, 1, pair,
+                       {{kT4, t4}, {kT5, 0x10}, {kT8, 0xA5}}, 8,
+                       first_batch});
+    };
+    add("data", kDataBase, 4);
+    add("unmapped", unmapped, 2);
+    add("mmio", kRegPktOutPort - 0x13, 2);
+    if (second == isa::Op::Lbu) {
+      add("mmio register", kRegPktInLen - 0x13, 2);
+    } else {
+      // -6 + 0x10 + 3 lands in the addiu after the store: it retires,
+      // dirties the text and ends the dispatch.
+      add("into text", static_cast<std::uint32_t>(-6), 3);
+    }
+  }
+  // The stored value is the sum itself: read after the first half wrote.
+  cases.push_back({"addu+sb of the sum", addu_pair_program(isa::Op::Sb, kT7),
+                   1, TraceHandler::AdduSb, {{kT4, kDataBase}, {kT5, 0x10}},
+                   8, 4});
+  // The loaded byte lands in the sum's register.
+  cases.push_back({"addu+lbu into the sum",
+                   addu_pair_program(isa::Op::Lbu, kT7), 1,
+                   TraceHandler::AdduLbu, {{kT4, 0}, {kT5, 0x10}}, 8, 4});
+  expect_handler_cases_match(cases);
+}
+
+// A suffix anchor entering at the second op of a pair runs that op's own
+// handler.
+TEST(TraceDifferential, SuffixEntryAtTheSecondOpOfAPairMatchesInterpreter) {
+  std::vector<HandlerCase> cases;
+  for (const isa::Op second : {isa::Op::Lbu, isa::Op::Sb}) {
+    const isa::Program p = addu_pair_program(second, kT8, /*entry=*/2);
+    auto compiled = CompiledProgram::compile(p, monitor::MerkleTreeHash(1));
+    ASSERT_EQ(compiled->trace_at(8).ops, compiled->trace_at(0).ops + 2)
+        << "the entry must be a suffix anchor";
+    const TraceHandler own = static_cast<TraceHandler>(second);
+    const Regs regs{{kT7, kDataBase}, {kT8, 0x5A}};
+    cases.push_back({std::string(isa::op_name(second)) + " entered", p, 2,
+                     own, regs, 6, 2});
+    cases.push_back({std::string(isa::op_name(second)) + " entered, fault", p,
+                     2, own, {{kT7, 0x0010'0000u}}, 6, 0});
+  }
+  // The loop's bne entered directly: its own predicted-taken handler.
+  isa::Program loop = program_of(
+      {bump(kT1), bump(kT6), isa::make_branch(isa::Op::Bne, kT6, kT5, -2),
+       bump(kT2)},
+      /*entry=*/2);
+  cases.push_back({"bne entered", loop, 2, TraceHandler::BneTaken,
+                   {{kT6, 0}, {kT5, 3}}, 12, 7});
+  expect_handler_cases_match(cases);
+}
+
+// addiu + predicted-taken bne closing a loop: it side-exits when the
+// loop ends, and bne r, r side-exits at once.
+TEST(TraceDifferential, FusedLoopBranchSideExitsMatchInterpreter) {
+  std::vector<HandlerCase> cases;
+  for (const int rt : {kT5, kT6}) {
+    const isa::Program p =
+        program_of({bump(kT1), bump(kT6),
+                    isa::make_branch(isa::Op::Bne, kT6, rt, -2), bump(kT2)},
+                   0);
+    cases.push_back({rt == kT6 ? "bne r, r" : "counted loop", p, 1,
+                     TraceHandler::AddiuBneTaken, {{kT6, 0}, {kT5, 3}}, 12,
+                     rt == kT6 ? 3u : 7u});
+  }
+  expect_handler_cases_match(cases);
+}
+
+// Operands that make each branch go the given way (rt unused by
+// blez/bgtz).
+Regs branch_operands(isa::Op op, bool taken) {
+  switch (op) {
+    case isa::Op::Beq: return {{kT4, 5}, {kT5, taken ? 5u : 6u}};
+    case isa::Op::Bne: return {{kT4, 5}, {kT5, taken ? 6u : 5u}};
+    case isa::Op::Blez: return {{kT4, taken ? 0x8000'0000u : 5u}};
+    default: return {{kT4, taken ? 5u : 0u}};
+  }
+}
+
+isa::Instr branch_of(isa::Op op, std::int32_t offset) {
+  const bool two_regs = op == isa::Op::Beq || op == isa::Op::Bne;
+  return isa::make_branch(op, kT4, two_regs ? kT5 : 0, offset);
+}
+
+// Each branch predicted each way (forward: not taken; backward: taken)
+// and resolving each way.
+TEST(TraceDifferential, SplitBranchesMatchInterpreterBothWays) {
+  std::vector<HandlerCase> cases;
+  for (const isa::Op op :
+       {isa::Op::Beq, isa::Op::Bne, isa::Op::Blez, isa::Op::Bgtz}) {
+    const std::string name(isa::op_name(op));
+    // addiu; addiu; b +1; addiu; addiu; jr
+    const isa::Program fwd = program_of(
+        {bump(kT1), bump(kT1), branch_of(op, 1), bump(kT2), bump(kT1)}, 0);
+    // addiu; addiu (target); b -2; addiu; jr
+    const isa::Program back = program_of(
+        {bump(kT1), bump(kT2), branch_of(op, -2), bump(kT1)}, 0);
+    const TraceHandler taken_variant = static_cast<TraceHandler>(
+        static_cast<int>(TraceHandler::BeqTaken) +
+        (static_cast<int>(op) - static_cast<int>(isa::Op::Beq)));
+    for (const bool taken : {false, true}) {
+      const std::string way = taken ? " taken" : " not taken";
+      cases.push_back({name + " forward" + way, fwd, 2,
+                       static_cast<TraceHandler>(op),
+                       branch_operands(op, taken), 10, taken ? 3u : 5u});
+      cases.push_back({name + " backward" + way, back, 2, taken_variant,
+                       branch_operands(op, taken), 10, taken ? 10u : 3u});
+    }
+  }
+  expect_handler_cases_match(cases);
+}
+
+// A branch to the next word cannot leave the fall-through path, taken or
+// not: Nop, and no side exit.
+TEST(TraceDifferential, BranchToNextIsANopTakenOrNot) {
+  std::vector<HandlerCase> cases;
+  for (const isa::Op op :
+       {isa::Op::Beq, isa::Op::Bne, isa::Op::Blez, isa::Op::Bgtz}) {
+    const isa::Program p = program_of(
+        {bump(kT1), bump(kT1), branch_of(op, 0), bump(kT2)}, 0);
+    for (const bool taken : {false, true}) {
+      cases.push_back({std::string(isa::op_name(op)) +
+                           (taken ? " taken" : " not taken"),
+                       p, 2, TraceHandler::Nop, branch_operands(op, taken), 6,
+                       4});
+    }
+  }
+  expect_handler_cases_match(cases);
+}
+
+// Every non-trapping ALU op writing $zero is a Nop; $zero stays 0.
+TEST(TraceDifferential, ZeroDestinationAluOpsAreNops) {
+  std::vector<isa::Op> ops(std::begin(kAluRdOps), std::end(kAluRdOps));
+  ops.insert(ops.end(), std::begin(kAluRtOps), std::end(kAluRtOps));
+  std::vector<HandlerCase> cases;
+  for (const isa::Op op : ops) {
+    const isa::Instr in = zero_dest_op(op, kT4, kT5, 0x1F83);
+    cases.push_back({std::string(isa::op_name(op)),
+                     program_of({bump(kT1), bump(kT1), in, bump(kT2)}, 0), 2,
+                     TraceHandler::Nop, {{kT4, 0x1234'5678u}, {kT5, 7}}, 6,
+                     4});
+  }
+  expect_handler_cases_match(cases);
+}
+
+// The random programs of the three differential suites and the shipped
+// apps between them reach every handler a superblock can hold, so each
+// one runs against the interpreter.
+TEST(TraceDifferential, FormationChoosesEveryHandler) {
+  std::vector<bool> chosen(kNumTraceHandlers, false);
+  auto note = [&](const isa::Program& p) {
+    auto compiled = CompiledProgram::compile(p, monitor::MerkleTreeHash(7));
+    const CompiledProgram::TraceOp* ops = compiled->trace_ops_data();
+    for (std::size_t i = 0; i < compiled->num_trace_ops(); ++i) {
+      chosen[static_cast<std::size_t>(ops[i].handler)] = true;
+    }
+  };
+  for (const ProgramShape* shape : {&kMixed, &kBodyHeavy, &kBranchy}) {
+    util::Rng rng(29);
+    for (int trial = 0; trial < 600; ++trial) note(random_program(rng, *shape));
+  }
+  for (const isa::Program& app :
+       {net::build_ipv4_forward(), net::build_ipv4_cm(), net::build_udp_echo(),
+        net::build_firewall({22, 53, 80, 443}), net::build_loop_forward()}) {
+    note(app);
+  }
+  // jr/jalr/syscall/break end a superblock before them.
+  for (const isa::Op never :
+       {isa::Op::Jr, isa::Op::Jalr, isa::Op::Syscall, isa::Op::Break}) {
+    EXPECT_FALSE(chosen[static_cast<std::size_t>(never)]);
+    chosen[static_cast<std::size_t>(never)] = true;
+  }
+  for (int h = 0; h < kNumTraceHandlers; ++h) {
+    EXPECT_TRUE(chosen[static_cast<std::size_t>(h)]) << "handler id " << h;
+  }
+}
+
+// Structural gate on the hot loop: the six-op byte copy of ipv4-forward
+// (and of every app sharing its epilogue) retires through three handlers
+// per iteration: addu+lbu, addu+sb, addiu+bne.
+TEST(TraceDifferential, CopyLoopRunsThreeHandlersPerSixOps) {
+  const isa::Program app = net::build_ipv4_forward();
+  const std::uint32_t copy = app.symbol("copy");
+  auto compiled = CompiledProgram::compile(app, monitor::MerkleTreeHash(3));
+  const CompiledProgram::TraceRef ref = compiled->trace_at(copy);
+  ASSERT_GE(ref.len, 12u) << "the loop must unroll";
+  const std::uint32_t loop_ops = 6;
+  std::uint32_t iterations = 0;
+  for (std::uint32_t i = 0; i + loop_ops <= ref.len; i += loop_ops) {
+    if (ref.ops[i].pc != copy) break;
+    int dispatches = 0;
+    for (std::uint32_t j = i; j < i + loop_ops; ++dispatches) {
+      const bool pair =
+          ref.ops[j].handler >= TraceHandler::AdduLbu;  // pairs come last
+      j += pair ? 2 : 1;
+    }
+    EXPECT_EQ(dispatches, 3) << "iteration " << iterations;
+    ++iterations;
+  }
+  EXPECT_GE(iterations, 2u);
+  EXPECT_EQ(static_cast<int>(ref.ops[0].handler),
+            static_cast<int>(TraceHandler::AdduLbu));
+  EXPECT_EQ(static_cast<int>(ref.ops[2].handler),
+            static_cast<int>(TraceHandler::AdduSb));
+  EXPECT_EQ(static_cast<int>(ref.ops[4].handler),
+            static_cast<int>(TraceHandler::AddiuBneTaken));
 }
 
 }  // namespace
