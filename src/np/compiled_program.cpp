@@ -60,6 +60,56 @@ void fuse_pairs(CompiledProgram::TraceOp* ops, std::size_t len) {
 #undef SDMMON_SECOND_TAKEN
 }
 
+// Whether ops[0..5] are one whole iteration of the byte-copy loop
+//   addu rA, rS, rI; lbu rB, o1(rA); addu rC, rD, rI; sb rB, o2(rC);
+//   addiu rI, rI, 1; bne rI, rN, <ops[0]>
+// whose iterations a CopyRun handler may retire as one ascending byte
+// copy from rS + rI + o1 to rD + rI + o2 (docs/EXECUTION.md, "Copy
+// runs"). That holds only when the written registers rA, rB, rC, rI are
+// not $zero, rB and rI are none of the others (rA == rC is allowed), and
+// the read-only ones rS, rD, rN are none of the written ones. Fusion has
+// made ops[0] an AdduLbu pair, which a run that stops short runs next.
+bool copy_iteration(const CompiledProgram::TraceOp* ops) {
+  const isa::Instr& src = ops[0].instr;
+  const isa::Instr& load = ops[1].instr;
+  const isa::Instr& dst = ops[2].instr;
+  const isa::Instr& store = ops[3].instr;
+  const isa::Instr& step = ops[4].instr;
+  const isa::Instr& loop = ops[5].instr;
+  if (ops[0].handler != TraceHandler::AdduLbu || dst.op != isa::Op::Addu ||
+      store.op != isa::Op::Sb || step.op != isa::Op::Addiu ||
+      loop.op != isa::Op::Bne) {
+    return false;
+  }
+  const int a = src.rd, b = load.rt, c = dst.rd, i = src.rt;
+  if (store.rs != c || store.rt != b || dst.rt != i || step.rs != i ||
+      step.rt != i || step.imm != 1 || loop.rs != i ||
+      ops::branch_target(ops[5].pc, loop) != ops[0].pc) {
+    return false;
+  }
+  const auto written = [&](int r) {
+    return r == a || r == b || r == c || r == i;
+  };
+  return a != 0 && b != 0 && c != 0 && i != 0 && b != a && b != c &&
+         b != i && i != a && i != c && !written(src.rs) &&
+         !written(dst.rs) && !written(loop.rt);
+}
+
+// Mark the copy runs of one superblock, right to left, so each
+// iteration's first op learns how many whole iterations follow it.
+void mark_copy_runs(CompiledProgram::TraceOp* ops, std::size_t len) {
+  constexpr std::size_t kOps = CompiledProgram::kCopyLoopOps;
+  if (len < kOps) return;
+  for (std::size_t i = len - kOps + 1; i-- > 0;) {
+    if (!copy_iteration(ops + i)) continue;
+    const bool more = i + kOps < len && ops[i + kOps].handler ==
+                                            TraceHandler::CopyRun;
+    ops[i].handler = TraceHandler::CopyRun;
+    ops[i].iterations =
+        static_cast<std::uint8_t>(1 + (more ? ops[i + kOps].iterations : 0));
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
@@ -140,6 +190,7 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
     if (len == 0) continue;
     ++compiled->num_traces_;
     fuse_pairs(compiled->trace_ops_.data() + begin, len);
+    mark_copy_runs(compiled->trace_ops_.data() + begin, len);
     for (std::size_t j = 0; j < len; ++j) {
       const std::size_t at = anchor + j;
       if (j > 0 && (at >= n || leader[at] ||

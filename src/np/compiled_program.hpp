@@ -61,8 +61,9 @@ namespace sdmmon::np {
 // gives every TraceOp the id of the Core::exec_trace handler that retires
 // it, chosen from facts fixed at install time. Ids below isa::kNumOps are
 // the ops' own handlers, in isa::Op order; the two lists below add the
-// rest. Both TraceHandler and exec_trace's label table are expanded from
-// these three lists, so their orders cannot drift apart.
+// rest but one, CopyRun, which comes last. Both TraceHandler and
+// exec_trace's label table are expanded from these three lists, so their
+// orders cannot drift apart.
 //
 // Variants of one op: X(handler)
 //   Nop            a non-trapping ALU op whose destination is $zero, or a
@@ -95,6 +96,13 @@ enum class TraceHandler : std::uint8_t {
   SDMMON_TRACE_VARIANTS(SDMMON_HANDLER_ID)
   SDMMON_TRACE_PAIRS(SDMMON_HANDLER_ID)
 #undef SDMMON_HANDLER_ID
+  // The first op of each whole iteration of a byte-copy loop in a
+  // superblock (docs/EXECUTION.md, "Copy runs"):
+  //   addu rA, rS, rI; lbu rB, o1(rA); addu rC, rD, rI; sb rB, o2(rC);
+  //   addiu rI, rI, 1; bne rI, rN, <the addu>
+  // One handler retires every whole iteration it may, with one
+  // Memory::copy_bytes. TraceOp::iterations holds the iteration count.
+  CopyRun,
 };
 static_assert(static_cast<int>(TraceHandler::Nop) == isa::kNumOps,
               "an op's own handler id is its isa::Op value");
@@ -105,7 +113,7 @@ constexpr int kNumTraceHandlers = 0
     SDMMON_TRACE_VARIANTS(SDMMON_HANDLER_COUNT)
     SDMMON_TRACE_PAIRS(SDMMON_HANDLER_COUNT)
 #undef SDMMON_HANDLER_COUNT
-    ;
+    + 1;  // CopyRun
 
 class CompiledProgram {
  public:
@@ -125,8 +133,15 @@ class CompiledProgram {
     std::uint8_t mhash = 0;  // precomputed monitor hash of `word`
     std::uint8_t flags = 0;
     TraceHandler handler = TraceHandler::Nop;  // what retires it
+    // CopyRun only: the whole copy-loop iterations from this op to the
+    // superblock's end, this one included (1..kTraceCap / 6).
+    std::uint8_t iterations = 0;
   };
-  static_assert(sizeof(TraceOp) == 28, "the handler id rides in padding");
+  static_assert(sizeof(TraceOp) == 28,
+                "the handler id and iteration count ride in padding");
+
+  /// Ops in one iteration of the copy loop a CopyRun op starts.
+  static constexpr std::uint32_t kCopyLoopOps = 6;
 
   /// TraceOp::flags bits. A branch's pc after it retires follows from
   /// kTracePredTaken and whether it side-exited; every other op but a

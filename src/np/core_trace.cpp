@@ -1,6 +1,8 @@
 // Core::exec_trace, the compiled tier's superblock executor, in a file of
 // its own: it is the one function built with -fno-crossjumping
 // (src/np/CMakeLists.txt), which would only grow the rest of Core.
+#include <algorithm>
+
 #include "isa/isa.hpp"
 #include "np/core.hpp"
 #include "np/op_table.hpp"
@@ -43,7 +45,7 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
 #define SDMMON_LABEL(name, ...) &&L_##name,
   static void* const kHandler[kNumTraceHandlers] = {
       SDMMON_ISA_OPS(SDMMON_LABEL) SDMMON_TRACE_VARIANTS(SDMMON_LABEL)
-          SDMMON_TRACE_PAIRS(SDMMON_LABEL)};
+          SDMMON_TRACE_PAIRS(SDMMON_LABEL) &&L_CopyRun};
 #undef SDMMON_LABEL
 #define SDMMON_DISPATCH goto* kHandler[static_cast<std::size_t>(op->handler)]
 #define SDMMON_NEXT           \
@@ -181,6 +183,49 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
   }
   SDMMON_TRACE_PAIRS(SDMMON_PAIR)
 #undef SDMMON_PAIR
+  // Copy run (docs/EXECUTION.md, "Copy runs"): op is the first of
+  //   addu rA, rS, rI; lbu rB, o1(rA); addu rC, rD, rI; sb rB, o2(rC);
+  //   addiu rI, rI, 1; bne rI, rN, <op>
+  // and op->iterations whole iterations follow, ending in the superblock.
+  // It retires the first k of them with one byte copy, k no more than
+  // the batch holds and fewer than reach the iteration whose bne falls
+  // through or whose store enters the text. Iteration j copies byte
+  // rS + rI + o1 + j to rD + rI + o2 + j; compile() checked that rS, rD
+  // and rN are not written inside the loop, so all k addresses follow
+  // from the registers now. Registers end as the last iteration leaves
+  // them. A run that stops short -- at k, or where copy_bytes met an
+  // unmapped page -- leaves op on an iteration's first op, and the
+  // AdduLbu pair there runs that iteration op by op, stopping where it
+  // does without the run.
+  L_CopyRun: {
+    constexpr std::uint32_t kOps = CompiledProgram::kCopyLoopOps;
+    const isa::Instr& src_sum = op[0].instr;  // addu rA, rS, rI
+    const isa::Instr& dst_sum = op[2].instr;  // addu rC, rD, rI
+    const std::uint32_t i = regs[src_sum.rt];
+    const std::uint32_t src_base = regs[src_sum.rs] + i;
+    const std::uint32_t dst_base = regs[dst_sum.rs] + i;
+    const std::uint32_t dst = dst_base + ops::simm(op[3].instr);
+    const std::uint32_t recorded = op->iterations;
+    std::uint32_t k = std::min(
+        recorded, static_cast<std::uint32_t>(end - op) / kOps);
+    // The iteration with rI + 1 == rN falls through its bne.
+    k = std::min(k, regs[op[5].instr.rt] - 1 - i);
+    // The store that enters the text retires and ends the batch.
+    k = std::min(k, dst - text_base < text_bytes ? 0u : text_base - dst);
+    const Memory::CopyResult copied =
+        mem_.copy_bytes(dst, src_base + ops::simm(op[1].instr), k);
+    if (copied.done > 0) {
+      const std::uint32_t last = copied.done - 1;
+      regs[src_sum.rd] = src_base + last;
+      regs[op[1].instr.rt] = copied.last;
+      regs[dst_sum.rd] = dst_base + last;
+      regs[src_sum.rt] = i + copied.done;
+      op += kOps * copied.done;
+    }
+    if (op == end) goto done;
+    if (copied.done < recorded) goto L_AdduLbu;
+    SDMMON_DISPATCH;
+  }
 #undef SDMMON_HALF_LOAD
 #undef SDMMON_HALF_STORE
 #undef SDMMON_HALF_TAKEN

@@ -1,5 +1,6 @@
 #include "np/memory.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -85,6 +86,36 @@ void Memory::zero_region(std::uint32_t base) {
     }
   }
   throw std::out_of_range("Memory::zero_region: no region at base");
+}
+
+Memory::CopyResult Memory::copy_bytes(std::uint32_t dst, std::uint32_t src,
+                                      std::uint32_t n) {
+  CopyResult result;
+  while (result.done < n) {
+    const std::uint32_t src_page = src / kPageBytes;
+    const std::uint32_t dst_page = dst / kPageBytes;
+    if (src_page >= kPages || !(attr_[src_page] & kMapped) ||
+        dst_page >= kPages || !(attr_[dst_page] & kMapped)) {
+      break;
+    }
+    touch_page(dst_page);
+    // Up to the nearer page end: both pages are mapped throughout.
+    const std::uint32_t chunk =
+        std::min({n - result.done, kPageBytes - src % kPageBytes,
+                  kPageBytes - dst % kPageBytes});
+    const std::uint8_t* from = arena_.data() + arena_offset(src);
+    std::uint8_t* to = arena_.data() + arena_offset(dst);
+    if (to + chunk <= from || from + chunk <= to) {
+      std::memcpy(to, from, chunk);
+    } else {
+      for (std::uint32_t j = 0; j < chunk; ++j) to[j] = from[j];
+    }
+    result.last = to[chunk - 1];
+    result.done += chunk;
+    src += chunk;
+    dst += chunk;
+  }
+  return result;
 }
 
 void Memory::write_block(std::uint32_t addr,

@@ -13,7 +13,9 @@
 //    so clear()/zero_region() visit only pages written since they were
 //    last zeroed: the per-packet soft reset is O(bytes touched).
 // Loads and stores are inline; only a store to an unmapped or all-zero
-// page goes out of line.
+// page goes out of line. copy_bytes is the byte-copy loop of the
+// superblock executor's copy runs: the same loads and stores, with one
+// attribute check per pair of pages instead of one per byte.
 #ifndef SDMMON_NP_MEMORY_HPP
 #define SDMMON_NP_MEMORY_HPP
 
@@ -88,6 +90,21 @@ class Memory {
   MemFault store8(std::uint32_t addr, std::uint8_t value) {
     return store(addr, value);
   }
+
+  /// What copy_bytes did: `done` whole (load, store) pairs, and the
+  /// byte the last of them loaded (0 when done == 0).
+  struct CopyResult {
+    std::uint32_t done = 0;
+    std::uint8_t last = 0;
+  };
+  /// store8(dst + j, load8(src + j)) for j = 0, 1, ... n - 1 in that
+  /// order, addresses mod 2^32: each store lands before the next load,
+  /// so dst == src + 1 repeats the first byte (memmove would not). Stops
+  /// at the first j whose source or destination is unmapped, where that
+  /// load or store would fault. Like store8, it lists a destination page
+  /// that held only zeros before storing into it.
+  CopyResult copy_bytes(std::uint32_t dst, std::uint32_t src,
+                        std::uint32_t n);
 
   /// Bulk copy used by the loader and packet I/O. Throws
   /// std::out_of_range unless the block lies inside one region.

@@ -366,6 +366,158 @@ TEST(MemoryDifferential, CopyEqualsOriginalThenEvolvesIndependently) {
   }
 }
 
+// ---------------------------------------------------------------------
+// copy_bytes: the superblock executor's byte-copy loop
+// ---------------------------------------------------------------------
+
+// The loop copy_bytes stands for, on the model: byte loads and stores in
+// ascending order, stopping at the first that faults.
+Memory::CopyResult model_copy(NaiveMemory& model, std::uint32_t dst,
+                              std::uint32_t src, std::uint32_t n) {
+  Memory::CopyResult r;
+  for (; r.done < n; ++r.done) {
+    const std::optional<std::uint32_t> v = model.load(src + r.done, 1);
+    if (!v || model.store(dst + r.done, 1, *v) != MemFault::None) break;
+    r.last = static_cast<std::uint8_t>(*v);
+  }
+  return r;
+}
+
+void fill(Memory& m, std::uint32_t addr, const std::string& text) {
+  m.write_block(addr, util::Bytes(text.begin(), text.end()));
+}
+
+std::string text_at(const Memory& m, std::uint32_t addr, std::size_t len) {
+  const util::Bytes b = m.read_block(addr, len);
+  return std::string(b.begin(), b.end());
+}
+
+TEST(MemoryCopyBytes, ForwardOverlapRepeatsTheFirstByte) {
+  Memory m;
+  fill(m, kDataBase + 0x10, "ABCDEFGH");
+  const Memory::CopyResult r =
+      m.copy_bytes(kDataBase + 0x11, kDataBase + 0x10, 7);
+  EXPECT_EQ(r.done, 7u);
+  EXPECT_EQ(r.last, 'A');
+  EXPECT_EQ(text_at(m, kDataBase + 0x10, 8), "AAAAAAAA") << "not a memmove";
+}
+
+TEST(MemoryCopyBytes, ReverseOverlapShiftsDown) {
+  Memory m;
+  fill(m, kDataBase + 0x10, "ABCDEFGH");
+  const Memory::CopyResult r =
+      m.copy_bytes(kDataBase + 0x10, kDataBase + 0x11, 7);
+  EXPECT_EQ(r.done, 7u);
+  EXPECT_EQ(r.last, 'H');
+  EXPECT_EQ(text_at(m, kDataBase + 0x10, 8), "BCDEFGHH");
+}
+
+// Source and destination cross page boundaries at different offsets, so
+// the copy is cut into chunks at both.
+TEST(MemoryCopyBytes, ChunksAcrossPageBoundaries) {
+  Memory m;
+  NaiveMemory model;
+  util::Bytes data(600);
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    data[j] = static_cast<std::uint8_t>(j * 7 + 1);
+  }
+  const std::uint32_t src = kDataBase + kPageBytes - 3;
+  const std::uint32_t dst = kStackBase + 2 * kPageBytes - 101;
+  m.write_block(src, data);
+  ASSERT_TRUE(model.write_block(src, data));
+  const Memory::CopyResult r = m.copy_bytes(dst, src, 600);
+  const Memory::CopyResult want = model_copy(model, dst, src, 600);
+  EXPECT_EQ(r.done, 600u);
+  EXPECT_EQ(r.last, want.last);
+  EXPECT_EQ(m.read_block(dst, 600), data);
+  EXPECT_TRUE(full_image(m) == model.image());
+}
+
+// It stops at the exact byte where the source or the destination leaves
+// the mapped pages: the end of pkt-in (the hole follows), the end of
+// pkt-out (the end of the arena).
+TEST(MemoryCopyBytes, StopsWhereAnAccessWouldFault) {
+  Memory m;
+  fill(m, kPktInBase + kPktInSize - 5, "vwxyz");
+  Memory::CopyResult r =
+      m.copy_bytes(kDataBase, kPktInBase + kPktInSize - 5, 20);
+  EXPECT_EQ(r.done, 5u);
+  EXPECT_EQ(r.last, 'z');
+  EXPECT_EQ(text_at(m, kDataBase, 6), std::string("vwxyz\0", 6));
+
+  r = m.copy_bytes(kPktOutBase + kPktOutSize - 3, kDataBase, 10);
+  EXPECT_EQ(r.done, 3u);
+  EXPECT_EQ(r.last, 'x');
+  EXPECT_EQ(text_at(m, kPktOutBase + kPktOutSize - 3, 3), "vwx");
+
+  r = m.copy_bytes(kPktInBase + kPktInSize - 2, kDataBase, 10);
+  EXPECT_EQ(r.done, 2u) << "the destination enters the hole";
+  r = m.copy_bytes(kDataBase, 0x0010'0000u, 10);
+  EXPECT_EQ(r.done, 0u);
+  EXPECT_EQ(r.last, 0);
+  r = m.copy_bytes(kDataBase, kMmioBase, 4);
+  EXPECT_EQ(r.done, 0u) << "MMIO is not mapped memory";
+  EXPECT_EQ(m.copy_bytes(kDataBase, kDataBase + 1, 0).done, 0u);
+}
+
+// The last byte of pkt-out is the last byte of the arena.
+TEST(MemoryCopyBytes, CopyEndingOnTheLastByteOfPktOut) {
+  Memory m;
+  const std::string text(64, 'q');
+  fill(m, kPktInBase, text);
+  const Memory::CopyResult r =
+      m.copy_bytes(kPktOutBase + kPktOutSize - 64, kPktInBase, 64);
+  EXPECT_EQ(r.done, 64u);
+  EXPECT_EQ(text_at(m, kPktOutBase + kPktOutSize - 64, 64), text);
+}
+
+// A page only copy_bytes wrote is listed as nonzero, so the per-packet
+// zero_region scrubs it: no output bytes leak into the next packet.
+TEST(MemoryCopyBytes, PagesItWritesAreScrubbedByZeroRegion) {
+  Memory m;
+  fill(m, kPktInBase, std::string(kPageBytes + 10, 'p'));
+  ASSERT_EQ(m.copy_bytes(kPktOutBase + kPageBytes - 5, kPktInBase,
+                         kPageBytes + 10)
+                .done,
+            kPageBytes + 10);
+  m.zero_region(kPktOutBase);
+  EXPECT_EQ(m.read_block(kPktOutBase, kPktOutSize),
+            util::Bytes(kPktOutSize, 0));
+}
+
+// Random copies interleaved with the random ops of the differential
+// harness (stores, block writes, zero_region, clear), against the byte
+// loop on the model: result and the whole image.
+TEST(MemoryCopyBytes, RandomCopiesMatchTheByteLoop) {
+  for (std::uint32_t seed : {3u, 0xC09Eu}) {
+    Harness h;
+    Xorshift rng{seed};
+    for (int i = 0; i < 1200; ++i) {
+      std::string op;
+      if (rng() % 3 == 0) {
+        std::uint32_t src = Harness::pick_addr(rng);
+        std::uint32_t dst = Harness::pick_addr(rng);
+        if (rng() % 2) src |= kPageBytes - 1 - rng() % 8;  // near a page end
+        if (rng() % 2) dst |= kPageBytes - 1 - rng() % 8;
+        if (rng() % 4 == 0) dst = src + rng() % 5 - 2;  // overlapping
+        const std::uint32_t n = rng() % 600;
+        op = "copy " + std::to_string(n) + " " + std::to_string(src) +
+             " -> " + std::to_string(dst);
+        const Memory::CopyResult got = h.mem.copy_bytes(dst, src, n);
+        const Memory::CopyResult want = model_copy(h.model, dst, src, n);
+        EXPECT_EQ(got.done, want.done) << op;
+        EXPECT_EQ(got.last, want.last) << op;
+      } else {
+        op = h.step(rng);
+      }
+      ASSERT_TRUE(full_image(h.mem) == h.model.image())
+          << "seed " << seed << " op " << i << ": " << op;
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "seed " << seed << " op " << i << ": " << op;
+    }
+  }
+}
+
 TEST(MemoryDifferential, BlocksCrossingARegionBoundaryThrow) {
   Memory m;
   for (std::uint32_t edge : kBoundaries) {

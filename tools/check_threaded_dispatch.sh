@@ -10,17 +10,23 @@
 # Core::exec_trace with `nm -S`, disassembles exactly that address range
 # with objdump, and fails when fewer than MIN_SITES indirect `jmp *`
 # instructions remain. The executor with install-time handler selection
-# (the variants and fused pairs) reads 53; one that dispatches on the
-# op alone, without them, reads 45 and fails.
+# (the variants, fused pairs and copy runs) reads 54; one that
+# dispatches on the op alone, without them, reads 45 and fails.
+# It also fails when exec_trace does not start on a 64-byte boundary:
+# the function is pinned there (`aligned(64)` in src/np/core_trace.cpp)
+# because moving it to a 32-byte boundary alone cost perfbench 8-13% of
+# its packet rate (docs/BENCHMARKS.md, "Code placement").
 #
 # Usage:  tools/check_threaded_dispatch.sh [binary]
 #         binary defaults to .bench_build/perfbench, built first the way
 #         perfbench/run.py builds it.
-# Exit:   0 when exec_trace has at least MIN_SITES indirect jumps,
-#         1 otherwise (or when the symbol cannot be found).
+# Exit:   0 when exec_trace is 64-byte aligned and has at least
+#         MIN_SITES indirect jumps, 1 otherwise (or when the symbol
+#         cannot be found).
 set -euo pipefail
 
-MIN_SITES=48
+MIN_SITES=49
+ALIGN=64
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 binary="${1:-}"
@@ -46,7 +52,14 @@ sites="$(objdump -d --no-show-raw-insn \
          grep -cE $'\tjmp +\\*' || true)"
 printf 'check_threaded_dispatch: exec_trace at 0x%x (%d bytes): %d indirect jmp sites (need >= %d)\n' \
   "$start" "$((16#$size))" "$sites" "$MIN_SITES"
+status=0
 if [ "$sites" -lt "$MIN_SITES" ]; then
   echo "check_threaded_dispatch: too few dispatch sites (handler tails merged, or handlers missing); see docs/EXECUTION.md" >&2
-  exit 1
+  status=1
 fi
+if [ $((start % ALIGN)) -ne 0 ]; then
+  printf 'check_threaded_dispatch: exec_trace at 0x%x is not %d-byte aligned (aligned(64) lost); see docs/BENCHMARKS.md, "Code placement"\n' \
+    "$start" "$ALIGN" >&2
+  status=1
+fi
+exit "$status"
