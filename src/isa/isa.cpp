@@ -23,6 +23,29 @@ constexpr std::array<OpInfo, kNumOps> kOpTable = {{
 
 const OpInfo& info(Op op) { return kOpTable[static_cast<std::size_t>(op)]; }
 
+// try_decode's tables, generated from kOpTable: the op of each primary
+// opcode (I- and J-type) and of each SPECIAL funct (R-type, primary 0),
+// or kNoOp.
+constexpr std::uint8_t kNoOp = 0xFF;
+struct DecodeTables {
+  std::array<std::uint8_t, 64> primary{};
+  std::array<std::uint8_t, 64> funct{};
+};
+constexpr DecodeTables make_decode_tables() {
+  DecodeTables t;
+  t.primary.fill(kNoOp);
+  t.funct.fill(kNoOp);
+  for (const OpInfo& entry : kOpTable) {
+    auto& slot = entry.primary == 0 ? t.funct[entry.funct]
+                                    : t.primary[entry.primary];
+    // Not a constant expression, so two ops on one encoding fail to build.
+    if (slot != kNoOp) throw IsaError("two ops share an encoding");
+    slot = static_cast<std::uint8_t>(entry.op);
+  }
+  return t;
+}
+constexpr DecodeTables kDecode = make_decode_tables();
+
 constexpr std::array<std::string_view, 32> kRegNames = {
     "zero", "at", "v0", "v1", "a0", "a1", "a2", "a3",
     "t0",   "t1", "t2", "t3", "t4", "t5", "t6", "t7",
@@ -31,7 +54,6 @@ constexpr std::array<std::string_view, 32> kRegNames = {
 
 }  // namespace
 
-OpClass op_class(Op op) { return info(op).cls; }
 std::string_view op_name(Op op) { return info(op).name; }
 
 std::string_view reg_name(int reg) {
@@ -124,37 +146,27 @@ bool canonical_fields(const Instr& in) {
 }  // namespace
 
 std::optional<Instr> try_decode(std::uint32_t word) {
-  const int primary = static_cast<int>(word >> 26);
+  const std::uint32_t primary = word >> 26;
+  const std::uint8_t op =
+      primary == 0 ? kDecode.funct[word & 0x3F] : kDecode.primary[primary];
+  if (op == kNoOp) return std::nullopt;
   Instr out;
-  if (primary == 0) {
-    const int funct = static_cast<int>(word & 0x3F);
-    for (const auto& entry : kOpTable) {
-      if (entry.primary == 0 && entry.funct == funct) {
-        out.op = entry.op;
-        out.rs = static_cast<std::uint8_t>((word >> 21) & 31);
-        out.rt = static_cast<std::uint8_t>((word >> 16) & 31);
-        out.rd = static_cast<std::uint8_t>((word >> 11) & 31);
-        out.shamt = static_cast<std::uint8_t>((word >> 6) & 31);
-        if (!canonical_fields(out)) return std::nullopt;
-        return out;
-      }
-    }
-    return std::nullopt;
-  }
-  for (const auto& entry : kOpTable) {
-    if (entry.primary != primary || entry.funct != -1) continue;
-    out.op = entry.op;
-    if (entry.cls == OpClass::Jump || entry.cls == OpClass::JumpLink) {
-      out.target = word & 0x03FFFFFFu;
-      return out;
-    }
-    out.rs = static_cast<std::uint8_t>((word >> 21) & 31);
-    out.rt = static_cast<std::uint8_t>((word >> 16) & 31);
-    out.imm = static_cast<std::int32_t>(static_cast<std::int16_t>(word & 0xFFFF));
-    if (!canonical_fields(out)) return std::nullopt;
+  out.op = static_cast<Op>(op);
+  const OpClass cls = kOpTable[op].cls;
+  if (cls == OpClass::Jump || cls == OpClass::JumpLink) {
+    out.target = word & 0x03FFFFFFu;
     return out;
   }
-  return std::nullopt;
+  out.rs = static_cast<std::uint8_t>((word >> 21) & 31);
+  out.rt = static_cast<std::uint8_t>((word >> 16) & 31);
+  if (primary == 0) {
+    out.rd = static_cast<std::uint8_t>((word >> 11) & 31);
+    out.shamt = static_cast<std::uint8_t>((word >> 6) & 31);
+  } else {
+    out.imm = static_cast<std::int32_t>(static_cast<std::int16_t>(word & 0xFFFF));
+  }
+  if (!canonical_fields(out)) return std::nullopt;
+  return out;
 }
 
 Instr decode(std::uint32_t word) {

@@ -9,6 +9,7 @@
 #ifndef SDMMON_ISA_ISA_HPP
 #define SDMMON_ISA_ISA_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -105,7 +106,14 @@ enum class OpClass {
   Trap,         // syscall/break
 };
 
-OpClass op_class(Op op);
+constexpr OpClass op_class(Op op) {
+  constexpr OpClass kClass[] = {
+#define SDMMON_ISA_CLASS(name, mnemonic, cls, ...) OpClass::cls,
+      SDMMON_ISA_OPS(SDMMON_ISA_CLASS)
+#undef SDMMON_ISA_CLASS
+  };
+  return kClass[static_cast<std::size_t>(op)];
+}
 std::string_view op_name(Op op);
 
 /// Decoded instruction. Fields are valid per format:

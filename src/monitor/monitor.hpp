@@ -199,6 +199,35 @@ class HardwareMonitor {
     return out;
   }
 
+  /// Feed the `len` hashes at `period` `times` over -- the wrapped
+  /// iterations of a copy run (docs/EXECUTION.md, "Copy runs") -- and
+  /// stop at the first Mismatch. Returns how many hashes matched; as in
+  /// advance(), verdicts, stats, peak width and exit bit are those of
+  /// on_hashed() over the same hashes up to and including a flagged one.
+  /// Steps one period at a time until a period ends in the state it
+  /// began in. From there every period repeats it step for step, so the
+  /// rest is settled in O(1): `len` checks and that period's width sum
+  /// per repeat, and no new peak. A walk that never returns to its start
+  /// is stepped hash by hash.
+  std::uint64_t repeat(const std::uint8_t* period, std::size_t len,
+                       std::uint64_t times) {
+    for (std::uint64_t t = 0; t < times; ++t) {
+      const std::uint32_t start = state_;
+      const std::uint64_t start_accum = stats_.state_size_accum;
+      for (std::size_t j = 0; j < len; ++j) {
+        if (on_hashed(period[j]) == Verdict::Mismatch) return t * len + j;
+      }
+      if (state_ == start) {
+        const std::uint64_t rest = times - t - 1;
+        stats_.instructions_checked += rest * len;
+        stats_.state_size_accum +=
+            rest * (stats_.state_size_accum - start_accum);
+        break;
+      }
+    }
+    return times * len;
+  }
+
   /// Re-arm in an arbitrary `state` of the compiled table (tracked set
   /// members(state)) without touching cumulative stats, so differential
   /// tests can start a walk anywhere a packet could be.

@@ -100,8 +100,11 @@ enum class TraceHandler : std::uint8_t {
   // superblock (docs/EXECUTION.md, "Copy runs"):
   //   addu rA, rS, rI; lbu rB, o1(rA); addu rC, rD, rI; sb rB, o2(rC);
   //   addiu rI, rI, 1; bne rI, rN, <the addu>
-  // One handler retires every whole iteration it may, with one
-  // Memory::copy_bytes. TraceOp::iterations holds the iteration count.
+  // One handler retires every iteration the loop runs, with one
+  // Memory::copy_bytes; those past the superblock's last whole
+  // iteration repeat it (wrapped iterations, Core::TraceExec).
+  // TraceOp::iterations holds the whole iterations left in the
+  // superblock.
   CopyRun,
 };
 static_assert(static_cast<int>(TraceHandler::Nop) == isa::kNumOps,

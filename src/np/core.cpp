@@ -83,11 +83,15 @@ void Core::reset() {
 
 void Core::soft_reset() {
   // Fresh processing stack and packet buffers; application data persists.
-  // zero_region walks Memory's list of nonzero pages, never the regions
-  // or their page flags, so this costs O(pages the last packet touched).
-  mem_.zero_region(kStackBase);
-  mem_.zero_region(kPktInBase);
-  mem_.zero_region(kPktOutBase);
+  // They are the only regions from kStackBase up, so one zero_from walk
+  // of Memory's list of nonzero pages -- never the regions or their page
+  // flags -- scrubs all three in O(pages the last packet touched).
+  static_assert(kTextBase + kTextSize <= kStackBase &&
+                    kDataBase + kDataSize <= kStackBase &&
+                    kStackBase + kStackSize <= kPktInBase &&
+                    kPktInBase + kPktInSize <= kPktOutBase,
+                "text and data must lie below the regions soft reset zeroes");
+  mem_.zero_from(kStackBase);
   reset_architectural_state();
 }
 
@@ -303,12 +307,37 @@ StepInfo Core::exec(const Instr& in, StepInfo info) {
   return info;
 }
 
+InstrMix Core::retired_mix(const CompiledProgram::TraceOp* trace,
+                           const TraceExec& run, std::uint64_t from) const {
+  constexpr std::uint64_t kOps = CompiledProgram::kCopyLoopOps;
+  const std::uint64_t wrapped = kOps * run.wraps;
+  const std::uint64_t q = run.wrap_at;
+  InstrMix mix;
+  if (from < q + wrapped) {
+    if (from < q) {
+      mix += compiled_->trace_mix(trace + from, q - from, false);
+      from = q;
+    }
+    // The rest of the repeat `from` is in, then the whole ones after it.
+    const std::uint64_t skip = (from - q) % kOps;
+    mix += compiled_->trace_mix(trace + q + skip, kOps - skip, false);
+    mix += compiled_->trace_mix(trace + q, kOps, false) *
+           ((q + wrapped - from - (kOps - skip)) / kOps);
+    from = q + wrapped;
+  }
+  const std::uint64_t at = from - wrapped;
+  mix += compiled_->trace_mix(trace + at, run.end - at,
+                              run.side_exit && run.end > at);
+  return mix;
+}
+
 void Core::retract_trace(const CompiledProgram::TraceOp* trace,
-                         std::uint64_t n, bool last_mispredicted) {
-  // The overshoot was settled by exec_trace's epilogue from the same
-  // prefix table; a side-exiting branch is the dispatch's last op, so it
+                         const TraceExec& run, std::uint64_t keep) {
+  // The overshoot was settled by exec_trace's epilogue through the same
+  // retired_mix; a side-exiting branch is the dispatch's last op, so it
   // is among the retracted ones only when any are.
-  mix_ -= compiled_->trace_mix(trace, n, last_mispredicted && n > 0);
+  const std::uint64_t n = run.retired() - keep;
+  mix_ -= retired_mix(trace, run, keep);
   cycles_ -= n;
   packet_cycles_ -= n;
 }

@@ -160,16 +160,51 @@ class Core {
     return live_ != nullptr && live_->monitor_hash(pc, out);
   }
 
+  /// What one superblock dispatch retired. A copy run may retire more
+  /// iterations of its loop than the superblock unrolls (docs/EXECUTION.md,
+  /// "Copy runs"): the extra ones are *wrapped*, repeats of the loop's last
+  /// whole iteration in the superblock, the kCopyLoopOps ops at `wrap_at`.
+  /// The retired sequence is then
+  ///   ops[0, wrap_at) . ops[wrap_at, wrap_at + 6)^wraps . ops[wrap_at, end)
+  /// and, with no wraps, just ops[0, end). `side_exit` is set when the
+  /// last retired op was a conditional branch whose next pc differs from
+  /// its predicted pc -- the branch itself retires (pc follows the
+  /// *actual* target), only the not-yet-executed tail is abandoned.
+  struct TraceExec {
+    std::uint32_t wraps = 0;
+    std::uint8_t end = 0;  // superblock ops reached
+    std::uint8_t wrap_at = 0;
+    bool side_exit = false;
+
+    /// Ops retired: the length of the sequence above.
+    std::uint64_t retired() const {
+      return end + std::uint64_t{CompiledProgram::kCopyLoopOps} * wraps;
+    }
+    /// The superblock position of retired op `e` of the sequence.
+    std::uint32_t position(std::uint64_t e) const {
+      constexpr std::uint64_t kOps = CompiledProgram::kCopyLoopOps;
+      if (e < wrap_at) return static_cast<std::uint32_t>(e);
+      const std::uint64_t wrapped = kOps * wraps;
+      if (e < wrap_at + wrapped) {
+        return static_cast<std::uint32_t>(wrap_at + (e - wrap_at) % kOps);
+      }
+      return static_cast<std::uint32_t>(e - wrapped);
+    }
+  };
+  static_assert(CompiledProgram::kTraceCap <= 0xFF,
+                "superblock positions fit TraceExec's bytes");
+
   /// The dispatch loop shared by run() and MonitoredCore: run until a
   /// terminal event, `max_steps` retired ops, or the observer stops it.
   /// Retired ops reach `observer` through exactly one call per dispatch:
-  ///   * on_batch(hashes, n, side_exit) after a superblock dispatch
-  ///     retired n ops (hashes[i] is op i's precomputed monitor hash;
-  ///     side_exit: the last op was a branch that left the predicted
-  ///     path). It returns how many leading hashes it accepted; when that
-  ///     is fewer than n, the op at that index is the last one the
-  ///     reference interleaving executes, the loop retracts the ops after
-  ///     it (retract_trace) and stops.
+  ///   * on_batch(hashes, run) after a superblock dispatch retired
+  ///     run.retired() ops (hashes[p] is the precomputed monitor hash of
+  ///     the superblock op at position p; run.position maps the retired
+  ///     sequence onto positions). It returns how many leading ops of the
+  ///     sequence it accepted; when that is fewer than run.retired(), the
+  ///     op at that index is the last one the reference interleaving
+  ///     executes, the loop retracts the ops after it (retract_trace) and
+  ///     stops.
   ///   * on_step(info) after each step(); false stops the loop.
   /// Returns the last StepInfo (for a batch: its last retired op).
   template <typename Observer>
@@ -183,45 +218,43 @@ class Core {
  private:
   /// Observer that ignores retired ops (plain run()).
   struct NullObserver {
-    std::uint64_t on_batch(const std::uint8_t*, std::uint64_t n, bool) {
-      return n;
+    std::uint64_t on_batch(const std::uint8_t*, const TraceExec& run) {
+      return run.retired();
     }
     bool on_step(const StepInfo&) { return true; }
   };
 
-  /// What one exec_trace() dispatch did. `side_exit` is set when the
-  /// last retired op was a conditional branch whose next pc differs from
-  /// its predicted pc -- the branch itself retires (pc follows the
-  /// *actual* target), only the not-yet-executed tail is abandoned.
-  struct TraceExec {
-    std::uint64_t retired = 0;
-    bool side_exit = false;
-  };
-
-  /// Retire up to `n` ops of the superblock `trace` (anchored at the
-  /// current pc) in one dispatch. Requires the compiled tier live and
-  /// `n` within both the superblock length and the watchdog slack.
-  /// Stops *before* an op that would trap (overflow, MemFault) or whose
-  /// load/store reaches MMIO -- step() re-derives that op's event --
-  /// and *after* a store that dirties the predecoded text or a branch
-  /// that side-exits. Cycles, mix, and pc advance exactly as `retired`
-  /// step() calls would; all three are settled once, after the last op,
-  /// from the retired count, the prefix table and the last op.
+  /// Retire ops of the `n`-op superblock `trace` (anchored at the
+  /// current pc) in one dispatch, at most `budget` of them: the watchdog
+  /// slack or max_steps left, whichever is smaller. Wrapped copy-loop
+  /// iterations count against the budget like any op, so a watchdog or
+  /// max_steps stop lands on the op the interpreter's would. Requires
+  /// the compiled tier live and budget > 0. Stops *before* an op that
+  /// would trap (overflow, MemFault) or whose load/store reaches MMIO --
+  /// step() re-derives that op's event -- and *after* a store that
+  /// dirties the predecoded text or a branch that side-exits. Cycles,
+  /// mix, and pc advance exactly as retired() step() calls would; all
+  /// three are settled once, after the last op, from the retired
+  /// sequence, the prefix table and the last op.
   TraceExec exec_trace(const CompiledProgram::TraceOp* trace,
-                       std::uint64_t n);
+                       std::uint64_t n, std::uint64_t budget);
 
-  /// Un-retire the last `n` ops of a just-executed dispatch (`trace`
-  /// points at them): the monitor-unchecked overshoot past a flagged
-  /// hash, undone right before the recovery reset() so the cumulative
-  /// cycle and mix counters match a reference core that stopped at the
-  /// flagged op. O(1): the same install-time prefix counts
-  /// (CompiledProgram::trace_mix) the dispatch settled its mix from.
-  /// Registers and memory need no compensation -- reset() re-images
-  /// them. `last_mispredicted` is the dispatch's side_exit flag: a
-  /// side-exiting branch is always the last retired op and the only one
-  /// that resolved against its predicted direction.
-  void retract_trace(const CompiledProgram::TraceOp* trace, std::uint64_t n,
-                     bool last_mispredicted);
+  /// Un-retire the ops after the first `keep` of the just-executed
+  /// dispatch `run` over `trace`: the monitor-unchecked overshoot past a
+  /// flagged hash, undone right before the recovery reset() so the
+  /// cumulative cycle and mix counters match a reference core that
+  /// stopped at the flagged op. O(1) at any wrap count: the same
+  /// retired_mix the dispatch settled its mix from. Registers and memory
+  /// need no compensation -- reset() re-images them.
+  void retract_trace(const CompiledProgram::TraceOp* trace,
+                     const TraceExec& run, std::uint64_t keep);
+
+  /// Retired mix of ops [from, run.retired()) of the dispatch `run` over
+  /// `trace`, every branch in its predicted direction but a side-exiting
+  /// last op: differences of CompiledProgram::trace_mix, so O(1) however
+  /// many iterations wrapped.
+  InstrMix retired_mix(const CompiledProgram::TraceOp* trace,
+                       const TraceExec& run, std::uint64_t from) const;
 
   void reset_architectural_state();
   /// Recompute live_ from (artifact, tier, dirty); called whenever any of
@@ -278,24 +311,23 @@ StepInfo Core::run_observed(std::uint64_t max_steps, Observer& observer) {
     if (live_ != nullptr && runnable_ && packet_cycles_ < watchdog_budget_) {
       const CompiledProgram::TraceRef ref = live_->trace_at(pc_);
       if (ref.len > 0) {
-        std::uint64_t len = ref.len;
-        len = std::min(len, watchdog_budget_ - packet_cycles_);
-        len = std::min(len, max_steps - steps);
-        const TraceExec tr = exec_trace(ref.ops, len);
-        steps += tr.retired;
-        const std::uint64_t ok =
-            observer.on_batch(ref.hashes, tr.retired, tr.side_exit);
-        if (ok < tr.retired) {
-          retract_trace(ref.ops + ok + 1, tr.retired - (ok + 1),
-                        tr.side_exit);
-          return {ref.ops[ok].pc, ref.ops[ok].word, StepEvent::Executed,
-                  Trap::None};
+        const std::uint64_t budget =
+            std::min(watchdog_budget_ - packet_cycles_, max_steps - steps);
+        const TraceExec tr = exec_trace(ref.ops, ref.len, budget);
+        const std::uint64_t retired = tr.retired();
+        steps += retired;
+        const std::uint64_t ok = observer.on_batch(ref.hashes, tr);
+        if (ok < retired) {
+          retract_trace(ref.ops, tr, ok + 1);
+          const CompiledProgram::TraceOp& op = ref.ops[tr.position(ok)];
+          return {op.pc, op.word, StepEvent::Executed, Trap::None};
         }
-        if (tr.retired > 0) {
-          const CompiledProgram::TraceOp& op = ref.ops[tr.retired - 1];
+        if (retired > 0) {
+          const CompiledProgram::TraceOp& op =
+              ref.ops[tr.position(retired - 1)];
           last = {op.pc, op.word, StepEvent::Executed, Trap::None};
         }
-        if (tr.retired == len || tr.side_exit) continue;
+        if (tr.end == ref.len || retired == budget || tr.side_exit) continue;
         // Stopped short: the op at pc traps, touches MMIO, or follows a
         // text-dirtying store. step() below resolves it -- re-dispatching
         // would spin on a zero-progress batch.

@@ -17,14 +17,18 @@ using isa::Op;
 // (docs/BENCHMARKS.md, "Code placement").
 __attribute__((aligned(64)))
 Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
-                                 std::uint64_t n) {
+                                 std::uint64_t n, std::uint64_t budget) {
   // Execute-first batch over the predicted path. The handlers only
   // compute results and find where the batch stops; the epilogue settles
-  // cycles, the retired mix and pc for exactly the retired prefix,
+  // cycles, the retired mix and pc for exactly the retired sequence,
   // bit-identical to that many step() calls: step() counts an op on
   // entry, and a stopped-before op has not entered.
   const CompiledProgram::TraceOp* op = trace;
-  const CompiledProgram::TraceOp* const end = trace + n;
+  // Where the batch ends in the superblock: its length or the budget,
+  // less the ops a copy run wraps.
+  const CompiledProgram::TraceOp* end = trace + std::min(n, budget);
+  std::uint32_t wraps = 0;
+  std::uint32_t wrap_at = 0;
   std::uint32_t* const regs = regs_.data();
   std::uint32_t hi = hi_;
   std::uint32_t lo = lo_;
@@ -187,16 +191,18 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
   //   addu rA, rS, rI; lbu rB, o1(rA); addu rC, rD, rI; sb rB, o2(rC);
   //   addiu rI, rI, 1; bne rI, rN, <op>
   // and op->iterations whole iterations follow, ending in the superblock.
-  // It retires the first k of them with one byte copy, k no more than
-  // the batch holds and fewer than reach the iteration whose bne falls
-  // through or whose store enters the text. Iteration j copies byte
-  // rS + rI + o1 + j to rD + rI + o2 + j; compile() checked that rS, rD
-  // and rN are not written inside the loop, so all k addresses follow
-  // from the registers now. Registers end as the last iteration leaves
-  // them. A run that stops short -- at k, or where copy_bytes met an
-  // unmapped page -- leaves op on an iteration's first op, and the
-  // AdduLbu pair there runs that iteration op by op, stopping where it
-  // does without the run.
+  // It retires the first k iterations of the loop with one byte copy, k
+  // no more than the budget holds and fewer than reach the iteration
+  // whose bne falls through or whose store enters the text. Iteration j
+  // copies byte rS + rI + o1 + j to rD + rI + o2 + j; compile() checked
+  // that rS, rD and rN are not written inside the loop, so all k
+  // addresses follow from the registers now. Iterations past the
+  // superblock's last whole one are wrapped: repeats of that one, where
+  // op stops. Registers end as the last iteration leaves them. Every
+  // limit on k -- or copy_bytes meeting an unmapped page -- stops the
+  // loop in the next iteration, so the AdduLbu pair there runs it op by
+  // op, stopping where it does without the run. That iteration ends the
+  // batch, so no later run in it wraps again.
   L_CopyRun: {
     constexpr std::uint32_t kOps = CompiledProgram::kCopyLoopOps;
     const isa::Instr& src_sum = op[0].instr;  // addu rA, rS, rI
@@ -205,11 +211,10 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
     const std::uint32_t src_base = regs[src_sum.rs] + i;
     const std::uint32_t dst_base = regs[dst_sum.rs] + i;
     const std::uint32_t dst = dst_base + ops::simm(op[3].instr);
-    const std::uint32_t recorded = op->iterations;
-    std::uint32_t k = std::min(
-        recorded, static_cast<std::uint32_t>(end - op) / kOps);
     // The iteration with rI + 1 == rN falls through its bne.
-    k = std::min(k, regs[op[5].instr.rt] - 1 - i);
+    std::uint32_t k = regs[op[5].instr.rt] - 1 - i;
+    k = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        k, (budget - static_cast<std::uint64_t>(op - trace)) / kOps));
     // The store that enters the text retires and ends the batch.
     k = std::min(k, dst - text_base < text_bytes ? 0u : text_base - dst);
     const Memory::CopyResult copied =
@@ -220,11 +225,17 @@ Core::TraceExec Core::exec_trace(const CompiledProgram::TraceOp* trace,
       regs[op[1].instr.rt] = copied.last;
       regs[dst_sum.rd] = dst_base + last;
       regs[src_sum.rt] = i + copied.done;
-      op += kOps * copied.done;
+      const std::uint32_t in_place =
+          std::min<std::uint32_t>(copied.done, op->iterations - 1u);
+      op += kOps * in_place;
+      wraps = copied.done - in_place;
+      if (wraps > 0) {
+        wrap_at = static_cast<std::uint32_t>(op - trace);
+        end = trace + std::min(n, budget - std::uint64_t{kOps} * wraps);
+      }
     }
     if (op == end) goto done;
-    if (copied.done < recorded) goto L_AdduLbu;
-    SDMMON_DISPATCH;
+    goto L_AdduLbu;
   }
 #undef SDMMON_HALF_LOAD
 #undef SDMMON_HALF_STORE
@@ -250,18 +261,22 @@ L_Syscall:
 L_Break:
 done:
 
-  const std::uint64_t retired = static_cast<std::uint64_t>(op - trace);
+  const TraceExec run{wraps, static_cast<std::uint8_t>(op - trace),
+                      static_cast<std::uint8_t>(wrap_at), side_exit};
+  const std::uint64_t retired = run.retired();
   hi_ = hi;
   lo_ = lo;
   cycles_ += retired;
   packet_cycles_ += retired;
   if (retired > 0) {
-    mix_ += compiled_->trace_mix(trace, retired, side_exit);
+    // retired_mix is out of line: few dispatches wrap.
+    mix_ += wraps == 0 ? compiled_->trace_mix(trace, run.end, side_exit)
+                       : retired_mix(trace, run, 0);
     // pc follows the last retired op: a jump goes to its target, a
     // branch in its predicted direction (the other one if it
     // side-exited), and anything else to the next word -- which is also
     // where a stopped-before op sits.
-    const CompiledProgram::TraceOp& last = trace[retired - 1];
+    const CompiledProgram::TraceOp& last = trace[run.position(retired - 1)];
     if ((last.flags & CompiledProgram::kTraceJump) != 0) {
       pc_ = ops::jump_target(last.instr);
     } else if (((last.flags & CompiledProgram::kTracePredTaken) != 0) !=
@@ -277,7 +292,7 @@ done:
     text_dirty_ = true;
     update_live();
   }
-  return {retired, side_exit};
+  return run;
 }
 
 }  // namespace sdmmon::np

@@ -53,6 +53,14 @@ struct InstrMix {
   }
 
   InstrMix& operator-=(const InstrMix& rhs) { return *this = *this - rhs; }
+
+  /// The mix of `times` repeats of this one.
+  InstrMix operator*(std::uint64_t times) const {
+    return InstrMix{alu * times,          load * times,
+                    store * times,        branch_not_taken * times,
+                    branch_taken * times, jump * times,
+                    muldiv * times,       trap * times};
+  }
 };
 
 struct CycleCosts {

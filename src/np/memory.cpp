@@ -78,16 +78,6 @@ void Memory::scrub(std::uint32_t begin, std::uint32_t end) {
 
 void Memory::clear() { scrub(0, kPages); }
 
-void Memory::zero_region(std::uint32_t base) {
-  for (const Region& r : kRegions) {
-    if (r.base == base) {
-      scrub(base / kPageBytes, (base + r.size) / kPageBytes);
-      return;
-    }
-  }
-  throw std::out_of_range("Memory::zero_region: no region at base");
-}
-
 Memory::CopyResult Memory::copy_bytes(std::uint32_t dst, std::uint32_t src,
                                       std::uint32_t n) {
   CopyResult result;

@@ -10,7 +10,7 @@
 //  * kMapped: regions are page-aligned and an aligned access never
 //    crosses a page, so this bit is the whole bounds check;
 //  * kNonzero: clear => the page is all-zero. Set pages are also listed,
-//    so clear()/zero_region() visit only pages written since they were
+//    so clear()/zero_from() visit only pages written since they were
 //    last zeroed: the per-packet soft reset is O(bytes touched).
 // Loads and stores are inline; only a store to an unmapped or all-zero
 // page goes out of line. copy_bytes is the byte-copy loop of the
@@ -50,9 +50,10 @@ class Memory {
   /// Zero all regions (used on full core reset).
   void clear();
 
-  /// Zero the single region starting at `base`. Used by
-  /// the per-packet soft reset on stack/pktin/pktout.
-  void zero_region(std::uint32_t base);
+  /// Zero every page from the one holding `base` to the end of memory,
+  /// in one pass over the nonzero-page list. The per-packet soft reset
+  /// passes kStackBase: the stack and both packet buffers.
+  void zero_from(std::uint32_t base) { scrub(base / kPageBytes, kPages); }
 
   // All accessors return/accept little-endian values (MIPS LE).
   std::optional<std::uint32_t> load32(std::uint32_t addr) const {
@@ -161,7 +162,7 @@ class Memory {
 
   /// Flag (and list) the page nonzero.
   void touch_page(std::uint32_t page);
-  /// Zero every nonzero page in [begin, end) (shared by clear/zero_region).
+  /// Zero every nonzero page in [begin, end) (shared by clear/zero_from).
   void scrub(std::uint32_t begin, std::uint32_t end);
 
   std::vector<std::uint8_t> arena_;

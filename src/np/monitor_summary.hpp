@@ -26,6 +26,18 @@
 // missed join, never a wrong verdict; a walk that never joins steps
 // every hash, exactly as the per-hash on_hashed() (the oracle) would.
 //
+// A copy run may retire more iterations of its loop than the superblock
+// unrolls, repeating the last whole one w times (np::Core::TraceExec,
+// docs/EXECUTION.md "Copy runs"). Those repeats are not in the lane, so
+// feed() settles the slices before and after them here and hands the
+// repeats to HardwareMonitor::repeat: it steps one six-hash period at a
+// time until a period ends in the state it began in -- a fixed point, as
+// the copy loops of the shipped apps are -- and then adds six checks and
+// that period's width sum per remaining repeat, with no new peak. The
+// check is on the real state, not the canonical one, so a walk off the
+// canonical walk settles in O(1) too, and one that never returns to its
+// start is stepped hash by hash.
+//
 // Size is kBytesPerLaneOp per superblock op -- a constant of the program,
 // independent of the graph, the hash parameter and any packet -- and the
 // build is one pass over the lane. Like the other two artifacts, a
@@ -75,6 +87,33 @@ class MonitorSummary {
             peak_.data() + at};
   }
 
+  /// What feed() did: how many leading ops of the retired sequence the
+  /// monitor accepted, and whether a walk joined the canonical one.
+  struct Fed {
+    std::uint64_t ok = 0;
+    bool joined = false;
+  };
+
+  /// Feed `monitor` the retired sequence of one superblock dispatch whose
+  /// hash slice starts at `hashes` (np::Core::TraceExec):
+  ///   ops[0, wrap_at) . ops[wrap_at, wrap_at + 6)^wraps . ops[wrap_at, end)
+  /// The two slices are settled against this summary
+  /// (HardwareMonitor::advance), the wrapped repeats of the copy loop's
+  /// iteration by HardwareMonitor::repeat, which needs no summary: the
+  /// repeats are not in the lane. Stops at the first mismatch.
+  Fed feed(monitor::HardwareMonitor& monitor, const std::uint8_t* hashes,
+           std::size_t end, std::size_t wrap_at, std::uint64_t wraps) const {
+    constexpr std::size_t kOps = CompiledProgram::kCopyLoopOps;
+    Fed fed;
+    const std::size_t first = wraps == 0 ? end : wrap_at;
+    fed.ok = slice(monitor, hashes, first, fed.joined);
+    if (wraps == 0 || fed.ok < first) return fed;
+    fed.ok += monitor.repeat(hashes + wrap_at, kOps, wraps);
+    if (fed.ok < wrap_at + kOps * wraps) return fed;
+    fed.ok += slice(monitor, hashes + wrap_at, end - wrap_at, fed.joined);
+    return fed;
+  }
+
   /// Lane positions summarised (== code's num_trace_ops()).
   std::size_t size() const { return state_.size(); }
 
@@ -84,6 +123,15 @@ class MonitorSummary {
 
  private:
   MonitorSummary() = default;
+
+  std::size_t slice(monitor::HardwareMonitor& monitor,
+                    const std::uint8_t* hashes, std::size_t n,
+                    bool& joined) const {
+    const monitor::HardwareMonitor::LaneAdvance step =
+        monitor.advance(lane(hashes), hashes, n);
+    joined = joined || step.joined;
+    return step.ok;
+  }
 
   std::shared_ptr<const monitor::CompiledGraph> graph_;
   std::shared_ptr<const CompiledProgram> code_;

@@ -139,15 +139,16 @@ PacketResult MonitoredCore::execute_packet(
 
 // How retired ops reach the monitor on the shared dispatch loop
 // (Core::run_observed). Superblock dispatches execute first, then feed
-// the monitor the superblock's precomputed hash slice -- exactly as many
-// hashes as ops retired -- settled against the install-time summary of
-// the canonical walk along that slice. That is bit-identical to the per-op
+// the monitor the superblock's precomputed hash slice -- one hash per op
+// retired -- settled against the install-time summary of the canonical
+// walk along that slice. That is bit-identical to the per-op
 // interleaving: superblock ops never read monitor state, so checking
 // their hashes after the batch is unobservable to the core; ops that
 // would trap or touch MMIO stop the batch before they retire and feed no
-// hash; and on a mismatch at slice index m the reference executed ops
-// 0..m and then reset, so the loop retracts the overshoot's surviving
-// cumulative counters (Core::retract_trace) before the recovery reset.
+// hash; and on a mismatch at index m of the retired sequence the
+// reference executed ops 0..m and then reset, so the loop retracts the
+// overshoot's surviving cumulative counters (Core::retract_trace) before
+// the recovery reset.
 struct MonitoredCore::MonitorFeed {
   monitor::HardwareMonitor& monitor;
   const MonitorSummary& summary;
@@ -155,17 +156,17 @@ struct MonitoredCore::MonitorFeed {
   PacketResult& result;
   bool flagged = false;
 
-  std::uint64_t on_batch(const std::uint8_t* hashes, std::uint64_t n,
-                         bool side_exit) {
+  std::uint64_t on_batch(const std::uint8_t* hashes,
+                         const Core::TraceExec& run) {
     ++result.trace_dispatches;
-    if (side_exit) ++result.trace_side_exits;
-    const monitor::HardwareMonitor::LaneAdvance step = monitor.advance(
-        summary.lane(hashes), hashes, static_cast<std::size_t>(n));
-    if (step.joined) ++result.summary_joins;
-    const std::uint64_t ok = step.ok;
-    flagged = ok < n;
-    result.instructions += flagged ? ok + 1 : n;
-    return ok;
+    if (run.side_exit) ++result.trace_side_exits;
+    const MonitorSummary::Fed fed =
+        summary.feed(monitor, hashes, run.end, run.wrap_at, run.wraps);
+    if (fed.joined) ++result.summary_joins;
+    const std::uint64_t n = run.retired();
+    flagged = fed.ok < n;
+    result.instructions += flagged ? fed.ok + 1 : n;
+    return fed.ok;
   }
 
   bool on_step(const StepInfo& info) {

@@ -65,11 +65,10 @@ StepInfo run_both_tiers(const isa::Program& p, std::uint64_t max_steps = 256,
 struct DispatchCounter {
   std::uint64_t dispatches = 0;
   std::uint64_t side_exits = 0;
-  std::uint64_t on_batch(const std::uint8_t*, std::uint64_t n,
-                         bool side_exit) {
+  std::uint64_t on_batch(const std::uint8_t*, const Core::TraceExec& run) {
     ++dispatches;
-    if (side_exit) ++side_exits;
-    return n;
+    if (run.side_exit) ++side_exits;
+    return run.retired();
   }
   bool on_step(const StepInfo&) { return true; }
 };

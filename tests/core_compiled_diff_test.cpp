@@ -38,6 +38,8 @@
 #include "isa/assembler.hpp"
 #include "monitor/analysis.hpp"
 #include "net/apps.hpp"
+#include "net/packet.hpp"
+#include "net/routing.hpp"
 #include "net/traffic.hpp"
 #include "np/mpsoc.hpp"
 #include "np/op_table.hpp"
@@ -112,7 +114,9 @@ std::uint32_t copy_base(util::Rng& rng) {
 
 // The copy loop of a copy run, after setting its source and destination
 // bases, its start index and a limit before, at or past the start (the
-// first two wrap around and run to the superblock cap):
+// first two wrap the index around: the loop runs until a fault or the
+// step limit). One limit in four lies past the 42 iterations a superblock
+// unrolls, so the run wraps its last one:
 //   lui/ori s; lui/ori d; addiu i, $zero, i0; addiu n, $zero, limit;
 //   loop: addu a, s, i; lbu b, o1(a); addu c, d, i; sb b, o2(c);
 //         addiu i, i, 1; bne i, n, loop
@@ -142,7 +146,8 @@ void push_copy_loop(util::Rng& rng, isa::Program& p) {
   const std::int32_t start = static_cast<std::int32_t>(rng.below(16));
   const std::int32_t delta =
       rng.below(3) == 0 ? static_cast<std::int32_t>(rng.below(2)) - 1
-                        : static_cast<std::int32_t>(1 + rng.below(40));
+                        : static_cast<std::int32_t>(
+                              1 + rng.below(rng.below(4) == 0 ? 240 : 40));
   const std::int32_t limit = start + delta;
   emit(isa::make_itype(isa::Op::Addiu, i, 0, start));
   emit(isa::make_itype(isa::Op::Addiu, n, 0, limit));
@@ -941,9 +946,9 @@ TEST(TraceDifferential, AttackRecoveryPoliciesMatchAcrossTiers) {
 struct DispatchLog {
   std::vector<std::uint64_t> batches;  // ops retired per superblock dispatch
   std::vector<StepInfo> steps;         // per-op steps
-  std::uint64_t on_batch(const std::uint8_t*, std::uint64_t n, bool) {
-    batches.push_back(n);
-    return n;
+  std::uint64_t on_batch(const std::uint8_t*, const Core::TraceExec& run) {
+    batches.push_back(run.retired());
+    return run.retired();
   }
   bool on_step(const StepInfo& info) {
     steps.push_back(info);
@@ -1487,9 +1492,10 @@ TEST(TraceDifferential, CopyRunStopsMatchInterpreter) {
   // Ten iterations: nine in the run, the tenth's bne side-exits.
   add("loop exits inside a run", kDataBase, kStackBase, 0, 10, 70, 61);
   add("limit one past the start", kDataBase, kStackBase, 4, 5, 12, 7);
-  // $s2 < $t6: the bne never falls through before the index wraps.
-  add("index past the limit runs to the cap", kDataBase, kStackBase + 3, 5,
-      2, 300, 255);
+  // $s2 < $t6: the bne never falls through before the index wraps, so
+  // the run wraps its last iteration up to the step limit.
+  add("index past the limit runs to the step limit", kDataBase,
+      kStackBase + 3, 5, 2, 300, 300);
   add("source overlaps the destination", kDataBase, kDataBase + 1, 0, 30,
       200, 181);
   // 20 bytes before the hole after pkt-in: the 21st lbu faults.
@@ -1644,6 +1650,342 @@ TEST(TraceDifferential, CopyLoopIsOneRunHandler) {
   if (ref.len % kOps != 0) {
     EXPECT_EQ(handler(ref.ops[whole * kOps]),
               static_cast<int>(TraceHandler::AdduLbu));
+  }
+}
+
+// ---------------------------------------------------------------------
+// Wrapped copy runs
+// ---------------------------------------------------------------------
+
+// A copy run that outlasts the iterations its superblock unrolls wraps
+// the last whole one: one dispatch retires the whole loop, and every
+// stop it can meet lands where the interpreter's does, under every
+// max_steps and watchdog cut. Entered at text index 1, the superblock
+// holds 42 whole iterations; the wrapped one is at position 247.
+TEST(TraceDifferential, WrappedCopyRunStopsMatchInterpreter) {
+  const CopyLoop ipv4;
+  const isa::Program p = copy_loop_program(ipv4);
+  std::vector<HandlerCase> cases;
+  auto add = [&](const std::string& what, std::uint32_t src,
+                 std::uint32_t dst, std::uint32_t limit,
+                 std::uint64_t first_batch) {
+    cases.push_back({what, p, 1, TraceHandler::CopyRun,
+                     copy_regs(ipv4, src, dst, 0, limit), first_batch + 6,
+                     first_batch});
+  };
+  // 42 iterations end in the last one the superblock holds, 43 in the
+  // first wrapped one, 100 after 58 wraps; the last bne side-exits.
+  add("loop exits at the wrapped iteration", kDataBase, kStackBase, 42,
+      1 + 42 * 6);
+  add("loop exits after one wrap", kDataBase, kStackBase, 43, 1 + 43 * 6);
+  add("loop exits after 58 wraps", kDataBase, kStackBase, 100, 1 + 100 * 6);
+  add("source overlaps the destination", kDataBase, kDataBase + 1, 120,
+      1 + 120 * 6);
+  add("destination overlaps the source", kDataBase + 3, kDataBase, 120,
+      1 + 120 * 6);
+  // 60 bytes before the hole after pkt-in: the 61st lbu faults.
+  add("source faults in a wrapped iteration", kPktInBase + kPktInSize - 60,
+      kStackBase, 500, 1 + 60 * 6 + 1);
+  // 60 bytes before the end of pkt-out: the 61st sb faults.
+  add("destination faults in a wrapped iteration", kDataBase,
+      kPktOutBase + kPktOutSize - 60, 500, 1 + 60 * 6 + 3);
+  expect_handler_cases_match(cases);
+
+  // Text at 0x100 with mapped memory below it: the 71st sb enters the
+  // text, retires and dirties it.
+  isa::Program high = p;
+  high.text_base = 0x100;
+  high.entry += 0x100;
+  expect_handler_cases_match(
+      {{"store enters the text in a wrapped iteration", high, 1,
+        TraceHandler::CopyRun, copy_regs(ipv4, kDataBase, 0x100 - 70, 0, 200),
+        450, 1 + 70 * 6 + 4}});
+
+  // Suffix entry inside an iteration, then a run that wraps: from
+  // $t6 = 0 with limit 100, the entered iteration ends with $t6 = 1 (or,
+  // entered at the bne, branches back with 0), and the run takes the
+  // loop to the bne's fall-through.
+  const Regs mid{{ipv4.s, kDataBase}, {ipv4.d, kStackBase}, {ipv4.i, 0},
+                 {ipv4.n, 100}, {ipv4.a, kDataBase + 0x40}, {ipv4.b, 0x5A}};
+  const TraceHandler entered[] = {TraceHandler::Lbu, TraceHandler::AdduSb,
+                                  TraceHandler::Sb,
+                                  TraceHandler::AddiuBneTaken,
+                                  TraceHandler::BneTaken};
+  std::vector<HandlerCase> suffix;
+  for (std::uint32_t e = 2; e <= 6; ++e) {
+    const std::uint64_t first = e == 6 ? 1 + 100 * 6 : (7 - e) + 99 * 6;
+    suffix.push_back({"entered at index " + std::to_string(e),
+                      copy_loop_program(ipv4, e), e, entered[e - 2], mid,
+                      first + 6, first});
+  }
+  expect_handler_cases_match(suffix);
+}
+
+// The copy loop behind a prologue that sets its registers (a
+// MonitoredCore starts every packet from fresh ones):
+//   lui/ori $s0, src; lui/ori $s1, dst; addiu $t6, $zero, 0;
+//   addiu $s2, $zero, limit; <the loop at text index 6>; jr $ra
+// with the text at `text_base` and patterned bytes at kDataBase.
+constexpr std::uint32_t kSelfCopyLoop = 6;
+
+isa::Program self_copy_program(std::uint32_t src, std::uint32_t dst,
+                               std::int32_t limit,
+                               std::uint32_t text_base = 0) {
+  const CopyLoop l;
+  const auto hi = [](int r, std::uint32_t v) {
+    return isa::make_itype(isa::Op::Lui, r, 0,
+                           static_cast<std::int32_t>(v >> 16));
+  };
+  const auto lo = [](int r, std::uint32_t v) {
+    return isa::make_itype(isa::Op::Ori, r, r,
+                           static_cast<std::int16_t>(v & 0xFFFF));
+  };
+  isa::Program p = copy_loop_program(l);
+  const isa::Program prologue = program_of(
+      {hi(l.s, src), lo(l.s, src), hi(l.d, dst), lo(l.d, dst),
+       isa::make_itype(isa::Op::Addiu, l.i, 0, 0),
+       isa::make_itype(isa::Op::Addiu, l.n, 0, limit)},
+      0);
+  // copy_loop_program's addiu $t1 gives way to the prologue; its loop,
+  // addiu $t2 and jr $ra follow.
+  p.text.erase(p.text.begin());
+  p.text.insert(p.text.begin(), prologue.text.begin(),
+                prologue.text.end() - 1);
+  p.text_base = text_base;
+  p.entry = text_base;
+  return p;
+}
+
+// `dispatches`: one for the prologue and the whole loop, and one for the
+// addiu after it when the loop exits.
+struct SelfCopyCase {
+  std::string what;
+  isa::Program p;
+  std::uint32_t dispatches;
+};
+
+std::vector<SelfCopyCase> self_copy_cases() {
+  return {
+      {"loop exits after wrapping",
+       self_copy_program(kDataBase, kStackBase, 100), 2},
+      {"source overlaps the destination",
+       self_copy_program(kDataBase, kDataBase + 1, 120), 2},
+      {"source faults",
+       self_copy_program(kPktInBase + kPktInSize - 60, kStackBase, 500), 1},
+      {"destination faults",
+       self_copy_program(kDataBase, kPktOutBase + kPktOutSize - 60, 500), 1},
+      {"store enters the text",
+       self_copy_program(kDataBase, 0x100 - 70, 200, 0x100), 1},
+  };
+}
+
+// The same stops on a MonitoredCore against the interpreting oracle,
+// whose monitor checks one hash per retired op: results, state, cycles,
+// instr_mix(), MonitorStats and peak width must match at the default
+// watchdog and at every watchdog cut through the loop.
+TEST(TraceDifferential, WrappedCopyRunsMatchMonitoredInterpreter) {
+  monitor::MerkleTreeHash hash(0x3A7B);
+  for (const SelfCopyCase& sc : self_copy_cases()) {
+    SCOPED_TRACE(sc.what);
+    CorePair pair;
+    pair.install(sc.p, monitor::extract_graph(sc.p, hash), hash);
+    const util::Bytes packet(16, 0xAB);
+    const PacketResult first = pair.process(packet, 0);
+    EXPECT_EQ(first.trace_dispatches, sc.dispatches);
+    ASSERT_GT(first.instructions, kSelfCopyLoop + 42 * 6);
+    for (std::uint64_t cut = 1; cut <= first.instructions + 1; ++cut) {
+      pair.fast.set_watchdog_budget(cut);
+      pair.oracle.set_watchdog_budget(cut);
+      pair.process(packet, cut);
+    }
+    expect_same_stats(pair.fast, pair.oracle);
+  }
+
+  // An index past its limit copies until a page is unmapped: from the
+  // start of data into the stack, 0x10800 bytes in one dispatch, through
+  // the pages it wrote itself.
+  const isa::Program long_copy = self_copy_program(kDataBase, kStackBase, 0);
+  CorePair pair;
+  pair.install(long_copy, monitor::extract_graph(long_copy, hash), hash);
+  const PacketResult got = pair.process(util::Bytes(16, 0xAB), 0);
+  EXPECT_EQ(static_cast<int>(got.outcome),
+            static_cast<int>(PacketOutcome::Trapped));
+  EXPECT_EQ(got.trace_dispatches, 1u);
+  EXPECT_EQ(got.instructions,
+            kSelfCopyLoop + (kStackSize + kPktInSize) * 6 + 3);
+  expect_same_stats(pair.fast, pair.oracle);
+}
+
+// A hand-built graph that accepts the prologue, exactly `m` iterations
+// of the loop and `part` ops of the next, then expects a hash that op
+// does not have. Its walk is a chain, never a fixed point, so the
+// monitor steps every wrapped hash and flags where the chain ends.
+monitor::MonitoringGraph chain_graph(const isa::Program& p,
+                                     const monitor::InstructionHash& hash,
+                                     std::uint32_t m, std::uint32_t part) {
+  std::vector<std::uint32_t> words(p.text.begin(),
+                                   p.text.begin() + kSelfCopyLoop);
+  for (std::uint32_t it = 0; it <= m; ++it) {
+    for (std::uint32_t j = 0; j < 6 && (it < m || j < part); ++j) {
+      words.push_back(p.text[kSelfCopyLoop + j]);
+    }
+  }
+  std::vector<monitor::GraphNode> nodes;
+  for (std::uint32_t k = 0; k < words.size(); ++k) {
+    nodes.push_back({hash.hash(words[k]), false, {k + 1}});
+  }
+  const std::uint8_t next = hash.hash(p.text[kSelfCopyLoop + part]);
+  nodes.push_back(
+      {static_cast<std::uint8_t>((next + 1) & hash.mask()), true, {}});
+  return monitor::MonitoringGraph(hash.width(), p.text_base, 0,
+                                  std::move(nodes));
+}
+
+// The flag lands before the wrapped iteration, inside its repeats (first,
+// middle) and after them, at every op of an iteration: the monitor
+// accepts exactly the ops up to the flagged one, and the overshoot the
+// dispatch retired past it is retracted exactly.
+TEST(TraceDifferential, FlagInsideWrappedRepeatsRetractsExactly) {
+  const isa::Program p = self_copy_program(kDataBase, kStackBase, 100);
+  monitor::MerkleTreeHash hash(0xC4A1);
+  for (const std::uint32_t m : {0u, 1u, 39u, 40u, 41u, 45u, 98u, 99u}) {
+    for (std::uint32_t part = 0; part < 6; ++part) {
+      SCOPED_TRACE("m " + std::to_string(m) + " part " +
+                   std::to_string(part));
+      CorePair pair;
+      pair.install(p, chain_graph(p, hash, m, part), hash);
+      const PacketResult got = pair.process(util::Bytes(16, 0xAB), 0);
+      EXPECT_EQ(static_cast<int>(got.outcome),
+                static_cast<int>(PacketOutcome::AttackDetected));
+      EXPECT_EQ(got.instructions, kSelfCopyLoop + 6 * m + part + 1);
+      EXPECT_EQ(got.trace_dispatches, 1u);
+      expect_same_stats(pair.fast, pair.oracle);
+    }
+  }
+}
+
+// self_copy_program's graph with a second copy of its loop: the
+// prologue may enter either, and either may exit to the addiu after it.
+// Every step through the loop then matches one op in each copy, so the
+// walk tracks two or three nodes and never joins the summary's
+// canonical walk, which tracks one.
+monitor::MonitoringGraph dual_loop_graph(const isa::Program& p,
+                                         const monitor::InstructionHash& hash) {
+  constexpr std::uint32_t kAfter = kSelfCopyLoop + 6;  // addiu $t2
+  constexpr std::uint32_t kTwin = kAfter + 2;          // the second loop
+  std::vector<monitor::GraphNode> nodes;
+  for (std::uint32_t i = 0; i < p.text.size(); ++i) {
+    nodes.push_back({hash.hash(p.text[i]), false, {i + 1}});
+  }
+  nodes.back() = {hash.hash(p.text.back()), true, {}};  // jr $ra
+  nodes[kSelfCopyLoop - 1].successors = {kSelfCopyLoop, kTwin};
+  nodes[kAfter - 1].successors = {kSelfCopyLoop, kAfter};
+  for (std::uint32_t j = 0; j < 6; ++j) {
+    nodes.push_back({hash.hash(p.text[kSelfCopyLoop + j]), false,
+                     {j < 5 ? kTwin + j + 1 : kTwin}});
+  }
+  nodes.back().successors.push_back(kAfter);
+  return monitor::MonitoringGraph(hash.width(), p.text_base, 0,
+                                  std::move(nodes));
+}
+
+// A walk that never joins the canonical one, on a MonitoredCore against
+// the interpreting oracle, and through seek() from every state of the
+// table against the per-hash walk over the same retired sequence (for
+// several wrap counts and ends): the repeats are settled from whatever
+// state the walk is in, so acceptance, counts and peak width must match
+// exactly.
+TEST(TraceDifferential, WrappedRepeatsOffTheCanonicalWalkMatchPerHashWalk) {
+  const isa::Program p = self_copy_program(kDataBase, kStackBase, 100);
+  monitor::MerkleTreeHash hash(0x5EE4);
+  const monitor::MonitoringGraph wire = dual_loop_graph(p, hash);
+  CorePair pair;
+  pair.install(p, wire, hash);
+  const PacketResult got = pair.process(util::Bytes(16, 0xAB), 0);
+  EXPECT_EQ(static_cast<int>(got.outcome),
+            static_cast<int>(PacketOutcome::Dropped));
+  EXPECT_GE(got.monitor_width, 2u) << "the walk must track both loops";
+  expect_same_stats(pair.fast, pair.oracle);
+
+  auto graph = monitor::CompiledGraph::compile(wire);
+  auto code = CompiledProgram::compile(p, hash);
+  auto summary = MonitorSummary::build(graph, code);
+  const CompiledProgram::TraceRef ref = code->trace_at(4 * kSelfCopyLoop);
+  ASSERT_EQ(static_cast<int>(ref.ops[0].handler),
+            static_cast<int>(TraceHandler::CopyRun));
+  constexpr std::uint32_t kOps = CompiledProgram::kCopyLoopOps;
+  const std::uint32_t q = kOps * (ref.ops[0].iterations - 1u);
+  std::size_t accepted_unjoined = 0;
+  for (std::uint32_t state = 0; state < graph->num_states(); ++state) {
+    for (const std::uint32_t wraps : {1u, 2u, 9u, 1000u}) {
+      for (const std::uint32_t end : {q, q + 2, q + kOps}) {
+        SCOPED_TRACE("state " + std::to_string(state) + " wraps " +
+                     std::to_string(wraps) + " end " + std::to_string(end));
+        const Core::TraceExec run{wraps, static_cast<std::uint8_t>(end),
+                                  static_cast<std::uint8_t>(q), false};
+        monitor::HardwareMonitor fast(graph, hash.clone());
+        monitor::HardwareMonitor walk(graph, hash.clone());
+        fast.seek(state);
+        walk.seek(state);
+        const MonitorSummary::Fed fed =
+            summary->feed(fast, ref.hashes, end, q, wraps);
+        std::uint64_t ok = 0;
+        while (ok < run.retired() &&
+               walk.on_hashed(ref.hashes[run.position(ok)]) ==
+                   monitor::Verdict::Ok) {
+          ++ok;
+        }
+        ASSERT_EQ(fed.ok, ok);
+        if (ok == run.retired() && !fed.joined) ++accepted_unjoined;
+        ASSERT_EQ(fast.stats().instructions_checked,
+                  walk.stats().instructions_checked);
+        ASSERT_EQ(fast.stats().state_size_accum,
+                  walk.stats().state_size_accum);
+        ASSERT_EQ(fast.stats().mismatches, walk.stats().mismatches);
+        ASSERT_EQ(fast.peak_state_size(), walk.peak_state_size());
+        ASSERT_EQ(fast.state_size(), walk.state_size());
+        ASSERT_EQ(fast.exit_allowed(), walk.exit_allowed());
+        ASSERT_EQ(fast.attack_flagged(), walk.attack_flagged());
+        ASSERT_EQ(fast.state_nodes(), walk.state_nodes());
+      }
+    }
+  }
+  EXPECT_GT(accepted_unjoined, 0u)
+      << "no entered state accepted the repeats off the canonical walk";
+}
+
+// Cost counter: a copy of any length is one dispatch, so a benign
+// packet's superblock dispatches do not depend on its payload. Each app
+// forwards (or echoes) a UDP packet at each payload length, the largest
+// filling the receive buffer, on both tiers.
+TEST(TraceDifferential, DispatchesPerPacketDoNotGrowWithPayload) {
+  net::RoutingTable table;
+  table.add_route(net::ip(10, 0, 0, 0), 8, 3);
+  const std::size_t largest = kPktInSize - 28;  // IPv4 + UDP headers
+  monitor::MerkleTreeHash hash(0xD15);
+  for (const isa::Program& app :
+       {net::build_ipv4_forward(), net::build_ipv4_cm(), net::build_udp_echo(),
+        net::build_ipv4_router(table), net::build_loop_forward()}) {
+    SCOPED_TRACE(app.name);
+    CorePair pair;
+    pair.install(app, monitor::extract_graph(app, hash), hash);
+    std::vector<std::uint32_t> dispatches;
+    for (const std::size_t size : {std::size_t{16}, std::size_t{100},
+                                   std::size_t{512}, largest}) {
+      util::Bytes payload(size);
+      for (std::size_t j = 0; j < size; ++j) {
+        payload[j] = static_cast<std::uint8_t>(j * 13 + 5);
+      }
+      const util::Bytes packet = net::make_udp_packet(
+          net::ip(192, 168, 1, 7), net::ip(10, 1, 2, 3), 4000, 53, payload);
+      ASSERT_EQ(packet.size(), size + 28);
+      const PacketResult got = pair.process(packet, size);
+      EXPECT_EQ(static_cast<int>(got.outcome),
+                static_cast<int>(PacketOutcome::Forwarded));
+      dispatches.push_back(got.trace_dispatches);
+    }
+    EXPECT_EQ(dispatches, std::vector<std::uint32_t>(4, dispatches.front()));
+    expect_same_stats(pair.fast, pair.oracle);
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "util/rng.hpp"
+
 namespace sdmmon::isa {
 namespace {
 
@@ -161,6 +165,103 @@ TEST(Registers, BadNamesThrow) {
   EXPECT_THROW(parse_reg("$xx"), IsaError);   // unknown name
   EXPECT_THROW(parse_reg(""), IsaError);
   EXPECT_THROW(reg_name(32), IsaError);
+}
+
+// The decoder as it was before its opcode tables: a linear scan of the op
+// list, with the canonical-field rules of src/isa/isa.cpp.
+struct LinearEntry {
+  Op op;
+  OpClass cls;
+  int primary;
+  int funct;
+};
+constexpr std::array<LinearEntry, kNumOps> kLinearTable = {{
+#define SDMMON_LINEAR_ENTRY(name, mnemonic, cls, primary, funct) \
+  {Op::name, OpClass::cls, primary, funct},
+    SDMMON_ISA_OPS(SDMMON_LINEAR_ENTRY)
+#undef SDMMON_LINEAR_ENTRY
+}};
+
+bool linear_canonical_fields(const Instr& in, int primary) {
+  switch (in.op) {
+    case Op::Sll: case Op::Srl: case Op::Sra:
+      return in.rs == 0;
+    case Op::Sllv: case Op::Srlv: case Op::Srav:
+      return in.shamt == 0;
+    case Op::Jr:
+      return in.rt == 0 && in.rd == 0 && in.shamt == 0;
+    case Op::Jalr:
+      return in.rt == 0 && in.shamt == 0;
+    case Op::Syscall: case Op::Break:
+      return in.rs == 0 && in.rt == 0 && in.rd == 0 && in.shamt == 0;
+    case Op::Mfhi: case Op::Mflo:
+      return in.rs == 0 && in.rt == 0 && in.shamt == 0;
+    case Op::Mult: case Op::Multu: case Op::Div: case Op::Divu:
+      return in.rd == 0 && in.shamt == 0;
+    case Op::Lui:
+      return in.rs == 0;
+    case Op::Blez: case Op::Bgtz:
+      return in.rt == 0;
+    default:
+      return primary != 0 || in.shamt == 0;
+  }
+}
+
+std::optional<Instr> linear_decode(std::uint32_t word) {
+  const int primary = static_cast<int>(word >> 26);
+  Instr out;
+  if (primary == 0) {
+    const int funct = static_cast<int>(word & 0x3F);
+    for (const auto& entry : kLinearTable) {
+      if (entry.primary == 0 && entry.funct == funct) {
+        out.op = entry.op;
+        out.rs = static_cast<std::uint8_t>((word >> 21) & 31);
+        out.rt = static_cast<std::uint8_t>((word >> 16) & 31);
+        out.rd = static_cast<std::uint8_t>((word >> 11) & 31);
+        out.shamt = static_cast<std::uint8_t>((word >> 6) & 31);
+        if (!linear_canonical_fields(out, 0)) return std::nullopt;
+        return out;
+      }
+    }
+    return std::nullopt;
+  }
+  for (const auto& entry : kLinearTable) {
+    if (entry.primary != primary || entry.funct != -1) continue;
+    out.op = entry.op;
+    if (entry.cls == OpClass::Jump || entry.cls == OpClass::JumpLink) {
+      out.target = word & 0x03FFFFFFu;
+      return out;
+    }
+    out.rs = static_cast<std::uint8_t>((word >> 21) & 31);
+    out.rt = static_cast<std::uint8_t>((word >> 16) & 31);
+    out.imm =
+        static_cast<std::int32_t>(static_cast<std::int16_t>(word & 0xFFFF));
+    if (!linear_canonical_fields(out, primary)) return std::nullopt;
+    return out;
+  }
+  return std::nullopt;
+}
+
+// The table decoder against the linear scan on every (primary, funct)
+// pair, with the 20 bits between them all clear, all set, one field at a
+// time set, and random.
+TEST(Decode, OpcodeTablesMatchTheLinearScan) {
+  std::vector<std::uint32_t> middles = {0, 0x03FF'FFC0u};
+  for (const int shift : {6, 11, 16, 21}) middles.push_back(31u << shift);
+  util::Rng rng(0xDEC0DE);
+  for (int r = 0; r < 48; ++r) middles.push_back(rng.next_u32() & 0x03FF'FFC0u);
+  std::size_t decoded = 0;
+  for (std::uint32_t primary = 0; primary < 64; ++primary) {
+    for (std::uint32_t funct = 0; funct < 64; ++funct) {
+      for (const std::uint32_t middle : middles) {
+        const std::uint32_t word = primary << 26 | middle | funct;
+        const std::optional<Instr> want = linear_decode(word);
+        ASSERT_EQ(try_decode(word), want) << std::hex << word;
+        if (want) ++decoded;
+      }
+    }
+  }
+  EXPECT_GT(decoded, 0u);
 }
 
 }  // namespace

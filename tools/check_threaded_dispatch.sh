@@ -10,7 +10,7 @@
 # Core::exec_trace with `nm -S`, disassembles exactly that address range
 # with objdump, and fails when fewer than MIN_SITES indirect `jmp *`
 # instructions remain. The executor with install-time handler selection
-# (the variants, fused pairs and copy runs) reads 54; one that
+# (the variants, fused pairs and copy runs) reads 53; one that
 # dispatches on the op alone, without them, reads 45 and fails.
 # It also fails when exec_trace does not start on a 64-byte boundary:
 # the function is pinned there (`aligned(64)` in src/np/core_trace.cpp)
